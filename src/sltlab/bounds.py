@@ -11,23 +11,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     GridSpec,
     Hypothesis,
     HypothesisClass,
     LabeledSample,
-    empirical_error,
     enumerate_class,
+    error_counts,
 )
 from .distributions import (
-    AnalyticRiskUnavailable,
     DataDistribution,
     SeedSpec,
+    exact_or_mc_risk,
     hoeffding_band,
-    mc_risk,
+    member_risks,
     min_risk_in_class,
-    true_risk,
 )
 
 DEFAULT_C = 2.0
@@ -172,22 +173,14 @@ def is_eps_representative(
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    worst_dev = -1.0
-    worst_h: Hypothesis | None = None
-    used_mc = False
-    for idx, h in enumerate(enumerate_class(H, grid=grid, budget=budget)):
-        emp = empirical_error(h, S)
-        try:
-            risk = true_risk(D, h)
-        except AnalyticRiskUnavailable:
-            if mc_n is None or seed is None:
-                raise
-            risk, _ = mc_risk(D, h, mc_n, seed.derive("representative-member", idx))
-            used_mc = True
-        dev = abs(emp - risk)
-        if dev > worst_dev:
-            worst_dev, worst_h = dev, h
-    assert worst_h is not None
+    if S.m == 0:
+        raise ValueError("empirical error is undefined for an empty sample")
+    members = enumerate_class(H, grid=grid, budget=budget)
+    emp = error_counts(members, S) / S.m
+    risks, used_mc = member_risks(D, members, mc_n, seed, "representative-member")
+    devs = np.abs(emp - risks)
+    worst = int(np.argmax(devs))
+    worst_dev = float(devs[worst])
     band = hoeffding_band(mc_n) if used_mc else None
     if not used_mc:
         verdict: bool | None = worst_dev <= eps
@@ -201,8 +194,8 @@ def is_eps_representative(
         verdict=verdict,
         eps=eps,
         worst_deviation=worst_dev,
-        worst_hypothesis=worst_h,
-        n_hypotheses=idx + 1,
+        worst_hypothesis=members[worst],
+        n_hypotheses=len(members),
         mc_band=band,
     )
 
@@ -240,12 +233,7 @@ def decompose_error(
     estimation is nonnegative whenever h_hat is one of the enumerated members.
     """
     minimizer, approx = min_risk_in_class(D, H, grid=grid, budget=budget, mc_n=mc_n, seed=seed)
-    try:
-        total = true_risk(D, h_hat)
-    except AnalyticRiskUnavailable:
-        if mc_n is None or seed is None:
-            raise
-        total, _ = mc_risk(D, h_hat, mc_n, seed.derive("decompose-hhat"))
+    total, _ = exact_or_mc_risk(D, h_hat, mc_n, seed, "decompose-hhat")
     return ErrorDecomposition(
         approximation_error=approx,
         estimation_error=total - approx,

@@ -72,6 +72,13 @@ def _int_list(value) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip() != ""]
 
 
+def _at_least_one(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"must be at least 1, got {n}")
+    return n
+
+
 def _bool(value) -> bool:
     if isinstance(value, bool):
         return value
@@ -79,7 +86,7 @@ def _bool(value) -> bool:
 
 
 _COMMON_KEYS = {
-    "command": str, "out": str, "seed": int, "workers": int, "records": _bool,
+    "command": str, "out": str, "seed": int, "workers": _at_least_one, "records": _bool,
     "preset": str, "preset_version": int,
 }
 
@@ -291,7 +298,7 @@ def _run_pac(cfg: dict):
         m=cfg["m"], eps=cfg["eps"], delta=cfg["delta"], trials=cfg["trials"],
         seed=SeedSpec(cfg["seed"]), mc_n=cfg.get("mc_n"),
         budget=cfg.get("budget", 500_000),
-        workers=cfg.get("workers", 1), keep_records=cfg.get("records", False),
+        keep_records=cfg.get("records", False),
     )
     lines = [
         f"success frequency {summary.success_frequency:.4f} over {summary.trials} trials "
@@ -315,7 +322,7 @@ def _run_uc(cfg: dict):
         m_values=cfg["m_values"], eps=cfg["eps"], delta=cfg["delta"],
         trials=cfg["trials"], seed=SeedSpec(cfg["seed"]), mc_n=cfg.get("mc_n"),
         budget=cfg.get("budget", 500_000),
-        workers=cfg.get("workers", 1), keep_records=cfg.get("records", False),
+        keep_records=cfg.get("records", False),
     )
     lines = []
     worst = EXIT_OK
@@ -364,7 +371,7 @@ def _run_tradeoff(cfg: dict):
         m_values=cfg["m_values"], trials=cfg["trials"], delta=cfg["delta"],
         master_seeds=cfg.get("seeds", [cfg["seed"]]), C=cfg.get("C", 2.0),
         budget=cfg.get("budget", 500_000),
-        workers=cfg.get("workers", 1), keep_records=cfg.get("records", False),
+        keep_records=cfg.get("records", False),
     )
     lines = []
     for row in report.rows:
@@ -466,7 +473,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", help="output directory for JSON/CSV + manifest")
         p.add_argument("--seed", type=int, help=f"master seed (fallback: ${SEED_ENV_VAR})")
-        p.add_argument("--workers", type=int, help="parallel trial workers")
+        p.add_argument("--workers", type=int,
+                       help="accepted for older configs; no effect, trials run serially")
         p.add_argument("--records", action=argparse.BooleanOptionalAction,
                        help="emit per-trial records")
         return p

@@ -397,7 +397,7 @@ class LabeledSample:
     @classmethod
     def from_json(cls, data: dict) -> "LabeledSample":
         pairs = [(p[0], p[1]) for p in data["pairs"]]
-        sample = cls.from_pairs(pairs, dim=int(data["dim"])) if pairs or "dim" in data else cls.from_pairs(pairs)
+        sample = cls.from_pairs(pairs, dim=int(data["dim"]) if "dim" in data else None)
         if "m" in data and sample.m != int(data["m"]):
             raise ValueError(f"declared m={data['m']} but {sample.m} pairs given")
         return sample
@@ -438,6 +438,8 @@ class LabeledSample:
                     feats = [float(v) for v in row[:-1]]
                 except ValueError:
                     raise ValueError(f"{path} line {lineno}: non-numeric feature value") from None
+                if not all(map(math.isfinite, feats)):
+                    raise ValueError(f"{path} line {lineno}: feature values must be finite")
                 raw = row[-1].strip()
                 if raw not in ("0", "1"):
                     raise ValueError(f"{path} line {lineno}: label must be 0 or 1, got {raw!r}")
@@ -455,6 +457,16 @@ def empirical_error(h: Hypothesis, S: LabeledSample) -> float:
 def empirical_error_count(h: Hypothesis, S: LabeledSample) -> int:
     """Exact number of mismatches of h on S (integer, tie-break friendly)."""
     return int(np.count_nonzero(h.labels(S.X) != S.y))
+
+
+def error_counts(members: Sequence[Hypothesis], S: LabeledSample) -> np.ndarray:
+    """Mismatch count of each member on S, in member order.
+
+    Labels one member at a time, so memory stays linear in the sample size
+    and never grows to a (members, m) matrix.
+    """
+    return np.fromiter((empirical_error_count(h, S) for h in members),
+                       dtype=np.int64, count=len(members))
 
 
 # ---------------------------------------------------------------------------

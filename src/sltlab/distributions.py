@@ -4,8 +4,8 @@ A distribution couples an instance marginal, a labeling mechanism (a target
 hypothesis or an explicit conditional table on a finite support), and a
 symmetric label-flip noise rate below one half.  Sampling is i.i.d. and fully
 determined by a SeedSpec; per-trial generators are derived by hashing, so no
-generator state is ever shared between trials and parallel execution matches
-serial execution exactly.
+generator state is ever shared between trials and any trial can be rebuilt
+on its own.
 
 Exact risk is implemented where the disagreement region is cheap to measure:
 any finite-support marginal, interval-decomposable hypotheses on a 1-d
@@ -505,6 +505,41 @@ def mc_risk(
     return est, hoeffding_band(n)
 
 
+def exact_or_mc_risk(
+    D: DataDistribution,
+    h: Hypothesis,
+    mc_n: int | None,
+    seed: SeedSpec | None,
+    stream: str,
+    index: int = 0,
+) -> tuple[float, bool]:
+    """(risk, used_mc): the exact risk of h when D has a closed form for it,
+    else the Monte Carlo estimate over mc_n draws from seed.derive(stream, index).
+
+    Without both mc_n and seed, a missing closed form raises
+    AnalyticRiskUnavailable.
+    """
+    try:
+        return true_risk(D, h), False
+    except AnalyticRiskUnavailable:
+        if mc_n is None or seed is None:
+            raise
+        return mc_risk(D, h, mc_n, seed.derive(stream, index))[0], True
+
+
+def member_risks(
+    D: DataDistribution,
+    members: list[Hypothesis],
+    mc_n: int | None = None,
+    seed: SeedSpec | None = None,
+    stream: str = "",
+) -> tuple[np.ndarray, bool]:
+    """(risks, used_mc) of each member in order; a member i without a closed
+    form draws its Monte Carlo sample from seed.derive(stream, i)."""
+    pairs = [exact_or_mc_risk(D, h, mc_n, seed, stream, i) for i, h in enumerate(members)]
+    return np.array([r for r, _ in pairs]), any(mc for _, mc in pairs)
+
+
 def min_risk_in_class(
     D: DataDistribution,
     H: HypothesisClass,
@@ -519,16 +554,7 @@ def min_risk_in_class(
     back to Monte Carlo with the declared sample count ``mc_n`` (a seed is
     then required and each member gets an independently derived stream).
     """
-    best_h = None
-    best_risk = math.inf
-    for idx, h in enumerate(enumerate_class(H, grid=grid, budget=budget)):
-        try:
-            risk = true_risk(D, h)
-        except AnalyticRiskUnavailable:
-            if mc_n is None or seed is None:
-                raise
-            risk, _ = mc_risk(D, h, mc_n, seed.derive("min-risk-member", idx))
-        if risk < best_risk:
-            best_h, best_risk = h, risk
-    assert best_h is not None
-    return best_h, best_risk
+    members = enumerate_class(H, grid=grid, budget=budget)
+    risks, _ = member_risks(D, members, mc_n, seed, "min-risk-member")
+    best = int(np.argmin(risks))
+    return members[best], float(risks[best])

@@ -3,22 +3,21 @@ learnability of a class by its empirical-error minimizer, uniform convergence
 of empirical errors, the exact average-case failure of data-only learners on
 a tiny domain, and the approximation/estimation trade-off sweep.
 
-Trials are independent units keyed by trial index with independently derived
-generators, so any worker count and any scheduling produce identical
-summaries.  All aggregation happens over arrays laid out in trial order.
+Trials run one after another in index order.  Each draws from its own
+generator derived from (master seed, stream, trial index), so any single
+trial can be rebuilt on its own.  All aggregation happens over arrays laid
+out in trial order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -28,19 +27,18 @@ from .core import (
     LabeledSample,
     LookupTable,
     WeightedClassSequence,
-    empirical_error,
     enumerate_class,
+    error_counts,
 )
 from .distributions import (
-    AnalyticRiskUnavailable,
     DataDistribution,
     SeedSpec,
     draw_sample,
-    mc_risk,
+    exact_or_mc_risk,
+    member_risks,
     min_risk_in_class,
-    true_risk,
 )
-from .learners import DEFAULT_SRM_C, erm, memorizer, srm_penalty
+from .learners import DEFAULT_SRM_C, class_dims, erm, memorizer, srm_penalty
 
 VERDICT_SLACK = 0.02
 CONFIDENCE = 0.95
@@ -62,18 +60,14 @@ TRADEOFF_CSV_COLUMNS = [
 ]
 
 
-def _run_indexed(fn: Callable[[int], object], count: int, workers: int) -> list:
-    """Evaluate fn(0..count-1); results always come back in index order."""
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def binomial_bounds(successes: int, trials: int, confidence: float = CONFIDENCE):
     """Exact one-sided Clopper-Pearson bounds on a binomial proportion."""
     if not (0 <= successes <= trials) or trials < 1:
         raise ValueError("need 0 <= successes <= trials with trials >= 1")
+    # Imported here, not with the module: scipy.stats takes about a second to
+    # import, and only the harness verdicts need it.
+    from scipy.stats import beta as _beta_dist
+
     alpha = 1.0 - confidence
     lower = 0.0 if successes == 0 else float(
         _beta_dist.ppf(alpha, successes, trials - successes + 1)
@@ -100,9 +94,9 @@ class TrialRecord:
     """One independent draw; reconstructable from (config, master seed, trial)."""
 
     trial: int
-    risk: float
-    estimation: float
-    empirical_error: float
+    risk: float | None
+    estimation: float | None
+    empirical_error: float | None
     success: bool | None = None
     sup_deviation: float | None = None
     class_index: int | None = None
@@ -209,12 +203,7 @@ def learnability_trial(
     """One independent draw-train-evaluate step of the learnability harness."""
     S = draw_sample(D, m, seed.derive("pac-trial", trial))
     out = erm(H, S, grid=grid, budget=budget)
-    try:
-        risk = true_risk(D, out.hypothesis)
-    except AnalyticRiskUnavailable:
-        if mc_n is None:
-            raise
-        risk, _ = mc_risk(D, out.hypothesis, mc_n, seed.derive("pac-risk", trial))
+    risk, _ = exact_or_mc_risk(D, out.hypothesis, mc_n, seed, "pac-risk", trial)
     return TrialRecord(
         trial=trial,
         risk=risk,
@@ -236,7 +225,6 @@ def verify_learnability(
     grid: GridSpec | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     mc_n: int | None = None,
-    workers: int = 1,
     keep_records: bool = False,
 ) -> ExperimentSummary:
     """Frequency of the selected member's risk landing within eps of the best
@@ -253,13 +241,10 @@ def verify_learnability(
     _, min_risk = min_risk_in_class(
         D, H, grid=grid, budget=budget, mc_n=mc_n, seed=seed.derive("pac-min-risk")
     )
-
-    def one(t: int) -> TrialRecord:
-        return learnability_trial(
-            H, D, m, eps, seed, t, min_risk, grid=grid, budget=budget, mc_n=mc_n
-        )
-
-    records = _run_indexed(one, trials, workers)
+    records = [
+        learnability_trial(H, D, m, eps, seed, t, min_risk, grid=grid, budget=budget, mc_n=mc_n)
+        for t in range(trials)
+    ]
     successes = sum(1 for r in records if r.success)
     threshold = 1.0 - delta - VERDICT_SLACK
     verdict, lower, upper = binomial_verdict(successes, trials, threshold)
@@ -305,10 +290,7 @@ def uniform_convergence_trial(
     """Sup over the class of |empirical error - true risk| on one fresh sample."""
     members, risks = members_risks
     S = draw_sample(D, m, seed.derive(f"uc-trial-m{m}", trial))
-    emp = np.empty(len(members))
-    for i, h in enumerate(members):
-        emp[i] = np.count_nonzero(h.labels(S.X) != S.y) / m
-    return float(np.max(np.abs(emp - risks)))
+    return float(np.max(np.abs(error_counts(members, S) / m - risks)))
 
 
 @dataclass(frozen=True)
@@ -337,7 +319,6 @@ def verify_uniform_convergence(
     grid: GridSpec | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     mc_n: int | None = None,
-    workers: int = 1,
     keep_records: bool = False,
 ) -> UcReport:
     """Frequency of eps-representative samples and median sup deviation per m.
@@ -349,28 +330,19 @@ def verify_uniform_convergence(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     members = enumerate_class(H, grid=grid, budget=budget)
-    risks = np.empty(len(members))
-    for i, h in enumerate(members):
-        try:
-            risks[i] = true_risk(D, h)
-        except AnalyticRiskUnavailable:
-            if mc_n is None:
-                raise
-            risks[i], _ = mc_risk(D, h, mc_n, seed.derive("uc-member-risk", i))
+    risks, _ = member_risks(D, members, mc_n, seed, "uc-member-risk")
 
     summaries = []
     for m in m_values:
-        def one(t: int, _m=m) -> float:
-            return uniform_convergence_trial((members, risks), D, _m, seed, t)
-
-        devs = np.array(_run_indexed(one, trials, workers))
+        devs = np.array([
+            uniform_convergence_trial((members, risks), D, m, seed, t) for t in range(trials)
+        ])
         successes = int(np.count_nonzero(devs <= eps))
         threshold = 1.0 - delta - VERDICT_SLACK
         verdict, lower, upper = binomial_verdict(successes, trials, threshold)
         records = tuple(
-            TrialRecord(trial=t, risk=math.nan, estimation=math.nan,
-                        empirical_error=math.nan, success=bool(devs[t] <= eps),
-                        sup_deviation=float(devs[t]))
+            TrialRecord(trial=t, risk=None, estimation=None, empirical_error=None,
+                        success=bool(devs[t] <= eps), sup_deviation=float(devs[t]))
             for t in range(trials)
         ) if keep_records else None
         summaries.append(ExperimentSummary(
@@ -576,7 +548,6 @@ def tradeoff_sweep(
     grid: GridSpec | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     vc_dims: tuple[int, ...] | None = None,
-    workers: int = 1,
     keep_records: bool = False,
 ) -> TradeoffReport:
     """Mean approximation/estimation/total risk of the per-class minimizer for
@@ -590,48 +561,33 @@ def tradeoff_sweep(
     if trials < 1 or not master_seeds:
         raise ValueError("need at least one trial and one master seed")
     n_classes = len(seq)
-    dims = []
-    for pos, cls in enumerate(seq.classes, start=1):
-        d = vc_dims[pos - 1] if vc_dims is not None else cls.vc_dim_hint
-        if d is None:
-            raise ValueError(f"class at position {pos} has no known finite dimension")
-        dims.append(int(d))
-    approx = np.empty(n_classes)
-    for c, cls in enumerate(seq.classes):
-        _, approx[c] = min_risk_in_class(D, cls, grid=grid, budget=budget)
+    dims = class_dims(seq, vc_dims)
+    members = [enumerate_class(cls, grid=grid, budget=budget) for cls in seq.classes]
+    member_risk = [member_risks(D, ms)[0] for ms in members]
+    approx = np.array([r.min() for r in member_risk])
 
-    units = [
-        (seed, m, t)
-        for seed in master_seeds
-        for m in m_values
-        for t in range(trials)
-    ]
-
-    def one(u: int) -> dict:
-        master, m, t = units[u]
-        spec = SeedSpec(master).derive(f"tradeoff-m{m}", t)
-        S = draw_sample(D, m, spec)
-        risks = np.empty(n_classes)
-        emp = np.empty(n_classes)
-        hyps = []
-        for c, cls in enumerate(seq.classes):
-            out = erm(cls, S, grid=grid, budget=budget)
-            risks[c] = true_risk(D, out.hypothesis)
-            emp[c] = out.empirical_error
-            hyps.append(out.hypothesis)
-        pens = np.array([
-            srm_penalty(d, w, delta, m, C=C) for d, w in zip(dims, seq.weights)
-        ])
-        objectives = emp + pens
-        pick = int(np.argmin(objectives))  # first minimum: lower position wins ties
-        return {
-            "master_seed": master, "m": m, "trial": t,
-            "risks": risks, "emp": emp,
-            "pick": pick, "objective": float(objectives[pick]),
-            "pick_risk": float(risks[pick]),
-        }
-
-    results = _run_indexed(one, len(units), workers)
+    results = []
+    for master in master_seeds:
+        for m in m_values:
+            pens = np.array([
+                srm_penalty(d, w, delta, m, C=C) for d, w in zip(dims, seq.weights)
+            ])
+            for t in range(trials):
+                S = draw_sample(D, m, SeedSpec(master).derive(f"tradeoff-m{m}", t))
+                risks = np.empty(n_classes)
+                emp = np.empty(n_classes)
+                for c, (ms, rv) in enumerate(zip(members, member_risk)):
+                    counts = error_counts(ms, S)
+                    fit = int(np.argmin(counts))  # the member erm would pick
+                    risks[c], emp[c] = rv[fit], counts[fit] / m
+                objectives = emp + pens
+                pick = int(np.argmin(objectives))  # first minimum: lower position wins ties
+                results.append({
+                    "master_seed": master, "m": m, "trial": t,
+                    "risks": risks,
+                    "pick": pick, "objective": float(objectives[pick]),
+                    "pick_risk": float(risks[pick]),
+                })
 
     rows: list[dict] = []
     for m in m_values:

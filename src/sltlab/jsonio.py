@@ -1,8 +1,7 @@
 """Deterministic JSON/CSV emission with fixed-width float formatting.
 
 Floats are rendered with 17 significant digits, which round-trips IEEE
-doubles exactly and makes output files byte-comparable across runs and
-worker counts.
+doubles exactly and makes output files byte-comparable across runs.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     GridSpec,
@@ -20,8 +22,8 @@ from .core import (
     LabeledSample,
     LookupTable,
     WeightedClassSequence,
-    empirical_error_count,
     enumerate_class,
+    error_counts,
 )
 
 DEFAULT_SRM_C = 2.0
@@ -65,16 +67,10 @@ def erm(
     """
     if S.m == 0:
         raise ValueError("empirical risk minimization needs a nonempty sample")
-    best_h: Hypothesis | None = None
-    best_count = S.m + 1
-    for h in enumerate_class(H, grid=grid, budget=budget):
-        count = empirical_error_count(h, S)
-        if count < best_count:
-            best_h, best_count = h, count
-            if count == 0:
-                break
-    assert best_h is not None
-    return LearnerOutput(best_h, best_count / S.m)
+    members = enumerate_class(H, grid=grid, budget=budget)
+    counts = error_counts(members, S)
+    best = int(np.argmin(counts))
+    return LearnerOutput(members[best], int(counts[best]) / S.m)
 
 
 def srm_penalty(d: int, weight: float, delta: float, m: int, C: float = DEFAULT_SRM_C) -> float:
@@ -91,6 +87,21 @@ def srm_penalty(d: int, weight: float, delta: float, m: int, C: float = DEFAULT_
     if d < 0:
         raise ValueError("dimension must be nonnegative")
     return C * math.sqrt((d - math.log(wd)) / m)
+
+
+def class_dims(seq: WeightedClassSequence, vc_dims: tuple[int, ...] | None = None) -> list[int]:
+    """Each class's dimension: ``vc_dims`` when given, else its ``vc_dim_hint``."""
+    if vc_dims is not None and len(vc_dims) != len(seq):
+        raise ValueError("vc_dims must match the number of classes")
+    dims: list[int] = []
+    for pos, cls in enumerate(seq.classes, start=1):
+        d = vc_dims[pos - 1] if vc_dims is not None else cls.vc_dim_hint
+        if d is None:
+            raise ValueError(
+                f"class at position {pos} has no known finite dimension; pass vc_dims"
+            )
+        dims.append(int(d))
+    return dims
 
 
 def srm(
@@ -113,18 +124,7 @@ def srm(
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if S.m == 0:
         raise ValueError("the sample must be nonempty")
-    if vc_dims is not None and len(vc_dims) != len(seq):
-        raise ValueError("vc_dims must match the number of classes")
-
-    dims: list[int] = []
-    for pos, cls in enumerate(seq.classes, start=1):
-        d = vc_dims[pos - 1] if vc_dims is not None else cls.vc_dim_hint
-        if d is None:
-            raise ValueError(
-                f"class at position {pos} has no known finite dimension; pass vc_dims"
-            )
-        dims.append(int(d))
-
+    dims = class_dims(seq, vc_dims)
     penalties = [
         srm_penalty(d, w, delta, S.m, C=C) for d, w in zip(dims, seq.weights)
     ]

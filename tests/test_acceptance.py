@@ -4,7 +4,10 @@ Run with  pytest tests/test_acceptance.py -v -s  to see the per-criterion
 lines and timings.
 """
 
+import hashlib
+import json
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -195,8 +198,16 @@ def test_c9_bound_arithmetic():
         assert abs(accuracy_bound(report.b, 0.05, 1, C=1.0) - 0.1) < 1e-9
 
 
+# sha256 of every output file (manifest excepted) of one run of each preset.
+# Outputs must not change between commits unless a change means them to, and
+# then this table is regenerated along with it.
+PRESET_DIGESTS = pathlib.Path(__file__).with_name("preset_digests.json")
+
+
 def test_c10_every_preset_is_byte_deterministic(tmp_path):
+    recorded = json.loads(PRESET_DIGESTS.read_text())
     with criterion(10, "preset reruns byte-identical, any worker count", 120.0):
+        assert sorted(recorded) == preset_names()
         for name in preset_names():
             cfg = RUN_PRESETS[name]
             variants = [{}, {}]
@@ -211,12 +222,12 @@ def test_c10_every_preset_is_byte_deterministic(tmp_path):
                 files = sorted(p.name for p in outdir.iterdir() if p.name != "manifest.json")
                 outputs.append({f: (outdir / f).read_bytes() for f in files})
                 # manifest digests must match the files they describe
-                import json as _json
-
-                manifest = _json.loads((outdir / "manifest.json").read_text())
+                manifest = json.loads((outdir / "manifest.json").read_text())
                 for fname, digest in manifest["outputs"].items():
                     assert jsonio.sha256_file(outdir / fname) == digest, (name, fname)
             first = outputs[0]
+            digests = {f: hashlib.sha256(data).hexdigest() for f, data in first.items()}
+            assert digests == recorded[name], name
             for other in outputs[1:]:
                 assert other.keys() == first.keys(), name
                 for fname in first:

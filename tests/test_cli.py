@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sltlab
 from sltlab import jsonio
 from sltlab.cli import (
     EXIT_CONFIG,
@@ -36,6 +39,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown or missing command"):
             validate_config({"command": "train"})
 
+    def test_workers_below_one_named(self):
+        assert validate_config({"command": "nfl", "m": 2, "workers": 3})["workers"] == 3
+        with pytest.raises(ConfigError, match="config.workers: must be at least 1"):
+            merge_config("pac", "pac-thresholds", None, {"workers": 0})
+
     def test_preset_command_mismatch(self):
         with pytest.raises(ConfigError, match="belongs to command"):
             merge_config("bounds", "pac-thresholds", None, {})
@@ -53,6 +61,16 @@ class TestConfigValidation:
             command = RUN_PRESETS[name]["command"]
             cfg = merge_config(command, name, None, {})
             assert cfg["command"] == command
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy.stats costs about a second of start-up; only verdicts load it
+        src = os.path.dirname(os.path.dirname(sltlab.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = ("import sys, sltlab.cli; "
+                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                              capture_output=True, text=True)
+        assert done.stdout.strip() == "[]"
 
     def test_help_lists_every_preset(self, capsys):
         with pytest.raises(SystemExit) as exits:
@@ -173,11 +191,18 @@ class TestOutputsAndManifest:
         for name, digest in manifest["outputs"].items():
             assert jsonio.sha256_file(tmp_path / name) == digest
 
-    def test_records_flag_adds_per_trial_csv(self, tmp_path):
-        main(["pac", "--preset", "pac-thresholds", "--trials", "20",
+    @pytest.mark.parametrize("preset", [
+        "pac-thresholds", "uc-thresholds-scaling", "tradeoff-nested-thresholds",
+    ])
+    def test_records_flag_adds_per_trial_csv(self, tmp_path, preset):
+        cfg = RUN_PRESETS[preset]
+        main([cfg["command"], "--preset", preset, "--trials", "20",
               "--records", "--out", str(tmp_path)])
         lines = (tmp_path / "records.csv").read_text().splitlines()
-        assert len(lines) == 21  # header + one row per trial
+        trials = 20 * len(cfg.get("m_values", [None])) * len(cfg.get("seeds", [None]))
+        assert len(lines) == 1 + trials  # header + one row per trial
+        manifest = json.load(open(tmp_path / "manifest.json"))
+        assert "records.csv" in manifest["outputs"]
 
     def test_rerun_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

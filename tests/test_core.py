@@ -186,6 +186,12 @@ class TestSerialization:
         assert np.array_equal(back.X, S.X)
         assert np.array_equal(back.y, S.y)
 
+    def test_sample_json_without_dim_uses_pairs(self):
+        S = LabeledSample.from_json({"pairs": [[[0.1, 0.2], 1]]})
+        assert S.dim == 2 and S.m == 1
+        with pytest.raises(ValueError, match="explicit dimension"):
+            LabeledSample.from_json({"pairs": []})
+
     def test_sample_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
         S = LabeledSample(rng.uniform(-3, 3, size=(20, 3)),
@@ -206,6 +212,13 @@ class TestSerialization:
         path = tmp_path / "bad.csv"
         path.write_text("x1,x2,label\n0.1,0.2,0\n0.3,1\n")
         with pytest.raises(ValueError, match="line 3"):
+            LabeledSample.from_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_feature_names_line(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,label\n0.1,0\n{value},1\n")
+        with pytest.raises(ValueError, match="line 3: feature values must be finite"):
             LabeledSample.from_csv(path)
 
     def test_csv_header_required(self, tmp_path):

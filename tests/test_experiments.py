@@ -77,7 +77,7 @@ class TestLearnability:
         kwargs = dict(m=40, eps=0.1, delta=0.1, trials=60, seed=SeedSpec(5))
         a = verify_learnability(H, D, **kwargs)
         b = verify_learnability(H, D, **kwargs)
-        c = verify_learnability(H, D, **kwargs, workers=4)
+        c = verify_learnability(H, D, **kwargs)
         assert jsonio.dumps(a.to_json()) == jsonio.dumps(b.to_json()) == jsonio.dumps(c.to_json())
 
 
@@ -98,7 +98,7 @@ class TestUniformConvergence:
     def test_reproducible_across_workers(self):
         kwargs = dict(m_values=[50, 100], eps=0.1, delta=0.1, trials=40, seed=SeedSpec(6))
         a = verify_uniform_convergence(H, D, **kwargs)
-        b = verify_uniform_convergence(H, D, **kwargs, workers=3)
+        b = verify_uniform_convergence(H, D, **kwargs)
         assert jsonio.dumps(a.to_json()) == jsonio.dumps(b.to_json())
 
     def test_sufficient_m_from_bound_bracket_passes(self):
@@ -207,8 +207,13 @@ class TestTradeoffSweep:
             assert out.class_index == rec["srm_pick"]
             assert abs(out.objective - rec["srm_objective"]) < 1e-12
 
+    def test_vc_dims_length_checked(self):
+        with pytest.raises(ValueError, match="vc_dims must match"):
+            tradeoff_sweep(SEQUENCES["nested-thresholds"], D, m_values=[20], trials=2,
+                           delta=0.1, master_seeds=[0], vc_dims=(1,))
+
     def test_reproducible_across_workers(self):
         kwargs = dict(m_values=[20], trials=12, delta=0.1, master_seeds=[0, 1, 2])
         a = tradeoff_sweep(SEQUENCES["nested-thresholds"], D, **kwargs)
-        b = tradeoff_sweep(SEQUENCES["nested-thresholds"], D, **kwargs, workers=4)
+        b = tradeoff_sweep(SEQUENCES["nested-thresholds"], D, **kwargs)
         assert jsonio.dumps(a.to_json()) == jsonio.dumps(b.to_json())

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sltlab.core import (
     FiniteClass,
@@ -32,7 +34,48 @@ def random_case(rng):
     return H, LabeledSample(X, y)
 
 
+def reference_erm(H, S):
+    """Earliest member with the fewest mismatches, one member and one pair at a time."""
+    best, best_count = None, None
+    for h in enumerate_class(H):
+        count = sum(predict(h, x) != y for x, y in S.pairs())
+        if best_count is None or count < best_count:
+            best, best_count = h, count
+    return best, best_count
+
+
+# Grid and sample points share one coarse lattice, so boundary ties and tied
+# minimizers are frequent.
+LATTICE = st.sampled_from([i / 8 for i in range(9)])
+
+
+@st.composite
+def erm_cases(draw):
+    axis = tuple(sorted(draw(st.sets(LATTICE, min_size=1, max_size=6))))
+    kind = draw(st.sampled_from(["thresholds", "intervals", "finite"]))
+    if kind == "thresholds":
+        directions = draw(st.sampled_from([("ge",), ("le",), ("ge", "le"), ("le", "ge")]))
+        H = ThresholdClass(directions=directions, grid=GridSpec((axis,)))
+    elif kind == "intervals":
+        H = IntervalClass(grid=GridSpec((axis,)))
+    else:
+        members = draw(st.lists(st.builds(Threshold, LATTICE, st.sampled_from(["ge", "le"])),
+                                min_size=1, max_size=8))
+        H = FiniteClass(tuple(members))
+    pairs = draw(st.lists(st.tuples(LATTICE, st.integers(0, 1)), min_size=1, max_size=30))
+    return H, LabeledSample.from_pairs(pairs)
+
+
 class TestErm:
+    @settings(max_examples=300, deadline=None)
+    @given(erm_cases())
+    def test_matches_reference_erm(self, case):
+        H, S = case
+        out = erm(H, S)
+        h, count = reference_erm(H, S)
+        assert out.hypothesis == h
+        assert out.empirical_error == count / S.m
+
     def test_realizable_sample_fit_exactly(self):
         D = DataDistribution(UNIT, Threshold(0.47), noise=0.0)
         H = ThresholdClass(0.0, 1.0, ("ge",), resolution=101)
