@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__
 from . import jsonio
@@ -26,9 +27,15 @@ from .bounds import (
     BoundParams,
     sample_complexity,
 )
-from .core import EnumerationBudgetError, LabeledSample, hypothesis_from_json
+from .core import (
+    DEFAULT_ENUMERATION_BUDGET,
+    EnumerationBudgetError,
+    LabeledSample,
+    hypothesis_from_json,
+)
 from .distributions import AnalyticRiskUnavailable, SeedSpec, draw_sample, mc_risk, true_risk
 from .experiments import (
+    DEFAULT_NFL_LEARNER,
     RECORD_CSV_COLUMNS,
     SUMMARY_CSV_COLUMNS,
     TRADEOFF_CSV_COLUMNS,
@@ -37,7 +44,7 @@ from .experiments import (
     verify_learnability,
     verify_uniform_convergence,
 )
-from .learners import erm, srm
+from .learners import DEFAULT_LABEL, erm, srm
 from .presets import (
     POOLS,
     PRESET_VERSION,
@@ -48,7 +55,12 @@ from .presets import (
     resolve_pool,
     resolve_sequence,
 )
-from .shattering import sine_shatter_witness, vc_dimension
+from .shattering import (
+    DEFAULT_SINE_BUDGET,
+    DEFAULT_SUBSET_BUDGET,
+    sine_shatter_witness,
+    vc_dimension,
+)
 
 SEED_ENV_VAR = "SLT_LAB_SEED"
 
@@ -82,62 +94,103 @@ def _at_least_one(value) -> int:
 def _bool(value) -> bool:
     if isinstance(value, bool):
         return value
-    raise ConfigError(f"expected a boolean, got {value!r}")
+    raise TypeError(f"expected a boolean, got {value!r}")
 
+
+# One declaration per config key: key -> (cast, default).  The default is
+# REQUIRED, None (the key stays absent when unset) or the library constant the
+# computation would use anyway, so the manifest shows every default it used.
+# Every key except those in _NOT_FLAGS is also the subcommand flag --some-key.
+REQUIRED = object()
+_NOT_FLAGS = ("command", "preset_version")
+_BUDGET = (_at_least_one, DEFAULT_ENUMERATION_BUDGET)
 
 _COMMON_KEYS = {
-    "command": str, "out": str, "seed": int, "workers": _at_least_one, "records": _bool,
-    "preset": str, "preset_version": int,
+    "command": (str, REQUIRED), "preset": (str, None), "preset_version": (int, None),
+    "out": (str, None), "seed": (int, None), "workers": (_at_least_one, None),
+    "records": (_bool, False),
 }
 
 _COMMAND_KEYS: dict[str, dict] = {
-    "bounds": {"d": int, "eps": float, "delta": float, "m": int,
-               "C": float, "C1": float, "C2": float},
-    "vcdim": {"class": str, "pool": str, "subset_budget": int, "enum_budget": int,
-              "sine_k": int, "sine_budget": int},
-    "risk": {"dist": str, "hypothesis": str, "mc_n": int},
-    "erm": {"class": str, "data": str, "dist": str, "m": int, "budget": int},
-    "srm": {"sequence": str, "delta": float, "C": float, "data": str, "dist": str,
-            "m": int, "budget": int},
-    "pac": {"class": str, "dist": str, "m": int, "eps": float, "delta": float,
-            "trials": int, "mc_n": int, "budget": int},
-    "uc": {"class": str, "dist": str, "m_values": _int_list, "eps": float,
-           "delta": float, "trials": int, "mc_n": int, "budget": int},
-    "nfl": {"m": int, "learner": str, "default_label": int},
-    "tradeoff": {"sequence": str, "dist": str, "m_values": _int_list, "trials": int,
-                 "delta": float, "C": float, "seeds": _int_list, "budget": int},
+    "bounds": {"d": (int, REQUIRED), "eps": (float, REQUIRED), "delta": (float, REQUIRED),
+               "m": (int, None), "C": (float, DEFAULT_C), "C1": (float, DEFAULT_C1),
+               "C2": (float, DEFAULT_C2)},
+    "vcdim": {"class": (str, REQUIRED), "pool": (str, None),
+              "subset_budget": (_at_least_one, DEFAULT_SUBSET_BUDGET),
+              "enum_budget": (_at_least_one, DEFAULT_ENUMERATION_BUDGET),
+              "sine_k": (int, None), "sine_budget": (_at_least_one, DEFAULT_SINE_BUDGET)},
+    "risk": {"dist": (str, REQUIRED), "hypothesis": (str, REQUIRED), "mc_n": (int, None)},
+    "erm": {"class": (str, REQUIRED), "data": (str, None), "dist": (str, None),
+            "m": (int, None), "budget": _BUDGET},
+    "srm": {"sequence": (str, REQUIRED), "delta": (float, REQUIRED), "C": (float, DEFAULT_C),
+            "data": (str, None), "dist": (str, None), "m": (int, None), "budget": _BUDGET},
+    "pac": {"class": (str, REQUIRED), "dist": (str, REQUIRED), "m": (int, REQUIRED),
+            "eps": (float, REQUIRED), "delta": (float, REQUIRED), "trials": (int, REQUIRED),
+            "mc_n": (int, None), "budget": _BUDGET},
+    "uc": {"class": (str, REQUIRED), "dist": (str, REQUIRED), "m_values": (_int_list, REQUIRED),
+           "eps": (float, REQUIRED), "delta": (float, REQUIRED), "trials": (int, REQUIRED),
+           "mc_n": (int, None), "budget": _BUDGET},
+    "nfl": {"m": (int, REQUIRED), "learner": (str, DEFAULT_NFL_LEARNER),
+            "default_label": (int, DEFAULT_LABEL)},
+    "tradeoff": {"sequence": (str, REQUIRED), "dist": (str, REQUIRED),
+                 "m_values": (_int_list, REQUIRED), "trials": (int, REQUIRED),
+                 "delta": (float, REQUIRED), "C": (float, DEFAULT_C),
+                 "seeds": (_int_list, None), "budget": _BUDGET},
 }
 
-_REQUIRED: dict[str, set] = {
-    "bounds": {"d", "eps", "delta"},
-    "vcdim": {"class"},
-    "risk": {"dist", "hypothesis"},
-    "erm": {"class"},
-    "srm": {"sequence", "delta"},
-    "pac": {"class", "dist", "m", "eps", "delta", "trials"},
-    "uc": {"class", "dist", "m_values", "eps", "delta", "trials"},
-    "nfl": {"m"},
-    "tradeoff": {"sequence", "dist", "m_values", "trials", "delta"},
+_COMMAND_HELP = {
+    "bounds": "sample-complexity and accuracy bound arithmetic",
+    "vcdim": "brute-force dimension search (or sine shattering witness)",
+    "risk": "exact or Monte Carlo risk of one hypothesis",
+    "erm": "minimize empirical error over an enumerated class",
+    "srm": "penalized selection over a weighted class sequence",
+    "pac": "learnability harness with a binomial verdict",
+    "uc": "uniform-convergence harness across sample sizes",
+    "nfl": "exact average-case failure of data-only learners",
+    "tradeoff": "approximation/estimation sweep over a class sequence",
+}
+
+_KEY_HELP = {
+    "preset": "named run preset",
+    "out": "output directory for JSON/CSV + manifest",
+    "seed": f"master seed (fallback: ${SEED_ENV_VAR})",
+    "workers": "accepted for older configs; no effect, trials run serially",
+    "records": "emit per-trial records",
+    "class": "class preset name or inline JSON",
+    "pool": "pool preset name or inline JSON point list",
+    "dist": "distribution preset name or inline JSON",
+    "hypothesis": "inline hypothesis JSON",
+    "data": "CSV sample (features then 0/1 label, header row)",
+    "m_values": "comma list, e.g. 400,1600",
+    "seeds": "comma list or inclusive range, e.g. 0..19",
 }
 
 
 def validate_config(raw: dict) -> dict:
-    """Cast and check a merged config; unknown keys are errors, not warnings."""
+    """Cast and check a merged config and fill in its defaults; unknown keys
+    are errors, not warnings."""
     command = raw.get("command")
     if command not in _COMMAND_KEYS:
         raise ConfigError(f"config.command: unknown or missing command {command!r}")
-    allowed = {**_COMMON_KEYS, **_COMMAND_KEYS[command]}
+    table = {**_COMMON_KEYS, **_COMMAND_KEYS[command]}
     out: dict = {}
     for key, value in raw.items():
-        if key not in allowed:
+        if key not in table:
             raise ConfigError(f"config.{key}: unknown key for command {command!r}")
         if value is None:
             continue
         try:
-            out[key] = allowed[key](value)
+            out[key] = table[key][0](value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config.{key}: {exc}") from exc
-    missing = _REQUIRED[command] - out.keys()
+    missing = []
+    for key, (_, default) in table.items():
+        if key in out or default is None:
+            continue
+        if default is REQUIRED:
+            missing.append(key)
+        else:
+            out[key] = default
     if missing:
         raise ConfigError(f"config: command {command!r} is missing {sorted(missing)}")
     return out
@@ -176,15 +229,9 @@ def merge_config(command: str, preset: str | None, config_path: str | None,
             )
         merged.update(data)
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    if "seed" not in merged or merged["seed"] is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        merged["seed"] = int(env) if env else 0
+    if merged.get("seed") is None:
+        merged["seed"] = os.environ.get(SEED_ENV_VAR) or 0
     return validate_config(merged)
-
-
-def ingest_csv(path: str, dim: int | None = None) -> LabeledSample:
-    """Load a labeled sample from the documented CSV schema, preserving order."""
-    return LabeledSample.from_csv(path, dim=dim)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +241,10 @@ def ingest_csv(path: str, dim: int | None = None) -> LabeledSample:
 
 
 def _run_bounds(cfg: dict):
-    b_probe = (cfg["d"] - math.log(cfg["delta"])) / cfg["eps"] ** 2
-    params = BoundParams(
-        eps=cfg["eps"], delta=cfg["delta"], d=cfg["d"],
-        m=cfg.get("m", max(1, math.ceil(b_probe))),
-        C=cfg.get("C", DEFAULT_C), C1=cfg.get("C1", DEFAULT_C1), C2=cfg.get("C2", DEFAULT_C2),
-    )
+    params = BoundParams(eps=cfg["eps"], delta=cfg["delta"], d=cfg["d"], m=cfg.get("m", 1),
+                         C=cfg["C"], C1=cfg["C1"], C2=cfg["C2"])
+    if "m" not in cfg:  # default: the base quantity b, rounded up
+        params = replace(params, m=max(1, math.ceil(sample_complexity(params).b)))
     report = sample_complexity(params)
     lines = [
         f"b = (d - ln delta) / eps^2 = {report.b:.6g}",
@@ -217,7 +262,7 @@ def _run_vcdim(cfg: dict):
     H = resolve_class(cfg["class"])
     if H.family == "sine":
         k = cfg.get("sine_k", 6)
-        report = sine_shatter_witness(k, budget=cfg.get("sine_budget", 20_000))
+        report = sine_shatter_witness(k, budget=cfg["sine_budget"])
         status = "all labelings realized" if report.complete else \
             f"{len(report.failed)} labelings NOT realized"
         lines = [f"sign-of-sine shattering at k={k}: {status}"]
@@ -229,11 +274,8 @@ def _run_vcdim(cfg: dict):
     if pool_spec is None:
         raise ConfigError("config.pool: required when the class is not a pooled preset")
     pool = resolve_pool(pool_spec)
-    report = vc_dimension(
-        H, pool,
-        subset_budget=cfg.get("subset_budget", 2_000_000),
-        enum_budget=cfg.get("enum_budget", 500_000),
-    )
+    report = vc_dimension(H, pool, subset_budget=cfg["subset_budget"],
+                          enum_budget=cfg["enum_budget"])
     lines = [f"dimension over {report.pool_size}-point pool: {report.marker()}"]
     return EXIT_OK, lines, {"vc_report.json": ("json", report.to_json())}
 
@@ -258,7 +300,7 @@ def _run_risk(cfg: dict):
 def _sample_for(cfg: dict, stream: str) -> tuple[LabeledSample, bool]:
     """(sample, generated): ingested from CSV or drawn from a distribution."""
     if "data" in cfg:
-        return ingest_csv(cfg["data"]), False
+        return LabeledSample.from_csv(cfg["data"]), False
     if "dist" not in cfg or "m" not in cfg:
         raise ConfigError("config: need either data=<csv> or dist=... plus m=...")
     D = resolve_distribution(cfg["dist"])
@@ -268,7 +310,7 @@ def _sample_for(cfg: dict, stream: str) -> tuple[LabeledSample, bool]:
 def _run_erm(cfg: dict):
     H = resolve_class(cfg["class"])
     S, generated = _sample_for(cfg, "cli-erm")
-    out = erm(H, S, budget=cfg.get("budget", 500_000))
+    out = erm(H, S, budget=cfg["budget"])
     lines = [f"selected {out.hypothesis.describe()} with empirical error "
              f"{out.empirical_error:.6g} on m={S.m}"]
     files = {"learner_output.json": ("json", out.to_json())}
@@ -280,7 +322,7 @@ def _run_erm(cfg: dict):
 def _run_srm(cfg: dict):
     seq = resolve_sequence(cfg["sequence"])
     S, generated = _sample_for(cfg, "cli-srm")
-    out = srm(seq, S, cfg["delta"], C=cfg.get("C", 2.0), budget=cfg.get("budget", 500_000))
+    out = srm(seq, S, cfg["delta"], C=cfg["C"], budget=cfg["budget"])
     lines = [f"selected class {out.class_index} member {out.hypothesis.describe()}; "
              f"objective {out.objective:.6g}"]
     files = {"learner_output.json": ("json", out.to_json())}
@@ -297,20 +339,17 @@ def _run_pac(cfg: dict):
         resolve_class(cfg["class"]), resolve_distribution(cfg["dist"]),
         m=cfg["m"], eps=cfg["eps"], delta=cfg["delta"], trials=cfg["trials"],
         seed=SeedSpec(cfg["seed"]), mc_n=cfg.get("mc_n"),
-        budget=cfg.get("budget", 500_000),
-        keep_records=cfg.get("records", False),
+        budget=cfg["budget"], keep_records=cfg["records"],
     )
     lines = [
         f"success frequency {summary.success_frequency:.4f} over {summary.trials} trials "
         f"(threshold {summary.threshold:.4f}) -> {summary.verdict}",
     ]
-    public = summary.to_json()
-    records = public.pop("records", None)
     files = {
-        "summary.json": ("json", public),
+        "summary.json": ("json", summary.to_json()),
         "summary.csv": ("csv", (SUMMARY_CSV_COLUMNS, [summary.csv_row()])),
     }
-    if records is not None:
+    if summary.records is not None:
         files["records.csv"] = ("csv", (RECORD_CSV_COLUMNS,
                                         [r.csv_row() for r in summary.records]))
     return _VERDICT_EXIT[summary.verdict], lines, files
@@ -321,8 +360,7 @@ def _run_uc(cfg: dict):
         resolve_class(cfg["class"]), resolve_distribution(cfg["dist"]),
         m_values=cfg["m_values"], eps=cfg["eps"], delta=cfg["delta"],
         trials=cfg["trials"], seed=SeedSpec(cfg["seed"]), mc_n=cfg.get("mc_n"),
-        budget=cfg.get("budget", 500_000),
-        keep_records=cfg.get("records", False),
+        budget=cfg["budget"], keep_records=cfg["records"],
     )
     lines = []
     worst = EXIT_OK
@@ -338,15 +376,13 @@ def _run_uc(cfg: dict):
         if s.records is not None:
             record_rows.extend({"m": s.config["m"], **r.csv_row()} for r in s.records)
     for sc in report.scaling:
+        ratio = "n/a" if sc["median_ratio"] is None else f"{sc['median_ratio']:.3f}"
         lines.append(
             f"median ratio m={sc['m_small']} vs m={sc['m_large']}: "
-            f"{sc['median_ratio']:.3f} (sqrt prediction {sc['sqrt_prediction']:.3f})"
+            f"{ratio} (sqrt prediction {sc['sqrt_prediction']:.3f})"
         )
-    public = report.to_json()
-    for s in public["summaries"]:
-        s.pop("records", None)
     files = {
-        "uc_report.json": ("json", public),
+        "uc_report.json": ("json", report.to_json()),
         "summary.csv": ("csv", (SUMMARY_CSV_COLUMNS, rows)),
     }
     if record_rows:
@@ -355,8 +391,7 @@ def _run_uc(cfg: dict):
 
 
 def _run_nfl(cfg: dict):
-    report = nfl_exact(cfg["m"], learner=cfg.get("learner", "memorizer"),
-                       default_label=cfg.get("default_label", 0))
+    report = nfl_exact(cfg["m"], learner=cfg["learner"], default_label=cfg["default_label"])
     lines = [
         f"learner {report.learner} on a {report.domain_size}-point domain: "
         f"average expected error {report.average} = {float(report.average):.6f}, "
@@ -369,9 +404,8 @@ def _run_tradeoff(cfg: dict):
     report = tradeoff_sweep(
         resolve_sequence(cfg["sequence"]), resolve_distribution(cfg["dist"]),
         m_values=cfg["m_values"], trials=cfg["trials"], delta=cfg["delta"],
-        master_seeds=cfg.get("seeds", [cfg["seed"]]), C=cfg.get("C", 2.0),
-        budget=cfg.get("budget", 500_000),
-        keep_records=cfg.get("records", False),
+        master_seeds=cfg.get("seeds", [cfg["seed"]]), C=cfg["C"],
+        budget=cfg["budget"], keep_records=cfg["records"],
     )
     lines = []
     for row in report.rows:
@@ -383,15 +417,13 @@ def _run_tradeoff(cfg: dict):
             )
         else:
             lines.append(f"m={row['m']} srm: total {row['mean_total_risk']:.4f}")
-    public = report.to_json()
-    records = public.pop("records", None)
     files = {
-        "tradeoff.json": ("json", public),
+        "tradeoff.json": ("json", report.to_json()),
         "tradeoff.csv": ("csv", (TRADEOFF_CSV_COLUMNS, list(report.rows))),
     }
-    if records is not None:
-        cols = list(records[0].keys()) if records else ["master_seed"]
-        files["records.csv"] = ("csv", (cols, list(records)))
+    if report.records is not None:
+        cols = list(report.records[0].keys()) if report.records else ["master_seed"]
+        files["records.csv"] = ("csv", (cols, list(report.records)))
     return EXIT_OK, lines, files
 
 
@@ -414,8 +446,6 @@ def run(config: dict) -> int:
     cfg = validate_config(config)
     try:
         code, lines, files = _RUNNERS[cfg["command"]](cfg)
-    except (ConfigError,) as exc:
-        raise
     except (KeyError, ValueError, EnumerationBudgetError, AnalyticRiskUnavailable,
             OSError, json.JSONDecodeError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -467,104 +497,23 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"sltlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add(name: str, help_text: str):
-        p = sub.add_parser(name, help=help_text, add_help=True)
-        p.add_argument("--preset", help="named run preset")
+    for command, keys in _COMMAND_KEYS.items():
+        p = sub.add_parser(command, help=_COMMAND_HELP[command])
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", help="output directory for JSON/CSV + manifest")
-        p.add_argument("--seed", type=int, help=f"master seed (fallback: ${SEED_ENV_VAR})")
-        p.add_argument("--workers", type=int,
-                       help="accepted for older configs; no effect, trials run serially")
-        p.add_argument("--records", action=argparse.BooleanOptionalAction,
-                       help="emit per-trial records")
-        return p
-
-    p = add("bounds", "sample-complexity and accuracy bound arithmetic")
-    p.add_argument("--d", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--C", type=float)
-    p.add_argument("--C1", type=float)
-    p.add_argument("--C2", type=float)
-
-    p = add("vcdim", "brute-force dimension search (or sine shattering witness)")
-    p.add_argument("--class", dest="class_", help="class preset name or inline JSON")
-    p.add_argument("--pool", help="pool preset name or inline JSON point list")
-    p.add_argument("--subset-budget", dest="subset_budget", type=int)
-    p.add_argument("--enum-budget", dest="enum_budget", type=int)
-    p.add_argument("--sine-k", dest="sine_k", type=int)
-    p.add_argument("--sine-budget", dest="sine_budget", type=int)
-
-    p = add("risk", "exact or Monte Carlo risk of one hypothesis")
-    p.add_argument("--dist", help="distribution preset name or inline JSON")
-    p.add_argument("--hypothesis", help="inline hypothesis JSON")
-    p.add_argument("--mc-n", dest="mc_n", type=int)
-
-    p = add("erm", "minimize empirical error over an enumerated class")
-    p.add_argument("--class", dest="class_")
-    p.add_argument("--data", help="CSV sample (features then 0/1 label, header row)")
-    p.add_argument("--dist")
-    p.add_argument("--m", type=int)
-    p.add_argument("--budget", type=int)
-
-    p = add("srm", "penalized selection over a weighted class sequence")
-    p.add_argument("--sequence")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--C", type=float)
-    p.add_argument("--data")
-    p.add_argument("--dist")
-    p.add_argument("--m", type=int)
-    p.add_argument("--budget", type=int)
-
-    p = add("pac", "learnability harness with a binomial verdict")
-    p.add_argument("--class", dest="class_")
-    p.add_argument("--dist")
-    p.add_argument("--m", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--mc-n", dest="mc_n", type=int)
-    p.add_argument("--budget", type=int)
-
-    p = add("uc", "uniform-convergence harness across sample sizes")
-    p.add_argument("--class", dest="class_")
-    p.add_argument("--dist")
-    p.add_argument("--m-values", dest="m_values", help="comma list, e.g. 400,1600")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--mc-n", dest="mc_n", type=int)
-    p.add_argument("--budget", type=int)
-
-    p = add("nfl", "exact average-case failure of data-only learners")
-    p.add_argument("--m", type=int)
-    p.add_argument("--learner", choices=["memorizer", "erm_all_functions"])
-    p.add_argument("--default-label", dest="default_label", type=int, choices=[0, 1])
-
-    p = add("tradeoff", "approximation/estimation sweep over a class sequence")
-    p.add_argument("--sequence")
-    p.add_argument("--dist")
-    p.add_argument("--m-values", dest="m_values")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--C", type=float)
-    p.add_argument("--seeds", help="comma list or inclusive range, e.g. 0..19")
-    p.add_argument("--budget", type=int)
-
+        for key, (cast, _) in {**_COMMON_KEYS, **keys}.items():
+            if key not in _NOT_FLAGS:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, help=_KEY_HELP.get(key),
+                               action=argparse.BooleanOptionalAction if cast is _bool else None)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    overrides = {
-        k.replace("class_", "class"): v
-        for k, v in vars(args).items()
-        if k not in ("command", "preset", "config")
-    }
+    overrides = vars(_build_parser().parse_args(argv))
+    command = overrides.pop("command")
+    preset = overrides.pop("preset")
+    config_path = overrides.pop("config")
     try:
-        config = merge_config(args.command, args.preset, args.config, overrides)
+        config = merge_config(command, preset, config_path, overrides)
         return run(config)
     except ConfigError as exc:
         print(f"sltlab: error: {exc}", file=sys.stderr)

@@ -385,6 +385,8 @@ class LabeledSample:
         dims = {len(r) for r in rows}
         if len(dims) != 1:
             raise ValueError(f"all instances must share one dimension, saw {sorted(dims)}")
+        if dim is not None and dims != {dim}:
+            raise ValueError(f"declared dim={dim} but the instances have dimension {dims.pop()}")
         return cls(np.stack(rows), np.array(labels, dtype=np.uint8))
 
     def to_json(self) -> dict:

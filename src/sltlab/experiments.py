@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bounds import DEFAULT_C
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     FiniteClass,
@@ -38,7 +39,7 @@ from .distributions import (
     member_risks,
     min_risk_in_class,
 )
-from .learners import DEFAULT_SRM_C, class_dims, erm, memorizer, srm_penalty
+from .learners import DEFAULT_LABEL, class_dims, erm, memorizer, srm_penalty
 
 VERDICT_SLACK = 0.02
 CONFIDENCE = 0.95
@@ -139,7 +140,7 @@ class ExperimentSummary:
         return self.successes / self.trials
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "kind": self.kind,
             "config": self.config,
             "trials": self.trials,
@@ -152,9 +153,6 @@ class ExperimentSummary:
             "stats": self.stats,
             "extra": self.extra,
         }
-        if self.records is not None:
-            out["records"] = [r.csv_row() for r in self.records]
-        return out
 
     def csv_row(self) -> dict:
         row = {
@@ -325,7 +323,8 @@ def verify_uniform_convergence(
 
     The same binomial verdict rule as the learnability harness applies at
     each m; consecutive m pairs additionally report the ratio of median
-    deviations next to the square-root prediction.
+    deviations next to the square-root prediction (None when the larger m's
+    median deviation is 0).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -371,7 +370,7 @@ def verify_uniform_convergence(
         scaling.append({
             "m_small": ma,
             "m_large": mb,
-            "median_ratio": med_a / med_b if med_b > 0 else math.inf,
+            "median_ratio": med_a / med_b if med_b > 0 else None,
             "sqrt_prediction": math.sqrt(mb / ma),
         })
     return UcReport(tuple(summaries), tuple(scaling))
@@ -383,6 +382,7 @@ def verify_uniform_convergence(
 
 NFL_MAX_M = 4
 NFL_LEARNERS = ("memorizer", "erm_all_functions")
+DEFAULT_NFL_LEARNER = "memorizer"
 
 
 @dataclass(frozen=True)
@@ -455,7 +455,9 @@ def _prediction_mask(
     raise ValueError(f"unknown learner {learner!r}; expected one of {NFL_LEARNERS}")
 
 
-def nfl_exact(m: int, learner: str = "memorizer", default_label: int = 0) -> NflReport:
+def nfl_exact(
+    m: int, learner: str = DEFAULT_NFL_LEARNER, default_label: int = DEFAULT_LABEL
+) -> NflReport:
     """Exact average expected risk of a data-only learner over every noiseless
     labeling of a uniform 2m-point domain.
 
@@ -472,6 +474,8 @@ def nfl_exact(m: int, learner: str = "memorizer", default_label: int = 0) -> Nfl
         )
     if learner not in NFL_LEARNERS:
         raise ValueError(f"unknown learner {learner!r}; expected one of {NFL_LEARNERS}")
+    if default_label not in (0, 1):
+        raise ValueError(f"default_label must be 0 or 1, got {default_label!r}")
     n = 2 * m
     domain = np.arange(n, dtype=float)[:, None]
     table_matrix = None
@@ -531,10 +535,7 @@ class TradeoffReport:
     records: tuple[dict, ...] | None = None
 
     def to_json(self) -> dict:
-        out = {"config": self.config, "rows": list(self.rows)}
-        if self.records is not None:
-            out["records"] = list(self.records)
-        return out
+        return {"config": self.config, "rows": list(self.rows)}
 
 
 def tradeoff_sweep(
@@ -544,7 +545,7 @@ def tradeoff_sweep(
     trials: int,
     delta: float,
     master_seeds: Sequence[int],
-    C: float = DEFAULT_SRM_C,
+    C: float = DEFAULT_C,
     grid: GridSpec | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     vc_dims: tuple[int, ...] | None = None,

@@ -60,8 +60,10 @@ def dumps(obj, indent: int = 2) -> str:
 
 
 def dump(obj, path) -> None:
+    """Render first, so a value that cannot be serialized leaves no file behind."""
+    text = dumps(obj)
     with open(path, "w") as fh:
-        fh.write(dumps(obj))
+        fh.write(text)
 
 
 def _cell(v) -> str:

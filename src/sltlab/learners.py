@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import DEFAULT_C, accuracy_bound
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     GridSpec,
@@ -26,7 +27,7 @@ from .core import (
     error_counts,
 )
 
-DEFAULT_SRM_C = 2.0
+DEFAULT_LABEL = 0
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ def erm(
     return LearnerOutput(members[best], int(counts[best]) / S.m)
 
 
-def srm_penalty(d: int, weight: float, delta: float, m: int, C: float = DEFAULT_SRM_C) -> float:
+def srm_penalty(d: int, weight: float, delta: float, m: int, C: float = DEFAULT_C) -> float:
     """Class-dependent accuracy penalty C * sqrt((d - ln(w * delta)) / m).
 
     Natural logarithm throughout.  The weighted confidence split w * delta
@@ -82,11 +83,7 @@ def srm_penalty(d: int, weight: float, delta: float, m: int, C: float = DEFAULT_
     wd = weight * delta
     if not (0.0 < wd < 1.0):
         raise ValueError(f"weight * delta must lie in (0, 1), got {wd}")
-    if m < 1:
-        raise ValueError("sample size must be at least 1")
-    if d < 0:
-        raise ValueError("dimension must be nonnegative")
-    return C * math.sqrt((d - math.log(wd)) / m)
+    return accuracy_bound(m, wd, d, C)
 
 
 def class_dims(seq: WeightedClassSequence, vc_dims: tuple[int, ...] | None = None) -> list[int]:
@@ -108,7 +105,7 @@ def srm(
     seq: WeightedClassSequence,
     S: LabeledSample,
     delta: float,
-    C: float = DEFAULT_SRM_C,
+    C: float = DEFAULT_C,
     grid: GridSpec | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     vc_dims: tuple[int, ...] | None = None,
@@ -155,7 +152,7 @@ def srm(
     )
 
 
-def memorizer(S: LabeledSample, default: int = 0) -> LookupTable:
+def memorizer(S: LabeledSample, default: int = DEFAULT_LABEL) -> LookupTable:
     """Majority label at each sampled instance, the default elsewhere.
 
     An instance seen equally often with both labels also gets the default.

@@ -27,6 +27,7 @@ from .core import (
 )
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
+DEFAULT_SINE_BUDGET = 20_000
 MAX_SINE_POINTS = 8
 
 
@@ -93,7 +94,7 @@ class VcReport:
                    int(data["pool_size"]), int(data["subsets_tested"]))
 
 
-def _points_matrix(X, dim_expected: int | None = None) -> np.ndarray:
+def _points_matrix(X) -> np.ndarray:
     pts = np.asarray(X, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -265,7 +266,7 @@ def _realizes(alpha: float, xs: np.ndarray, labeling: tuple[int, ...]) -> bool:
 def sine_shatter_witness(
     k: int,
     points: tuple[float, ...] | None = None,
-    budget: int = 20_000,
+    budget: int = DEFAULT_SINE_BUDGET,
     max_k: int = MAX_SINE_POINTS,
     rng_seed: int = 0,
 ) -> SineWitnessReport:

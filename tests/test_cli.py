@@ -1,5 +1,7 @@
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -13,16 +15,38 @@ from sltlab.cli import (
     EXIT_FAIL,
     EXIT_OK,
     ConfigError,
-    ingest_csv,
     main,
     merge_config,
     run,
     validate_config,
 )
-from sltlab.core import Rectangle
+from sltlab.core import LabeledSample, Rectangle
 from sltlab.distributions import DataDistribution, SeedSpec, UniformBox, draw_sample
 from sltlab.presets import RUN_PRESETS, preset_names
 from sltlab.shattering import VcReport, verify_certificate
+
+# sha256 of records.csv for each harness preset at --trials 20 --records,
+# recorded before the reports stopped embedding their records
+RECORD_DIGESTS = json.loads(
+    pathlib.Path(__file__).with_name("records_digests.json").read_text())
+
+# every subcommand's long options; a table edit must not drop or rename one
+COMMON_OPTIONS = {"--config", "--help", "--no-records", "--out", "--preset", "--records",
+                  "--seed", "--workers"}
+COMMAND_OPTIONS = {
+    "bounds": {"--C", "--C1", "--C2", "--d", "--delta", "--eps", "--m"},
+    "vcdim": {"--class", "--enum-budget", "--pool", "--sine-budget", "--sine-k",
+              "--subset-budget"},
+    "risk": {"--dist", "--hypothesis", "--mc-n"},
+    "erm": {"--budget", "--class", "--data", "--dist", "--m"},
+    "srm": {"--C", "--budget", "--data", "--delta", "--dist", "--m", "--sequence"},
+    "pac": {"--budget", "--class", "--delta", "--dist", "--eps", "--m", "--mc-n", "--trials"},
+    "uc": {"--budget", "--class", "--delta", "--dist", "--eps", "--m-values", "--mc-n",
+           "--trials"},
+    "nfl": {"--default-label", "--learner", "--m"},
+    "tradeoff": {"--C", "--budget", "--delta", "--dist", "--m-values", "--seeds",
+                 "--sequence", "--trials"},
+}
 
 
 class TestConfigValidation:
@@ -72,6 +96,42 @@ class TestConfigValidation:
                               capture_output=True, text=True)
         assert done.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    def test_long_options_pinned(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = set(re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out))
+        assert listed == COMMON_OPTIONS | COMMAND_OPTIONS[command]
+
+    def test_precedence_preset_then_file_then_flags(self, tmp_path, capsys):
+        preset = RUN_PRESETS["uc-thresholds-scaling"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"m_values": [30, 60], "eps": 0.2, "delta": 0.2,
+                                    "trials": 3, "records": True}))
+        from_file = merge_config("uc", "uc-thresholds-scaling", str(path), {})
+        assert from_file["m_values"] == [30, 60] and from_file["eps"] == 0.2
+        assert from_file["records"] is True
+        assert from_file["m_values"] != preset["m_values"] and preset["eps"] != 0.2
+        out = tmp_path / "run"
+        main(["uc", "--preset", "uc-thresholds-scaling", "--config", str(path),
+              "--m-values", "20,40", "--eps", "0.3", "--no-records", "--out", str(out)])
+        cfg = json.load(open(out / "manifest.json"))["config"]
+        assert cfg["class"] == preset["class"] and cfg["dist"] == preset["dist"]
+        assert cfg["delta"] == 0.2 and cfg["trials"] == 3
+        assert cfg["m_values"] == [20, 40] and cfg["eps"] == 0.3 and cfg["records"] is False
+        assert not (out / "records.csv").exists()
+
+    def test_manifest_lists_defaults_used(self, tmp_path):
+        from sltlab.core import DEFAULT_ENUMERATION_BUDGET
+        from sltlab.shattering import DEFAULT_SINE_BUDGET, DEFAULT_SUBSET_BUDGET
+
+        main(["vcdim", "--preset", "vc-intervals", "--out", str(tmp_path)])
+        cfg = json.load(open(tmp_path / "manifest.json"))["config"]
+        assert cfg["subset_budget"] == DEFAULT_SUBSET_BUDGET
+        assert cfg["enum_budget"] == DEFAULT_ENUMERATION_BUDGET
+        assert cfg["sine_budget"] == DEFAULT_SINE_BUDGET
+        assert "pool" not in cfg and "sine_k" not in cfg
+
     def test_help_lists_every_preset(self, capsys):
         with pytest.raises(SystemExit) as exits:
             main(["--help"])
@@ -100,6 +160,37 @@ class TestExitCodes:
 
     def test_unknown_preset_is_one(self, capsys):
         assert main(["pac", "--preset", "nope"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv, key", [
+        (["bounds", "--d", "1", "--eps", "0", "--delta", "0.05"], "eps"),
+        (["bounds", "--d", "1", "--eps", "0.1", "--delta", "0"], "delta"),
+        (["bounds", "--d", "1", "--eps", "0.1x", "--delta", "0.05"], "config.eps"),
+        (["vcdim", "--preset", "vc-intervals", "--subset-budget", "0"], "config.subset_budget"),
+        (["vcdim", "--preset", "vc-intervals", "--enum-budget", "0"], "config.enum_budget"),
+        (["vcdim", "--preset", "sine-shatter-k6", "--sine-budget", "0"], "config.sine_budget"),
+        (["erm", "--preset", "erm-thresholds-demo", "--budget", "0"], "config.budget"),
+        (["nfl", "--m", "two"], "config.m"),
+        (["nfl", "--m", "2", "--learner", "erm_all_functions", "--default-label", "2"],
+         "default_label"),
+        (["pac", "--preset", "pac-thresholds", "--seed", "1.5"], "config.seed"),
+    ])
+    def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err
+
+    def test_uc_zero_median_ratio_is_na(self, tmp_path, capsys):
+        one = '{"family":"finite","members":[{"kind":"threshold","theta":0.5,"direction":"ge"}]}'
+        code = main(["uc", "--class", one, "--dist", "uniform-threshold-clean",
+                     "--m-values", "10,40", "--eps", "0.1", "--delta", "0.1",
+                     "--trials", "40", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert "median ratio m=10 vs m=40: n/a" in capsys.readouterr().out
+        report = json.load(open(tmp_path / "uc_report.json"))
+        assert report["scaling"][0]["median_ratio"] is None
+        digests = json.load(open(tmp_path / "manifest.json"))["outputs"]
+        assert jsonio.sha256_file(tmp_path / "uc_report.json") == digests["uc_report.json"]
 
     def test_indeterminate_verdict_is_three(self, capsys):
         # deterministic seed pinned to land the confidence bounds astride the
@@ -157,7 +248,7 @@ class TestIngestCsv:
         path = tmp_path / "data.csv"
         rows = "\n".join(f"0.{i},{i % 2}" for i in range(10))
         path.write_text("x,y\n" + rows + "\n")
-        S = ingest_csv(str(path))
+        S = LabeledSample.from_csv(str(path))
         assert S.m == 10
         assert S.dim == 1
 
@@ -166,7 +257,7 @@ class TestIngestCsv:
         path.write_text("x,y\n" + "\n".join(
             f"0.{i},{2 if i == 5 else 0}" for i in range(10)) + "\n")
         with pytest.raises(ValueError, match="line 7.*'2'"):
-            ingest_csv(str(path))
+            LabeledSample.from_csv(str(path))
 
     def test_round_trip_export_then_ingest(self, tmp_path):
         D = DataDistribution(UniformBox(((0.0, 1.0), (0.0, 1.0))),
@@ -174,7 +265,7 @@ class TestIngestCsv:
         S = draw_sample(D, 64, SeedSpec(12))
         path = tmp_path / "sample.csv"
         S.to_csv(path)
-        back = ingest_csv(str(path))
+        back = LabeledSample.from_csv(str(path))
         assert np.array_equal(back.X, S.X)
         assert np.array_equal(back.y, S.y)
 
@@ -202,7 +293,7 @@ class TestOutputsAndManifest:
         trials = 20 * len(cfg.get("m_values", [None])) * len(cfg.get("seeds", [None]))
         assert len(lines) == 1 + trials  # header + one row per trial
         manifest = json.load(open(tmp_path / "manifest.json"))
-        assert "records.csv" in manifest["outputs"]
+        assert manifest["outputs"]["records.csv"] == RECORD_DIGESTS[preset]
 
     def test_rerun_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -239,7 +330,7 @@ class TestRunApi:
         # the generated sample is exported and matches the seeded draw exactly
         from sltlab.presets import DISTRIBUTIONS
 
-        exported = ingest_csv(str(tmp_path / "sample.csv"))
+        exported = LabeledSample.from_csv(str(tmp_path / "sample.csv"))
         again = draw_sample(DISTRIBUTIONS["uniform-threshold-clean"], 100,
                             SeedSpec(5, "cli-erm"))
         assert np.array_equal(exported.X, again.X)

@@ -191,6 +191,8 @@ class TestSerialization:
         assert S.dim == 2 and S.m == 1
         with pytest.raises(ValueError, match="explicit dimension"):
             LabeledSample.from_json({"pairs": []})
+        with pytest.raises(ValueError, match="declared dim=3"):
+            LabeledSample.from_json({"dim": 3, "pairs": [[[0.1], 1]]})
 
     def test_sample_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sltlab import jsonio
-from sltlab.core import LabeledSample
+from sltlab.core import FiniteClass, LabeledSample, Threshold
 from sltlab.distributions import SeedSpec, draw_sample
 from sltlab.experiments import (
     all_functions_class,
@@ -95,6 +95,15 @@ class TestUniformConvergence:
         assert sc["sqrt_prediction"] == pytest.approx(2.0)
         assert 1.0 < sc["median_ratio"] < 4.0
 
+    def test_zero_median_at_larger_m_has_no_ratio(self):
+        one = FiniteClass((Threshold(0.5),))
+        clean = DISTRIBUTIONS["uniform-threshold-clean"]
+        rep = verify_uniform_convergence(one, clean, [10, 40], eps=0.1, delta=0.1,
+                                         trials=20, seed=SeedSpec(0))
+        assert rep.summaries[1].stats["median"] == 0.0
+        assert rep.scaling[0]["median_ratio"] is None
+        assert '"median_ratio": null' in jsonio.dumps(rep.to_json())
+
     def test_reproducible_across_workers(self):
         kwargs = dict(m_values=[50, 100], eps=0.1, delta=0.1, trials=40, seed=SeedSpec(6))
         a = verify_uniform_convergence(H, D, **kwargs)
@@ -145,6 +154,11 @@ class TestNflExact:
     def test_unknown_learner_rejected(self):
         with pytest.raises(ValueError, match="unknown learner"):
             nfl_exact(2, learner="oracle")
+
+    def test_default_label_checked_for_every_learner(self):
+        for learner in ("memorizer", "erm_all_functions"):
+            with pytest.raises(ValueError, match="default_label must be 0 or 1"):
+                nfl_exact(2, learner=learner, default_label=2)
 
     def test_deterministic_to_last_digit(self):
         a = nfl_exact(3, learner="erm_all_functions")

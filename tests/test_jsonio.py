@@ -49,6 +49,13 @@ class TestDumps:
             jsonio.dumps({"bad": object()})
 
 
+    def test_dump_leaves_no_file_on_failure(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="non-finite"):
+            jsonio.dump({"ratio": float("inf")}, path)
+        assert not path.exists()
+
+
 class TestCsv:
     def test_floats_written_with_17_digits(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -183,6 +183,8 @@ class TestSrm:
     def test_penalty_guard(self):
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
             srm_penalty(1, 2.0, 0.6, 100)  # w * delta >= 1
+        with pytest.raises(ValueError, match="C must be positive"):
+            srm_penalty(1, 1.0, 0.1, 100, C=0.0)
 
     def test_delta_range_checked(self):
         seq = WeightedClassSequence((ThresholdClass(resolution=3),), (1.0,))
