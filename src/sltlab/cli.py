@@ -91,6 +91,13 @@ def _at_least_one(value) -> int:
     return n
 
 
+def _each_at_least_one(value) -> list[int]:
+    sizes = [_at_least_one(v) for v in _int_list(value)]
+    if not sizes:
+        raise ValueError("must list at least one value")
+    return sizes
+
+
 def _bool(value) -> bool:
     if isinstance(value, bool):
         return value
@@ -113,27 +120,32 @@ _COMMON_KEYS = {
 
 _COMMAND_KEYS: dict[str, dict] = {
     "bounds": {"d": (int, REQUIRED), "eps": (float, REQUIRED), "delta": (float, REQUIRED),
-               "m": (int, None), "C": (float, DEFAULT_C), "C1": (float, DEFAULT_C1),
+               "m": (_at_least_one, None), "C": (float, DEFAULT_C), "C1": (float, DEFAULT_C1),
                "C2": (float, DEFAULT_C2)},
     "vcdim": {"class": (str, REQUIRED), "pool": (str, None),
               "subset_budget": (_at_least_one, DEFAULT_SUBSET_BUDGET),
               "enum_budget": (_at_least_one, DEFAULT_ENUMERATION_BUDGET),
               "sine_k": (int, None), "sine_budget": (_at_least_one, DEFAULT_SINE_BUDGET)},
-    "risk": {"dist": (str, REQUIRED), "hypothesis": (str, REQUIRED), "mc_n": (int, None)},
+    "risk": {"dist": (str, REQUIRED), "hypothesis": (str, REQUIRED),
+             "mc_n": (_at_least_one, None)},
     "erm": {"class": (str, REQUIRED), "data": (str, None), "dist": (str, None),
-            "m": (int, None), "budget": _BUDGET},
+            "m": (_at_least_one, None), "budget": _BUDGET},
     "srm": {"sequence": (str, REQUIRED), "delta": (float, REQUIRED), "C": (float, DEFAULT_C),
-            "data": (str, None), "dist": (str, None), "m": (int, None), "budget": _BUDGET},
-    "pac": {"class": (str, REQUIRED), "dist": (str, REQUIRED), "m": (int, REQUIRED),
-            "eps": (float, REQUIRED), "delta": (float, REQUIRED), "trials": (int, REQUIRED),
-            "mc_n": (int, None), "budget": _BUDGET},
-    "uc": {"class": (str, REQUIRED), "dist": (str, REQUIRED), "m_values": (_int_list, REQUIRED),
-           "eps": (float, REQUIRED), "delta": (float, REQUIRED), "trials": (int, REQUIRED),
-           "mc_n": (int, None), "budget": _BUDGET},
-    "nfl": {"m": (int, REQUIRED), "learner": (str, DEFAULT_NFL_LEARNER),
+            "data": (str, None), "dist": (str, None), "m": (_at_least_one, None),
+            "budget": _BUDGET},
+    "pac": {"class": (str, REQUIRED), "dist": (str, REQUIRED), "m": (_at_least_one, REQUIRED),
+            "eps": (float, REQUIRED), "delta": (float, REQUIRED),
+            "trials": (_at_least_one, REQUIRED), "mc_n": (_at_least_one, None),
+            "budget": _BUDGET},
+    "uc": {"class": (str, REQUIRED), "dist": (str, REQUIRED),
+           "m_values": (_each_at_least_one, REQUIRED), "eps": (float, REQUIRED),
+           "delta": (float, REQUIRED), "trials": (_at_least_one, REQUIRED),
+           "mc_n": (_at_least_one, None), "budget": _BUDGET},
+    "nfl": {"m": (_at_least_one, REQUIRED), "learner": (str, DEFAULT_NFL_LEARNER),
             "default_label": (int, DEFAULT_LABEL)},
     "tradeoff": {"sequence": (str, REQUIRED), "dist": (str, REQUIRED),
-                 "m_values": (_int_list, REQUIRED), "trials": (int, REQUIRED),
+                 "m_values": (_each_at_least_one, REQUIRED),
+                 "trials": (_at_least_one, REQUIRED),
                  "delta": (float, REQUIRED), "C": (float, DEFAULT_C),
                  "seeds": (_int_list, None), "budget": _BUDGET},
 }

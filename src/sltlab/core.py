@@ -16,11 +16,16 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 DEFAULT_ENUMERATION_BUDGET = 500_000
+
+# Most label cells (members x sample rows) error_counts evaluates at once: a
+# 500-row sample takes every member of a default class in one block, while an
+# 80 000-row sample stays at about 1 MB per block.
+LABEL_BLOCK_CELLS = 1 << 20
 
 
 class DimensionMismatchError(ValueError):
@@ -464,11 +469,118 @@ def empirical_error_count(h: Hypothesis, S: LabeledSample) -> int:
 def error_counts(members: Sequence[Hypothesis], S: LabeledSample) -> np.ndarray:
     """Mismatch count of each member on S, in member order.
 
-    Labels one member at a time, so memory stays linear in the sample size
-    and never grows to a (members, m) matrix.
+    Members are labelled as by ``label_matrix``, in blocks of at most
+    LABEL_BLOCK_CELLS label cells (at least one member per block), so memory
+    is bounded by one block, about 1 MB, whatever the class and sample sizes.
     """
-    return np.fromiter((empirical_error_count(h, S) for h in members),
-                       dtype=np.int64, count=len(members))
+    runs = _runs_of(members)
+    counts = np.empty(len(members), dtype=np.int64)
+    step = max(1, LABEL_BLOCK_CELLS // max(S.m, 1))
+    block = np.empty((min(step, len(members)), S.m), dtype=np.uint8)
+    # Labels are 0/1, so after the xor a row's sum is its mismatch count.  A
+    # uint32 sum is about twice as fast as count_nonzero along an axis, and
+    # m < 2^32 always holds (X alone would need 32 GB otherwise).
+    for start in range(0, len(members), step):
+        rows = block[:min(step, len(members) - start)]
+        _fill_labels(rows, members, runs, S.X, start)
+        rows ^= S.y
+        counts[start:start + len(rows)] = rows.sum(axis=1, dtype=np.uint32)
+    return counts
+
+
+def label_matrix(members: Sequence[Hypothesis], X: np.ndarray) -> np.ndarray:
+    """(len(members), n) uint8 labels on the (n, d) matrix X, in member order;
+    row i equals ``members[i].labels(X)``.
+
+    Thresholds and intervals are compared with their stacked parameters in
+    one numpy call per run of one rule; any other hypothesis type stacks its
+    own ``labels`` rows.  Pass a StackedMembers to label one list on many
+    samples without collecting those parameters again.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(
+            f"label_matrix expects an (n, d) matrix of instances, got shape {X.shape}"
+        )
+    out = np.empty((len(members), len(X)), dtype=np.uint8)
+    _fill_labels(out, members, _runs_of(members), X, 0)
+    return out
+
+
+_RULE_SUBJECT = {"ge": "threshold hypothesis", "le": "threshold hypothesis",
+                 "interval": "interval hypothesis"}
+
+
+def _label_runs(members: Sequence[Hypothesis]) -> list[tuple]:
+    """Maximal runs (start, stop, rule, params) of members sharing one
+    vectorized rule: "ge" or "le" thresholds (params: one theta column),
+    "interval" (lo and hi columns), or None for every other type."""
+    runs: list[list] = []
+    for i, h in enumerate(members):
+        # Exact types only: a subclass may label differently.
+        if type(h) is Threshold:
+            rule, p = h.direction, (h.theta,)
+        elif type(h) is Interval:
+            rule, p = "interval", (h.lo, h.hi)
+        else:
+            rule, p = None, ()
+        if runs and runs[-1][2] == rule:
+            runs[-1][1] = i + 1
+            runs[-1][3].append(p)
+        else:
+            runs.append([i, i + 1, rule, [p]])
+    return [(a, b, rule, np.array(ps, dtype=float)) for a, b, rule, ps in runs]
+
+
+class StackedMembers(Sequence):
+    """An immutable copy of a member list that keeps the parameter runs
+    label_matrix and error_counts evaluate it with, collected once.  Code
+    that labels one list on many samples passes this in place of the list.
+    """
+
+    def __init__(self, members: Iterable[Hypothesis]):
+        self._members = tuple(members)
+        self._runs = tuple(_label_runs(self._members))
+        for run in self._runs:
+            run[3].flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def __getitem__(self, index):
+        return self._members[index]
+
+    def __iter__(self) -> Iterator[Hypothesis]:
+        return iter(self._members)
+
+
+def _runs_of(members: Sequence[Hypothesis]) -> Sequence[tuple]:
+    return members._runs if isinstance(members, StackedMembers) else _label_runs(members)
+
+
+def _fill_labels(out: np.ndarray, members: Sequence[Hypothesis], runs: Sequence[tuple],
+                 X: np.ndarray, start: int) -> None:
+    """Write the labels of members[start:start + len(out)] on X into out."""
+    stop = start + len(out)
+    for a, b, rule, params in runs:
+        lo, hi = max(a, start), min(b, stop)
+        if lo >= hi:
+            continue
+        rows = out[lo - start:hi - start]
+        if rule is None:
+            for row, h in zip(rows, members[lo:hi]):
+                row[:] = h.labels(X)
+            continue
+        x = _check_matrix(X, 1, _RULE_SUBJECT[rule])[:, 0]
+        p = params[lo - a:hi - a]
+        flags = rows.view(bool)  # comparisons write 0/1 bytes without a cast
+        if rule == "ge":
+            np.greater_equal(x, p[:, :1], out=flags)
+        elif rule == "le":
+            np.less_equal(x, p[:, :1], out=flags)
+        else:
+            np.greater_equal(x, p[:, :1], out=flags)
+            flags &= x <= p[:, 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -1012,11 +1124,10 @@ def find_extensional_duplicates(
 
     Diagnostic only; learning operations never rely on it.
     """
-    probe = np.asarray(probe, dtype=float)
     seen: dict[bytes, int] = {}
     dupes: list[tuple[int, int]] = []
-    for idx, h in enumerate(hypotheses):
-        key = h.labels(probe).tobytes()
+    for idx, row in enumerate(label_matrix(hypotheses, probe)):
+        key = row.tobytes()
         if key in seen:
             dupes.append((seen[key], idx))
         else:

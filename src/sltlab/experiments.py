@@ -24,9 +24,11 @@ from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     FiniteClass,
     GridSpec,
+    Hypothesis,
     HypothesisClass,
     LabeledSample,
     LookupTable,
+    StackedMembers,
     WeightedClassSequence,
     enumerate_class,
     error_counts,
@@ -197,10 +199,12 @@ def learnability_trial(
     grid: GridSpec | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     mc_n: int | None = None,
+    members: Sequence[Hypothesis] | None = None,
 ) -> TrialRecord:
-    """One independent draw-train-evaluate step of the learnability harness."""
+    """One independent draw-train-evaluate step of the learnability harness;
+    ``members``, if given, is H's enumeration, as ``erm`` takes it."""
     S = draw_sample(D, m, seed.derive("pac-trial", trial))
-    out = erm(H, S, grid=grid, budget=budget)
+    out = erm(H, S, grid=grid, budget=budget, members=members)
     risk, _ = exact_or_mc_risk(D, out.hypothesis, mc_n, seed, "pac-risk", trial)
     return TrialRecord(
         trial=trial,
@@ -239,8 +243,9 @@ def verify_learnability(
     _, min_risk = min_risk_in_class(
         D, H, grid=grid, budget=budget, mc_n=mc_n, seed=seed.derive("pac-min-risk")
     )
+    members = StackedMembers(enumerate_class(H, grid=grid, budget=budget))
     records = [
-        learnability_trial(H, D, m, eps, seed, t, min_risk, grid=grid, budget=budget, mc_n=mc_n)
+        learnability_trial(H, D, m, eps, seed, t, min_risk, mc_n=mc_n, members=members)
         for t in range(trials)
     ]
     successes = sum(1 for r in records if r.success)
@@ -328,7 +333,7 @@ def verify_uniform_convergence(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    members = enumerate_class(H, grid=grid, budget=budget)
+    members = StackedMembers(enumerate_class(H, grid=grid, budget=budget))
     risks, _ = member_risks(D, members, mc_n, seed, "uc-member-risk")
 
     summaries = []
@@ -566,6 +571,10 @@ def tradeoff_sweep(
     members = [enumerate_class(cls, grid=grid, budget=budget) for cls in seq.classes]
     member_risk = [member_risks(D, ms)[0] for ms in members]
     approx = np.array([r.min() for r in member_risk])
+    # Every member of the sequence in one list, labelled once per sample;
+    # class c owns the slice ends[c]:ends[c + 1].
+    stacked = StackedMembers(itertools.chain.from_iterable(members))
+    ends = np.cumsum([0] + [len(ms) for ms in members])
 
     results = []
     for master in master_seeds:
@@ -575,10 +584,11 @@ def tradeoff_sweep(
             ])
             for t in range(trials):
                 S = draw_sample(D, m, SeedSpec(master).derive(f"tradeoff-m{m}", t))
+                all_counts = error_counts(stacked, S)
                 risks = np.empty(n_classes)
                 emp = np.empty(n_classes)
-                for c, (ms, rv) in enumerate(zip(members, member_risk)):
-                    counts = error_counts(ms, S)
+                for c, rv in enumerate(member_risk):
+                    counts = all_counts[ends[c]:ends[c + 1]]
                     fit = int(np.argmin(counts))  # the member erm would pick
                     risks[c], emp[c] = rv[fit], counts[fit] / m
                 objectives = emp + pens

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -60,15 +61,19 @@ def erm(
     S: LabeledSample,
     grid: GridSpec | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
+    members: Sequence[Hypothesis] | None = None,
 ) -> LearnerOutput:
     """First member of the enumerated class with minimal error on S.
 
     Mismatches are compared as integer counts, so ties are exact and the
-    returned member is the earliest minimizer in canonical order.
+    returned member is the earliest minimizer in canonical order.  A caller
+    that fits H many times passes its enumeration once built as ``members``
+    (not checked against H, grid or budget).
     """
     if S.m == 0:
         raise ValueError("empirical risk minimization needs a nonempty sample")
-    members = enumerate_class(H, grid=grid, budget=budget)
+    if members is None:
+        members = enumerate_class(H, grid=grid, budget=budget)
     counts = error_counts(members, S)
     best = int(np.argmin(counts))
     return LearnerOutput(members[best], int(counts[best]) / S.m)

@@ -24,6 +24,7 @@ from .core import (
     SineSign,
     enumerate_class,
     hypothesis_from_json,
+    label_matrix,
 )
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
@@ -107,10 +108,7 @@ def _points_matrix(X) -> np.ndarray:
 
 def _label_matrix(H: HypothesisClass, pts: np.ndarray, grid, budget) -> tuple[list[Hypothesis], np.ndarray]:
     members = enumerate_class(H, grid=grid, budget=budget)
-    L = np.empty((len(members), len(pts)), dtype=np.uint8)
-    for i, h in enumerate(members):
-        L[i] = h.labels(pts)
-    return members, L
+    return members, label_matrix(members, pts)
 
 
 def restriction(

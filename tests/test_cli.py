@@ -173,6 +173,14 @@ class TestExitCodes:
         (["nfl", "--m", "2", "--learner", "erm_all_functions", "--default-label", "2"],
          "default_label"),
         (["pac", "--preset", "pac-thresholds", "--seed", "1.5"], "config.seed"),
+        (["uc", "--preset", "uc-thresholds-scaling", "--m-values", "0", "--trials", "2"],
+         "config.m_values"),
+        (["uc", "--preset", "uc-thresholds-scaling", "--m-values", "", "--trials", "2"],
+         "config.m_values"),
+        (["risk", "--dist", "uniform-threshold-clean",
+          "--hypothesis", '{"kind": "sine", "alpha": 40.0}', "--mc-n", "0"], "config.mc_n"),
+        (["tradeoff", "--preset", "tradeoff-nested-thresholds", "--trials", "0"],
+         "config.trials"),
     ])
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG

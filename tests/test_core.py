@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sltlab import jsonio
+from sltlab import core, jsonio
 from sltlab.core import (
     DimensionMismatchError,
     EnumerationBudgetError,
@@ -23,15 +23,19 @@ from sltlab.core import (
     Rectangle,
     RectangleClass,
     SineSign,
+    StackedMembers,
     Threshold,
     ThresholdClass,
     WeightedClassSequence,
     class_from_json,
     empirical_error,
+    empirical_error_count,
     enumerate_class,
+    error_counts,
     extensionally_equal,
     find_extensional_duplicates,
     hypothesis_from_json,
+    label_matrix,
     predict,
 )
 
@@ -108,6 +112,122 @@ class TestEmpiricalError:
         P = LabeledSample(X[order], y[order])
         h = Threshold(0.4)
         assert empirical_error(h, S) == empirical_error(h, P)
+
+
+# Parameters and instances share one coarse lattice, so boundary ties (a
+# point on a threshold, an interval end or a box edge) are frequent.
+LATTICE = st.sampled_from([i / 8 for i in range(-2, 11)])
+
+
+@st.composite
+def sorted_lattice(draw, n):
+    return sorted(draw(st.lists(LATTICE, min_size=n, max_size=n)))
+
+
+@st.composite
+def line_hypotheses(draw):
+    kind = draw(st.sampled_from(["threshold", "interval", "union", "sine", "lookup"]))
+    if kind == "threshold":
+        return Threshold(draw(LATTICE), draw(st.sampled_from(["ge", "le"])))
+    if kind == "interval":
+        return Interval(*draw(sorted_lattice(2)))
+    if kind == "union":
+        ends = sorted(draw(st.sets(LATTICE, min_size=2, max_size=6)))
+        ends = ends[:len(ends) // 2 * 2]
+        return IntervalUnion(tuple(zip(ends[::2], ends[1::2])))
+    if kind == "sine":
+        return SineSign(draw(st.floats(0.1, 100.0)))
+    points = draw(st.lists(LATTICE, min_size=1, max_size=5, unique=True))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(points), max_size=len(points)))
+    return LookupTable(tuple((p,) for p in points), tuple(labels), draw(st.integers(0, 1)))
+
+
+@st.composite
+def plane_hypotheses(draw):
+    kind = draw(st.sampled_from(["rectangle", "halfspace", "lookup"]))
+    if kind == "rectangle":
+        return Rectangle((tuple(draw(sorted_lattice(2))), tuple(draw(sorted_lattice(2)))))
+    if kind == "halfspace":
+        return Halfspace((draw(LATTICE), draw(LATTICE)), draw(LATTICE))
+    points = draw(st.lists(st.tuples(LATTICE, LATTICE), min_size=1, max_size=5, unique=True))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(points), max_size=len(points)))
+    return LookupTable(tuple(points), tuple(labels), draw(st.integers(0, 1)))
+
+
+@st.composite
+def members_and_points(draw):
+    """A mixed member list (plain, a FiniteClass enumeration or stacked) and
+    points to label."""
+    dim = draw(st.sampled_from([1, 2]))
+    strategy = line_hypotheses() if dim == 1 else plane_hypotheses()
+    members = draw(st.lists(strategy, min_size=1, max_size=12))
+    form = draw(st.sampled_from(["list", "finite", "stacked"]))
+    if form == "finite":
+        members = enumerate_class(FiniteClass(tuple(members)))
+    elif form == "stacked":
+        members = StackedMembers(members)
+    rows = draw(st.lists(st.tuples(*[LATTICE] * dim), min_size=1, max_size=20))
+    return members, np.array(rows, dtype=float)
+
+
+class TestLabelMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(members_and_points())
+    def test_rows_equal_member_labels(self, case):
+        members, X = case
+        L = label_matrix(members, X)
+        assert L.dtype == np.uint8 and L.shape == (len(members), len(X))
+        for row, h in zip(L, members):
+            assert np.array_equal(row, h.labels(X))
+
+    @settings(max_examples=100, deadline=None)
+    @given(members_and_points(), st.integers(1, 40), st.data())
+    def test_error_counts_in_small_blocks(self, case, cells, data):
+        members, X = case
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X))))
+        S = LabeledSample(X, y)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "LABEL_BLOCK_CELLS", cells)
+            counts = error_counts(members, S)
+        assert counts.tolist() == [empirical_error_count(h, S) for h in members]
+
+    def test_error_counts_across_blocks_of_a_large_sample(self):
+        members = (enumerate_class(ThresholdClass(directions=("ge", "le"), resolution=3))
+                   + enumerate_class(IntervalClass(resolution=3))
+                   + [SineSign(7.0), IntervalUnion(((0.1, 0.2), (0.6, 0.9)))])
+        m = core.LABEL_BLOCK_CELLS // 3 + 1  # two members per block
+        rng = np.random.default_rng(0)
+        S = LabeledSample(rng.uniform(0, 1, (m, 1)), rng.integers(0, 2, m))
+        counts = error_counts(members, S)
+        assert counts.tolist() == [empirical_error_count(h, S) for h in members]
+
+    def test_a_list_changed_after_evaluation_is_labelled_afresh(self):
+        X = np.array([[0.1], [0.3], [0.6]])
+        S = LabeledSample(X, np.array([0, 1, 1]))
+        members = [Threshold(0.5), Threshold(0.2, "le")]
+        label_matrix(members, X)
+        error_counts(members, S)
+        members.append(Interval(0.2, 0.4))
+        members[0] = SineSign(3.0)
+        assert label_matrix(members, X).tolist() == [h.labels(X).tolist() for h in members]
+        assert error_counts(members, S).tolist() == [empirical_error_count(h, S) for h in members]
+
+    def test_stacked_members_is_a_fixed_copy(self):
+        X = np.array([[0.1], [0.3], [0.6]])
+        members = [Threshold(0.5), Interval(0.2, 0.4)]
+        stacked = StackedMembers(members)
+        members.append(Threshold(0.1))
+        members[0] = SineSign(3.0)
+        assert list(stacked) == [Threshold(0.5), Interval(0.2, 0.4)] and len(stacked) == 2
+        assert label_matrix(stacked, X).tolist() == [[0, 0, 1], [0, 1, 0]]
+        with pytest.raises(TypeError):
+            stacked[0] = SineSign(3.0)
+
+    def test_dimension_mismatch_is_rejected(self):
+        X = np.zeros((3, 2))
+        for members in ([Threshold(0.5)], [Interval(0.0, 1.0)], [SineSign(1.0)]):
+            with pytest.raises(DimensionMismatchError):
+                label_matrix(members, X)
 
 
 class TestEnumeration:

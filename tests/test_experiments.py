@@ -1,10 +1,11 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sltlab import jsonio
+from sltlab import core, jsonio
 from sltlab.core import FiniteClass, LabeledSample, Threshold
 from sltlab.distributions import SeedSpec, draw_sample
 from sltlab.experiments import (
@@ -231,3 +232,35 @@ class TestTradeoffSweep:
         a = tradeoff_sweep(SEQUENCES["nested-thresholds"], D, **kwargs)
         b = tradeoff_sweep(SEQUENCES["nested-thresholds"], D, **kwargs)
         assert jsonio.dumps(a.to_json()) == jsonio.dumps(b.to_json())
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """The classes passed to enumerate_class, wherever a sltlab module calls it."""
+    calls = []
+    original = core.enumerate_class
+
+    def counted(H, *args, **kwargs):
+        calls.append(H)
+        return original(H, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sltlab") and getattr(module, "enumerate_class", None) is original:
+            monkeypatch.setattr(module, "enumerate_class", counted)
+    return calls
+
+
+class TestEnumeratesOncePerRun:
+    def test_learnability(self, enumerations):
+        verify_learnability(H, D, m=20, eps=0.1, delta=0.1, trials=30, seed=SeedSpec(1))
+        assert 1 <= len(enumerations) <= 2  # the trials' class and min_risk_in_class
+
+    def test_uniform_convergence(self, enumerations):
+        verify_uniform_convergence(H, D, [20, 40], eps=0.1, delta=0.1, trials=30,
+                                   seed=SeedSpec(1))
+        assert enumerations == [H]
+
+    def test_tradeoff(self, enumerations):
+        seq = SEQUENCES["nested-thresholds"]
+        tradeoff_sweep(seq, D, m_values=[10, 20], trials=10, delta=0.1, master_seeds=[0, 1])
+        assert enumerations == list(seq.classes)
