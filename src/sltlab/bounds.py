@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
-    GridSpec,
     Hypothesis,
     HypothesisClass,
     LabeledSample,
@@ -159,7 +158,6 @@ def is_eps_representative(
     H: HypothesisClass,
     D: DataDistribution,
     eps: float,
-    grid: GridSpec | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     mc_n: int | None = None,
     seed: SeedSpec | None = None,
@@ -175,7 +173,7 @@ def is_eps_representative(
         raise ValueError(f"eps must be positive, got {eps}")
     if S.m == 0:
         raise ValueError("empirical error is undefined for an empty sample")
-    members = enumerate_class(H, grid=grid, budget=budget)
+    members = enumerate_class(H, budget=budget)
     emp = error_counts(members, S) / S.m
     risks, used_mc = member_risks(D, members, mc_n, seed, "representative-member")
     devs = np.abs(emp - risks)
@@ -222,7 +220,6 @@ def decompose_error(
     D: DataDistribution,
     H: HypothesisClass,
     h_hat: Hypothesis,
-    grid: GridSpec | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     mc_n: int | None = None,
     seed: SeedSpec | None = None,
@@ -232,7 +229,7 @@ def decompose_error(
     The identity approximation + estimation == total holds by construction;
     estimation is nonnegative whenever h_hat is one of the enumerated members.
     """
-    minimizer, approx = min_risk_in_class(D, H, grid=grid, budget=budget, mc_n=mc_n, seed=seed)
+    minimizer, approx = min_risk_in_class(D, H, budget=budget, mc_n=mc_n, seed=seed)
     total, _ = exact_or_mc_risk(D, h_hat, mc_n, seed, "decompose-hhat")
     return ErrorDecomposition(
         approximation_error=approx,

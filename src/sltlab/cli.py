@@ -75,13 +75,18 @@ class ConfigError(Exception):
 
 
 def _int_list(value) -> list[int]:
+    """A nonempty list of ints: a JSON list, "a,b,c" or an inclusive "a..b"."""
+    text = str(value)
     if isinstance(value, list):
-        return [int(v) for v in value]
-    text = str(value).strip()
-    if ".." in text:
+        values = [int(v) for v in value]
+    elif ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+        values = list(range(int(lo), int(hi) + 1))
+    else:
+        values = [int(v) for v in text.split(",") if v.strip() != ""]
+    if not values:
+        raise ValueError("must list at least one value")
+    return values
 
 
 def _at_least_one(value) -> int:
@@ -92,10 +97,7 @@ def _at_least_one(value) -> int:
 
 
 def _each_at_least_one(value) -> list[int]:
-    sizes = [_at_least_one(v) for v in _int_list(value)]
-    if not sizes:
-        raise ValueError("must list at least one value")
-    return sizes
+    return [_at_least_one(v) for v in _int_list(value)]
 
 
 def _bool(value) -> bool:
@@ -458,8 +460,7 @@ def run(config: dict) -> int:
     cfg = validate_config(config)
     try:
         code, lines, files = _RUNNERS[cfg["command"]](cfg)
-    except (KeyError, ValueError, EnumerationBudgetError, AnalyticRiskUnavailable,
-            OSError, json.JSONDecodeError) as exc:
+    except (ValueError, EnumerationBudgetError, AnalyticRiskUnavailable, OSError) as exc:
         raise ConfigError(str(exc)) from exc
     for line in lines:
         print(line)

@@ -13,10 +13,14 @@ values can be shared freely across concurrent workers.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import itertools
 import math
+import types
+import typing
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,16 +68,137 @@ def _check_matrix(X: np.ndarray, dim: int, what: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# JSON schema
+# ---------------------------------------------------------------------------
+
+
+def check_keys(data, known, where: str = "") -> None:
+    """Reject a JSON value that is not an object or has a key outside known;
+    ``where`` prefixes the message (say "distribution: ")."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}expected a JSON object, got {data!r}")
+    for key in data:
+        if key not in known:
+            raise ValueError(f"{where}unknown key {key!r}")
+
+
+def read_key(data: dict, key: str, cast: Callable, where: str = "",
+             default=dataclasses.MISSING):
+    """data[key] passed through cast, or default when the key is absent; a
+    missing required key or a failed cast raises ValueError naming the key."""
+    if key not in data:
+        if default is dataclasses.MISSING:
+            raise ValueError(f"{where}missing {key!r}")
+        return default
+    try:
+        return cast(data[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}{key}: {exc}") from exc
+
+
+class JsonFields:
+    """Base of the frozen dataclasses whose fields are their JSON schema.
+
+    ``to_json`` writes the tag, the class attribute named by ``json_tag_key``
+    ("kind", "family" or "type"), then every field in declaration order under
+    its ``json_names`` name; a field that is None with default None is left
+    out.  ``from_json`` casts each key by the field's declared type, and an
+    omitted key takes the field's default.  An unknown key, a missing
+    required key or a value that does not cast raises ValueError naming the
+    tag and the key.
+    """
+
+    json_tag_key: ClassVar[str | None] = None
+    json_names: ClassVar[dict[str, str]] = {}
+
+    def to_json(self) -> dict:
+        out = {self.json_tag_key: getattr(self, self.json_tag_key)} if self.json_tag_key else {}
+        for name, key, _, default in _json_schema(type(self)):
+            value = getattr(self, name)
+            if value is not None or default is not None:
+                out[key] = _encode(value)
+        return out
+
+    @classmethod
+    def from_json(cls, data) -> "JsonFields":
+        schema = _json_schema(cls)
+        where = f"{getattr(cls, cls.json_tag_key)}: " if cls.json_tag_key else ""
+        check_keys(data, {key for _, key, _, _ in schema} | {cls.json_tag_key}, where)
+        return cls(**{name: read_key(data, key, cast, where, default)
+                      for name, key, cast, default in schema})
+
+
+@functools.cache
+def _json_schema(cls: type) -> tuple[tuple[str, str, Callable, object], ...]:
+    """(field name, JSON key, cast, default) of each field of cls, in order."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, cls.json_names.get(f.name, f.name), _json_cast(hints[f.name]), f.default)
+                 for f in dataclasses.fields(cls))
+
+
+def _json_cast(tp) -> Callable:
+    """The function that casts a decoded JSON value to the field type tp."""
+    args = typing.get_args(tp)
+    if isinstance(tp, types.UnionType):  # X | None
+        inner = _json_cast(args[0])
+        return lambda v: None if v is None else inner(v)
+    if typing.get_origin(tp) is tuple:
+        if args[-1] is Ellipsis:
+            item = _json_cast(args[0])
+            return lambda v: tuple(map(item, _json_list(v)))
+        items = [_json_cast(a) for a in args]
+
+        def fixed(v):
+            v = _json_list(v)
+            if len(v) != len(items):
+                raise ValueError(f"expected {len(items)} values, got {len(v)}")
+            return tuple(cast(x) for cast, x in zip(items, v))
+        return fixed
+    if tp is Hypothesis:
+        return hypothesis_from_json
+    if tp is HypothesisClass:
+        return class_from_json
+    return getattr(tp, "from_json", tp)
+
+
+def _json_list(v) -> list:
+    if not isinstance(v, (list, tuple)):
+        raise ValueError(f"expected a list, got {v!r}")
+    return v
+
+
+def _encode(value):
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if isinstance(value, JsonFields):
+        return value.to_json()
+    return value
+
+
+def from_tagged(data, tag_key: str, types_by_tag: dict, what: str):
+    """Decode data as the type its tag names in types_by_tag."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object with a {tag_key!r}, got {data!r}")
+    tag = data.get(tag_key)
+    if not isinstance(tag, str) or tag not in types_by_tag:
+        raise ValueError(f"unknown {what} {tag!r}")
+    return types_by_tag[tag].from_json(data)
+
+
+# ---------------------------------------------------------------------------
 # Hypotheses
 # ---------------------------------------------------------------------------
 
 
-class Hypothesis:
+class Hypothesis(JsonFields):
     """A total, deterministic binary labeling rule on d-dimensional instances.
 
     Subclasses implement ``labels`` (vectorized over an (n, d) matrix) and
     expose ``dim``.  Equal inputs always give equal labels.
     """
+
+    json_tag_key = "kind"
+    kind: str = ""
 
     @property
     def dim(self) -> int:
@@ -81,9 +206,6 @@ class Hypothesis:
 
     def labels(self, X: np.ndarray) -> np.ndarray:
         """Labels in {0, 1} for each row of an (n, dim) matrix."""
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -97,6 +219,8 @@ class Threshold(Hypothesis):
 
     theta: float
     direction: str = "ge"
+
+    kind = "threshold"
 
     def __post_init__(self):
         if self.direction not in ("ge", "le"):
@@ -112,9 +236,6 @@ class Threshold(Hypothesis):
             return (X[:, 0] >= self.theta).astype(np.uint8)
         return (X[:, 0] <= self.theta).astype(np.uint8)
 
-    def to_json(self) -> dict:
-        return {"kind": "threshold", "theta": self.theta, "direction": self.direction}
-
     def describe(self) -> str:
         op = ">=" if self.direction == "ge" else "<="
         return f"1[x {op} {self.theta:g}]"
@@ -126,6 +247,8 @@ class Interval(Hypothesis):
 
     lo: float
     hi: float
+
+    kind = "interval"
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -140,9 +263,6 @@ class Interval(Hypothesis):
         x = X[:, 0]
         return ((x >= self.lo) & (x <= self.hi)).astype(np.uint8)
 
-    def to_json(self) -> dict:
-        return {"kind": "interval", "lo": self.lo, "hi": self.hi}
-
     def describe(self) -> str:
         return f"1[{self.lo:g} <= x <= {self.hi:g}]"
 
@@ -152,6 +272,8 @@ class IntervalUnion(Hypothesis):
     """Indicator of a union of disjoint closed intervals on the line."""
 
     intervals: tuple[tuple[float, float], ...]
+
+    kind = "interval_union"
 
     def __post_init__(self):
         prev_hi = -math.inf
@@ -174,9 +296,6 @@ class IntervalUnion(Hypothesis):
             out |= ((x >= lo) & (x <= hi)).astype(np.uint8)
         return out
 
-    def to_json(self) -> dict:
-        return {"kind": "interval_union", "intervals": [list(p) for p in self.intervals]}
-
     def describe(self) -> str:
         parts = " u ".join(f"[{lo:g},{hi:g}]" for lo, hi in self.intervals)
         return f"1[x in {parts}]"
@@ -187,6 +306,8 @@ class Rectangle(Hypothesis):
     """Indicator of a closed axis-aligned box; one (lo, hi) pair per dimension."""
 
     bounds: tuple[tuple[float, float], ...]
+
+    kind = "rectangle"
 
     def __post_init__(self):
         for lo, hi in self.bounds:
@@ -204,9 +325,6 @@ class Rectangle(Hypothesis):
             inside &= (X[:, j] >= lo) & (X[:, j] <= hi)
         return inside.astype(np.uint8)
 
-    def to_json(self) -> dict:
-        return {"kind": "rectangle", "bounds": [list(p) for p in self.bounds]}
-
     def describe(self) -> str:
         parts = " x ".join(f"[{lo:g},{hi:g}]" for lo, hi in self.bounds)
         return f"1[x in {parts}]"
@@ -219,6 +337,8 @@ class Halfspace(Hypothesis):
     weights: tuple[float, ...]
     bias: float
 
+    kind = "halfspace"
+
     @property
     def dim(self) -> int:
         return len(self.weights)
@@ -226,9 +346,6 @@ class Halfspace(Hypothesis):
     def labels(self, X: np.ndarray) -> np.ndarray:
         X = _check_matrix(X, self.dim, "halfspace hypothesis")
         return (X @ np.asarray(self.weights) + self.bias >= 0.0).astype(np.uint8)
-
-    def to_json(self) -> dict:
-        return {"kind": "halfspace", "weights": list(self.weights), "bias": self.bias}
 
     def describe(self) -> str:
         w = ",".join(f"{v:g}" for v in self.weights)
@@ -241,6 +358,8 @@ class SineSign(Hypothesis):
 
     alpha: float
 
+    kind = "sine"
+
     @property
     def dim(self) -> int:
         return 1
@@ -248,9 +367,6 @@ class SineSign(Hypothesis):
     def labels(self, X: np.ndarray) -> np.ndarray:
         X = _check_matrix(X, 1, "sine hypothesis")
         return (np.sin(self.alpha * X[:, 0]) >= 0.0).astype(np.uint8)
-
-    def to_json(self) -> dict:
-        return {"kind": "sine", "alpha": self.alpha}
 
     def describe(self) -> str:
         return f"1[sin({self.alpha:g} x) >= 0]"
@@ -263,6 +379,9 @@ class LookupTable(Hypothesis):
     points: tuple[tuple[float, ...], ...]
     point_labels: tuple[int, ...]
     default: int = 0
+
+    kind = "lookup"
+    json_names = {"point_labels": "labels"}
 
     def __post_init__(self):
         if len(self.points) != len(self.point_labels):
@@ -286,40 +405,16 @@ class LookupTable(Hypothesis):
             (table.get(tuple(row), self.default) for row in X), dtype=np.uint8, count=len(X)
         )
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "lookup",
-            "points": [list(p) for p in self.points],
-            "labels": list(self.point_labels),
-            "default": self.default,
-        }
-
     def describe(self) -> str:
         return f"lookup({len(self.points)} points, default {self.default})"
 
 
-_HYPOTHESIS_KINDS = {
-    "threshold": lambda d: Threshold(float(d["theta"]), str(d["direction"])),
-    "interval": lambda d: Interval(float(d["lo"]), float(d["hi"])),
-    "interval_union": lambda d: IntervalUnion(
-        tuple((float(a), float(b)) for a, b in d["intervals"])
-    ),
-    "rectangle": lambda d: Rectangle(tuple((float(a), float(b)) for a, b in d["bounds"])),
-    "halfspace": lambda d: Halfspace(tuple(float(w) for w in d["weights"]), float(d["bias"])),
-    "sine": lambda d: SineSign(float(d["alpha"])),
-    "lookup": lambda d: LookupTable(
-        tuple(tuple(float(c) for c in p) for p in d["points"]),
-        tuple(int(v) for v in d["labels"]),
-        int(d.get("default", 0)),
-    ),
-}
+_HYPOTHESIS_KINDS = {h.kind: h for h in (
+    Threshold, Interval, IntervalUnion, Rectangle, Halfspace, SineSign, LookupTable)}
 
 
 def hypothesis_from_json(data: dict) -> Hypothesis:
-    kind = data.get("kind")
-    if kind not in _HYPOTHESIS_KINDS:
-        raise ValueError(f"unknown hypothesis kind {kind!r}")
-    return _HYPOTHESIS_KINDS[kind](data)
+    return from_tagged(data, "kind", _HYPOTHESIS_KINDS, "hypothesis kind")
 
 
 def predict(h: Hypothesis, x) -> int:
@@ -589,7 +684,7 @@ def _fill_labels(out: np.ndarray, members: Sequence[Hypothesis], runs: Sequence[
 
 
 @dataclass(frozen=True)
-class GridSpec:
+class GridSpec(JsonFields):
     """Per-parameter-axis grid values used to discretize a parametric family.
 
     Each family documents how many axes it expects and what they mean.
@@ -605,27 +700,21 @@ class GridSpec:
         object.__setattr__(self, "axes", axes)
 
     @classmethod
-    def linspace(cls, lo: float, hi: float, n: int, naxes: int = 1) -> "GridSpec":
-        axis = tuple(np.linspace(lo, hi, n).tolist())
-        return cls(tuple(axis for _ in range(naxes)))
-
-    def to_json(self) -> dict:
-        return {"axes": [list(axis) for axis in self.axes]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GridSpec":
-        return cls(tuple(tuple(axis) for axis in data["axes"]))
+    def linspace(cls, lo: float, hi: float, n: int) -> "GridSpec":
+        return cls((tuple(np.linspace(lo, hi, n).tolist()),))
 
 
-class HypothesisClass:
+class HypothesisClass(JsonFields):
     """A family of hypotheses with a canonical, stable enumeration order.
 
-    Parametric families carry continuous parameter ranges plus a default grid;
-    exhaustive operations discretize them through a GridSpec.  ``vc_dim_hint``
-    is the combinatorial dimension of the continuous family (None if infinite
-    or unknown); grid restrictions never exceed it.
+    Parametric families carry continuous parameter ranges, a default grid
+    built from them and an optional explicit ``grid`` (their last field);
+    exhaustive operations discretize them through that GridSpec.
+    ``vc_dim_hint`` is the combinatorial dimension of the continuous family
+    (None if infinite or unknown); grid restrictions never exceed it.
     """
 
+    json_tag_key = "family"
     family: str = ""
     vc_dim_hint: int | None = None
 
@@ -636,28 +725,23 @@ class HypothesisClass:
     def default_grid(self) -> GridSpec:
         raise NotImplementedError
 
-    def resolve_grid(self, grid: GridSpec | None) -> GridSpec:
-        g = grid if grid is not None else getattr(self, "grid", None)
-        if g is None:
-            g = self.default_grid()
-        expected = self._n_axes()
-        if len(g.axes) != expected:
+    def resolve_grid(self) -> GridSpec:
+        """The explicit grid, checked against the family's axis count, else
+        the default grid."""
+        if self.grid is None:
+            return self.default_grid()
+        expected = len(self.default_grid().axes)
+        if len(self.grid.axes) != expected:
             raise ValueError(
-                f"{self.family} discretization needs {expected} grid axes, got {len(g.axes)}"
+                f"{self.family} discretization needs {expected} grid axes, got {len(self.grid.axes)}"
             )
-        return g
+        return self.grid
 
-    def _n_axes(self) -> int:
-        raise NotImplementedError
-
-    def size(self, grid: GridSpec | None = None) -> int | None:
+    def size(self) -> int | None:
         """Number of enumerated members, or None when only counting enumerates."""
         raise NotImplementedError
 
-    def members(self, grid: GridSpec | None = None) -> Iterator[Hypothesis]:
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
+    def members(self) -> Iterator[Hypothesis]:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -674,8 +758,8 @@ class ThresholdClass(HypothesisClass):
     lo: float = 0.0
     hi: float = 1.0
     directions: tuple[str, ...] = ("ge",)
-    grid: GridSpec | None = None
     resolution: int = 41
+    grid: GridSpec | None = None
 
     family = "thresholds"
 
@@ -691,28 +775,18 @@ class ThresholdClass(HypothesisClass):
     def vc_dim_hint(self) -> int:
         return 1 if len(self.directions) == 1 else 2
 
-    def _n_axes(self) -> int:
-        return 1
-
     def default_grid(self) -> GridSpec:
         return GridSpec.linspace(self.lo, self.hi, self.resolution)
 
-    def size(self, grid: GridSpec | None = None) -> int:
-        g = self.resolve_grid(grid)
+    def size(self) -> int:
+        g = self.resolve_grid()
         return len(g.axes[0]) * len(self.directions)
 
-    def members(self, grid: GridSpec | None = None) -> Iterator[Hypothesis]:
-        g = self.resolve_grid(grid)
+    def members(self) -> Iterator[Hypothesis]:
+        g = self.resolve_grid()
         for direction in self.directions:
             for theta in g.axes[0]:
                 yield Threshold(theta, direction)
-
-    def to_json(self) -> dict:
-        out = {"family": "thresholds", "lo": self.lo, "hi": self.hi,
-               "directions": list(self.directions), "resolution": self.resolution}
-        if self.grid is not None:
-            out["grid"] = self.grid.to_json()
-        return out
 
     def describe(self) -> str:
         tag = "+".join(self.directions)
@@ -728,8 +802,8 @@ class IntervalClass(HypothesisClass):
 
     lo: float = 0.0
     hi: float = 1.0
-    grid: GridSpec | None = None
     resolution: int = 25
+    grid: GridSpec | None = None
 
     family = "intervals"
     vc_dim_hint = 2
@@ -738,27 +812,18 @@ class IntervalClass(HypothesisClass):
     def dim(self) -> int:
         return 1
 
-    def _n_axes(self) -> int:
-        return 1
-
     def default_grid(self) -> GridSpec:
         return GridSpec.linspace(self.lo, self.hi, self.resolution)
 
-    def size(self, grid: GridSpec | None = None) -> int:
-        g = len(self.resolve_grid(grid).axes[0])
+    def size(self) -> int:
+        g = len(self.resolve_grid().axes[0])
         return g * (g + 1) // 2
 
-    def members(self, grid: GridSpec | None = None) -> Iterator[Hypothesis]:
-        axis = self.resolve_grid(grid).axes[0]
+    def members(self) -> Iterator[Hypothesis]:
+        axis = self.resolve_grid().axes[0]
         for i in range(len(axis)):
             for j in range(i, len(axis)):
                 yield Interval(axis[i], axis[j])
-
-    def to_json(self) -> dict:
-        out = {"family": "intervals", "lo": self.lo, "hi": self.hi, "resolution": self.resolution}
-        if self.grid is not None:
-            out["grid"] = self.grid.to_json()
-        return out
 
     def describe(self) -> str:
         return f"intervals on [{self.lo:g},{self.hi:g}]"
@@ -775,8 +840,8 @@ class IntervalUnionClass(HypothesisClass):
     k: int = 2
     lo: float = 0.0
     hi: float = 1.0
-    grid: GridSpec | None = None
     resolution: int = 13
+    grid: GridSpec | None = None
 
     family = "interval_unions"
 
@@ -792,18 +857,15 @@ class IntervalUnionClass(HypothesisClass):
     def vc_dim_hint(self) -> int:
         return 2 * self.k
 
-    def _n_axes(self) -> int:
-        return 1
-
     def default_grid(self) -> GridSpec:
         return GridSpec.linspace(self.lo, self.hi, self.resolution)
 
-    def size(self, grid: GridSpec | None = None) -> int:
-        g = len(self.resolve_grid(grid).axes[0])
+    def size(self) -> int:
+        g = len(self.resolve_grid().axes[0])
         return math.comb(g + self.k, 2 * self.k)
 
-    def members(self, grid: GridSpec | None = None) -> Iterator[Hypothesis]:
-        axis = self.resolve_grid(grid).axes[0]
+    def members(self) -> Iterator[Hypothesis]:
+        axis = self.resolve_grid().axes[0]
         g = len(axis)
 
         def chains(start: int, remaining: int):
@@ -818,13 +880,6 @@ class IntervalUnionClass(HypothesisClass):
         for ivs in chains(0, self.k):
             yield IntervalUnion(ivs)
 
-    def to_json(self) -> dict:
-        out = {"family": "interval_unions", "k": self.k, "lo": self.lo, "hi": self.hi,
-               "resolution": self.resolution}
-        if self.grid is not None:
-            out["grid"] = self.grid.to_json()
-        return out
-
     def describe(self) -> str:
         return f"{self.k}-interval unions on [{self.lo:g},{self.hi:g}]"
 
@@ -838,8 +893,8 @@ class RectangleClass(HypothesisClass):
     """
 
     bounds: tuple[tuple[float, float], ...] = ((0.0, 1.0), (0.0, 1.0))
-    grid: GridSpec | None = None
     resolution: int = 7
+    grid: GridSpec | None = None
 
     family = "rectangles"
 
@@ -851,37 +906,27 @@ class RectangleClass(HypothesisClass):
     def vc_dim_hint(self) -> int:
         return 2 * len(self.bounds)
 
-    def _n_axes(self) -> int:
-        return len(self.bounds)
-
     def default_grid(self) -> GridSpec:
         return GridSpec(
             tuple(tuple(np.linspace(lo, hi, self.resolution).tolist()) for lo, hi in self.bounds)
         )
 
-    def size(self, grid: GridSpec | None = None) -> int:
-        g = self.resolve_grid(grid)
+    def size(self) -> int:
+        g = self.resolve_grid()
         total = 1
         for axis in g.axes:
             n = len(axis)
             total *= n * (n + 1) // 2
         return total
 
-    def members(self, grid: GridSpec | None = None) -> Iterator[Hypothesis]:
-        g = self.resolve_grid(grid)
+    def members(self) -> Iterator[Hypothesis]:
+        g = self.resolve_grid()
         per_axis = [
             [(axis[i], axis[j]) for i in range(len(axis)) for j in range(i, len(axis))]
             for axis in g.axes
         ]
         for combo in itertools.product(*per_axis):
             yield Rectangle(tuple(combo))
-
-    def to_json(self) -> dict:
-        out = {"family": "rectangles", "bounds": [list(p) for p in self.bounds],
-               "resolution": self.resolution}
-        if self.grid is not None:
-            out["grid"] = self.grid.to_json()
-        return out
 
     def describe(self) -> str:
         return f"axis-aligned boxes in {self.dim}d"
@@ -897,9 +942,9 @@ class HalfspaceClass2D(HypothesisClass):
 
     offset_lo: float = -2.0
     offset_hi: float = 2.0
-    grid: GridSpec | None = None
     n_angles: int = 24
     n_offsets: int = 33
+    grid: GridSpec | None = None
 
     family = "halfspaces2d"
     vc_dim_hint = 3
@@ -908,31 +953,21 @@ class HalfspaceClass2D(HypothesisClass):
     def dim(self) -> int:
         return 2
 
-    def _n_axes(self) -> int:
-        return 2
-
     def default_grid(self) -> GridSpec:
         angles = tuple((2.0 * math.pi * j / self.n_angles) for j in range(self.n_angles))
         offsets = tuple(np.linspace(self.offset_lo, self.offset_hi, self.n_offsets).tolist())
         return GridSpec((angles, offsets))
 
-    def size(self, grid: GridSpec | None = None) -> int:
-        g = self.resolve_grid(grid)
+    def size(self) -> int:
+        g = self.resolve_grid()
         return len(g.axes[0]) * len(g.axes[1])
 
-    def members(self, grid: GridSpec | None = None) -> Iterator[Hypothesis]:
-        g = self.resolve_grid(grid)
+    def members(self) -> Iterator[Hypothesis]:
+        g = self.resolve_grid()
         for angle in g.axes[0]:
             w = (math.cos(angle), math.sin(angle))
             for offset in g.axes[1]:
                 yield Halfspace(w, -offset)
-
-    def to_json(self) -> dict:
-        out = {"family": "halfspaces2d", "offset_lo": self.offset_lo, "offset_hi": self.offset_hi,
-               "n_angles": self.n_angles, "n_offsets": self.n_offsets}
-        if self.grid is not None:
-            out["grid"] = self.grid.to_json()
-        return out
 
     def describe(self) -> str:
         return "halfplanes in 2d"
@@ -948,8 +983,8 @@ class SineClass(HypothesisClass):
 
     alpha_lo: float = 0.1
     alpha_hi: float = 100.0
-    grid: GridSpec | None = None
     resolution: int = 50
+    grid: GridSpec | None = None
 
     family = "sine"
     vc_dim_hint = None
@@ -958,25 +993,15 @@ class SineClass(HypothesisClass):
     def dim(self) -> int:
         return 1
 
-    def _n_axes(self) -> int:
-        return 1
-
     def default_grid(self) -> GridSpec:
         return GridSpec.linspace(self.alpha_lo, self.alpha_hi, self.resolution)
 
-    def size(self, grid: GridSpec | None = None) -> int:
-        return len(self.resolve_grid(grid).axes[0])
+    def size(self) -> int:
+        return len(self.resolve_grid().axes[0])
 
-    def members(self, grid: GridSpec | None = None) -> Iterator[Hypothesis]:
-        for alpha in self.resolve_grid(grid).axes[0]:
+    def members(self) -> Iterator[Hypothesis]:
+        for alpha in self.resolve_grid().axes[0]:
             yield SineSign(alpha)
-
-    def to_json(self) -> dict:
-        out = {"family": "sine", "alpha_lo": self.alpha_lo, "alpha_hi": self.alpha_hi,
-               "resolution": self.resolution}
-        if self.grid is not None:
-            out["grid"] = self.grid.to_json()
-        return out
 
     def describe(self) -> str:
         return "sign-of-sine frequencies"
@@ -995,6 +1020,7 @@ class FiniteClass(HypothesisClass):
 
     family = "finite"
     vc_dim_hint = None
+    json_names = {"hypotheses": "members"}
 
     def __post_init__(self):
         if not self.hypotheses:
@@ -1016,77 +1042,27 @@ class FiniteClass(HypothesisClass):
     def dim(self) -> int:
         return self.hypotheses[0].dim
 
-    def _n_axes(self) -> int:
-        return 0
-
-    def resolve_grid(self, grid: GridSpec | None) -> GridSpec | None:
-        return None
-
-    def size(self, grid: GridSpec | None = None) -> int:
+    def size(self) -> int:
         return len(self.hypotheses)
 
-    def members(self, grid: GridSpec | None = None) -> Iterator[Hypothesis]:
+    def members(self) -> Iterator[Hypothesis]:
         return iter(self.hypotheses)
-
-    def to_json(self) -> dict:
-        out = {"family": "finite", "members": [h.to_json() for h in self.hypotheses]}
-        if self.domain is not None:
-            out["domain"] = [list(p) for p in self.domain]
-        return out
 
     def describe(self) -> str:
         return f"finite class of {len(self.hypotheses)}"
 
 
-_CLASS_FAMILIES = {
-    "thresholds": lambda d: ThresholdClass(
-        lo=float(d.get("lo", 0.0)), hi=float(d.get("hi", 1.0)),
-        directions=tuple(d.get("directions", ["ge"])),
-        grid=GridSpec.from_json(d["grid"]) if "grid" in d else None,
-        resolution=int(d.get("resolution", 41)),
-    ),
-    "intervals": lambda d: IntervalClass(
-        lo=float(d.get("lo", 0.0)), hi=float(d.get("hi", 1.0)),
-        grid=GridSpec.from_json(d["grid"]) if "grid" in d else None,
-        resolution=int(d.get("resolution", 25)),
-    ),
-    "interval_unions": lambda d: IntervalUnionClass(
-        k=int(d.get("k", 2)), lo=float(d.get("lo", 0.0)), hi=float(d.get("hi", 1.0)),
-        grid=GridSpec.from_json(d["grid"]) if "grid" in d else None,
-        resolution=int(d.get("resolution", 13)),
-    ),
-    "rectangles": lambda d: RectangleClass(
-        bounds=tuple((float(a), float(b)) for a, b in d.get("bounds", [[0, 1], [0, 1]])),
-        grid=GridSpec.from_json(d["grid"]) if "grid" in d else None,
-        resolution=int(d.get("resolution", 7)),
-    ),
-    "halfspaces2d": lambda d: HalfspaceClass2D(
-        offset_lo=float(d.get("offset_lo", -2.0)), offset_hi=float(d.get("offset_hi", 2.0)),
-        grid=GridSpec.from_json(d["grid"]) if "grid" in d else None,
-        n_angles=int(d.get("n_angles", 24)), n_offsets=int(d.get("n_offsets", 33)),
-    ),
-    "sine": lambda d: SineClass(
-        alpha_lo=float(d.get("alpha_lo", 0.1)), alpha_hi=float(d.get("alpha_hi", 100.0)),
-        grid=GridSpec.from_json(d["grid"]) if "grid" in d else None,
-        resolution=int(d.get("resolution", 50)),
-    ),
-    "finite": lambda d: FiniteClass(
-        hypotheses=tuple(hypothesis_from_json(m) for m in d["members"]),
-        domain=tuple(tuple(float(c) for c in p) for p in d["domain"]) if "domain" in d else None,
-    ),
-}
+_CLASS_FAMILIES = {c.family: c for c in (
+    ThresholdClass, IntervalClass, IntervalUnionClass, RectangleClass, HalfspaceClass2D,
+    SineClass, FiniteClass)}
 
 
 def class_from_json(data: dict) -> HypothesisClass:
-    fam = data.get("family")
-    if fam not in _CLASS_FAMILIES:
-        raise ValueError(f"unknown class family {fam!r}")
-    return _CLASS_FAMILIES[fam](data)
+    return from_tagged(data, "family", _CLASS_FAMILIES, "class family")
 
 
 def enumerate_class(
     H: HypothesisClass,
-    grid: GridSpec | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> list[Hypothesis]:
     """Materialize H's members in canonical order under an enumeration budget.
@@ -1095,11 +1071,11 @@ def enumerate_class(
     Exceeding the budget raises EnumerationBudgetError carrying the required
     size and the budget.
     """
-    size = H.size(grid)
+    size = H.size()
     if size is not None and size > budget:
         raise EnumerationBudgetError(size, budget)
     members: list[Hypothesis] = []
-    for h in H.members(grid):
+    for h in H.members():
         members.append(h)
         if len(members) > budget:
             raise EnumerationBudgetError(None, budget)
@@ -1136,17 +1112,21 @@ def find_extensional_duplicates(
 
 
 @dataclass(frozen=True)
-class WeightedClassSequence:
+class WeightedClassSequence(JsonFields):
     """A finite ordered sequence of hypothesis classes with positive weights.
 
-    Weights sum to at most 1 (tolerance 1e-12); default weights halve with
+    Weights sum to at most 1 (tolerance 1e-12); weights left None halve with
     each position and are renormalized over the finite prefix.
     """
 
     classes: tuple[HypothesisClass, ...]
-    weights: tuple[float, ...]
+    weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if self.weights is None:
+            raw = [2.0 ** -(i + 1) for i in range(len(self.classes))]
+            total = sum(raw)
+            object.__setattr__(self, "weights", tuple(w / total for w in raw))
         if len(self.classes) != len(self.weights):
             raise ValueError("classes and weights must have equal length")
         if not self.classes:
@@ -1158,20 +1138,3 @@ class WeightedClassSequence:
 
     def __len__(self) -> int:
         return len(self.classes)
-
-    @classmethod
-    def with_default_weights(cls, classes: Sequence[HypothesisClass]) -> "WeightedClassSequence":
-        n = len(classes)
-        raw = [2.0 ** -(i + 1) for i in range(n)]
-        total = sum(raw)
-        return cls(tuple(classes), tuple(w / total for w in raw))
-
-    def to_json(self) -> dict:
-        return {"classes": [c.to_json() for c in self.classes], "weights": list(self.weights)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "WeightedClassSequence":
-        classes = tuple(class_from_json(c) for c in data["classes"])
-        if data.get("weights") is None:
-            return cls.with_default_weights(classes)
-        return cls(classes, tuple(float(w) for w in data["weights"]))

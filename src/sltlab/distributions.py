@@ -24,17 +24,20 @@ import numpy as np
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
-    GridSpec,
     Halfspace,
     Hypothesis,
     HypothesisClass,
     Interval,
     IntervalUnion,
+    JsonFields,
     LabeledSample,
     Rectangle,
     Threshold,
+    check_keys,
     enumerate_class,
+    from_tagged,
     hypothesis_from_json,
+    read_key,
 )
 
 HOEFFDING_CONF = 0.95
@@ -84,7 +87,10 @@ class SeedSpec:
 # ---------------------------------------------------------------------------
 
 
-class Marginal:
+class Marginal(JsonFields):
+    json_tag_key = "type"
+    type: str = ""
+
     @property
     def dim(self) -> int:
         raise NotImplementedError
@@ -96,15 +102,14 @@ class Marginal:
         """(points, probabilities) for finite marginals, else None."""
         return None
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class UniformBox(Marginal):
     """Uniform distribution on an axis-aligned box."""
 
     bounds: tuple[tuple[float, float], ...] = ((0.0, 1.0),)
+
+    type = "uniform_box"
 
     def __post_init__(self):
         for lo, hi in self.bounds:
@@ -120,15 +125,14 @@ class UniformBox(Marginal):
         highs = np.array([b[1] for b in self.bounds])
         return rng.uniform(lows, highs, size=(m, self.dim))
 
-    def to_json(self) -> dict:
-        return {"type": "uniform_box", "bounds": [list(b) for b in self.bounds]}
-
 
 @dataclass(frozen=True)
 class FiniteUniform(Marginal):
     """Uniform distribution over an explicit finite point list."""
 
     points: tuple[tuple[float, ...], ...]
+
+    type = "finite_uniform"
 
     def __post_init__(self):
         if not self.points:
@@ -150,9 +154,6 @@ class FiniteUniform(Marginal):
         n = len(self.points)
         return np.asarray(self.points, dtype=float), np.full(n, 1.0 / n)
 
-    def to_json(self) -> dict:
-        return {"type": "finite_uniform", "points": [list(p) for p in self.points]}
-
 
 @dataclass(frozen=True)
 class PointMasses(Marginal):
@@ -160,6 +161,8 @@ class PointMasses(Marginal):
 
     points: tuple[tuple[float, ...], ...]
     probs: tuple[float, ...]
+
+    type = "point_masses"
 
     def __post_init__(self):
         if len(self.points) != len(self.probs):
@@ -186,28 +189,12 @@ class PointMasses(Marginal):
     def support(self):
         return np.asarray(self.points, dtype=float), np.asarray(self.probs, dtype=float)
 
-    def to_json(self) -> dict:
-        return {"type": "point_masses", "points": [list(p) for p in self.points],
-                "probs": list(self.probs)}
 
-
-_MARGINAL_TYPES = {
-    "uniform_box": lambda d: UniformBox(tuple((float(a), float(b)) for a, b in d["bounds"])),
-    "finite_uniform": lambda d: FiniteUniform(
-        tuple(tuple(float(c) for c in p) for p in d["points"])
-    ),
-    "point_masses": lambda d: PointMasses(
-        tuple(tuple(float(c) for c in p) for p in d["points"]),
-        tuple(float(v) for v in d["probs"]),
-    ),
-}
+_MARGINAL_TYPES = {t.type: t for t in (UniformBox, FiniteUniform, PointMasses)}
 
 
 def marginal_from_json(data: dict) -> Marginal:
-    t = data.get("type")
-    if t not in _MARGINAL_TYPES:
-        raise ValueError(f"unknown marginal type {t!r}")
-    return _MARGINAL_TYPES[t](data)
+    return from_tagged(data, "type", _MARGINAL_TYPES, "marginal type")
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +203,7 @@ def marginal_from_json(data: dict) -> Marginal:
 
 
 @dataclass(frozen=True)
-class ConditionalTable:
+class ConditionalTable(JsonFields):
     """Explicit P(label=1 | x) on a finite list of points."""
 
     points: tuple[tuple[float, ...], ...]
@@ -238,9 +225,6 @@ class ConditionalTable:
                 raise ValueError(f"conditional table has no entry for instance {key}")
             out[i] = table[key]
         return out
-
-    def to_json(self) -> dict:
-        return {"points": [list(p) for p in self.points], "p1": list(self.p1)}
 
 
 @dataclass(frozen=True)
@@ -283,19 +267,20 @@ class DataDistribution:
 
     @classmethod
     def from_json(cls, data: dict) -> "DataDistribution":
-        marginal = marginal_from_json(data["marginal"])
-        lab = data["labeler"]
-        if "hypothesis" in lab:
-            labeler: Hypothesis | ConditionalTable = hypothesis_from_json(lab["hypothesis"])
-        elif "table" in lab:
-            t = lab["table"]
-            labeler = ConditionalTable(
-                tuple(tuple(float(c) for c in p) for p in t["points"]),
-                tuple(float(v) for v in t["p1"]),
-            )
-        else:
-            raise ValueError("labeler must contain 'hypothesis' or 'table'")
-        return cls(marginal, labeler, float(data.get("noise", 0.0)))
+        where = "distribution: "
+        check_keys(data, ("marginal", "labeler", "noise"), where)
+        return cls(read_key(data, "marginal", marginal_from_json, where),
+                   read_key(data, "labeler", _labeler_from_json, where),
+                   read_key(data, "noise", float, where, cls.noise))
+
+
+def _labeler_from_json(data: dict) -> Hypothesis | ConditionalTable:
+    check_keys(data, ("hypothesis", "table"))
+    if len(data) != 1:
+        raise ValueError("must hold one of 'hypothesis' or 'table'")
+    if "hypothesis" in data:
+        return read_key(data, "hypothesis", hypothesis_from_json)
+    return read_key(data, "table", ConditionalTable.from_json)
 
 
 def draw_sample(D: DataDistribution, m: int, seed: SeedSpec) -> LabeledSample:
@@ -543,7 +528,6 @@ def member_risks(
 def min_risk_in_class(
     D: DataDistribution,
     H: HypothesisClass,
-    grid: GridSpec | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     mc_n: int | None = None,
     seed: SeedSpec | None = None,
@@ -554,7 +538,7 @@ def min_risk_in_class(
     back to Monte Carlo with the declared sample count ``mc_n`` (a seed is
     then required and each member gets an independently derived stream).
     """
-    members = enumerate_class(H, grid=grid, budget=budget)
+    members = enumerate_class(H, budget=budget)
     risks, _ = member_risks(D, members, mc_n, seed, "min-risk-member")
     best = int(np.argmin(risks))
     return members[best], float(risks[best])

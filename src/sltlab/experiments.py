@@ -23,7 +23,6 @@ from .bounds import DEFAULT_C
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     FiniteClass,
-    GridSpec,
     Hypothesis,
     HypothesisClass,
     LabeledSample,
@@ -196,7 +195,6 @@ def learnability_trial(
     seed: SeedSpec,
     trial: int,
     min_risk: float,
-    grid: GridSpec | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     mc_n: int | None = None,
     members: Sequence[Hypothesis] | None = None,
@@ -204,7 +202,7 @@ def learnability_trial(
     """One independent draw-train-evaluate step of the learnability harness;
     ``members``, if given, is H's enumeration, as ``erm`` takes it."""
     S = draw_sample(D, m, seed.derive("pac-trial", trial))
-    out = erm(H, S, grid=grid, budget=budget, members=members)
+    out = erm(H, S, budget=budget, members=members)
     risk, _ = exact_or_mc_risk(D, out.hypothesis, mc_n, seed, "pac-risk", trial)
     return TrialRecord(
         trial=trial,
@@ -224,7 +222,6 @@ def verify_learnability(
     delta: float,
     trials: int,
     seed: SeedSpec,
-    grid: GridSpec | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     mc_n: int | None = None,
     keep_records: bool = False,
@@ -241,9 +238,9 @@ def verify_learnability(
     if not (0.0 < eps):
         raise ValueError("eps must be positive")
     _, min_risk = min_risk_in_class(
-        D, H, grid=grid, budget=budget, mc_n=mc_n, seed=seed.derive("pac-min-risk")
+        D, H, budget=budget, mc_n=mc_n, seed=seed.derive("pac-min-risk")
     )
-    members = StackedMembers(enumerate_class(H, grid=grid, budget=budget))
+    members = StackedMembers(enumerate_class(H, budget=budget))
     records = [
         learnability_trial(H, D, m, eps, seed, t, min_risk, mc_n=mc_n, members=members)
         for t in range(trials)
@@ -283,19 +280,6 @@ def success_frequency_at(records: Sequence[TrialRecord], min_risk: float, eps: f
 # ---------------------------------------------------------------------------
 
 
-def uniform_convergence_trial(
-    members_risks: tuple[list, np.ndarray],
-    D: DataDistribution,
-    m: int,
-    seed: SeedSpec,
-    trial: int,
-) -> float:
-    """Sup over the class of |empirical error - true risk| on one fresh sample."""
-    members, risks = members_risks
-    S = draw_sample(D, m, seed.derive(f"uc-trial-m{m}", trial))
-    return float(np.max(np.abs(error_counts(members, S) / m - risks)))
-
-
 @dataclass(frozen=True)
 class UcReport:
     """Per-sample-size summaries plus the observed scaling of median sup
@@ -319,7 +303,6 @@ def verify_uniform_convergence(
     delta: float,
     trials: int,
     seed: SeedSpec,
-    grid: GridSpec | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     mc_n: int | None = None,
     keep_records: bool = False,
@@ -333,14 +316,15 @@ def verify_uniform_convergence(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    members = StackedMembers(enumerate_class(H, grid=grid, budget=budget))
+    members = StackedMembers(enumerate_class(H, budget=budget))
     risks, _ = member_risks(D, members, mc_n, seed, "uc-member-risk")
 
     summaries = []
     for m in m_values:
-        devs = np.array([
-            uniform_convergence_trial((members, risks), D, m, seed, t) for t in range(trials)
-        ])
+        devs = np.empty(trials)  # sup over the class of |empirical error - true risk|
+        for t in range(trials):
+            S = draw_sample(D, m, seed.derive(f"uc-trial-m{m}", t))
+            devs[t] = np.max(np.abs(error_counts(members, S) / m - risks))
         successes = int(np.count_nonzero(devs <= eps))
         threshold = 1.0 - delta - VERDICT_SLACK
         verdict, lower, upper = binomial_verdict(successes, trials, threshold)
@@ -551,7 +535,6 @@ def tradeoff_sweep(
     delta: float,
     master_seeds: Sequence[int],
     C: float = DEFAULT_C,
-    grid: GridSpec | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     vc_dims: tuple[int, ...] | None = None,
     keep_records: bool = False,
@@ -568,7 +551,7 @@ def tradeoff_sweep(
         raise ValueError("need at least one trial and one master seed")
     n_classes = len(seq)
     dims = class_dims(seq, vc_dims)
-    members = [enumerate_class(cls, grid=grid, budget=budget) for cls in seq.classes]
+    members = [enumerate_class(cls, budget=budget) for cls in seq.classes]
     member_risk = [member_risks(D, ms)[0] for ms in members]
     approx = np.array([r.min() for r in member_risk])
     # Every member of the sequence in one list, labelled once per sample;

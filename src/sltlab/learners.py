@@ -18,7 +18,6 @@ import numpy as np
 from .bounds import DEFAULT_C, accuracy_bound
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
-    GridSpec,
     Hypothesis,
     HypothesisClass,
     LabeledSample,
@@ -59,7 +58,6 @@ class LearnerOutput:
 def erm(
     H: HypothesisClass,
     S: LabeledSample,
-    grid: GridSpec | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     members: Sequence[Hypothesis] | None = None,
 ) -> LearnerOutput:
@@ -68,12 +66,12 @@ def erm(
     Mismatches are compared as integer counts, so ties are exact and the
     returned member is the earliest minimizer in canonical order.  A caller
     that fits H many times passes its enumeration once built as ``members``
-    (not checked against H, grid or budget).
+    (not checked against H or budget).
     """
     if S.m == 0:
         raise ValueError("empirical risk minimization needs a nonempty sample")
     if members is None:
-        members = enumerate_class(H, grid=grid, budget=budget)
+        members = enumerate_class(H, budget=budget)
     counts = error_counts(members, S)
     best = int(np.argmin(counts))
     return LearnerOutput(members[best], int(counts[best]) / S.m)
@@ -111,7 +109,6 @@ def srm(
     S: LabeledSample,
     delta: float,
     C: float = DEFAULT_C,
-    grid: GridSpec | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     vc_dims: tuple[int, ...] | None = None,
 ) -> LearnerOutput:
@@ -134,7 +131,7 @@ def srm(
     best: LearnerOutput | None = None
     best_obj = math.inf
     for pos, (cls, pen) in enumerate(zip(seq.classes, penalties), start=1):
-        inner = erm(cls, S, grid=grid, budget=budget)
+        inner = erm(cls, S, budget=budget)
         obj = inner.empirical_error + pen
         if obj < best_obj:
             best_obj = obj

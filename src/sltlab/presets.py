@@ -102,7 +102,7 @@ def _make_sequences() -> dict[str, WeightedClassSequence]:
         for g in _nested_threshold_grids()
     ]
     return {
-        "nested-thresholds": WeightedClassSequence.with_default_weights(nested),
+        "nested-thresholds": WeightedClassSequence(tuple(nested)),
     }
 
 
@@ -171,7 +171,7 @@ def resolve_class(spec: str) -> HypothesisClass:
     if spec.lstrip().startswith("{"):
         return class_from_json(json.loads(spec))
     if spec not in CLASSES:
-        raise KeyError(f"unknown class preset {spec!r}; choose from {sorted(CLASSES)}")
+        raise ValueError(f"unknown class preset {spec!r}; choose from {sorted(CLASSES)}")
     return CLASSES[spec]
 
 
@@ -180,7 +180,7 @@ def resolve_pool(spec: str) -> np.ndarray:
         pts = np.asarray(json.loads(spec), dtype=float)
         return pts if pts.ndim == 2 else pts[:, None]
     if spec not in POOLS:
-        raise KeyError(f"no point pool named {spec!r}; choose from {sorted(POOLS)}")
+        raise ValueError(f"no point pool named {spec!r}; choose from {sorted(POOLS)}")
     return POOLS[spec]
 
 
@@ -188,7 +188,7 @@ def resolve_distribution(spec: str) -> DataDistribution:
     if spec.lstrip().startswith("{"):
         return DataDistribution.from_json(json.loads(spec))
     if spec not in DISTRIBUTIONS:
-        raise KeyError(
+        raise ValueError(
             f"unknown distribution preset {spec!r}; choose from {sorted(DISTRIBUTIONS)}"
         )
     return DISTRIBUTIONS[spec]
@@ -198,5 +198,5 @@ def resolve_sequence(spec: str) -> WeightedClassSequence:
     if spec.lstrip().startswith("{"):
         return WeightedClassSequence.from_json(json.loads(spec))
     if spec not in SEQUENCES:
-        raise KeyError(f"unknown sequence preset {spec!r}; choose from {sorted(SEQUENCES)}")
+        raise ValueError(f"unknown sequence preset {spec!r}; choose from {sorted(SEQUENCES)}")
     return SEQUENCES[spec]

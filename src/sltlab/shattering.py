@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
-    GridSpec,
     Hypothesis,
     HypothesisClass,
     SineSign,
@@ -106,15 +105,9 @@ def _points_matrix(X) -> np.ndarray:
     return pts
 
 
-def _label_matrix(H: HypothesisClass, pts: np.ndarray, grid, budget) -> tuple[list[Hypothesis], np.ndarray]:
-    members = enumerate_class(H, grid=grid, budget=budget)
-    return members, label_matrix(members, pts)
-
-
 def restriction(
     H: HypothesisClass,
     X,
-    grid: GridSpec | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> set[tuple[int, ...]]:
     """The set of labelings of X realized by the enumerated class.
@@ -124,27 +117,25 @@ def restriction(
     pts = _points_matrix(X)
     if len(pts) == 0:
         raise ValueError("restriction needs a nonempty point set")
-    _, L = _label_matrix(H, pts, grid, budget)
+    L = label_matrix(enumerate_class(H, budget=budget), pts)
     return {tuple(int(v) for v in row) for row in np.unique(L, axis=0)}
 
 
 def shatters(
     H: HypothesisClass,
     X,
-    grid: GridSpec | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> bool:
     """True iff every labeling of X is realized (trivially true for empty X)."""
     pts = np.asarray(X, dtype=float)
     if pts.size == 0:
         return True
-    return len(restriction(H, X, grid=grid, budget=budget)) == 2 ** len(_points_matrix(X))
+    return len(restriction(H, X, budget=budget)) == 2 ** len(_points_matrix(X))
 
 
 def vc_dimension(
     H: HypothesisClass,
     pool,
-    grid: GridSpec | None = None,
     subset_budget: int = DEFAULT_SUBSET_BUDGET,
     enum_budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> VcReport:
@@ -157,7 +148,8 @@ def vc_dimension(
     pts = _points_matrix(pool)
     if len(pts) == 0:
         raise ValueError("the point pool must be nonempty")
-    members, L = _label_matrix(H, pts, grid, enum_budget)
+    members = enumerate_class(H, budget=enum_budget)
+    L = label_matrix(members, pts)
 
     # |restriction| <= |enumerated H| caps the reachable subset size.
     max_k = min(len(pts), int(math.floor(math.log2(len(members)))) if len(members) > 1 else 0)

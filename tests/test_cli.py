@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sltlab
-from sltlab import jsonio
+from sltlab import cli, jsonio
 from sltlab.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -161,6 +161,18 @@ class TestExitCodes:
     def test_unknown_preset_is_one(self, capsys):
         assert main(["pac", "--preset", "nope"]) == EXIT_CONFIG
 
+    def test_unknown_class_preset_message_is_plain(self, capsys):
+        assert main(["erm", "--preset", "erm-thresholds-demo", "--class", "nope"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("sltlab: error: unknown class preset 'nope';")
+
+    def test_key_error_is_a_program_bug_not_a_config_error(self, monkeypatch):
+        def broken(cfg):
+            raise KeyError("m")
+
+        monkeypatch.setitem(cli._RUNNERS, "nfl", broken)
+        with pytest.raises(KeyError):
+            run({"command": "nfl", "m": 2})
+
     @pytest.mark.parametrize("argv, key", [
         (["bounds", "--d", "1", "--eps", "0", "--delta", "0.05"], "eps"),
         (["bounds", "--d", "1", "--eps", "0.1", "--delta", "0"], "delta"),
@@ -181,6 +193,21 @@ class TestExitCodes:
           "--hypothesis", '{"kind": "sine", "alpha": 40.0}', "--mc-n", "0"], "config.mc_n"),
         (["tradeoff", "--preset", "tradeoff-nested-thresholds", "--trials", "0"],
          "config.trials"),
+        (["tradeoff", "--preset", "tradeoff-nested-thresholds", "--seeds", "", "--trials", "2"],
+         "config.seeds: must list at least one value"),
+        (["erm", "--preset", "erm-thresholds-demo",
+          "--class", '{"family": "thresholds", "resoluton": 5}'],
+         "thresholds: unknown key 'resoluton'"),
+        (["erm", "--preset", "erm-thresholds-demo",
+          "--class", '{"family": "thresholds", "resolution": "x"}'], "thresholds: resolution: "),
+        (["risk", "--dist", "uniform-threshold-clean",
+          "--hypothesis", '{"kind": "interval", "lo": 0.2}'], "interval: missing 'hi'"),
+        (["erm", "--preset", "erm-thresholds-demo", "--dist",
+          '{"marginal": {"type": "uniform_box", "bounds": [[0.0, 1.0]]}, '
+          '"labeler": {"hypothesis": {"kind": "threshold", "theta": 0.5}}, "nosie": 0.2}'],
+         "distribution: unknown key 'nosie'"),
+        (["erm", "--preset", "erm-thresholds-demo",
+          "--class", '{"family": "thresholds", "grid": {}}'], "thresholds: grid: missing 'axes'"),
     ])
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG

@@ -388,7 +388,7 @@ class TestExtensionalEquality:
 class TestWeightedClassSequence:
     def test_default_weights_renormalized(self):
         classes = [ThresholdClass(resolution=3)] * 4
-        seq = WeightedClassSequence.with_default_weights(classes)
+        seq = WeightedClassSequence(tuple(classes))
         assert abs(sum(seq.weights) - 1.0) < 1e-12
         assert seq.weights[0] == 2 * seq.weights[1]
 

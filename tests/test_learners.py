@@ -141,8 +141,8 @@ class TestSrm:
             (0.0, 0.25, 0.5, 0.75, 1.0),
             tuple(i / 8 for i in range(9)),
         ]
-        seq = WeightedClassSequence.with_default_weights(
-            [ThresholdClass(0.0, 1.0, ("ge",), grid=GridSpec((g,))) for g in grids]
+        seq = WeightedClassSequence(
+            tuple(ThresholdClass(0.0, 1.0, ("ge",), grid=GridSpec((g,))) for g in grids)
         )
         D = DataDistribution(UNIT, Threshold(0.5), noise=0.1)
         S = draw_sample(D, 3000, SeedSpec(11))
