@@ -158,7 +158,13 @@ def _json_cast(tp) -> Callable:
         return hypothesis_from_json
     if tp is HypothesisClass:
         return class_from_json
-    return getattr(tp, "from_json", tp)
+    return _json_int if tp is int else getattr(tp, "from_json", tp)
+
+
+def _json_int(v) -> int:
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"expected a whole number, got {v!r}")
+    return int(v)
 
 
 def _json_list(v) -> list:
@@ -498,34 +504,34 @@ class LabeledSample:
 
     @classmethod
     def from_json(cls, data: dict) -> "LabeledSample":
-        pairs = [(p[0], p[1]) for p in data["pairs"]]
-        sample = cls.from_pairs(pairs, dim=int(data["dim"]) if "dim" in data else None)
-        if "m" in data and sample.m != int(data["m"]):
-            raise ValueError(f"declared m={data['m']} but {sample.m} pairs given")
+        check_keys(data, ("m", "dim", "pairs"), "sample: ")
+        pairs = read_key(data, "pairs", lambda v: [(x, y) for x, y in _json_list(v)], "sample: ")
+        sample = cls.from_pairs(pairs, dim=read_key(data, "dim", _json_int, "sample: ", None))
+        if sample.m != read_key(data, "m", _json_int, "sample: ", sample.m):
+            raise ValueError(f"sample: declared m={data['m']} but {sample.m} pairs given")
         return sample
 
     def to_csv(self, path) -> None:
-        """Write one row per pair: d feature columns then the label; header required."""
+        """Write a header, then per pair a CRLF-ended row of 17-digit features and the label."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([f"x{j + 1}" for j in range(self.dim)] + ["label"])
-            for x, y in self.pairs():
-                writer.writerow([format(v, ".17g") for v in x] + [y])
+            writer.writerows([format(v, ".17g") for v in x] + [label]
+                             for x, label in zip(self.X.tolist(), self.y.tolist()))
 
     @classmethod
     def from_csv(cls, path, dim: int | None = None) -> "LabeledSample":
         """Read the CSV schema written by to_csv; all but the last column are features.
 
-        Malformed rows and non-binary labels are rejected with the offending
-        1-based file line number.
+        Fields may be quoted, blank lines are skipped, a header-only file is an empty sample; a
+        non-finite feature or a label not 0 or 1 (spaces trimmed) fails naming its 1-based line.
         """
-        rows: list[tuple[list[float], int]] = []
+        rows: list[list[float]] = []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError(f"{path}: empty file, expected a header row") from None
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, expected a header row")
             width = len(header)
             if width < 2:
                 raise ValueError(f"{path}: need at least one feature column and one label column")
@@ -545,8 +551,9 @@ class LabeledSample:
                 raw = row[-1].strip()
                 if raw not in ("0", "1"):
                     raise ValueError(f"{path} line {lineno}: label must be 0 or 1, got {raw!r}")
-                rows.append((feats, int(raw)))
-        return cls.from_pairs(rows, dim=width - 1)
+                rows.append([*feats, float(raw)])
+        table = np.array(rows, dtype=float).reshape(len(rows), width)
+        return cls(table[:, :-1], table[:, -1])
 
 
 def empirical_error(h: Hypothesis, S: LabeledSample) -> float:

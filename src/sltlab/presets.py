@@ -177,8 +177,11 @@ def resolve_class(spec: str) -> HypothesisClass:
 
 def resolve_pool(spec: str) -> np.ndarray:
     if spec.lstrip().startswith("["):
-        pts = np.asarray(json.loads(spec), dtype=float)
-        return pts if pts.ndim == 2 else pts[:, None]
+        rows = [r if isinstance(r, list) else [r] for r in json.loads(spec)]
+        for i, row in enumerate(rows):
+            if len(row) != len(rows[0]):
+                raise ValueError(f"pool: row {i} has {len(row)} coordinates, expected {len(rows[0])}")
+        return np.asarray(rows, dtype=float)
     if spec not in POOLS:
         raise ValueError(f"no point pool named {spec!r}; choose from {sorted(POOLS)}")
     return POOLS[spec]

@@ -208,6 +208,13 @@ class TestExitCodes:
          "distribution: unknown key 'nosie'"),
         (["erm", "--preset", "erm-thresholds-demo",
           "--class", '{"family": "thresholds", "grid": {}}'], "thresholds: grid: missing 'axes'"),
+        (["erm", "--preset", "erm-thresholds-demo",
+          "--class", '{"family": "thresholds", "resolution": 5.7}'],
+         "thresholds: resolution: expected a whole number, got 5.7"),
+        (["vcdim", "--class", "intervals", "--pool", "[[0, 1], [2]]"],
+         "pool: row 1 has 1 coordinates, expected 2"),
+        (["vcdim", "--class", "intervals", "--pool", "[[0, 1], 2]"],
+         "pool: row 1 has 1 coordinates, expected 2"),
     ])
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG

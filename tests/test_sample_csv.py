@@ -1,0 +1,141 @@
+"""LabeledSample.from_csv and to_csv against the row-by-row reader and writer
+they replaced, kept here as references: same arrays bit for bit, same error
+messages, same file bytes."""
+
+import csv
+import math
+
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from sltlab.core import LabeledSample
+
+
+def reference_from_csv(path, dim=None):
+    """One instance array per row through LabeledSample.from_pairs."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file, expected a header row") from None
+        width = len(header)
+        if width < 2:
+            raise ValueError(f"{path}: need at least one feature column and one label column")
+        if dim is not None and width != dim + 1:
+            raise ValueError(f"{path}: expected {dim} feature columns, header has {width - 1}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise ValueError(f"{path} line {lineno}: expected {width} columns, got {len(row)}")
+            try:
+                feats = [float(v) for v in row[:-1]]
+            except ValueError:
+                raise ValueError(f"{path} line {lineno}: non-numeric feature value") from None
+            if not all(map(math.isfinite, feats)):
+                raise ValueError(f"{path} line {lineno}: feature values must be finite")
+            raw = row[-1].strip()
+            if raw not in ("0", "1"):
+                raise ValueError(f"{path} line {lineno}: label must be 0 or 1, got {raw!r}")
+            rows.append((feats, int(raw)))
+    return LabeledSample.from_pairs(rows, dim=width - 1)
+
+
+def reference_to_csv(S, path):
+    """One writerow call per pair."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{j + 1}" for j in range(S.dim)] + ["label"])
+        for x, y in S.pairs():
+            writer.writerow([format(v, ".17g") for v in x] + [y])
+
+
+# Cells as they appear in the file: padded, quoted (one holding a comma, one
+# a line break), signed zero, subnormal, 17-digit, underscore and out-of-range
+# numbers.
+GOOD_FEATURES = ["0.5", "-0", " 0.25 ", "1e-320", "5e-324", "0.30000000000000004", "1_0",
+                 "+2", "1.5e3", "-1.7976931348623157e308", '"0.75"', '" 3 "', '"0.5\n"']
+BAD_FEATURES = ["1e400", "-1e400", "nan", "inf", "-inf", "NaN", "0x1", "abc", "", '"1,5"']
+GOOD_LABELS = ["0", "1", " 1 ", "\t0", '"1"', '" 0 "']
+BAD_LABELS = ["1.0", "2", "", "01", "-0", "true", "0 1"]
+
+
+@st.composite
+def csv_texts(draw):
+    """A header of 1 to 4 columns and up to 8 lines: rows (well formed when
+    `clean`), blank lines, and short or long rows; LF or CRLF line ends."""
+    if draw(st.integers(0, 19)) == 0:
+        return ""
+    width = draw(st.integers(1, 4))
+    clean = draw(st.booleans())
+    features = st.sampled_from(GOOD_FEATURES if clean else GOOD_FEATURES + BAD_FEATURES)
+    labels = st.sampled_from(GOOD_LABELS if clean else GOOD_LABELS + BAD_LABELS)
+    lines = [",".join(draw(st.sampled_from(["x1", '"x 2"', "label", " "]))
+                      for _ in range(width))]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 4 + ["blank"] + ([] if clean else ["short", "long"])))
+        cells = [draw(features) for _ in range(width - 1)] + [draw(labels)]
+        if kind == "blank":
+            cells = []
+        elif kind == "short":
+            cells = cells[:-1]
+        elif kind == "long":
+            cells.append(draw(labels))
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def outcome(read, path, dim):
+    try:
+        S = read(path, dim)
+    except ValueError as exc:
+        return "error", str(exc)
+    return str(S.X.dtype), S.X.shape, S.X.tobytes(), str(S.y.dtype), S.y.tobytes()
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_texts(), st.sampled_from([None, None, 1, 2, 3]))
+@example("x1,label\r\n\r\n-0,1\r\n", None)
+@example("x1,x2,label\n", None)
+@example("x1,label\n0.5\n", None)
+@example("x1,label\n0.5,0,1\n", 1)
+def test_from_csv_matches_reference(tmp_path, text, dim):
+    path = tmp_path / "sample.csv"
+    path.write_bytes(text.encode())
+    got = outcome(LabeledSample.from_csv, path, dim)
+    assert got == outcome(reference_from_csv, path, dim)
+    if got[0] != "error":
+        assert (got[0], got[3]) == ("float64", "uint8")
+
+
+@st.composite
+def samples(draw):
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 10))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=m * d, max_size=m * d))
+    labels = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    return LabeledSample(np.array(values, dtype=float).reshape(m, d),
+                         np.array(labels, dtype=np.uint8))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(samples())
+@example(LabeledSample(np.empty((0, 2)), np.empty(0, dtype=np.uint8)))
+@example(LabeledSample(np.array([[-0.0, 5e-324, 2.2250738585072014e-308],
+                                 [0.1 + 0.2, 1 / 3, -1.7976931348623157e308]]),
+                       np.array([1, 0], dtype=np.uint8)))
+def test_to_csv_bytes_match_reference_and_read_back(tmp_path, S):
+    path, reference = tmp_path / "sample.csv", tmp_path / "reference.csv"
+    S.to_csv(path)
+    reference_to_csv(S, reference)
+    assert path.read_bytes() == reference.read_bytes()
+    back = LabeledSample.from_csv(path)
+    assert back.X.shape == S.X.shape
+    assert back.X.tobytes() == S.X.tobytes() and back.y.tobytes() == S.y.tobytes()

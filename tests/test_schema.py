@@ -198,10 +198,27 @@ def test_explicit_grid_is_the_enumerated_grid():
      "unknown key 'wieghts'"),
     (WeightedClassSequence.from_json, {"weights": [1.0]}, "missing 'classes'"),
     (GridSpec.from_json, {}, "missing 'axes'"),
+    (class_from_json, {"family": "thresholds", "resolution": 5.7},
+     "thresholds: resolution: expected a whole number, got 5.7"),
+    (class_from_json, {"family": "halfspaces2d", "n_angles": float("inf")},
+     "halfspaces2d: n_angles: expected a whole number, got inf"),
+    (hypothesis_from_json, {"kind": "lookup", "points": [[0.0]], "labels": [0.5]},
+     "lookup: labels: expected a whole number, got 0.5"),
+    (LabeledSample.from_json, {"m": 1}, "sample: missing 'pairs'"),
+    (LabeledSample.from_json, {"pairs": [], "dim": 1, "size": 0}, "sample: unknown key 'size'"),
+    (LabeledSample.from_json, {"pairs": [[[0.5], 1]], "m": 2},
+     "sample: declared m=2 but 1 pairs given"),
+    (LabeledSample.from_json, {"pairs": [[[0.5], 1, 0]]}, "sample: pairs: "),
 ])
 def test_bad_input_names_tag_and_key(reader, data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         reader(data)
+
+
+def test_whole_number_floats_cast_to_int():
+    for resolution in (5, 5.0):
+        H = class_from_json({"family": "thresholds", "resolution": resolution})
+        assert H == ThresholdClass(resolution=5) and type(H.resolution) is int
 
 
 @pytest.mark.parametrize("fn", [
