@@ -17,6 +17,7 @@ from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     Hypothesis,
     HypothesisClass,
+    JsonFields,
     LabeledSample,
     enumerate_class,
     error_counts,
@@ -34,10 +35,6 @@ DEFAULT_C = 2.0
 DEFAULT_C1 = 1.0 / 16.0
 DEFAULT_C2 = 64.0
 LOG_BASE = "e"
-
-BOUND_CSV_COLUMNS = [
-    "d", "eps", "delta", "m", "b", "m_lower", "m_upper", "eps_uc", "C", "C1", "C2", "log_base",
-]
 
 
 @dataclass(frozen=True)
@@ -199,21 +196,13 @@ def is_eps_representative(
 
 
 @dataclass(frozen=True)
-class ErrorDecomposition:
+class ErrorDecomposition(JsonFields):
     """Total risk split into the class's best risk and the excess over it."""
 
     approximation_error: float
     estimation_error: float
     total: float
     minimizer: Hypothesis
-
-    def to_json(self) -> dict:
-        return {
-            "approximation_error": self.approximation_error,
-            "estimation_error": self.estimation_error,
-            "total": self.total,
-            "minimizer": self.minimizer.to_json(),
-        }
 
 
 def decompose_error(

@@ -23,7 +23,6 @@ from .bounds import (
     DEFAULT_C,
     DEFAULT_C1,
     DEFAULT_C2,
-    BOUND_CSV_COLUMNS,
     BoundParams,
     sample_complexity,
 )
@@ -32,13 +31,11 @@ from .core import (
     EnumerationBudgetError,
     LabeledSample,
     hypothesis_from_json,
+    whole_number,
 )
 from .distributions import AnalyticRiskUnavailable, SeedSpec, draw_sample, mc_risk, true_risk
 from .experiments import (
     DEFAULT_NFL_LEARNER,
-    RECORD_CSV_COLUMNS,
-    SUMMARY_CSV_COLUMNS,
-    TRADEOFF_CSV_COLUMNS,
     nfl_exact,
     tradeoff_sweep,
     verify_learnability,
@@ -78,19 +75,19 @@ def _int_list(value) -> list[int]:
     """A nonempty list of ints: a JSON list, "a,b,c" or an inclusive "a..b"."""
     text = str(value)
     if isinstance(value, list):
-        values = [int(v) for v in value]
+        values = [whole_number(v) for v in value]
     elif ".." in text:
         lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
+        values = list(range(whole_number(lo), whole_number(hi) + 1))
     else:
-        values = [int(v) for v in text.split(",") if v.strip() != ""]
+        values = [whole_number(v) for v in text.split(",") if v.strip() != ""]
     if not values:
         raise ValueError("must list at least one value")
     return values
 
 
 def _at_least_one(value) -> int:
-    n = int(value)
+    n = whole_number(value)
     if n < 1:
         raise ValueError(f"must be at least 1, got {n}")
     return n
@@ -115,19 +112,20 @@ _NOT_FLAGS = ("command", "preset_version")
 _BUDGET = (_at_least_one, DEFAULT_ENUMERATION_BUDGET)
 
 _COMMON_KEYS = {
-    "command": (str, REQUIRED), "preset": (str, None), "preset_version": (int, None),
-    "out": (str, None), "seed": (int, None), "workers": (_at_least_one, None),
+    "command": (str, REQUIRED), "preset": (str, None), "preset_version": (whole_number, None),
+    "out": (str, None), "seed": (whole_number, None), "workers": (_at_least_one, None),
     "records": (_bool, False),
 }
 
 _COMMAND_KEYS: dict[str, dict] = {
-    "bounds": {"d": (int, REQUIRED), "eps": (float, REQUIRED), "delta": (float, REQUIRED),
-               "m": (_at_least_one, None), "C": (float, DEFAULT_C), "C1": (float, DEFAULT_C1),
-               "C2": (float, DEFAULT_C2)},
+    "bounds": {"d": (whole_number, REQUIRED), "eps": (float, REQUIRED),
+               "delta": (float, REQUIRED), "m": (_at_least_one, None),
+               "C": (float, DEFAULT_C), "C1": (float, DEFAULT_C1), "C2": (float, DEFAULT_C2)},
     "vcdim": {"class": (str, REQUIRED), "pool": (str, None),
               "subset_budget": (_at_least_one, DEFAULT_SUBSET_BUDGET),
               "enum_budget": (_at_least_one, DEFAULT_ENUMERATION_BUDGET),
-              "sine_k": (int, None), "sine_budget": (_at_least_one, DEFAULT_SINE_BUDGET)},
+              "sine_k": (whole_number, None),
+              "sine_budget": (_at_least_one, DEFAULT_SINE_BUDGET)},
     "risk": {"dist": (str, REQUIRED), "hypothesis": (str, REQUIRED),
              "mc_n": (_at_least_one, None)},
     "erm": {"class": (str, REQUIRED), "data": (str, None), "dist": (str, None),
@@ -144,7 +142,7 @@ _COMMAND_KEYS: dict[str, dict] = {
            "delta": (float, REQUIRED), "trials": (_at_least_one, REQUIRED),
            "mc_n": (_at_least_one, None), "budget": _BUDGET},
     "nfl": {"m": (_at_least_one, REQUIRED), "learner": (str, DEFAULT_NFL_LEARNER),
-            "default_label": (int, DEFAULT_LABEL)},
+            "default_label": (whole_number, DEFAULT_LABEL)},
     "tradeoff": {"sequence": (str, REQUIRED), "dist": (str, REQUIRED),
                  "m_values": (_each_at_least_one, REQUIRED),
                  "trials": (_at_least_one, REQUIRED),
@@ -250,7 +248,9 @@ def merge_config(command: str, preset: str | None, config_path: str | None,
 
 # ---------------------------------------------------------------------------
 # Command implementations: each returns (exit_code, printable lines, files)
-# where files maps filename -> (kind, payload) with kind in {json, csv}.
+# where files maps filename -> payload.  run writes a LabeledSample with its
+# to_csv, a list of row dicts as a CSV whose header is the rows' keys, and
+# anything else as JSON.
 # ---------------------------------------------------------------------------
 
 
@@ -265,10 +265,7 @@ def _run_bounds(cfg: dict):
         f"sample-size bracket: [{report.m_lower:.6g}, {report.m_upper:.6g}]",
         f"accuracy at m={params.m}: {report.eps_uc:.6g}",
     ]
-    files = {
-        "bounds.json": ("json", report.to_json()),
-        "bounds.csv": ("csv", (BOUND_CSV_COLUMNS, [report.csv_row()])),
-    }
+    files = {"bounds.json": report.to_json(), "bounds.csv": [report.csv_row()]}
     return EXIT_OK, lines, files
 
 
@@ -281,7 +278,7 @@ def _run_vcdim(cfg: dict):
             f"{len(report.failed)} labelings NOT realized"
         lines = [f"sign-of-sine shattering at k={k}: {status}"]
         return (EXIT_OK if report.complete else EXIT_FAIL, lines,
-                {"sine_witness.json": ("json", report.to_json())})
+                {"sine_witness.json": report.to_json()})
     if "sine_k" in cfg:
         raise ConfigError("config.sine_k: only meaningful for the sine family")
     pool_spec = cfg.get("pool", cfg["class"] if cfg["class"] in POOLS else None)
@@ -291,7 +288,7 @@ def _run_vcdim(cfg: dict):
     report = vc_dimension(H, pool, subset_budget=cfg["subset_budget"],
                           enum_budget=cfg["enum_budget"])
     lines = [f"dimension over {report.pool_size}-point pool: {report.marker()}"]
-    return EXIT_OK, lines, {"vc_report.json": ("json", report.to_json())}
+    return EXIT_OK, lines, {"vc_report.json": report.to_json()}
 
 
 def _run_risk(cfg: dict):
@@ -308,7 +305,7 @@ def _run_risk(cfg: dict):
         payload = {"risk": est, "method": "monte_carlo", "band": band,
                    "n": cfg["mc_n"], "hypothesis": h.to_json()}
         lines = [f"risk ~= {est:.17g} +/- {band:.3g} (monte carlo, n={cfg['mc_n']})"]
-    return EXIT_OK, lines, {"risk.json": ("json", payload)}
+    return EXIT_OK, lines, {"risk.json": payload}
 
 
 def _sample_for(cfg: dict, stream: str) -> tuple[LabeledSample, bool]:
@@ -327,9 +324,9 @@ def _run_erm(cfg: dict):
     out = erm(H, S, budget=cfg["budget"])
     lines = [f"selected {out.hypothesis.describe()} with empirical error "
              f"{out.empirical_error:.6g} on m={S.m}"]
-    files = {"learner_output.json": ("json", out.to_json())}
+    files = {"learner_output.json": out.to_json()}
     if generated:
-        files["sample.csv"] = ("sample", S)
+        files["sample.csv"] = S
     return EXIT_OK, lines, files
 
 
@@ -339,9 +336,9 @@ def _run_srm(cfg: dict):
     out = srm(seq, S, cfg["delta"], C=cfg["C"], budget=cfg["budget"])
     lines = [f"selected class {out.class_index} member {out.hypothesis.describe()}; "
              f"objective {out.objective:.6g}"]
-    files = {"learner_output.json": ("json", out.to_json())}
+    files = {"learner_output.json": out.to_json()}
     if generated:
-        files["sample.csv"] = ("sample", S)
+        files["sample.csv"] = S
     return EXIT_OK, lines, files
 
 
@@ -359,13 +356,9 @@ def _run_pac(cfg: dict):
         f"success frequency {summary.success_frequency:.4f} over {summary.trials} trials "
         f"(threshold {summary.threshold:.4f}) -> {summary.verdict}",
     ]
-    files = {
-        "summary.json": ("json", summary.to_json()),
-        "summary.csv": ("csv", (SUMMARY_CSV_COLUMNS, [summary.csv_row()])),
-    }
+    files = {"summary.json": summary.to_json(), "summary.csv": [summary.csv_row()]}
     if summary.records is not None:
-        files["records.csv"] = ("csv", (RECORD_CSV_COLUMNS,
-                                        [r.csv_row() for r in summary.records]))
+        files["records.csv"] = [r.csv_row() for r in summary.records]
     return _VERDICT_EXIT[summary.verdict], lines, files
 
 
@@ -395,12 +388,9 @@ def _run_uc(cfg: dict):
             f"median ratio m={sc['m_small']} vs m={sc['m_large']}: "
             f"{ratio} (sqrt prediction {sc['sqrt_prediction']:.3f})"
         )
-    files = {
-        "uc_report.json": ("json", report.to_json()),
-        "summary.csv": ("csv", (SUMMARY_CSV_COLUMNS, rows)),
-    }
+    files = {"uc_report.json": report.to_json(), "summary.csv": rows}
     if record_rows:
-        files["records.csv"] = ("csv", (["m"] + RECORD_CSV_COLUMNS, record_rows))
+        files["records.csv"] = record_rows
     return worst, lines, files
 
 
@@ -411,7 +401,7 @@ def _run_nfl(cfg: dict):
         f"average expected error {report.average} = {float(report.average):.6f}, "
         f"worst {report.worst}",
     ]
-    return EXIT_OK, lines, {"nfl_report.json": ("json", report.to_json())}
+    return EXIT_OK, lines, {"nfl_report.json": report.to_json()}
 
 
 def _run_tradeoff(cfg: dict):
@@ -431,13 +421,9 @@ def _run_tradeoff(cfg: dict):
             )
         else:
             lines.append(f"m={row['m']} srm: total {row['mean_total_risk']:.4f}")
-    files = {
-        "tradeoff.json": ("json", report.to_json()),
-        "tradeoff.csv": ("csv", (TRADEOFF_CSV_COLUMNS, list(report.rows))),
-    }
+    files = {"tradeoff.json": report.to_json(), "tradeoff.csv": list(report.rows)}
     if report.records is not None:
-        cols = list(report.records[0].keys()) if report.records else ["master_seed"]
-        files["records.csv"] = ("csv", (cols, list(report.records)))
+        files["records.csv"] = list(report.records)
     return EXIT_OK, lines, files
 
 
@@ -468,15 +454,14 @@ def run(config: dict) -> int:
     if outdir:
         os.makedirs(outdir, exist_ok=True)
         digests = {}
-        for name, (kind, payload) in files.items():
+        for name, payload in files.items():
             path = os.path.join(outdir, name)
-            if kind == "json":
-                jsonio.dump(payload, path)
-            elif kind == "sample":
+            if isinstance(payload, LabeledSample):
                 payload.to_csv(path)
+            elif isinstance(payload, list):
+                jsonio.write_csv(path, rows=payload)
             else:
-                columns, rows = payload
-                jsonio.write_csv(path, columns, rows)
+                jsonio.dump(payload, path)
             digests[name] = jsonio.sha256_file(path)
         manifest = {
             "tool": "sltlab",

@@ -158,11 +158,13 @@ def _json_cast(tp) -> Callable:
         return hypothesis_from_json
     if tp is HypothesisClass:
         return class_from_json
-    return _json_int if tp is int else getattr(tp, "from_json", tp)
+    return whole_number if tp is int else getattr(tp, "from_json", tp)
 
 
-def _json_int(v) -> int:
-    if isinstance(v, float) and not v.is_integer():
+def whole_number(v) -> int:
+    """int(v), refusing to truncate: a bool or a fractional, infinite or NaN
+    float raises ValueError; a whole float such as 5.0 casts to 5."""
+    if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
         raise ValueError(f"expected a whole number, got {v!r}")
     return int(v)
 
@@ -506,8 +508,8 @@ class LabeledSample:
     def from_json(cls, data: dict) -> "LabeledSample":
         check_keys(data, ("m", "dim", "pairs"), "sample: ")
         pairs = read_key(data, "pairs", lambda v: [(x, y) for x, y in _json_list(v)], "sample: ")
-        sample = cls.from_pairs(pairs, dim=read_key(data, "dim", _json_int, "sample: ", None))
-        if sample.m != read_key(data, "m", _json_int, "sample: ", sample.m):
+        sample = cls.from_pairs(pairs, dim=read_key(data, "dim", whole_number, "sample: ", None))
+        if sample.m != read_key(data, "m", whole_number, "sample: ", sample.m):
             raise ValueError(f"sample: declared m={data['m']} but {sample.m} pairs given")
         return sample
 
@@ -524,7 +526,8 @@ class LabeledSample:
         """Read the CSV schema written by to_csv; all but the last column are features.
 
         Fields may be quoted, blank lines are skipped, a header-only file is an empty sample; a
-        non-finite feature or a label not 0 or 1 (spaces trimmed) fails naming its 1-based line.
+        non-finite feature or a label not 0 or 1 (spaces trimmed) fails naming the 1-based file
+        line where its record starts.
         """
         rows: list[list[float]] = []
         with open(path, newline="") as fh:
@@ -537,7 +540,9 @@ class LabeledSample:
                 raise ValueError(f"{path}: need at least one feature column and one label column")
             if dim is not None and width != dim + 1:
                 raise ValueError(f"{path}: expected {dim} feature columns, header has {width - 1}")
-            for lineno, row in enumerate(reader, start=2):
+            start = reader.line_num + 1  # a quoted field may span lines
+            for row in reader:
+                lineno, start = start, reader.line_num + 1
                 if not row:
                     continue
                 if len(row) != width:
@@ -751,9 +756,6 @@ class HypothesisClass(JsonFields):
     def members(self) -> Iterator[Hypothesis]:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return self.family
-
 
 @dataclass(frozen=True)
 class ThresholdClass(HypothesisClass):
@@ -795,10 +797,6 @@ class ThresholdClass(HypothesisClass):
             for theta in g.axes[0]:
                 yield Threshold(theta, direction)
 
-    def describe(self) -> str:
-        tag = "+".join(self.directions)
-        return f"thresholds[{tag}] on [{self.lo:g},{self.hi:g}]"
-
 
 @dataclass(frozen=True)
 class IntervalClass(HypothesisClass):
@@ -831,9 +829,6 @@ class IntervalClass(HypothesisClass):
         for i in range(len(axis)):
             for j in range(i, len(axis)):
                 yield Interval(axis[i], axis[j])
-
-    def describe(self) -> str:
-        return f"intervals on [{self.lo:g},{self.hi:g}]"
 
 
 @dataclass(frozen=True)
@@ -887,9 +882,6 @@ class IntervalUnionClass(HypothesisClass):
         for ivs in chains(0, self.k):
             yield IntervalUnion(ivs)
 
-    def describe(self) -> str:
-        return f"{self.k}-interval unions on [{self.lo:g},{self.hi:g}]"
-
 
 @dataclass(frozen=True)
 class RectangleClass(HypothesisClass):
@@ -935,9 +927,6 @@ class RectangleClass(HypothesisClass):
         for combo in itertools.product(*per_axis):
             yield Rectangle(tuple(combo))
 
-    def describe(self) -> str:
-        return f"axis-aligned boxes in {self.dim}d"
-
 
 @dataclass(frozen=True)
 class HalfspaceClass2D(HypothesisClass):
@@ -976,9 +965,6 @@ class HalfspaceClass2D(HypothesisClass):
             for offset in g.axes[1]:
                 yield Halfspace(w, -offset)
 
-    def describe(self) -> str:
-        return "halfplanes in 2d"
-
 
 @dataclass(frozen=True)
 class SineClass(HypothesisClass):
@@ -1009,9 +995,6 @@ class SineClass(HypothesisClass):
     def members(self) -> Iterator[Hypothesis]:
         for alpha in self.resolve_grid().axes[0]:
             yield SineSign(alpha)
-
-    def describe(self) -> str:
-        return "sign-of-sine frequencies"
 
 
 @dataclass(frozen=True)
@@ -1054,9 +1037,6 @@ class FiniteClass(HypothesisClass):
 
     def members(self) -> Iterator[Hypothesis]:
         return iter(self.hypotheses)
-
-    def describe(self) -> str:
-        return f"finite class of {len(self.hypotheses)}"
 
 
 _CLASS_FAMILIES = {c.family: c for c in (

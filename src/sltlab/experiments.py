@@ -12,8 +12,9 @@ out in trial order.
 from __future__ import annotations
 
 import itertools
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -44,22 +45,6 @@ from .learners import DEFAULT_LABEL, class_dims, erm, memorizer, srm_penalty
 
 VERDICT_SLACK = 0.02
 CONFIDENCE = 0.95
-
-SUMMARY_CSV_COLUMNS = [
-    "kind", "m", "eps", "delta", "trials", "successes", "success_frequency",
-    "threshold", "ci_lower", "ci_upper", "verdict",
-    "mean", "median", "q05", "q95",
-]
-
-RECORD_CSV_COLUMNS = [
-    "trial", "risk", "estimation", "empirical_error", "success",
-    "sup_deviation", "class_index", "hypothesis",
-]
-
-TRADEOFF_CSV_COLUMNS = [
-    "learner", "class_index", "vc_dim", "m", "approximation_error",
-    "mean_estimation_error", "mean_total_risk", "mean_objective", "pick_freqs", "trials",
-]
 
 
 def binomial_bounds(successes: int, trials: int, confidence: float = CONFIDENCE):
@@ -105,19 +90,11 @@ class TrialRecord:
     hypothesis: dict | None = None
 
     def csv_row(self) -> dict:
-        import json
-
-        return {
-            "trial": self.trial,
-            "risk": self.risk,
-            "estimation": self.estimation,
-            "empirical_error": self.empirical_error,
-            "success": self.success,
-            "sup_deviation": self.sup_deviation,
-            "class_index": self.class_index,
-            "hypothesis": json.dumps(self.hypothesis, separators=(",", ":"))
-            if self.hypothesis is not None else "",
-        }
+        """The fields in declaration order, the hypothesis as compact JSON."""
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.hypothesis is not None:
+            row["hypothesis"] = json.dumps(self.hypothesis, separators=(",", ":"))
+        return row
 
 
 @dataclass(frozen=True)

@@ -80,13 +80,24 @@ def _cell(v) -> str:
     return str(v)
 
 
-def write_csv(path, fieldnames: list[str], rows: list[dict]) -> None:
-    """Write rows under a fixed header, formatting floats deterministically."""
+def write_csv(path, rows: list[dict]) -> None:
+    """Write rows under a header of the first row's keys, formatting floats
+    deterministically.
+
+    Every row must have exactly those keys in that order.  Cells are rendered
+    first, so an empty row list or a row with other keys raises ValueError and
+    leaves no file behind.
+    """
+    if not rows:
+        raise ValueError(f"{path}: no rows to write")
+    header = list(rows[0])
+    table = [header]
+    for i, row in enumerate(rows):
+        if list(row) != header:
+            raise ValueError(f"{path}: row {i} has keys {list(row)}, expected {header}")
+        table.append([_cell(v) for v in row.values()])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_cell(row.get(name)) for name in fieldnames])
+        csv.writer(fh).writerows(table)
 
 
 def sha256_file(path) -> str:

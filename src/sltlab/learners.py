@@ -20,6 +20,7 @@ from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     Hypothesis,
     HypothesisClass,
+    JsonFields,
     LabeledSample,
     LookupTable,
     WeightedClassSequence,
@@ -31,7 +32,7 @@ DEFAULT_LABEL = 0
 
 
 @dataclass(frozen=True)
-class LearnerOutput:
+class LearnerOutput(JsonFields):
     """A selected hypothesis with its empirical error and, for the penalized
     learner, the 1-based class position and penalized objective value."""
 
@@ -40,19 +41,6 @@ class LearnerOutput:
     class_index: int | None = None
     objective: float | None = None
     penalty_config: dict | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "hypothesis": self.hypothesis.to_json(),
-            "empirical_error": self.empirical_error,
-        }
-        if self.class_index is not None:
-            out["class_index"] = self.class_index
-        if self.objective is not None:
-            out["objective"] = self.objective
-        if self.penalty_config is not None:
-            out["penalty_config"] = self.penalty_config
-        return out
 
 
 def erm(

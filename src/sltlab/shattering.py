@@ -29,6 +29,7 @@ from .core import (
 DEFAULT_SUBSET_BUDGET = 2_000_000
 DEFAULT_SINE_BUDGET = 20_000
 MAX_SINE_POINTS = 8
+SINE_SEARCH_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -257,8 +258,6 @@ def sine_shatter_witness(
     k: int,
     points: tuple[float, ...] | None = None,
     budget: int = DEFAULT_SINE_BUDGET,
-    max_k: int = MAX_SINE_POINTS,
-    rng_seed: int = 0,
 ) -> SineWitnessReport:
     """Realize all 2^k labelings of k points by sign-of-sine hypotheses.
 
@@ -269,15 +268,15 @@ def sine_shatter_witness(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if k > max_k:
-        raise ValueError(f"k={k} exceeds the configured maximum {max_k}")
+    if k > MAX_SINE_POINTS:
+        raise ValueError(f"k={k} exceeds the maximum {MAX_SINE_POINTS}")
     geometric = points is None
     pts = tuple(points) if points is not None else tuple(10.0 ** -(i + 1) for i in range(k))
     if len(pts) != k:
         raise ValueError(f"expected {k} points, got {len(pts)}")
     xs = np.asarray(pts, dtype=float)[:, None]
 
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(SINE_SEARCH_SEED)
     entries: list[tuple[tuple[int, ...], float]] = []
     failed: list[tuple[int, ...]] = []
     evals = 0

@@ -222,6 +222,35 @@ class TestExitCodes:
         assert captured.out == ""
         assert key in captured.err
 
+    @pytest.mark.parametrize("argv, data, key", [
+        (["nfl"], {"m": 2.7}, "m"),
+        (["nfl"], {"m": float("inf")}, "m"),
+        (["nfl", "--m", "2"], {"workers": 2.5}, "workers"),
+        (["nfl", "--m", "2"], {"seed": 1.5}, "seed"),
+        (["nfl", "--m", "2"], {"seed": True}, "seed"),
+        (["nfl", "--m", "2"], {"default_label": True}, "default_label"),
+        (["nfl", "--m", "2"], {"preset_version": 1.5}, "preset_version"),
+        (["pac", "--preset", "pac-thresholds"], {"trials": True}, "trials"),
+        (["bounds", "--eps", "0.1", "--delta", "0.05"], {"d": 1.5}, "d"),
+        (["vcdim", "--preset", "sine-shatter-k6"], {"sine_k": 3.5}, "sine_k"),
+        (["uc", "--preset", "uc-thresholds-scaling"], {"m_values": [20, True]}, "m_values"),
+        (["tradeoff", "--preset", "tradeoff-nested-thresholds"], {"seeds": [0, 1.5]}, "seeds"),
+    ])
+    def test_config_file_integers_must_be_whole(self, tmp_path, argv, data, key, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main(argv + ["--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config.{key}: expected a whole number" in captured.err
+
+    def test_config_file_whole_floats_cast_to_int(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"m_values": [20.0, 40], "trials": 5.0, "seed": 3.0}))
+        cfg = merge_config("uc", "uc-thresholds-scaling", str(path), {})
+        assert cfg["m_values"] == [20, 40] and cfg["trials"] == 5 and cfg["seed"] == 3
+        assert all(type(v) is int for v in (*cfg["m_values"], cfg["trials"], cfg["seed"]))
+
     def test_uc_zero_median_ratio_is_na(self, tmp_path, capsys):
         one = '{"family":"finite","members":[{"kind":"threshold","theta":0.5,"direction":"ge"}]}'
         code = main(["uc", "--class", one, "--dist", "uniform-threshold-clean",

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -59,9 +60,25 @@ class TestDumps:
 class TestCsv:
     def test_floats_written_with_17_digits(self, tmp_path):
         path = tmp_path / "t.csv"
-        jsonio.write_csv(path, ["a", "b", "c", "d"],
-                         [{"a": 1 / 3, "b": 7, "c": None, "d": "x"}])
+        jsonio.write_csv(path, [{"a": 1 / 3, "b": 7, "c": None, "d": "x"}])
         lines = path.read_text().splitlines()
         assert lines[0] == "a,b,c,d"
         assert lines[1] == "0.33333333333333331,7,,x"
         assert float(lines[1].split(",")[0]) == 1 / 3
+
+    @pytest.mark.parametrize("second, message", [
+        ({"a": 2}, "row 1 has keys ['a'], expected ['a', 'b']"),
+        ({"a": 2, "b": 3, "c": 4}, "row 1 has keys ['a', 'b', 'c']"),
+        ({"b": 3, "a": 2}, "row 1 has keys ['b', 'a']"),
+    ], ids=["missing", "extra", "reordered"])
+    def test_rows_must_share_the_first_rows_keys(self, tmp_path, second, message):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            jsonio.write_csv(path, [{"a": 0, "b": 1}, second])
+        assert not path.exists()
+
+    def test_empty_rows_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="no rows"):
+            jsonio.write_csv(path, [])
+        assert not path.exists()

@@ -26,7 +26,9 @@ def reference_from_csv(path, dim=None):
             raise ValueError(f"{path}: need at least one feature column and one label column")
         if dim is not None and width != dim + 1:
             raise ValueError(f"{path}: expected {dim} feature columns, header has {width - 1}")
-        for lineno, row in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if not row:
                 continue
             if len(row) != width:
@@ -104,6 +106,7 @@ def outcome(read, path, dim):
 @example("x1,x2,label\n", None)
 @example("x1,label\n0.5\n", None)
 @example("x1,label\n0.5,0,1\n", 1)
+@example('x1,label\n"0.5\n",1\n0.2,2\n', None)  # the bad record starts on line 4
 def test_from_csv_matches_reference(tmp_path, text, dim):
     path = tmp_path / "sample.csv"
     path.write_bytes(text.encode())

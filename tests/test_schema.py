@@ -9,6 +9,7 @@ import re
 import pytest
 
 from sltlab import bounds, distributions, experiments, jsonio, learners, shattering
+from sltlab.bounds import ErrorDecomposition
 from sltlab.core import (
     FiniteClass,
     GridSpec,
@@ -39,11 +40,13 @@ from sltlab.distributions import (
     UniformBox,
     marginal_from_json,
 )
+from sltlab.learners import LearnerOutput
 
 README = pathlib.Path(__file__).parents[1] / "README.md"
 
 # jsonio.dumps(x.to_json()) of each instance below, recorded before the
 # hand-written to_json methods were replaced by the field-driven codec
+# (the learner outputs and the error decomposition in a later change)
 RECORDED = json.loads(pathlib.Path(__file__).with_name("model_schema.json").read_text())
 
 GRID1 = GridSpec(((0.1, 0.5, 0.9),))
@@ -97,6 +100,16 @@ OTHERS = {
     "sequence": (
         WeightedClassSequence((ThresholdClass(grid=GRID1), IntervalClass(resolution=4))),
         WeightedClassSequence.from_json),
+    "learner-output-erm": (LearnerOutput(Interval(0.0, 2 / 3), 0.4), LearnerOutput.from_json),
+    "learner-output-srm": (
+        LearnerOutput(Threshold(0.25), 0.2, class_index=1, objective=1.9223356702111722,
+                      penalty_config={"C": 2.0, "delta": 0.1, "weights": [2 / 3, 1 / 3],
+                                      "vc_dims": [1, 2],
+                                      "penalties": [1.7223356702111723, 2.0786913925183135]}),
+        LearnerOutput.from_json),
+    "error-decomposition": (
+        ErrorDecomposition(0.125, 1 / 3, 0.125 + 1 / 3, Interval(0.25, 0.75)),
+        ErrorDecomposition.from_json),
 }
 
 CASES = {
@@ -209,6 +222,8 @@ def test_explicit_grid_is_the_enumerated_grid():
     (LabeledSample.from_json, {"pairs": [[[0.5], 1]], "m": 2},
      "sample: declared m=2 but 1 pairs given"),
     (LabeledSample.from_json, {"pairs": [[[0.5], 1, 0]]}, "sample: pairs: "),
+    (class_from_json, {"family": "thresholds", "resolution": True},
+     "thresholds: resolution: expected a whole number, got True"),
 ])
 def test_bad_input_names_tag_and_key(reader, data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
