@@ -31,6 +31,7 @@ from .core import (
     EnumerationBudgetError,
     LabeledSample,
     hypothesis_from_json,
+    real_number,
     whole_number,
 )
 from .distributions import AnalyticRiskUnavailable, SeedSpec, draw_sample, mc_risk, true_risk
@@ -71,23 +72,34 @@ class ConfigError(Exception):
     """Invalid configuration; the message names the offending config path."""
 
 
+def _whole(value) -> int:
+    """whole_number of a config value; the text of a flag or of $SLT_LAB_SEED
+    is parsed with int first."""
+    return whole_number(int(value) if isinstance(value, str) else value)
+
+
+def _real(value) -> float:
+    """real_number of a config value; a flag's text is parsed with float first."""
+    return real_number(float(value) if isinstance(value, str) else value)
+
+
 def _int_list(value) -> list[int]:
     """A nonempty list of ints: a JSON list, "a,b,c" or an inclusive "a..b"."""
     text = str(value)
     if isinstance(value, list):
-        values = [whole_number(v) for v in value]
+        values = [_whole(v) for v in value]
     elif ".." in text:
         lo, hi = text.split("..", 1)
-        values = list(range(whole_number(lo), whole_number(hi) + 1))
+        values = list(range(_whole(lo), _whole(hi) + 1))
     else:
-        values = [whole_number(v) for v in text.split(",") if v.strip() != ""]
+        values = [_whole(v) for v in text.split(",") if v.strip() != ""]
     if not values:
         raise ValueError("must list at least one value")
     return values
 
 
 def _at_least_one(value) -> int:
-    n = whole_number(value)
+    n = _whole(value)
     if n < 1:
         raise ValueError(f"must be at least 1, got {n}")
     return n
@@ -95,6 +107,17 @@ def _at_least_one(value) -> int:
 
 def _each_at_least_one(value) -> list[int]:
     return [_at_least_one(v) for v in _int_list(value)]
+
+
+def _seed(value) -> int:
+    n = _whole(value)
+    if not 0 <= n < 2 ** 64:
+        raise ValueError(f"must lie in [0, 2^64), got {n}")
+    return n
+
+
+def _each_seed(value) -> list[int]:
+    return [_seed(v) for v in _int_list(value)]
 
 
 def _bool(value) -> bool:
@@ -112,42 +135,42 @@ _NOT_FLAGS = ("command", "preset_version")
 _BUDGET = (_at_least_one, DEFAULT_ENUMERATION_BUDGET)
 
 _COMMON_KEYS = {
-    "command": (str, REQUIRED), "preset": (str, None), "preset_version": (whole_number, None),
-    "out": (str, None), "seed": (whole_number, None), "workers": (_at_least_one, None),
+    "command": (str, REQUIRED), "preset": (str, None), "preset_version": (_whole, None),
+    "out": (str, None), "seed": (_seed, None), "workers": (_at_least_one, None),
     "records": (_bool, False),
 }
 
 _COMMAND_KEYS: dict[str, dict] = {
-    "bounds": {"d": (whole_number, REQUIRED), "eps": (float, REQUIRED),
-               "delta": (float, REQUIRED), "m": (_at_least_one, None),
-               "C": (float, DEFAULT_C), "C1": (float, DEFAULT_C1), "C2": (float, DEFAULT_C2)},
+    "bounds": {"d": (_whole, REQUIRED), "eps": (_real, REQUIRED),
+               "delta": (_real, REQUIRED), "m": (_at_least_one, None),
+               "C": (_real, DEFAULT_C), "C1": (_real, DEFAULT_C1), "C2": (_real, DEFAULT_C2)},
     "vcdim": {"class": (str, REQUIRED), "pool": (str, None),
               "subset_budget": (_at_least_one, DEFAULT_SUBSET_BUDGET),
               "enum_budget": (_at_least_one, DEFAULT_ENUMERATION_BUDGET),
-              "sine_k": (whole_number, None),
+              "sine_k": (_whole, None),
               "sine_budget": (_at_least_one, DEFAULT_SINE_BUDGET)},
     "risk": {"dist": (str, REQUIRED), "hypothesis": (str, REQUIRED),
              "mc_n": (_at_least_one, None)},
     "erm": {"class": (str, REQUIRED), "data": (str, None), "dist": (str, None),
             "m": (_at_least_one, None), "budget": _BUDGET},
-    "srm": {"sequence": (str, REQUIRED), "delta": (float, REQUIRED), "C": (float, DEFAULT_C),
+    "srm": {"sequence": (str, REQUIRED), "delta": (_real, REQUIRED), "C": (_real, DEFAULT_C),
             "data": (str, None), "dist": (str, None), "m": (_at_least_one, None),
             "budget": _BUDGET},
     "pac": {"class": (str, REQUIRED), "dist": (str, REQUIRED), "m": (_at_least_one, REQUIRED),
-            "eps": (float, REQUIRED), "delta": (float, REQUIRED),
+            "eps": (_real, REQUIRED), "delta": (_real, REQUIRED),
             "trials": (_at_least_one, REQUIRED), "mc_n": (_at_least_one, None),
             "budget": _BUDGET},
     "uc": {"class": (str, REQUIRED), "dist": (str, REQUIRED),
-           "m_values": (_each_at_least_one, REQUIRED), "eps": (float, REQUIRED),
-           "delta": (float, REQUIRED), "trials": (_at_least_one, REQUIRED),
+           "m_values": (_each_at_least_one, REQUIRED), "eps": (_real, REQUIRED),
+           "delta": (_real, REQUIRED), "trials": (_at_least_one, REQUIRED),
            "mc_n": (_at_least_one, None), "budget": _BUDGET},
     "nfl": {"m": (_at_least_one, REQUIRED), "learner": (str, DEFAULT_NFL_LEARNER),
-            "default_label": (whole_number, DEFAULT_LABEL)},
+            "default_label": (_whole, DEFAULT_LABEL)},
     "tradeoff": {"sequence": (str, REQUIRED), "dist": (str, REQUIRED),
                  "m_values": (_each_at_least_one, REQUIRED),
                  "trials": (_at_least_one, REQUIRED),
-                 "delta": (float, REQUIRED), "C": (float, DEFAULT_C),
-                 "seeds": (_int_list, None), "budget": _BUDGET},
+                 "delta": (_real, REQUIRED), "C": (_real, DEFAULT_C),
+                 "seeds": (_each_seed, None), "budget": _BUDGET},
 }
 
 _COMMAND_HELP = {

@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import numbers
 import types
 import typing
 from dataclasses import dataclass
@@ -39,11 +40,10 @@ class DimensionMismatchError(ValueError):
 class EnumerationBudgetError(RuntimeError):
     """A requested enumeration would exceed the configured budget."""
 
-    def __init__(self, required, budget):
+    def __init__(self, required: int, budget: int):
         self.required = required
         self.budget = budget
-        req = str(required) if required is not None else f"more than {budget}"
-        super().__init__(f"enumeration requires {req} hypotheses but the budget is {budget}")
+        super().__init__(f"enumeration requires {required} hypotheses but the budget is {budget}")
 
 
 def as_instance(x) -> np.ndarray:
@@ -158,15 +158,29 @@ def _json_cast(tp) -> Callable:
         return hypothesis_from_json
     if tp is HypothesisClass:
         return class_from_json
-    return whole_number if tp is int else getattr(tp, "from_json", tp)
+    if tp is int:
+        return whole_number
+    if tp is float:
+        return real_number
+    return getattr(tp, "from_json", tp)
 
 
 def whole_number(v) -> int:
-    """int(v), refusing to truncate: a bool or a fractional, infinite or NaN
-    float raises ValueError; a whole float such as 5.0 casts to 5."""
-    if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
+    """int(v), refusing to truncate: a bool, a string or a fractional,
+    infinite or NaN float raises ValueError; a whole float such as 5.0
+    casts to 5."""
+    if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+            or isinstance(v, float) and not v.is_integer()):
         raise ValueError(f"expected a whole number, got {v!r}")
     return int(v)
+
+
+def real_number(v) -> float:
+    """float(v) of a finite number: a bool, a string, NaN or an infinity
+    raises ValueError."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return float(v)
 
 
 def _json_list(v) -> list:
@@ -749,8 +763,8 @@ class HypothesisClass(JsonFields):
             )
         return self.grid
 
-    def size(self) -> int | None:
-        """Number of enumerated members, or None when only counting enumerates."""
+    def size(self) -> int:
+        """Number of enumerated members."""
         raise NotImplementedError
 
     def members(self) -> Iterator[Hypothesis]:
@@ -1059,14 +1073,9 @@ def enumerate_class(
     size and the budget.
     """
     size = H.size()
-    if size is not None and size > budget:
+    if size > budget:
         raise EnumerationBudgetError(size, budget)
-    members: list[Hypothesis] = []
-    for h in H.members():
-        members.append(h)
-        if len(members) > budget:
-            raise EnumerationBudgetError(None, budget)
-    return members
+    return list(H.members())
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .core import (
     from_tagged,
     hypothesis_from_json,
     read_key,
+    real_number,
 )
 
 HOEFFDING_CONF = 0.95
@@ -271,7 +272,7 @@ class DataDistribution:
         check_keys(data, ("marginal", "labeler", "noise"), where)
         return cls(read_key(data, "marginal", marginal_from_json, where),
                    read_key(data, "labeler", _labeler_from_json, where),
-                   read_key(data, "noise", float, where, cls.noise))
+                   read_key(data, "noise", real_number, where, cls.noise))
 
 
 def _labeler_from_json(data: dict) -> Hypothesis | ConditionalTable:

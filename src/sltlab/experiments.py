@@ -39,9 +39,16 @@ from .distributions import (
     draw_sample,
     exact_or_mc_risk,
     member_risks,
-    min_risk_in_class,
 )
-from .learners import DEFAULT_LABEL, class_dims, erm, memorizer, srm_penalty
+from .learners import (
+    DEFAULT_LABEL,
+    class_dims,
+    erm,
+    fit_sequence,
+    memorizer,
+    srm_penalty,
+    stack_sequence,
+)
 
 VERDICT_SLACK = 0.02
 CONFIDENCE = 0.95
@@ -150,13 +157,49 @@ class ExperimentSummary:
         return row
 
 
-def _stats(values: np.ndarray) -> dict:
-    return {
-        "mean": float(np.mean(values)),
-        "median": float(np.median(values)),
-        "q05": float(np.quantile(values, 0.05)),
-        "q95": float(np.quantile(values, 0.95)),
-    }
+def _check_harness(eps: float, delta: float, trials: int) -> None:
+    """Reject a harness argument out of range before any work starts."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if not (0.0 < eps):
+        raise ValueError("eps must be positive")
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
+def _summary(
+    kind: str, H: HypothesisClass, D: DataDistribution, m: int, eps: float, delta: float,
+    seed: SeedSpec, records: list[TrialRecord], statistic: list[float], extra: dict,
+    keep_records: bool,
+) -> ExperimentSummary:
+    """One harness run at sample size m: the exact binomial verdict of the
+    trials' successes against 1 - delta - VERDICT_SLACK, and the mean and
+    quantiles of the per-trial statistic."""
+    trials, successes = len(records), sum(1 for r in records if r.success)
+    threshold = 1.0 - delta - VERDICT_SLACK
+    verdict, lower, upper = binomial_verdict(successes, trials, threshold)
+    return ExperimentSummary(
+        kind=kind,
+        config={
+            "class": H.to_json(), "distribution": D.to_json(),
+            "m": m, "eps": eps, "delta": delta, "trials": trials,
+            "master_seed": seed.master_seed,
+        },
+        trials=trials,
+        successes=successes,
+        threshold=threshold,
+        ci_lower=lower,
+        ci_upper=upper,
+        verdict=verdict,
+        stats={
+            "mean": float(np.mean(statistic)),
+            "median": float(np.median(statistic)),
+            "q05": float(np.quantile(statistic, 0.05)),
+            "q95": float(np.quantile(statistic, 0.95)),
+        },
+        extra=extra,
+        records=tuple(records) if keep_records else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -210,39 +253,17 @@ def verify_learnability(
     noise at the boundary, and the verdict is "indeterminate" whenever the
     one-sided confidence bounds straddle the threshold.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if not (0.0 < eps):
-        raise ValueError("eps must be positive")
-    _, min_risk = min_risk_in_class(
-        D, H, budget=budget, mc_n=mc_n, seed=seed.derive("pac-min-risk")
-    )
+    _check_harness(eps, delta, trials)
     members = StackedMembers(enumerate_class(H, budget=budget))
+    min_risk = float(member_risks(D, members, mc_n, seed, "min-risk-member")[0].min())
     records = [
         learnability_trial(H, D, m, eps, seed, t, min_risk, mc_n=mc_n, members=members)
         for t in range(trials)
     ]
-    successes = sum(1 for r in records if r.success)
-    threshold = 1.0 - delta - VERDICT_SLACK
-    verdict, lower, upper = binomial_verdict(successes, trials, threshold)
-    estimations = np.array([r.risk - min_risk for r in records])
-    return ExperimentSummary(
-        kind="learnability",
-        config={
-            "class": H.to_json(), "distribution": D.to_json(),
-            "m": m, "eps": eps, "delta": delta, "trials": trials,
-            "master_seed": seed.master_seed,
-        },
-        trials=trials,
-        successes=successes,
-        threshold=threshold,
-        ci_lower=lower,
-        ci_upper=upper,
-        verdict=verdict,
-        stats=_stats(estimations),
-        extra={"min_risk_in_class": min_risk, "statistic": "estimation_error"},
-        records=tuple(records) if keep_records else None,
-    )
+    return _summary("learnability", H, D, m, eps, delta, seed, records,
+                    [r.estimation for r in records],
+                    {"min_risk_in_class": min_risk, "statistic": "estimation_error"},
+                    keep_records)
 
 
 def success_frequency_at(records: Sequence[TrialRecord], min_risk: float, eps: float) -> float:
@@ -291,42 +312,23 @@ def verify_uniform_convergence(
     deviations next to the square-root prediction (None when the larger m's
     median deviation is 0).
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_harness(eps, delta, trials)
     members = StackedMembers(enumerate_class(H, budget=budget))
     risks, _ = member_risks(D, members, mc_n, seed, "uc-member-risk")
 
     summaries = []
     for m in m_values:
-        devs = np.empty(trials)  # sup over the class of |empirical error - true risk|
+        records = []
         for t in range(trials):
             S = draw_sample(D, m, seed.derive(f"uc-trial-m{m}", t))
-            devs[t] = np.max(np.abs(error_counts(members, S) / m - risks))
-        successes = int(np.count_nonzero(devs <= eps))
-        threshold = 1.0 - delta - VERDICT_SLACK
-        verdict, lower, upper = binomial_verdict(successes, trials, threshold)
-        records = tuple(
-            TrialRecord(trial=t, risk=None, estimation=None, empirical_error=None,
-                        success=bool(devs[t] <= eps), sup_deviation=float(devs[t]))
-            for t in range(trials)
-        ) if keep_records else None
-        summaries.append(ExperimentSummary(
-            kind="uniform_convergence",
-            config={
-                "class": H.to_json(), "distribution": D.to_json(),
-                "m": m, "eps": eps, "delta": delta, "trials": trials,
-                "master_seed": seed.master_seed,
-            },
-            trials=trials,
-            successes=successes,
-            threshold=threshold,
-            ci_lower=lower,
-            ci_upper=upper,
-            verdict=verdict,
-            stats=_stats(devs),
-            extra={"statistic": "sup_deviation", "n_hypotheses": len(members)},
-            records=records,
-        ))
+            # sup over the class of |empirical error - true risk|
+            dev = float(np.max(np.abs(error_counts(members, S) / m - risks)))
+            records.append(TrialRecord(trial=t, risk=None, estimation=None, empirical_error=None,
+                                       success=dev <= eps, sup_deviation=dev))
+        summaries.append(_summary("uniform_convergence", H, D, m, eps, delta, seed, records,
+                                  [r.sup_deviation for r in records],
+                                  {"statistic": "sup_deviation", "n_hypotheses": len(members)},
+                                  keep_records))
 
     scaling = []
     for a, b in itertools.pairwise(range(len(m_values))):
@@ -520,21 +522,18 @@ def tradeoff_sweep(
     each (class, m), pooled over master seeds, plus one penalized-selection
     row per m over the full sequence.
 
-    The penalized row reuses the per-class fits: its objective is the class's
-    empirical minimum plus the class penalty, with ties to the lower position,
-    which is exactly the penalized learner's selection rule.
+    Each trial labels every member of the sequence once; ``fit_sequence``
+    gives both the per-class fits and the penalized pick, as in ``srm``.
     """
     if trials < 1 or not master_seeds:
         raise ValueError("need at least one trial and one master seed")
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     n_classes = len(seq)
     dims = class_dims(seq, vc_dims)
-    members = [enumerate_class(cls, budget=budget) for cls in seq.classes]
-    member_risk = [member_risks(D, ms)[0] for ms in members]
-    approx = np.array([r.min() for r in member_risk])
-    # Every member of the sequence in one list, labelled once per sample;
-    # class c owns the slice ends[c]:ends[c + 1].
-    stacked = StackedMembers(itertools.chain.from_iterable(members))
-    ends = np.cumsum([0] + [len(ms) for ms in members])
+    stacked, ends = stack_sequence(seq, budget)
+    member_risk = member_risks(D, stacked)[0]
+    approx = np.array([member_risk[a:b].min() for a, b in zip(ends[:-1], ends[1:])])
 
     results = []
     for master in master_seeds:
@@ -544,19 +543,12 @@ def tradeoff_sweep(
             ])
             for t in range(trials):
                 S = draw_sample(D, m, SeedSpec(master).derive(f"tradeoff-m{m}", t))
-                all_counts = error_counts(stacked, S)
-                risks = np.empty(n_classes)
-                emp = np.empty(n_classes)
-                for c, rv in enumerate(member_risk):
-                    counts = all_counts[ends[c]:ends[c + 1]]
-                    fit = int(np.argmin(counts))  # the member erm would pick
-                    risks[c], emp[c] = rv[fit], counts[fit] / m
-                objectives = emp + pens
-                pick = int(np.argmin(objectives))  # first minimum: lower position wins ties
+                fits, errors, pick = fit_sequence(error_counts(stacked, S), ends, m, pens)
+                risks = member_risk[fits]
                 results.append({
                     "master_seed": master, "m": m, "trial": t,
                     "risks": risks,
-                    "pick": pick, "objective": float(objectives[pick]),
+                    "pick": pick, "objective": float(errors[pick] + pens[pick]),
                     "pick_risk": float(risks[pick]),
                 })
 

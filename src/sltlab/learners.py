@@ -8,7 +8,7 @@ output is reproducible bit for bit.
 
 from __future__ import annotations
 
-import math
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,6 +23,7 @@ from .core import (
     JsonFields,
     LabeledSample,
     LookupTable,
+    StackedMembers,
     WeightedClassSequence,
     enumerate_class,
     error_counts,
@@ -92,6 +93,26 @@ def class_dims(seq: WeightedClassSequence, vc_dims: tuple[int, ...] | None = Non
     return dims
 
 
+def stack_sequence(seq: WeightedClassSequence, budget: int) -> tuple[StackedMembers, np.ndarray]:
+    """Every member of seq in one StackedMembers, class by class in canonical
+    order, and the class ends: class c owns stacked[ends[c]:ends[c + 1]]."""
+    members = [enumerate_class(cls, budget=budget) for cls in seq.classes]
+    ends = np.cumsum([0] + [len(ms) for ms in members])
+    return StackedMembers(itertools.chain.from_iterable(members)), ends
+
+
+def fit_sequence(
+    counts: np.ndarray, ends: np.ndarray, m: int, penalties: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(fits, errors, pick) from the mismatch counts on m rows of a stacked
+    sequence: fits[c] is class c's first member with fewest mismatches (the
+    one erm picks) as a stacked index, errors[c] its empirical error, and
+    pick the first position (0-based) minimizing error plus penalty."""
+    fits = np.array([a + int(np.argmin(counts[a:b])) for a, b in zip(ends[:-1], ends[1:])])
+    errors = counts[fits] / m
+    return fits, errors, int(np.argmin(errors + np.asarray(penalties)))
+
+
 def srm(
     seq: WeightedClassSequence,
     S: LabeledSample,
@@ -104,32 +125,18 @@ def srm(
 
     Each class position n (1-based) contributes its best-fitting member at
     objective  L_S(h) + penalty(d_n, w_n) ; ties go to the lower position and
-    then to canonical order inside the class.  Dimensions come from
-    ``vc_dims`` when given, else from each class's ``vc_dim_hint``.
+    then to canonical order inside the class.  Every member of the sequence
+    is labelled on S once, and ``fit_sequence`` makes the pick.  Dimensions
+    come from ``vc_dims`` when given, else from each class's ``vc_dim_hint``.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if S.m == 0:
         raise ValueError("the sample must be nonempty")
     dims = class_dims(seq, vc_dims)
-    penalties = [
-        srm_penalty(d, w, delta, S.m, C=C) for d, w in zip(dims, seq.weights)
-    ]
-
-    best: LearnerOutput | None = None
-    best_obj = math.inf
-    for pos, (cls, pen) in enumerate(zip(seq.classes, penalties), start=1):
-        inner = erm(cls, S, budget=budget)
-        obj = inner.empirical_error + pen
-        if obj < best_obj:
-            best_obj = obj
-            best = LearnerOutput(
-                inner.hypothesis,
-                inner.empirical_error,
-                class_index=pos,
-                objective=obj,
-            )
-    assert best is not None
+    penalties = [srm_penalty(d, w, delta, S.m, C=C) for d, w in zip(dims, seq.weights)]
+    stacked, ends = stack_sequence(seq, budget)
+    fits, errors, pick = fit_sequence(error_counts(stacked, S), ends, S.m, penalties)
     config = {
         "C": C,
         "delta": delta,
@@ -138,7 +145,8 @@ def srm(
         "penalties": penalties,
     }
     return LearnerOutput(
-        best.hypothesis, best.empirical_error, best.class_index, best.objective, config
+        stacked[fits[pick]], float(errors[pick]), class_index=pick + 1,
+        objective=float(errors[pick] + penalties[pick]), penalty_config=config,
     )
 
 

@@ -79,6 +79,9 @@ class TestConfigValidation:
         monkeypatch.delenv("SLT_LAB_SEED")
         cfg = merge_config("nfl", None, None, {"m": 2})
         assert cfg["seed"] == 0
+        monkeypatch.setenv("SLT_LAB_SEED", "-1")
+        with pytest.raises(ConfigError, match=r"config\.seed: must lie in \[0, 2\^64\)"):
+            merge_config("nfl", None, None, {"m": 2})
 
     def test_every_preset_resolves(self):
         for name in preset_names():
@@ -215,6 +218,25 @@ class TestExitCodes:
          "pool: row 1 has 1 coordinates, expected 2"),
         (["vcdim", "--class", "intervals", "--pool", "[[0, 1], 2]"],
          "pool: row 1 has 1 coordinates, expected 2"),
+        (["pac", "--preset", "pac-thresholds", "--trials", "3", "--delta", "1.5"],
+         "delta must lie in (0, 1), got 1.5"),
+        (["uc", "--preset", "uc-thresholds-scaling", "--trials", "3", "--eps", "-1"],
+         "eps must be positive"),
+        (["uc", "--preset", "uc-thresholds-scaling", "--trials", "3", "--delta", "1.5"],
+         "delta must lie in (0, 1), got 1.5"),
+        (["tradeoff", "--preset", "tradeoff-nested-thresholds", "--trials", "2", "--delta", "1.5"],
+         "delta must lie in (0, 1), got 1.5"),
+        (["bounds", "--d", "1", "--eps", "0.1", "--delta", "0.05", "--C", "inf"],
+         "config.C: expected a finite number, got inf"),
+        (["bounds", "--d", "1", "--eps", "0.1", "--delta", "0.05", "--C", "nan"],
+         "config.C: expected a finite number, got nan"),
+        (["risk", "--dist", "uniform-threshold030-clean",
+          "--hypothesis", '{"kind": "threshold", "theta": NaN}'],
+         "threshold: theta: expected a finite number, got nan"),
+        (["erm", "--preset", "erm-thresholds-demo", "--seed", "-1"],
+         "config.seed: must lie in [0, 2^64), got -1"),
+        (["tradeoff", "--preset", "tradeoff-nested-thresholds", "--trials", "2",
+          "--seeds", f"0,{2 ** 64}"], f"config.seeds: must lie in [0, 2^64), got {2 ** 64}"),
     ])
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG
@@ -243,6 +265,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"config.{key}: expected a whole number" in captured.err
+
+    @pytest.mark.parametrize("argv, data, key", [
+        (["bounds", "--d", "1", "--eps", "0.1", "--delta", "0.05"], {"C": True}, "C"),
+        (["pac", "--preset", "pac-thresholds"], {"delta": float("inf")}, "delta"),
+        (["srm", "--preset", "srm-nested-thresholds-demo"], {"delta": float("nan")}, "delta"),
+    ])
+    def test_config_file_reals_must_be_finite_numbers(self, tmp_path, argv, data, key, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main(argv + ["--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config.{key}: expected a finite number" in captured.err
 
     def test_config_file_whole_floats_cast_to_int(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sltlab import core, jsonio
+from sltlab import core, jsonio, learners
 from sltlab.core import FiniteClass, LabeledSample, Threshold
 from sltlab.distributions import SeedSpec, draw_sample
 from sltlab.experiments import (
@@ -253,7 +253,7 @@ def enumerations(monkeypatch):
 class TestEnumeratesOncePerRun:
     def test_learnability(self, enumerations):
         verify_learnability(H, D, m=20, eps=0.1, delta=0.1, trials=30, seed=SeedSpec(1))
-        assert 1 <= len(enumerations) <= 2  # the trials' class and min_risk_in_class
+        assert enumerations == [H]
 
     def test_uniform_convergence(self, enumerations):
         verify_uniform_convergence(H, D, [20, 40], eps=0.1, delta=0.1, trials=30,
@@ -264,3 +264,17 @@ class TestEnumeratesOncePerRun:
         seq = SEQUENCES["nested-thresholds"]
         tradeoff_sweep(seq, D, m_values=[10, 20], trials=10, delta=0.1, master_seeds=[0, 1])
         assert enumerations == list(seq.classes)
+
+    def test_srm_labels_the_sequence_once(self, enumerations, monkeypatch):
+        seq = SEQUENCES["nested-thresholds"]
+        S = draw_sample(D, 50, SeedSpec(2))
+        calls = []
+
+        def counted(members, sample):
+            calls.append(len(members))
+            return core.error_counts(members, sample)
+
+        monkeypatch.setattr(learners, "error_counts", counted)
+        srm(seq, S, delta=0.1)
+        assert enumerations == list(seq.classes)
+        assert calls == [sum(c.size() for c in seq.classes)]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sltlab.core import (
@@ -66,6 +66,37 @@ def erm_cases(draw):
     return H, LabeledSample.from_pairs(pairs)
 
 
+def reference_srm(seq, S, delta, vc_dims):
+    """Each class's earliest minimizer, one class at a time; a later position
+    replaces the pick only at a strictly lower objective."""
+    best = None
+    for pos, (cls, w, d) in enumerate(zip(seq.classes, seq.weights, vc_dims), start=1):
+        h, count = reference_erm(cls, S)
+        err = count / S.m
+        obj = err + srm_penalty(d, w, delta, S.m)
+        if best is None or obj < best[3]:
+            best = (pos, h, err, obj)
+    return best
+
+
+@st.composite
+def srm_cases(draw):
+    """A class sequence over the lattice with the sample of one erm case.
+    Repeated classes with equal weights and dimensions tie across positions."""
+    classes, dims = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        if classes and draw(st.booleans()):
+            classes.append(classes[-1])
+            dims.append(dims[-1])
+        else:
+            classes.append(draw(erm_cases())[0])
+            dims.append(draw(st.integers(1, 3)))
+    S = draw(erm_cases())[1]
+    weights = None if draw(st.booleans()) else (1.0 / len(classes),) * len(classes)
+    seq = WeightedClassSequence(tuple(classes), weights)
+    return seq, S, draw(st.sampled_from([0.05, 0.1, 0.5])), tuple(dims)
+
+
 class TestErm:
     @settings(max_examples=300, deadline=None)
     @given(erm_cases())
@@ -125,7 +156,21 @@ class TestErm:
             assert out.empirical_error == empirical_error(out.hypothesis, S)
 
 
+TIED_GRID = GridSpec(((0.25, 0.5),))
+
+
 class TestSrm:
+    # the pinned example ties inside each class and across the two positions
+    @settings(max_examples=300, deadline=None)
+    @example((WeightedClassSequence((ThresholdClass(grid=TIED_GRID),) * 2, (0.5, 0.5)),
+              LabeledSample.from_pairs([(0.9, 1), (0.1, 0)]), 0.1, (1, 1)))
+    @given(srm_cases())
+    def test_matches_reference_srm(self, case):
+        seq, S, delta, dims = case
+        out = srm(seq, S, delta, vc_dims=dims)
+        assert (out.class_index, out.hypothesis, out.empirical_error, out.objective) == \
+            reference_srm(seq, S, delta, dims)
+
     def test_single_class_equals_erm(self):
         H = ThresholdClass(0.0, 1.0, ("ge",), resolution=21)
         seq = WeightedClassSequence((H,), (1.0,))

@@ -224,6 +224,18 @@ def test_explicit_grid_is_the_enumerated_grid():
     (LabeledSample.from_json, {"pairs": [[[0.5], 1, 0]]}, "sample: pairs: "),
     (class_from_json, {"family": "thresholds", "resolution": True},
      "thresholds: resolution: expected a whole number, got True"),
+    (class_from_json, {"family": "thresholds", "resolution": "5"},
+     "thresholds: resolution: expected a whole number, got '5'"),
+    (hypothesis_from_json, {"kind": "threshold", "theta": float("nan")},
+     "threshold: theta: expected a finite number, got nan"),
+    (hypothesis_from_json, {"kind": "threshold", "theta": True},
+     "threshold: theta: expected a finite number, got True"),
+    (hypothesis_from_json, {"kind": "threshold", "theta": "0.5"},
+     "threshold: theta: expected a finite number, got '0.5'"),
+    (class_from_json, {"family": "intervals", "lo": float("-inf")},
+     "intervals: lo: expected a finite number, got -inf"),
+    (DataDistribution.from_json, {**UNIT_DIST, "noise": True},
+     "distribution: noise: expected a finite number, got True"),
 ])
 def test_bad_input_names_tag_and_key(reader, data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
