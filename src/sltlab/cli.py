@@ -37,6 +37,7 @@ from .core import (
 from .distributions import AnalyticRiskUnavailable, SeedSpec, draw_sample, mc_risk, true_risk
 from .experiments import (
     DEFAULT_NFL_LEARNER,
+    check_distinct_sizes,
     nfl_exact,
     tradeoff_sweep,
     verify_learnability,
@@ -105,8 +106,11 @@ def _at_least_one(value) -> int:
     return n
 
 
-def _each_at_least_one(value) -> list[int]:
-    return [_at_least_one(v) for v in _int_list(value)]
+def _sample_sizes(value) -> list[int]:
+    """A list of pairwise distinct sample sizes, each at least 1."""
+    sizes = [_at_least_one(v) for v in _int_list(value)]
+    check_distinct_sizes(sizes)
+    return sizes
 
 
 def _seed(value) -> int:
@@ -161,13 +165,13 @@ _COMMAND_KEYS: dict[str, dict] = {
             "trials": (_at_least_one, REQUIRED), "mc_n": (_at_least_one, None),
             "budget": _BUDGET},
     "uc": {"class": (str, REQUIRED), "dist": (str, REQUIRED),
-           "m_values": (_each_at_least_one, REQUIRED), "eps": (_real, REQUIRED),
+           "m_values": (_sample_sizes, REQUIRED), "eps": (_real, REQUIRED),
            "delta": (_real, REQUIRED), "trials": (_at_least_one, REQUIRED),
            "mc_n": (_at_least_one, None), "budget": _BUDGET},
     "nfl": {"m": (_at_least_one, REQUIRED), "learner": (str, DEFAULT_NFL_LEARNER),
             "default_label": (_whole, DEFAULT_LABEL)},
     "tradeoff": {"sequence": (str, REQUIRED), "dist": (str, REQUIRED),
-                 "m_values": (_each_at_least_one, REQUIRED),
+                 "m_values": (_sample_sizes, REQUIRED),
                  "trials": (_at_least_one, REQUIRED),
                  "delta": (_real, REQUIRED), "C": (_real, DEFAULT_C),
                  "seeds": (_each_seed, None), "budget": _BUDGET},

@@ -162,6 +162,8 @@ def _json_cast(tp) -> Callable:
         return whole_number
     if tp is float:
         return real_number
+    if tp is str:
+        return _json_text
     return getattr(tp, "from_json", tp)
 
 
@@ -186,6 +188,12 @@ def real_number(v) -> float:
 def _json_list(v) -> list:
     if not isinstance(v, (list, tuple)):
         raise ValueError(f"expected a list, got {v!r}")
+    return v
+
+
+def _json_text(v) -> str:
+    if not isinstance(v, str):
+        raise ValueError(f"expected a string, got {v!r}")
     return v
 
 

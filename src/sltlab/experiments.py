@@ -167,6 +167,14 @@ def _check_harness(eps: float, delta: float, trials: int) -> None:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
+def check_distinct_sizes(m_values: Sequence[int]) -> None:
+    """Reject a sample size listed more than once: its results would be
+    pooled under one m."""
+    for i, m in enumerate(m_values):
+        if m in m_values[:i]:
+            raise ValueError(f"sample size {m} is listed more than once")
+
+
 def _summary(
     kind: str, H: HypothesisClass, D: DataDistribution, m: int, eps: float, delta: float,
     seed: SeedSpec, records: list[TrialRecord], statistic: list[float], extra: dict,
@@ -313,6 +321,7 @@ def verify_uniform_convergence(
     median deviation is 0).
     """
     _check_harness(eps, delta, trials)
+    check_distinct_sizes(m_values)
     members = StackedMembers(enumerate_class(H, budget=budget))
     risks, _ = member_risks(D, members, mc_n, seed, "uc-member-risk")
 
@@ -529,6 +538,7 @@ def tradeoff_sweep(
         raise ValueError("need at least one trial and one master seed")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_distinct_sizes(m_values)
     n_classes = len(seq)
     dims = class_dims(seq, vc_dims)
     stacked, ends = stack_sequence(seq, budget)

@@ -6,12 +6,21 @@ first size with no shattered subset (shattering is downward closed, so this
 is sound).  A grid can only under-approximate a continuous family, so pool
 and grid presets are tuned so the lower bounds are tight for the shipped
 families.
+
+Subsets are tested by packed codes.  A member's labels on a k-subset, read as
+a k-bit number with the subset's first point as the high bit, are its pattern
+code, so code order is lexicographic labeling order.  The subsets of one size
+are taken in ``itertools.combinations`` order, in blocks of at most
+``CODE_BLOCK_CELLS`` member x subset codes (a 256 KB intp matrix, at least
+one subset per block), and one ``np.bincount`` per block counts every code of
+every subset in it: a subset is shattered when all 2^k counts are non-zero.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +39,10 @@ DEFAULT_SUBSET_BUDGET = 2_000_000
 DEFAULT_SINE_BUDGET = 20_000
 MAX_SINE_POINTS = 8
 SINE_SEARCH_SEED = 0
+# At most this many member x subset pattern codes per block of the subset
+# search; a fixed constant, so the search adds little to the label matrix's
+# memory however large the class.
+CODE_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -128,10 +141,53 @@ def shatters(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> bool:
     """True iff every labeling of X is realized (trivially true for empty X)."""
-    pts = np.asarray(X, dtype=float)
-    if pts.size == 0:
+    if np.asarray(X, dtype=float).size == 0:
         return True
-    return len(restriction(H, X, budget=budget)) == 2 ** len(_points_matrix(X))
+    pts = _points_matrix(X)
+    members = enumerate_class(H, budget=budget)
+    # More labelings than members cannot all be realized; below this bound the
+    # pattern codes of the whole point set fit in an intp.
+    if 2 ** len(pts) > len(members):
+        return False
+    L = label_matrix(members, pts)
+    return _first_shattered(L, iter([tuple(range(len(pts)))]), len(pts))[1] is not None
+
+
+def _first_shattered(
+    L: np.ndarray,
+    combos: Iterator[tuple[int, ...]],
+    k: int,
+) -> tuple[int, tuple[int, ...] | None, np.ndarray | None]:
+    """The first k-subset in ``combos`` whose columns of the label matrix L
+    show all 2^k patterns.
+
+    Returns (subsets scanned, the subset, first) where first[code] is the
+    earliest member realizing the pattern with that code; the subset and
+    first are None when no subset in ``combos`` is shattered.
+    """
+    n_members = L.shape[0]
+    patterns = 1 << k
+    step = max(1, CODE_BLOCK_CELLS // n_members)
+    scanned = 0
+    while True:
+        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, step)),
+                            dtype=np.intp).reshape(-1, k)
+        if len(block) == 0:
+            return scanned, None, None
+        codes = np.zeros((n_members, len(block)), dtype=np.intp)
+        for j in range(k):
+            codes <<= 1
+            codes |= L[:, block[:, j]]
+        offsets = np.arange(len(block), dtype=np.intp) * patterns
+        counts = np.bincount((codes + offsets).ravel(), minlength=len(block) * patterns)
+        hits = np.flatnonzero(counts.reshape(len(block), patterns).all(axis=1))
+        if len(hits):
+            i = int(hits[0])
+            first = np.empty(patterns, dtype=np.intp)
+            # Written in reverse member order, so the earliest member wins.
+            first[codes[::-1, i]] = np.arange(n_members - 1, -1, -1)
+            return scanned + i + 1, tuple(int(c) for c in block[i]), first
+        scanned += len(block)
 
 
 def vc_dimension(
@@ -142,9 +198,12 @@ def vc_dimension(
 ) -> VcReport:
     """Largest size of a pool subset shattered by the enumerated class.
 
-    Searches subset sizes in increasing order and certifies the best witness.
-    If the subset budget runs out mid-search the reported value is a lower
-    bound and ``exact`` is false.
+    Searches subset sizes in increasing order, each size's subsets in
+    ``itertools.combinations`` order, by the packed-code blocks of the module
+    docstring: the first shattered subset of a size is its witness, and each
+    labeling's certificate is the earliest enumerated member realizing it.
+    At most ``subset_budget`` subsets are tested in all; if it cuts a size
+    short, the reported value is a lower bound and ``exact`` is false.
     """
     pts = _points_matrix(pool)
     if len(pts) == 0:
@@ -156,33 +215,25 @@ def vc_dimension(
     max_k = min(len(pts), int(math.floor(math.log2(len(members)))) if len(members) > 1 else 0)
 
     best_combo: tuple[int, ...] = ()
-    best_first: dict[tuple[int, ...], int] = {}
+    best_first = np.empty(0, dtype=np.intp)  # value 0 has an empty certificate
     tested = 0
     exact = True
 
-    k = 1
-    while k <= max_k:
-        found = None
-        for combo in itertools.combinations(range(len(pts)), k):
-            if tested >= subset_budget:
-                exact = False
-                break
-            tested += 1
-            sub = L[:, combo]
-            patterns, first_idx = np.unique(sub, axis=0, return_index=True)
-            if len(patterns) == 2 ** k:
-                found = (combo, {tuple(int(b) for b in p): int(i)
-                                 for p, i in zip(patterns, first_idx)})
-                break
-        if found is None:
+    for k in range(1, max_k + 1):
+        combos = itertools.islice(itertools.combinations(range(len(pts)), k),
+                                  max(0, subset_budget - tested))
+        scanned, combo, first = _first_shattered(L, combos, k)
+        tested += scanned
+        if combo is None:
+            exact = scanned == math.comb(len(pts), k)
             break
-        best_combo, best_first = found
-        k += 1
+        best_combo, best_first = combo, first
 
     witness = tuple(tuple(float(c) for c in pts[i]) for i in best_combo)
     certificate = tuple(
-        (Dichotomy(witness, labeling), members[hyp_idx])
-        for labeling, hyp_idx in sorted(best_first.items())
+        (Dichotomy(witness, labeling), members[int(hyp_idx)])
+        for labeling, hyp_idx in zip(itertools.product((0, 1), repeat=len(best_combo)),
+                                     best_first)
     )
     return VcReport(
         value=len(best_combo),

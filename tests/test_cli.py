@@ -237,6 +237,11 @@ class TestExitCodes:
          "config.seed: must lie in [0, 2^64), got -1"),
         (["tradeoff", "--preset", "tradeoff-nested-thresholds", "--trials", "2",
           "--seeds", f"0,{2 ** 64}"], f"config.seeds: must lie in [0, 2^64), got {2 ** 64}"),
+        (["uc", "--preset", "uc-thresholds-scaling", "--m-values", "20,40,20", "--trials", "2"],
+         "config.m_values: sample size 20 is listed more than once"),
+        (["tradeoff", "--preset", "tradeoff-nested-thresholds", "--m-values", "20,20",
+          "--trials", "2", "--seeds", "0"],
+         "config.m_values: sample size 20 is listed more than once"),
     ])
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG

@@ -111,6 +111,11 @@ class TestUniformConvergence:
         b = verify_uniform_convergence(H, D, **kwargs)
         assert jsonio.dumps(a.to_json()) == jsonio.dumps(b.to_json())
 
+    def test_repeated_m_rejected(self):
+        with pytest.raises(ValueError, match="sample size 40 is listed more than once"):
+            verify_uniform_convergence(H, D, [20, 40, 40], eps=0.1, delta=0.1, trials=2,
+                                       seed=SeedSpec(0))
+
     def test_sufficient_m_from_bound_bracket_passes(self):
         # upper bracket of the sample-size regime: representativeness freq >= 1 - delta
         from sltlab.bounds import BoundParams, sample_complexity
@@ -226,6 +231,11 @@ class TestTradeoffSweep:
         with pytest.raises(ValueError, match="vc_dims must match"):
             tradeoff_sweep(SEQUENCES["nested-thresholds"], D, m_values=[20], trials=2,
                            delta=0.1, master_seeds=[0], vc_dims=(1,))
+
+    def test_repeated_m_rejected(self):
+        with pytest.raises(ValueError, match="sample size 20 is listed more than once"):
+            tradeoff_sweep(SEQUENCES["nested-thresholds"], D, m_values=[20, 20], trials=2,
+                           delta=0.1, master_seeds=[0])
 
     def test_reproducible_across_workers(self):
         kwargs = dict(m_values=[20], trials=12, delta=0.1, master_seeds=[0, 1, 2])

@@ -236,6 +236,10 @@ def test_explicit_grid_is_the_enumerated_grid():
      "intervals: lo: expected a finite number, got -inf"),
     (DataDistribution.from_json, {**UNIT_DIST, "noise": True},
      "distribution: noise: expected a finite number, got True"),
+    (hypothesis_from_json, {"kind": "threshold", "theta": 0.5, "direction": ["ge"]},
+     "threshold: direction: expected a string, got ['ge']"),
+    (class_from_json, {"family": "thresholds", "directions": [1]},
+     "thresholds: directions: expected a string, got 1"),
 ])
 def test_bad_input_names_tag_and_key(reader, data, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -1,16 +1,21 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sltlab import jsonio
+from sltlab import jsonio, shattering
 from sltlab.core import (
     FiniteClass,
     GridSpec,
     LookupTable,
     SineSign,
     ThresholdClass,
+    enumerate_class,
+    label_matrix,
 )
 from sltlab.presets import CLASSES, POOLS
 from sltlab.shattering import (
@@ -139,6 +144,87 @@ class TestVcDimension:
         rep = vc_dimension(CLASSES["thresholds-both"], POOLS["thresholds-both"])
         assert rep.value == 2
         assert verify_certificate(rep)
+
+
+def reference_search(L: np.ndarray, subset_budget: int):
+    """The per-subset ``np.unique`` search that the packed codes replaced, on
+    a (members, points) label matrix: (value, exact, subsets tested, witness
+    indices, {labeling: earliest realizing member})."""
+    n_members, n_pts = L.shape
+    max_k = min(n_pts, int(math.floor(math.log2(n_members))) if n_members > 1 else 0)
+    best_combo, best_first, tested, exact = (), {}, 0, True
+    k = 1
+    while k <= max_k:
+        found = None
+        for combo in itertools.combinations(range(n_pts), k):
+            if tested >= subset_budget:
+                exact = False
+                break
+            tested += 1
+            patterns, first_idx = np.unique(L[:, combo], axis=0, return_index=True)
+            if len(patterns) == 2 ** k:
+                found = (combo, {tuple(int(b) for b in p): int(i)
+                                 for p, i in zip(patterns, first_idx)})
+                break
+        if found is None:
+            break
+        best_combo, best_first = found
+        k += 1
+    return len(best_combo), exact, tested, best_combo, best_first
+
+
+def assert_search_matches_reference(H, pool, L, subset_budget, per_block):
+    """vc_dimension, with blocks of ``per_block`` subsets, against the
+    reference search on the label matrix L of H's members on the pool."""
+    members = enumerate_class(H)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shattering, "CODE_BLOCK_CELLS", len(members) * per_block)
+        rep = vc_dimension(H, pool, subset_budget=subset_budget)
+    value, exact, tested, combo, first = reference_search(L, subset_budget)
+    assert (rep.value, rep.exact, rep.subsets_tested) == (value, exact, tested)
+    assert rep.witness == tuple(tuple(float(c) for c in pool[i]) for i in combo)
+    assert [(d.labeling, h) for d, h in rep.certificate] == [
+        (labeling, members[i]) for labeling, i in sorted(first.items())]
+    assert verify_certificate(rep)
+
+
+@st.composite
+def label_matrices(draw):
+    """A random 0/1 (members, points) matrix whose rows repeat, so that the
+    earliest realizing member is what the certificate must pick."""
+    n_pts = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=n_pts, max_size=n_pts),
+                         min_size=1, max_size=10))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=24))
+    return np.array([rows[i] for i in picks], dtype=np.uint8)
+
+
+class TestPackedSearchAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(label_matrices(), st.integers(-2, 70), st.integers(1, 7))
+    def test_random_label_matrices(self, L, subset_budget, per_block):
+        n_members, n_pts = L.shape
+        pool = np.arange(n_pts, dtype=float)[:, None]
+        # Hidden points outside the pool spell each member's index, so members
+        # with equal labels on the pool are still different hypotheses.
+        tags = max(1, (n_members - 1).bit_length())
+        domain = tuple((float(v),) for v in range(n_pts + tags))
+        members = tuple(
+            LookupTable(domain, tuple(int(b) for b in row) + tuple((i >> t) & 1 for t in range(tags)))
+            for i, row in enumerate(L))
+        assert_search_matches_reference(FiniteClass(members), pool, L, subset_budget, per_block)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["thresholds-both", "intervals", "rectangles2d", "halfspaces2d"]),
+           st.data(), st.integers(1, 400), st.integers(1, 7))
+    def test_random_pools_of_preset_classes(self, name, data, subset_budget, per_block):
+        H, full = CLASSES[name], POOLS[name]
+        rows = data.draw(st.lists(st.integers(0, len(full) - 1), min_size=1, max_size=8,
+                                  unique=True))
+        pool = full[rows]
+        L = label_matrix(enumerate_class(H), pool)
+        assert_search_matches_reference(H, pool, L, subset_budget, per_block)
+        assert shatters(H, pool) == (len(restriction(H, pool)) == 2 ** len(pool))
 
 
 class TestDichotomy:
