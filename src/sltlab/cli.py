@@ -193,7 +193,7 @@ _KEY_HELP = {
     "preset": "named run preset",
     "out": "output directory for JSON/CSV + manifest",
     "seed": f"master seed (fallback: ${SEED_ENV_VAR})",
-    "workers": "accepted for older configs; no effect, trials run serially",
+    "workers": "accepted for older configs; no effect, trials run in one thread",
     "records": "emit per-trial records",
     "class": "class preset name or inline JSON",
     "pool": "pool preset name or inline JSON point list",

@@ -27,7 +27,8 @@ import numpy as np
 
 DEFAULT_ENUMERATION_BUDGET = 500_000
 
-# Most label cells (members x sample rows) error_counts evaluates at once: a
+# Most label cells (members x trials x sample rows) trial_error_counts
+# evaluates at once, and so the trials per block of a Monte Carlo harness: a
 # 500-row sample takes every member of a default class in one block, while an
 # 80 000-row sample stays at about 1 MB per block.
 LABEL_BLOCK_CELLS = 1 << 20
@@ -596,24 +597,37 @@ def empirical_error_count(h: Hypothesis, S: LabeledSample) -> int:
 
 
 def error_counts(members: Sequence[Hypothesis], S: LabeledSample) -> np.ndarray:
-    """Mismatch count of each member on S, in member order.
+    """Mismatch count of each member on S, in member order: the one-row case
+    of ``trial_error_counts``."""
+    return trial_error_counts(members, S.X[None], S.y[None])[0]
 
-    Members are labelled as by ``label_matrix``, in blocks of at most
-    LABEL_BLOCK_CELLS label cells (at least one member per block), so memory
-    is bounded by one block, about 1 MB, whatever the class and sample sizes.
+
+def trial_error_counts(
+    members: Sequence[Hypothesis], X: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """(T, len(members)) mismatch counts of each member on each of T samples
+    of m pairs, given as (T, m, d) instances X and (T, m) 0/1 labels y.
+
+    All T * m points are labelled at once, as by ``label_matrix``, in blocks
+    of at most LABEL_BLOCK_CELLS label cells (at least one member per block),
+    so memory is bounded by one block, about 1 MB, whatever the sizes.
     """
+    T, m = y.shape
+    points = X.reshape(T * m, X.shape[-1])
+    flat_y = y.reshape(T * m)
     runs = _runs_of(members)
-    counts = np.empty(len(members), dtype=np.int64)
-    step = max(1, LABEL_BLOCK_CELLS // max(S.m, 1))
-    block = np.empty((min(step, len(members)), S.m), dtype=np.uint8)
-    # Labels are 0/1, so after the xor a row's sum is its mismatch count.  A
-    # uint32 sum is about twice as fast as count_nonzero along an axis, and
-    # m < 2^32 always holds (X alone would need 32 GB otherwise).
+    counts = np.empty((T, len(members)), dtype=np.int64)
+    step = max(1, LABEL_BLOCK_CELLS // max(T * m, 1))
+    block = np.empty((min(step, len(members)), T * m), dtype=np.uint8)
+    # Labels are 0/1, so after the xor a row segment's sum is its mismatch
+    # count.  A uint32 sum is about twice as fast as count_nonzero along an
+    # axis, and m < 2^32 always holds (X alone would need 32 GB otherwise).
     for start in range(0, len(members), step):
         rows = block[:min(step, len(members) - start)]
-        _fill_labels(rows, members, runs, S.X, start)
-        rows ^= S.y
-        counts[start:start + len(rows)] = rows.sum(axis=1, dtype=np.uint32)
+        _fill_labels(rows, members, runs, points, start)
+        rows ^= flat_y
+        counts[:, start:start + len(rows)] = rows.reshape(len(rows), T, m).sum(
+            axis=2, dtype=np.uint32).T
     return counts
 
 

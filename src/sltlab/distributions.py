@@ -5,7 +5,8 @@ hypothesis or an explicit conditional table on a finite support), and a
 symmetric label-flip noise rate below one half.  Sampling is i.i.d. and fully
 determined by a SeedSpec; per-trial generators are derived by hashing, so no
 generator state is ever shared between trials and any trial can be rebuilt
-on its own.
+on its own.  ``draw_block`` draws many such trials at once and labels them in
+one pass; ``draw_sample`` is its one-trial case.
 
 Exact risk is implemented where the disagreement region is cheap to measure:
 any finite-support marginal, interval-decomposable hypotheses on a 1-d
@@ -16,9 +17,11 @@ explicit, distinct code path.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -53,6 +56,7 @@ class AnalyticRiskUnavailable(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache
 def _stream_hash(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "little")
 
@@ -80,7 +84,7 @@ class SeedSpec:
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence([self.master_seed, _stream_hash(self.stream), self.trial])
-        return np.random.default_rng(seq)
+        return np.random.Generator(np.random.PCG64(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +120,22 @@ class UniformBox(Marginal):
         for lo, hi in self.bounds:
             if not (lo < hi):
                 raise ValueError(f"box side [{lo}, {hi}] must have positive length")
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"box side [{lo}, {hi}] must have finite length")
+        low = np.array([lo for lo, _ in self.bounds], dtype=float)
+        span = np.array([hi for _, hi in self.bounds], dtype=float) - low
+        low.flags.writeable = span.flags.writeable = False
+        object.__setattr__(self, "_low", low)
+        object.__setattr__(self, "_span", span)
 
     @property
     def dim(self) -> int:
         return len(self.bounds)
 
     def sample(self, rng, m):
-        lows = np.array([b[0] for b in self.bounds])
-        highs = np.array([b[1] for b in self.bounds])
-        return rng.uniform(lows, highs, size=(m, self.dim))
+        # The same doubles as rng.uniform(low, low + span, size=(m, dim)),
+        # without its per-call broadcasting and range checks.
+        return self._low + self._span * rng.random((m, self.dim))
 
 
 @dataclass(frozen=True)
@@ -284,24 +295,48 @@ def _labeler_from_json(data: dict) -> Hypothesis | ConditionalTable:
     return read_key(data, "table", ConditionalTable.from_json)
 
 
-def draw_sample(D: DataDistribution, m: int, seed: SeedSpec) -> LabeledSample:
-    """m i.i.d. pairs in draw order, fully determined by the seed.
+def draw_block(
+    D: DataDistribution, m: int, seeds: Sequence[SeedSpec]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(X, y) of shapes (T, m, dim) and (T, m): row t holds m i.i.d. pairs in
+    draw order, fully determined by seeds[t].
 
-    Generator call order is fixed: instances, then base labels (table
-    labelers only), then noise flips.
+    Each seed's generator is called in a fixed order: instances, then base
+    labels (table labelers only), then noise flips.  The whole block is then
+    labelled in one call and checked once for finite coordinates.
     """
     if m < 1:
         raise ValueError(f"sample size must be at least 1, got {m}")
-    rng = seed.generator()
-    X = D.marginal.sample(rng, m)
-    if isinstance(D.labeler, Hypothesis):
-        y = D.labeler.labels(X)
+    T = len(seeds)
+    table = not isinstance(D.labeler, Hypothesis)
+    X = np.empty((T, m, D.dim))
+    base = np.empty((T, m)) if table else None
+    flips = np.empty((T, m)) if D.noise > 0.0 else None
+    for t, seed in enumerate(seeds):
+        rng = seed.generator()
+        X[t] = D.marginal.sample(rng, m)
+        if base is not None:
+            base[t] = rng.random(m)
+        if flips is not None:
+            flips[t] = rng.random(m)
+    if not np.isfinite(X).all():
+        raise ValueError("sample instances must have finite coordinates")
+    points = X.reshape(T * m, D.dim)
+    if table:
+        y = (base.reshape(-1) < D.labeler.prob1(points)).astype(np.uint8)
     else:
-        y = (rng.random(m) < D.labeler.prob1(X)).astype(np.uint8)
-    if D.noise > 0.0:
-        flips = rng.random(m) < D.noise
-        y = np.where(flips, 1 - y, y).astype(np.uint8)
-    return LabeledSample(X, y)
+        y = D.labeler.labels(points).astype(np.uint8)
+    y = y.reshape(T, m)
+    if flips is not None:
+        y ^= flips < D.noise
+    return X, y
+
+
+def draw_sample(D: DataDistribution, m: int, seed: SeedSpec) -> LabeledSample:
+    """m i.i.d. pairs in draw order, fully determined by the seed: the
+    one-trial case of ``draw_block``."""
+    X, y = draw_block(D, m, [seed])
+    return LabeledSample(X[0], y[0])
 
 
 # ---------------------------------------------------------------------------

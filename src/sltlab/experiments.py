@@ -3,10 +3,12 @@ learnability of a class by its empirical-error minimizer, uniform convergence
 of empirical errors, the exact average-case failure of data-only learners on
 a tiny domain, and the approximation/estimation trade-off sweep.
 
-Trials run one after another in index order.  Each draws from its own
+Trials run in blocks, in index order.  Each trial draws from its own
 generator derived from (master seed, stream, trial index), so any single
-trial can be rebuilt on its own.  All aggregation happens over arrays laid
-out in trial order.
+trial can be rebuilt on its own; a block of trials is drawn, labelled and
+fitted in one pass, sized so that its member x trial x sample-row label cells
+fill at most LABEL_BLOCK_CELLS.  All aggregation happens over arrays laid out
+in trial order.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ import json
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .bounds import DEFAULT_C
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
+    LABEL_BLOCK_CELLS,
     FiniteClass,
     Hypothesis,
     HypothesisClass,
@@ -31,19 +34,18 @@ from .core import (
     StackedMembers,
     WeightedClassSequence,
     enumerate_class,
-    error_counts,
+    trial_error_counts,
 )
 from .distributions import (
     DataDistribution,
     SeedSpec,
-    draw_sample,
+    draw_block,
     exact_or_mc_risk,
     member_risks,
 )
 from .learners import (
     DEFAULT_LABEL,
     class_dims,
-    erm,
     fit_sequence,
     memorizer,
     srm_penalty,
@@ -58,16 +60,18 @@ def binomial_bounds(successes: int, trials: int, confidence: float = CONFIDENCE)
     """Exact one-sided Clopper-Pearson bounds on a binomial proportion."""
     if not (0 <= successes <= trials) or trials < 1:
         raise ValueError("need 0 <= successes <= trials with trials >= 1")
-    # Imported here, not with the module: scipy.stats takes about a second to
-    # import, and only the harness verdicts need it.
-    from scipy.stats import beta as _beta_dist
+    # The beta quantile beta.ppf(q, a, b) is betaincinv(a, b, q), bit for bit.
+    # It is imported here, from scipy.special: scipy itself takes about half a
+    # second to import and only the harness verdicts need it, and scipy.stats,
+    # which holds beta.ppf, would add about another half second and 45 MB.
+    from scipy.special import betaincinv
 
     alpha = 1.0 - confidence
     lower = 0.0 if successes == 0 else float(
-        _beta_dist.ppf(alpha, successes, trials - successes + 1)
+        betaincinv(successes, trials - successes + 1, alpha)
     )
     upper = 1.0 if successes == trials else float(
-        _beta_dist.ppf(confidence, successes + 1, trials - successes)
+        betaincinv(successes + 1, trials - successes, confidence)
     )
     return lower, upper
 
@@ -167,6 +171,14 @@ def _check_harness(eps: float, delta: float, trials: int) -> None:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
+def _trial_blocks(trials: int, n: int, m: int) -> Iterator[range]:
+    """Trial indices 0..trials-1 in order, in blocks of as many trials as
+    fit n members x m sample rows each into LABEL_BLOCK_CELLS (at least one)."""
+    step = max(1, LABEL_BLOCK_CELLS // max(n * m, 1))
+    for start in range(0, trials, step):
+        yield range(start, min(start + step, trials))
+
+
 def check_distinct_sizes(m_values: Sequence[int]) -> None:
     """Reject a sample size listed more than once: its results would be
     pooled under one m."""
@@ -229,17 +241,33 @@ def learnability_trial(
 ) -> TrialRecord:
     """One independent draw-train-evaluate step of the learnability harness;
     ``members``, if given, is H's enumeration, as ``erm`` takes it."""
-    S = draw_sample(D, m, seed.derive("pac-trial", trial))
-    out = erm(H, S, budget=budget, members=members)
-    risk, _ = exact_or_mc_risk(D, out.hypothesis, mc_n, seed, "pac-risk", trial)
-    return TrialRecord(
-        trial=trial,
-        risk=risk,
-        estimation=risk - min_risk,
-        empirical_error=out.empirical_error,
-        success=bool(risk <= min_risk + eps),
-        hypothesis=out.hypothesis.to_json(),
-    )
+    if members is None:
+        members = enumerate_class(H, budget=budget)
+    return _learnability_records(D, m, eps, seed, [trial], min_risk, mc_n, members)[0]
+
+
+def _learnability_records(
+    D: DataDistribution, m: int, eps: float, seed: SeedSpec, trials: Sequence[int],
+    min_risk: float, mc_n: int | None, members: Sequence[Hypothesis],
+) -> list[TrialRecord]:
+    """The learnability records of the given trials: one draw block, one
+    label pass, then per trial the first member with fewest mismatches (the
+    one ``erm`` picks) and its risk."""
+    X, y = draw_block(D, m, [seed.derive("pac-trial", t) for t in trials])
+    counts = trial_error_counts(members, X, y)
+    records = []
+    for t, i, errors in zip(trials, np.argmin(counts, axis=1).tolist(),
+                            counts.min(axis=1).tolist()):
+        risk, _ = exact_or_mc_risk(D, members[i], mc_n, seed, "pac-risk", t)
+        records.append(TrialRecord(
+            trial=t,
+            risk=risk,
+            estimation=risk - min_risk,
+            empirical_error=errors / m,
+            success=bool(risk <= min_risk + eps),
+            hypothesis=members[i].to_json(),
+        ))
+    return records
 
 
 def verify_learnability(
@@ -265,8 +293,8 @@ def verify_learnability(
     members = StackedMembers(enumerate_class(H, budget=budget))
     min_risk = float(member_risks(D, members, mc_n, seed, "min-risk-member")[0].min())
     records = [
-        learnability_trial(H, D, m, eps, seed, t, min_risk, mc_n=mc_n, members=members)
-        for t in range(trials)
+        r for block in _trial_blocks(trials, len(members), m)
+        for r in _learnability_records(D, m, eps, seed, block, min_risk, mc_n, members)
     ]
     return _summary("learnability", H, D, m, eps, delta, seed, records,
                     [r.estimation for r in records],
@@ -328,12 +356,13 @@ def verify_uniform_convergence(
     summaries = []
     for m in m_values:
         records = []
-        for t in range(trials):
-            S = draw_sample(D, m, seed.derive(f"uc-trial-m{m}", t))
-            # sup over the class of |empirical error - true risk|
-            dev = float(np.max(np.abs(error_counts(members, S) / m - risks)))
-            records.append(TrialRecord(trial=t, risk=None, estimation=None, empirical_error=None,
-                                       success=dev <= eps, sup_deviation=dev))
+        for block in _trial_blocks(trials, len(members), m):
+            X, y = draw_block(D, m, [seed.derive(f"uc-trial-m{m}", t) for t in block])
+            # per trial, the sup over the class of |empirical error - true risk|
+            devs = np.max(np.abs(trial_error_counts(members, X, y) / m - risks), axis=1)
+            records.extend(TrialRecord(trial=t, risk=None, estimation=None, empirical_error=None,
+                                       success=dev <= eps, sup_deviation=dev)
+                           for t, dev in zip(block, devs.tolist()))
         summaries.append(_summary("uniform_convergence", H, D, m, eps, delta, seed, records,
                                   [r.sup_deviation for r in records],
                                   {"statistic": "sup_deviation", "n_hypotheses": len(members)},
@@ -531,8 +560,9 @@ def tradeoff_sweep(
     each (class, m), pooled over master seeds, plus one penalized-selection
     row per m over the full sequence.
 
-    Each trial labels every member of the sequence once; ``fit_sequence``
-    gives both the per-class fits and the penalized pick, as in ``srm``.
+    Each block of trials labels every member of the sequence once per trial;
+    ``fit_sequence`` gives both the per-class fits and the penalized pick of
+    each trial, as in ``srm``.
     """
     if trials < 1 or not master_seeds:
         raise ValueError("need at least one trial and one master seed")
@@ -551,16 +581,18 @@ def tradeoff_sweep(
             pens = np.array([
                 srm_penalty(d, w, delta, m, C=C) for d, w in zip(dims, seq.weights)
             ])
-            for t in range(trials):
-                S = draw_sample(D, m, SeedSpec(master).derive(f"tradeoff-m{m}", t))
-                fits, errors, pick = fit_sequence(error_counts(stacked, S), ends, m, pens)
-                risks = member_risk[fits]
-                results.append({
-                    "master_seed": master, "m": m, "trial": t,
-                    "risks": risks,
-                    "pick": pick, "objective": float(errors[pick] + pens[pick]),
-                    "pick_risk": float(risks[pick]),
-                })
+            for block in _trial_blocks(trials, len(stacked), m):
+                X, y = draw_block(D, m, [SeedSpec(master).derive(f"tradeoff-m{m}", t)
+                                         for t in block])
+                fits, errors, picks = fit_sequence(trial_error_counts(stacked, X, y), ends, m,
+                                                   pens)
+                for t, risks, errs, pick in zip(block, member_risk[fits], errors, picks.tolist()):
+                    results.append({
+                        "master_seed": master, "m": m, "trial": t,
+                        "risks": risks,
+                        "pick": pick, "objective": float(errs[pick] + pens[pick]),
+                        "pick_risk": float(risks[pick]),
+                    })
 
     rows: list[dict] = []
     for m in m_values:

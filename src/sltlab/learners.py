@@ -103,14 +103,16 @@ def stack_sequence(seq: WeightedClassSequence, budget: int) -> tuple[StackedMemb
 
 def fit_sequence(
     counts: np.ndarray, ends: np.ndarray, m: int, penalties: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """(fits, errors, pick) from the mismatch counts on m rows of a stacked
-    sequence: fits[c] is class c's first member with fewest mismatches (the
-    one erm picks) as a stacked index, errors[c] its empirical error, and
-    pick the first position (0-based) minimizing error plus penalty."""
-    fits = np.array([a + int(np.argmin(counts[a:b])) for a, b in zip(ends[:-1], ends[1:])])
-    errors = counts[fits] / m
-    return fits, errors, int(np.argmin(errors + np.asarray(penalties)))
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fits, errors, pick) from the (..., N) mismatch counts of samples of m
+    rows on a stacked sequence, per sample (leading index): fits[..., c] is
+    class c's first member with fewest mismatches (the one erm picks) as a
+    stacked index, errors[..., c] its empirical error, and pick the first
+    position (0-based) minimizing error plus penalty."""
+    fits = np.stack([a + np.argmin(counts[..., a:b], axis=-1)
+                     for a, b in zip(ends[:-1], ends[1:])], axis=-1)
+    errors = np.take_along_axis(counts, fits, axis=-1) / m
+    return fits, errors, np.argmin(errors + np.asarray(penalties), axis=-1)
 
 
 def srm(
@@ -137,6 +139,7 @@ def srm(
     penalties = [srm_penalty(d, w, delta, S.m, C=C) for d, w in zip(dims, seq.weights)]
     stacked, ends = stack_sequence(seq, budget)
     fits, errors, pick = fit_sequence(error_counts(stacked, S), ends, S.m, penalties)
+    pick = int(pick)
     config = {
         "C": C,
         "delta": delta,

@@ -90,7 +90,7 @@ class TestConfigValidation:
             assert cfg["command"] == command
 
     def test_import_leaves_scipy_unloaded(self):
-        # scipy.stats costs about a second of start-up; only verdicts load it
+        # scipy costs about half a second of start-up; only verdicts load it
         src = os.path.dirname(os.path.dirname(sltlab.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         probe = ("import sys, sltlab.cli; "
@@ -98,6 +98,19 @@ class TestConfigValidation:
         done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                               capture_output=True, text=True)
         assert done.stdout.strip() == "[]"
+
+    def test_pac_run_leaves_scipy_stats_unloaded(self, tmp_path):
+        # The verdict's beta quantile comes from scipy.special; scipy.stats
+        # would add about half a second and 45 MB to every harness run.
+        src = os.path.dirname(os.path.dirname(sltlab.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = ("import sys, sltlab.cli; "
+                 "code = sltlab.cli.main(sys.argv[1:]); "
+                 "print(code, 'scipy.special' in sys.modules, 'scipy.stats' in sys.modules)")
+        argv = ["pac", "--preset", "pac-thresholds", "--trials", "30", "--out", str(tmp_path)]
+        done = subprocess.run([sys.executable, "-c", probe, *argv], env=env, check=True,
+                              capture_output=True, text=True)
+        assert done.stdout.splitlines()[-1] == "0 True False"
 
     @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
     def test_long_options_pinned(self, command, capsys):
@@ -242,6 +255,10 @@ class TestExitCodes:
         (["tradeoff", "--preset", "tradeoff-nested-thresholds", "--m-values", "20,20",
           "--trials", "2", "--seeds", "0"],
          "config.m_values: sample size 20 is listed more than once"),
+        (["erm", "--class", "thresholds", "--m", "10", "--dist",
+          '{"marginal": {"type": "uniform_box", "bounds": [[-1e308, 1e308]]}, '
+          '"labeler": {"hypothesis": {"kind": "threshold", "theta": 0.5}}}'],
+         "distribution: marginal: box side [-1e+308, 1e+308] must have finite length"),
     ])
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG

@@ -37,6 +37,7 @@ from sltlab.core import (
     hypothesis_from_json,
     label_matrix,
     predict,
+    trial_error_counts,
 )
 
 
@@ -190,6 +191,28 @@ class TestLabelMatrix:
             mp.setattr(core, "LABEL_BLOCK_CELLS", cells)
             counts = error_counts(members, S)
         assert counts.tolist() == [empirical_error_count(h, S) for h in members]
+
+    @settings(max_examples=100, deadline=None)
+    @given(members_and_points(), st.integers(1, 3), st.integers(1, 60), st.data())
+    def test_trial_error_counts_equal_per_trial_counts(self, case, trials, cells, data):
+        # Few cells split the members into blocks in the middle of the trial
+        # set; each row must still equal that trial's own counts.
+        members, X = case
+        m = len(X)
+        rows = st.lists(st.integers(0, m - 1), min_size=m, max_size=m)
+        XT = np.stack([X[data.draw(rows)] for _ in range(trials)])
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=trials * m,
+                                        max_size=trials * m)), dtype=np.uint8)
+        y = y.reshape(trials, m)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "LABEL_BLOCK_CELLS", cells)
+            counts = trial_error_counts(members, XT, y)
+            one_row = [error_counts(members, LabeledSample(XT[t], y[t])).tolist()
+                       for t in range(trials)]
+        expected = [[empirical_error_count(h, LabeledSample(XT[t], y[t])) for h in members]
+                    for t in range(trials)]
+        assert counts.shape == (trials, len(members))
+        assert counts.tolist() == one_row == expected
 
     def test_error_counts_across_blocks_of_a_large_sample(self):
         members = (enumerate_class(ThresholdClass(directions=("ge", "le"), resolution=3))

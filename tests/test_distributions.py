@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from sltlab.distributions import (
     PointMasses,
     SeedSpec,
     UniformBox,
+    draw_block,
     draw_sample,
     hoeffding_band,
     mc_risk,
@@ -98,6 +100,70 @@ class TestDrawSample:
         S = draw_sample(D, 20_000, SeedSpec(4))
         at0 = S.y[S.X[:, 0] == 0.0]
         assert abs(np.mean(at0) - 0.9) < 0.02
+
+
+def reference_draw(D, m, seed):
+    """(X, y) of one seed by the plain per-seed rule: default_rng, the box
+    through rng.uniform and the noise through np.where."""
+    stream = int.from_bytes(hashlib.sha256(seed.stream.encode()).digest()[:8], "little")
+    rng = np.random.default_rng(np.random.SeedSequence([seed.master_seed, stream, seed.trial]))
+    M = D.marginal
+    if isinstance(M, UniformBox):
+        X = rng.uniform([lo for lo, _ in M.bounds], [hi for _, hi in M.bounds], size=(m, M.dim))
+    elif isinstance(M, FiniteUniform):
+        X = np.asarray(M.points, dtype=float)[rng.integers(0, len(M.points), size=m)]
+    else:
+        X = np.asarray(M.points, dtype=float)[
+            rng.choice(len(M.points), size=m, p=np.asarray(M.probs))]
+    if isinstance(D.labeler, ConditionalTable):
+        y = (rng.random(m) < D.labeler.prob1(X)).astype(np.uint8)
+    else:
+        y = D.labeler.labels(X)
+    if D.noise > 0.0:
+        flips = rng.random(m) < D.noise
+        y = np.where(flips, 1 - y, y).astype(np.uint8)
+    return X, y
+
+
+LINE_POINTS = ((0.0,), (0.25,), (0.5,), (1.0,))
+BLOCK_CASES = {
+    "box-1d": (UNIT, Threshold(0.42)),
+    "box-2d": (UniformBox(((0.0, 1.0), (-2.0, 3.0))), Halfspace((1.0, -0.5), 0.1)),
+    "finite-uniform": (FiniteUniform(LINE_POINTS), Interval(0.2, 0.6)),
+    "point-masses": (PointMasses(LINE_POINTS, (0.1, 0.2, 0.3, 0.4)), Threshold(0.3, "le")),
+    "table": (FiniteUniform(LINE_POINTS), ConditionalTable(LINE_POINTS, (0.9, 0.2, 0.5, 0.0))),
+}
+
+
+class TestDrawBlock:
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_rows_equal_per_seed_draws(self, case, noise):
+        marginal, labeler = BLOCK_CASES[case]
+        D = DataDistribution(marginal, labeler, noise=noise)
+        seeds = [SeedSpec(17).derive("block", t) for t in (0, 1, 2, 5, 40)]
+        X, y = draw_block(D, 23, seeds)
+        assert X.shape == (5, 23, D.dim) and y.shape == (5, 23) and y.dtype == np.uint8
+        for t, seed in enumerate(seeds):
+            S = draw_sample(D, 23, seed)
+            rX, ry = reference_draw(D, 23, seed)
+            assert np.array_equal(X[t], rX) and np.array_equal(y[t], ry)
+            assert np.array_equal(S.X, rX) and np.array_equal(S.y, ry)
+
+    def test_non_finite_instances_rejected(self):
+        D = DataDistribution(FiniteUniform(((0.0,), (math.inf,))), Threshold(0.5))
+        with pytest.raises(ValueError, match="finite coordinates"):
+            draw_block(D, 50, [SeedSpec(0)])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_box_sample_equals_rng_uniform(self, dim):
+        rng = np.random.default_rng(dim)
+        for case in range(100):
+            lo = rng.normal(size=dim) * 10.0 ** rng.integers(-3, 6)
+            hi = lo + rng.random(dim) * 10.0 ** rng.integers(-3, 6) + 1e-9
+            box = UniformBox(tuple(zip(lo.tolist(), hi.tolist())))
+            expected = np.random.default_rng(case).uniform(lo, hi, size=(37, dim))
+            assert np.array_equal(box.sample(np.random.default_rng(case), 37), expected)
 
 
 class TestTrueRisk:

@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sltlab import core, jsonio, learners
-from sltlab.core import FiniteClass, LabeledSample, Threshold
-from sltlab.distributions import SeedSpec, draw_sample
+from sltlab import core, distributions, experiments, jsonio, learners
+from sltlab.core import FiniteClass, LabeledSample, Threshold, enumerate_class
+from sltlab.distributions import DataDistribution, FiniteUniform, SeedSpec, draw_sample
 from sltlab.experiments import (
     all_functions_class,
     binomial_bounds,
@@ -36,6 +36,20 @@ class TestBinomialVerdict:
         lower, upper = binomial_bounds(0, 50)
         assert lower == 0.0
         assert upper == pytest.approx(1 - 0.05 ** (1 / 50), rel=1e-12)
+
+    def test_bounds_equal_the_beta_quantile_bit_for_bit(self):
+        # Every trial count up to 80, and the preset counts: pac 2000, uc 500.
+        from scipy.stats import beta
+
+        alpha = 1.0 - experiments.CONFIDENCE
+        for n in [*range(1, 81), 150, 500, 2000]:
+            k = np.arange(n + 1)
+            lower = beta.ppf(alpha, k[1:], n - k[1:] + 1)
+            upper = beta.ppf(experiments.CONFIDENCE, k[:-1] + 1, n - k[:-1])
+            got = np.array([binomial_bounds(int(j), n) for j in k])
+            assert got[0, 0] == 0.0 and got[-1, 1] == 1.0
+            assert got[1:, 0].tolist() == lower.tolist()
+            assert got[:-1, 1].tolist() == upper.tolist()
 
     def test_three_verdicts(self):
         assert binomial_verdict(100, 100, 0.88)[0] == "pass"
@@ -242,6 +256,72 @@ class TestTradeoffSweep:
         a = tradeoff_sweep(SEQUENCES["nested-thresholds"], D, **kwargs)
         b = tradeoff_sweep(SEQUENCES["nested-thresholds"], D, **kwargs)
         assert jsonio.dumps(a.to_json()) == jsonio.dumps(b.to_json())
+
+
+# A finite support, so that many members tie on every sample and the harness
+# must pick the first of them, as per-trial ERM does.
+TIES = DataDistribution(FiniteUniform(tuple((i / 10,) for i in range(10))),
+                        Threshold(0.45), noise=0.2)
+
+
+@pytest.fixture(params=[1, 7, None], ids=["1-trial", "7-trials", "default"])
+def trials_per_block(request, monkeypatch):
+    """Runs the harnesses with blocks of this many trials (None: the default
+    block size) by setting LABEL_BLOCK_CELLS for a class of n members and
+    samples of m rows."""
+    def setup(n, m):
+        if request.param is not None:
+            monkeypatch.setattr(experiments, "LABEL_BLOCK_CELLS", request.param * n * m)
+    return setup
+
+
+class TestTrialBlocks:
+    def test_learnability_records_equal_per_trial_erm(self, trials_per_block):
+        m, n = 12, len(enumerate_class(H))
+        trials_per_block(n, m)
+        s = verify_learnability(H, TIES, m=m, eps=0.1, delta=0.1, trials=40,
+                                seed=SeedSpec(4), keep_records=True)
+        ties = 0
+        for r in s.records:
+            S = draw_sample(TIES, m, SeedSpec(4).derive("pac-trial", r.trial))
+            counts = core.error_counts(enumerate_class(H), S)
+            ties += int(np.sum(counts == counts.min()) > 1)
+            out = erm(H, S)
+            assert r.hypothesis == out.hypothesis.to_json()
+            assert r.empirical_error == out.empirical_error
+        assert [r.trial for r in s.records] == list(range(40))
+        assert ties == 40
+
+    def test_uc_records_equal_per_trial_deviations(self, trials_per_block):
+        m_values = [8, 20]
+        trials_per_block(len(enumerate_class(H)), m_values[0])
+        rep = verify_uniform_convergence(H, TIES, m_values, eps=0.2, delta=0.1, trials=30,
+                                         seed=SeedSpec(6), keep_records=True)
+        members = enumerate_class(H)
+        risks = np.array([distributions.true_risk(TIES, h) for h in members])
+        for m, summary in zip(m_values, rep.summaries):
+            assert [r.trial for r in summary.records] == list(range(30))
+            for r in summary.records:
+                S = draw_sample(TIES, m, SeedSpec(6).derive(f"uc-trial-m{m}", r.trial))
+                dev = float(np.max(np.abs(core.error_counts(members, S) / m - risks)))
+                assert r.sup_deviation == dev and r.success == (dev <= 0.2)
+
+    def test_tradeoff_records_equal_per_trial_srm(self, trials_per_block):
+        seq = SEQUENCES["nested-thresholds"]
+        trials_per_block(sum(c.size() for c in seq.classes), 15)
+        rep = tradeoff_sweep(seq, TIES, m_values=[15], trials=20, delta=0.1,
+                             master_seeds=[2, 3], C=2.0, keep_records=True)
+        assert [(r["master_seed"], r["trial"]) for r in rep.records] == [
+            (s, t) for s in (2, 3) for t in range(20)]
+        for rec in rep.records:
+            S = draw_sample(TIES, 15, SeedSpec(rec["master_seed"]).derive("tradeoff-m15",
+                                                                          rec["trial"]))
+            out = srm(seq, S, delta=0.1, C=2.0)
+            assert out.class_index == rec["srm_pick"]
+            assert out.objective == rec["srm_objective"]
+            for c, cls in enumerate(seq.classes, start=1):
+                fit = erm(cls, S).hypothesis
+                assert distributions.true_risk(TIES, fit) == rec[f"risk_class_{c}"]
 
 
 @pytest.fixture

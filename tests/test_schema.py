@@ -240,6 +240,13 @@ def test_explicit_grid_is_the_enumerated_grid():
      "threshold: direction: expected a string, got ['ge']"),
     (class_from_json, {"family": "thresholds", "directions": [1]},
      "thresholds: directions: expected a string, got 1"),
+    (DataDistribution.from_json,
+     {**UNIT_DIST, "marginal": {"type": "uniform_box", "bounds": [[-1e308, 1e308]]}},
+     "distribution: marginal: box side [-1e+308, 1e+308] must have finite length"),
+    (lambda bounds: UniformBox(bounds), ((0.0, float("inf")),),
+     "box side [0.0, inf] must have finite length"),
+    (lambda bounds: UniformBox(bounds), ((0.0, 1.0), (float("-inf"), 0.0)),
+     "box side [-inf, 0.0] must have finite length"),
 ])
 def test_bad_input_names_tag_and_key(reader, data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
