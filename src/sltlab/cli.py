@@ -37,6 +37,8 @@ from .core import (
 from .distributions import AnalyticRiskUnavailable, SeedSpec, draw_sample, mc_risk, true_risk
 from .experiments import (
     DEFAULT_NFL_LEARNER,
+    NFL_LEARNERS,
+    NFL_MAX_M,
     check_distinct_sizes,
     nfl_exact,
     tradeoff_sweep,
@@ -106,6 +108,26 @@ def _at_least_one(value) -> int:
     return n
 
 
+def _nfl_m(value) -> int:
+    m = _at_least_one(value)
+    if m > NFL_MAX_M:
+        raise ValueError(f"the exact enumeration is capped at m={NFL_MAX_M}, got {m}")
+    return m
+
+
+def _nfl_learner(value) -> str:
+    if value not in NFL_LEARNERS:
+        raise ValueError(f"unknown learner {value!r}; expected one of {NFL_LEARNERS}")
+    return value
+
+
+def _label(value) -> int:
+    label = _whole(value)
+    if label not in (0, 1):
+        raise ValueError(f"must be 0 or 1, got {label}")
+    return label
+
+
 def _sample_sizes(value) -> list[int]:
     """A list of pairwise distinct sample sizes, each at least 1."""
     sizes = [_at_least_one(v) for v in _int_list(value)]
@@ -168,8 +190,8 @@ _COMMAND_KEYS: dict[str, dict] = {
            "m_values": (_sample_sizes, REQUIRED), "eps": (_real, REQUIRED),
            "delta": (_real, REQUIRED), "trials": (_at_least_one, REQUIRED),
            "mc_n": (_at_least_one, None), "budget": _BUDGET},
-    "nfl": {"m": (_at_least_one, REQUIRED), "learner": (str, DEFAULT_NFL_LEARNER),
-            "default_label": (_whole, DEFAULT_LABEL)},
+    "nfl": {"m": (_nfl_m, REQUIRED), "learner": (_nfl_learner, DEFAULT_NFL_LEARNER),
+            "default_label": (_label, DEFAULT_LABEL)},
     "tradeoff": {"sequence": (str, REQUIRED), "dist": (str, REQUIRED),
                  "m_values": (_sample_sizes, REQUIRED),
                  "trials": (_at_least_one, REQUIRED),

@@ -229,14 +229,19 @@ class ConditionalTable(JsonFields):
         object.__setattr__(self, "_map", dict(zip(self.points, self.p1)))
 
     def prob1(self, X: np.ndarray) -> np.ndarray:
-        table = self._map
-        out = np.empty(len(X), dtype=float)
-        for i, row in enumerate(X):
-            key = tuple(row)
-            if key not in table:
-                raise ValueError(f"conditional table has no entry for instance {key}")
-            out[i] = table[key]
-        return out
+        """P(label=1 | x) per row of X; each distinct row is looked up once.
+
+        Rows are grouped by their bytes, so -0.0 and 0.0 form two groups that
+        both find the table's entry for 0.0, as a per-row lookup would."""
+        X = np.ascontiguousarray(X)
+        row_bytes = X.view(np.dtype((np.void, X.dtype.itemsize * X.shape[1]))).reshape(-1)
+        _, first, inverse = np.unique(row_bytes, return_index=True, return_inverse=True)
+        q = [self._map.get(tuple(X[i])) for i in first]
+        missing = np.array([v is None for v in q], dtype=bool)[inverse]
+        if missing.any():
+            key = tuple(X[np.argmax(missing)])
+            raise ValueError(f"conditional table has no entry for instance {key}")
+        return np.array(q, dtype=float)[inverse]
 
 
 @dataclass(frozen=True)

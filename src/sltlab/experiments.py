@@ -467,9 +467,14 @@ def nfl_exact(
     """Exact average expected risk of a data-only learner over every noiseless
     labeling of a uniform 2m-point domain.
 
-    Enumerates all 2^(2m) labeling functions and all (2m)^m ordered instance
-    tuples with exact rational weights.  Requires m <= 4 so the table above
-    stays enumerable.
+    The sum runs over all 2^(2m) labeling functions f and all (2m)^m equally
+    likely ordered instance tuples.  Both learners are noiseless and look only
+    at which points were seen with which label, not at their order or
+    repeats, so every tuple with the same set of distinct points s yields the
+    same predictions under f.  The sum is therefore taken over labelled point
+    sets: the learner runs once per labelling of each s, and each s is
+    weighted by the number of ordered tuples whose points are exactly s.
+    All arithmetic is in integers and exact fractions.  Requires m <= 4.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -490,20 +495,20 @@ def nfl_exact(
             [[(r >> j) & 1 for j in range(n)] for r in range(2 ** n)], dtype=np.uint8
         )
 
+    tuples = np.array(list(itertools.product(range(n), repeat=m)))
+    tuple_counts = np.bincount(np.bitwise_or.reduce(1 << tuples, axis=1), minlength=2 ** n)
+    fs = np.arange(2 ** n)
+    popcount = np.array([bin(v).count("1") for v in range(2 ** n)])
     # err_totals[f] = sum over instance tuples of |{j : prediction_j != f_j}|
-    err_totals = [0] * (2 ** n)
-    cache: dict[tuple, int] = {}
-    tuples = list(itertools.product(range(n), repeat=m))
-    for idx in tuples:
-        distinct = sorted(set(idx))
-        for assignment in itertools.product((0, 1), repeat=len(distinct)):
-            point_label = dict(zip(distinct, assignment))
-            labels = tuple(point_label[j] for j in idx)
-            pred = _prediction_mask(learner, domain, table_matrix, idx, labels, default_label)
-            cache[(idx, labels)] = pred
-        for f in range(2 ** n):
-            labels = tuple((f >> j) & 1 for j in idx)
-            err_totals[f] += bin(cache[(idx, labels)] ^ f).count("1")
+    err_totals = np.zeros(2 ** n, dtype=np.int64)
+    pred = np.zeros(2 ** n, dtype=np.int64)  # pred[f & s]: predictions after seeing f on s
+    for s in np.flatnonzero(tuple_counts):
+        points = tuple(j for j in range(n) if (s >> j) & 1)
+        for labels in itertools.product((0, 1), repeat=len(points)):
+            pred[sum(b << j for b, j in zip(labels, points))] = _prediction_mask(
+                learner, domain, table_matrix, points, labels, default_label)
+        err_totals += tuple_counts[s] * popcount[pred[fs & s] ^ fs]
+    err_totals = err_totals.tolist()
 
     denom = len(tuples) * n
     per_f = [Fraction(e, denom) for e in err_totals]

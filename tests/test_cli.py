@@ -259,6 +259,9 @@ class TestExitCodes:
           '{"marginal": {"type": "uniform_box", "bounds": [[-1e308, 1e308]]}, '
           '"labeler": {"hypothesis": {"kind": "threshold", "theta": 0.5}}}'],
          "distribution: marginal: box side [-1e+308, 1e+308] must have finite length"),
+        (["nfl", "--m", "5"], "config.m: the exact enumeration is capped at m=4, got 5"),
+        (["nfl", "--m", "2", "--learner", "oracle"], "config.learner: unknown learner 'oracle'"),
+        (["nfl", "--m", "2", "--default-label", "-1"], "config.default_label: must be 0 or 1"),
     ])
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG

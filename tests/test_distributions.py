@@ -321,3 +321,47 @@ class TestValidation:
 
         back = DataDistribution.from_json(json.loads(jsonio.dumps(D.to_json())))
         assert back == D
+
+
+def reference_prob1(table, X):
+    """The per-row dict lookup that ConditionalTable.prob1 replaces."""
+    out = np.empty(len(X), dtype=float)
+    for i, row in enumerate(X):
+        key = tuple(row)
+        if key not in table._map:
+            raise ValueError(f"conditional table has no entry for instance {key}")
+        out[i] = table._map[key]
+    return out
+
+
+class TestConditionalTableProb1:
+    TABLE = ConditionalTable(((0.0, 0.0), (0.0, 1.0), (1.0, 0.5), (-2.0, 3.0)),
+                             (0.9, 0.2, 0.5, 1.0 / 3.0))
+
+    def test_equals_the_per_row_lookup(self):
+        rng = np.random.default_rng(3)
+        points = np.array(self.TABLE.points + ((-0.0, -0.0), (-0.0, 1.0)))
+        for n in (0, 1, 7, 500):
+            X = points[rng.integers(0, len(points), size=n)]
+            got = self.TABLE.prob1(X)
+            assert got.tobytes() == reference_prob1(self.TABLE, X).tobytes()
+
+    def test_non_contiguous_and_integer_rows(self):
+        X = np.array([[0, 1], [0, 0], [0, 1]])
+        assert self.TABLE.prob1(X).tolist() == reference_prob1(self.TABLE, X).tolist()
+        Xf = np.array([[9.0, 0.0, 0.0], [9.0, 0.0, 1.0]])[:, 1:]
+        assert self.TABLE.prob1(Xf).tolist() == [0.9, 0.2]
+
+    @pytest.mark.parametrize("rows", [
+        [(0.0, 0.0), (5.0, 5.0), (1.0, 0.5), (4.0, 4.0)],
+        [(0.0, 1.0), (0.0, 1.0), (3.0, float("nan")), (-1.0, 0.0)],
+        [(float("nan"), 0.0), (float("nan"), 0.0)],
+    ])
+    def test_names_the_first_missing_row(self, rows):
+        # the first missing row in row order, not the smallest missing key
+        X = np.array(rows)
+        with pytest.raises(ValueError) as expected:
+            reference_prob1(self.TABLE, X)
+        with pytest.raises(ValueError) as got:
+            self.TABLE.prob1(X)
+        assert str(got.value) == str(expected.value)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import sys
 from fractions import Fraction
@@ -202,6 +203,92 @@ class TestNflExact:
                 out = erm(Hall, S)
                 expected = sum(int(v) << j for j, v in enumerate(out.hypothesis.labels(domain)))
                 assert mask == expected
+
+
+def reference_nfl(m, learner, default_label):
+    """The per-tuple NFL sum: one learner call per (ordered tuple, labeling of
+    the tuple), then a loop over every labeling function f."""
+    n = 2 * m
+    domain = np.arange(n, dtype=float)[:, None]
+    table_matrix = None
+    if learner == "erm_all_functions":
+        table_matrix = np.array(
+            [[(r >> j) & 1 for j in range(n)] for r in range(2 ** n)], dtype=np.uint8
+        )
+    err_totals = [0] * (2 ** n)
+    cache = {}
+    tuples = list(itertools.product(range(n), repeat=m))
+    for idx in tuples:
+        distinct = sorted(set(idx))
+        for assignment in itertools.product((0, 1), repeat=len(distinct)):
+            point_label = dict(zip(distinct, assignment))
+            labels = tuple(point_label[j] for j in idx)
+            pred = _prediction_mask(learner, domain, table_matrix, idx, labels, default_label)
+            cache[(idx, labels)] = pred
+        for f in range(2 ** n):
+            labels = tuple((f >> j) & 1 for j in idx)
+            err_totals[f] += bin(cache[(idx, labels)] ^ f).count("1")
+    denom = len(tuples) * n
+    per_f = [Fraction(e, denom) for e in err_totals]
+    worst_f = max(range(2 ** n), key=lambda f: (per_f[f], f))
+    best_f = min(range(2 ** n), key=lambda f: (per_f[f], f))
+
+    def bits(f):
+        return tuple((f >> j) & 1 for j in range(n))
+
+    return experiments.NflReport(
+        m=m, domain_size=n, learner=learner, default_label=default_label,
+        average=Fraction(sum(err_totals), denom * 2 ** n),
+        worst=per_f[worst_f], worst_labeling=bits(worst_f),
+        best=per_f[best_f], best_labeling=bits(best_f),
+    )
+
+
+NFL_CASES = [(learner, default_label) for learner in experiments.NFL_LEARNERS
+             for default_label in (0, 1)]
+
+
+class TestNflByLabelledPointSets:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("learner, default_label", NFL_CASES)
+    def test_equals_the_per_tuple_sum(self, m, learner, default_label):
+        assert nfl_exact(m, learner, default_label) == reference_nfl(m, learner, default_label)
+
+    # sha256 of jsonio.dumps(report.to_json()) at m = 4, as written by the
+    # per-tuple sum; every average is 2401/8192 and every worst is 2401/4096
+    M4_DIGESTS = {
+        ("memorizer", 0): "16d00febeff776915c60babc3e00e0829e3079533660c4a8e9d5143d82c80a9a",
+        ("memorizer", 1): "67a694a20653095a652fee5f009bed089efbeb6450de14eac12b9637a125c30a",
+        ("erm_all_functions", 0):
+            "aadbcebd7fd76fb595bff124567f11eed8351b9f91a6c069f8ab8042970b0133",
+        ("erm_all_functions", 1):
+            "2f7eb269ec5aaab845830761269643ebbd7ea4f756b81d7d9d86469270a55f81",
+    }
+
+    @pytest.mark.parametrize("learner, default_label", NFL_CASES)
+    def test_m4_report_bytes_pinned(self, learner, default_label):
+        report = nfl_exact(4, learner, default_label)
+        assert report.average == Fraction(2401, 8192)
+        assert report.worst == Fraction(2401, 4096)
+        text = jsonio.dumps(report.to_json())
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.M4_DIGESTS[(learner, default_label)]
+
+    @pytest.mark.parametrize("learner, default_label", NFL_CASES)
+    def test_predictions_depend_only_on_the_labelled_point_set(self, learner, default_label):
+        # exhaustive at m = 3: the tuple and its sorted distinct points agree
+        m, n = 3, 6
+        domain = np.arange(n, dtype=float)[:, None]
+        T = np.array([[(r >> j) & 1 for j in range(n)] for r in range(2 ** n)],
+                     dtype=np.uint8)
+        for idx in itertools.product(range(n), repeat=m):
+            distinct = tuple(sorted(set(idx)))
+            for bits in itertools.product((0, 1), repeat=len(distinct)):
+                point_label = dict(zip(distinct, bits))
+                labels = tuple(point_label[j] for j in idx)
+                on_tuple = _prediction_mask(learner, domain, T, idx, labels, default_label)
+                on_set = _prediction_mask(learner, domain, T, distinct, bits, default_label)
+                assert on_tuple == on_set
 
 
 class TestTradeoffSweep:
