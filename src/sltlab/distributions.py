@@ -3,10 +3,11 @@
 A distribution couples an instance marginal, a labeling mechanism (a target
 hypothesis or an explicit conditional table on a finite support), and a
 symmetric label-flip noise rate below one half.  Sampling is i.i.d. and fully
-determined by a SeedSpec; per-trial generators are derived by hashing, so no
-generator state is ever shared between trials and any trial can be rebuilt
-on its own.  ``draw_block`` draws many such trials at once and labels them in
-one pass; ``draw_sample`` is its one-trial case.
+determined by a SeedSpec: each trial's PCG64 state is derived by hashing its
+seed, and one bit generator is reset to that state before the trial is drawn,
+so no state carries over between trials and any trial can be rebuilt on its
+own.  ``draw_block`` draws many such trials at once and labels them in one
+pass; ``draw_sample`` is its one-trial case.
 
 Exact risk is implemented where the disagreement region is cheap to measure:
 any finite-support marginal, interval-decomposable hypotheses on a 1-d
@@ -19,9 +20,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -61,6 +63,83 @@ def _stream_hash(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "little")
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): the hash and mix
+# constants, XSHIFT and DEFAULT_POOL_SIZE.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT, _POOL = 16, 4
+# PCG64's multiplier, PCG_DEFAULT_MULTIPLIER_HIGH << 64 | PCG_DEFAULT_MULTIPLIER_LOW
+# (numpy/random/src/pcg64/pcg64.h).
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k < n: the constants of a SeedSequence
+    hash chain, whose step k xors with constant k and multiplies by k + 1."""
+    c = np.full(n, mult, dtype=np.uint32)
+    c[0] = init
+    return np.cumprod(c, dtype=np.uint32)
+
+
+def _pcg64_states(seeds: Sequence[tuple[int, int, int]]) -> list[tuple[int, int]]:
+    """(state, inc) of np.random.PCG64(np.random.SeedSequence(row)) for each
+    row (master_seed, stream hash, trial) of 64-bit ints, all rows at once."""
+    T = len(seeds)
+    # The entropy: each int as little-endian 32-bit words, its high word
+    # dropped when zero, so 3 to 6 words; zeros pad it to the pool size.
+    words = np.fromiter(itertools.chain.from_iterable(seeds), dtype="<u8", count=3 * T)
+    words = words.view("<u4").reshape(T, 6)
+    dropped = words == 0
+    dropped[:, 0::2] = False
+    shift = np.cumsum(dropped, axis=1)
+    n_words = 6 - shift[:, -1:]
+    dest = np.arange(6) - shift
+    dest[dropped] = 6  # a spare column takes the dropped words
+    entropy = np.zeros((T, 7), dtype=np.uint32)
+    entropy[np.arange(T)[:, None], dest] = words
+    a = _hash_constants(_INIT_A, _MULT_A, 25)
+
+    def hashmix(x, k, n):  # hash steps k..k+n-1, one per column
+        x = x ^ a[k:k + n]
+        x *= a[k + 1:k + n + 1]
+        x ^= x >> _XSHIFT
+        return x
+
+    def mix(x, y):
+        x = x * _MIX_MULT_L
+        x -= y * _MIX_MULT_R
+        x ^= x >> _XSHIFT
+        return x
+
+    # mix_entropy: hash the first pool-size words into the pool, mix each
+    # pool word into every other, then mix in each word past the pool.
+    pool = hashmix(entropy[:, :_POOL], 0, _POOL)
+    k = _POOL
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src:src + 1], k, _POOL - 1))
+        k += _POOL - 1
+    for src in range(_POOL, int(n_words.max(initial=0))):
+        pool = np.where(n_words > src, mix(pool, hashmix(entropy[:, src:src + 1], k, _POOL)),
+                        pool)
+        k += _POOL
+    # generate_state(4, np.uint64): the cycled pool hashed into eight words,
+    # read as little-endian 64-bit (seed high, seed low, inc high, inc low).
+    b = _hash_constants(_INIT_B, _MULT_B, 9)
+    out = pool[:, [0, 1, 2, 3, 0, 1, 2, 3]] ^ b[:8]
+    out *= b[1:]
+    out ^= out >> _XSHIFT
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in np.ascontiguousarray(out, dtype="<u4").view("<u8").tolist():
+        # pcg64_set_seed: srandom, i.e. two LCG steps from state 0 with the
+        # seed added in between.
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Master seed plus a named sub-stream and trial index.
@@ -78,13 +157,27 @@ class SeedSpec:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
         if self.trial < 0:
             raise ValueError("trial index must be nonnegative")
+        if self.trial >= 2 ** 64:
+            raise ValueError("trial index must be a 64-bit unsigned integer")
 
     def derive(self, stream: str, trial: int = 0) -> "SeedSpec":
         return SeedSpec(self.master_seed, stream, trial)
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence([self.master_seed, _stream_hash(self.stream), self.trial])
-        return np.random.Generator(np.random.PCG64(seq))
+        """The draws of np.random.default_rng(np.random.SeedSequence(
+        [master_seed, stream hash, trial]))."""
+        return next(_generators([self]))
+
+
+def _generators(seeds: Sequence[SeedSpec]) -> Iterator[np.random.Generator]:
+    """One generator, reset in turn to each seed's PCG64 state."""
+    bit_gen = np.random.PCG64(0)  # its state is replaced before any draw
+    rng = np.random.Generator(bit_gen)
+    for state, inc in _pcg64_states([(s.master_seed, _stream_hash(s.stream), s.trial)
+                                     for s in seeds]):
+        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +193,8 @@ class Marginal(JsonFields):
     def dim(self) -> int:
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill the (m, dim) rows of out with m i.i.d. instances."""
         raise NotImplementedError
 
     def support(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -132,10 +226,12 @@ class UniformBox(Marginal):
     def dim(self) -> int:
         return len(self.bounds)
 
-    def sample(self, rng, m):
+    def sample(self, rng, out):
         # The same doubles as rng.uniform(low, low + span, size=(m, dim)),
         # without its per-call broadcasting and range checks.
-        return self._low + self._span * rng.random((m, self.dim))
+        rng.random(out=out)
+        out *= self._span
+        out += self._low
 
 
 @dataclass(frozen=True)
@@ -158,9 +254,9 @@ class FiniteUniform(Marginal):
     def dim(self) -> int:
         return len(self.points[0])
 
-    def sample(self, rng, m):
-        idx = rng.integers(0, len(self.points), size=m)
-        return np.asarray(self.points, dtype=float)[idx]
+    def sample(self, rng, out):
+        out[:] = np.asarray(self.points, dtype=float)[
+            rng.integers(0, len(self.points), size=len(out))]
 
     def support(self):
         n = len(self.points)
@@ -194,9 +290,9 @@ class PointMasses(Marginal):
     def dim(self) -> int:
         return len(self.points[0])
 
-    def sample(self, rng, m):
-        idx = rng.choice(len(self.points), size=m, p=np.asarray(self.probs))
-        return np.asarray(self.points, dtype=float)[idx]
+    def sample(self, rng, out):
+        out[:] = np.asarray(self.points, dtype=float)[
+            rng.choice(len(self.points), size=len(out), p=np.asarray(self.probs))]
 
     def support(self):
         return np.asarray(self.points, dtype=float), np.asarray(self.probs, dtype=float)
@@ -306,8 +402,8 @@ def draw_block(
     """(X, y) of shapes (T, m, dim) and (T, m): row t holds m i.i.d. pairs in
     draw order, fully determined by seeds[t].
 
-    Each seed's generator is called in a fixed order: instances, then base
-    labels (table labelers only), then noise flips.  The whole block is then
+    One generator is reset to each seed's state in turn and called in a fixed
+    order: instances, then base labels (table labelers only), then noise flips.  The whole block is then
     labelled in one call and checked once for finite coordinates.
     """
     if m < 1:
@@ -317,13 +413,12 @@ def draw_block(
     X = np.empty((T, m, D.dim))
     base = np.empty((T, m)) if table else None
     flips = np.empty((T, m)) if D.noise > 0.0 else None
-    for t, seed in enumerate(seeds):
-        rng = seed.generator()
-        X[t] = D.marginal.sample(rng, m)
+    for t, rng in enumerate(_generators(seeds)):
+        D.marginal.sample(rng, X[t])
         if base is not None:
-            base[t] = rng.random(m)
+            rng.random(out=base[t])
         if flips is not None:
-            flips[t] = rng.random(m)
+            rng.random(out=flips[t])
     if not np.isfinite(X).all():
         raise ValueError("sample instances must have finite coordinates")
     points = X.reshape(T * m, D.dim)

@@ -29,7 +29,6 @@ from .core import (
     FiniteClass,
     Hypothesis,
     HypothesisClass,
-    LabeledSample,
     LookupTable,
     StackedMembers,
     WeightedClassSequence,
@@ -47,7 +46,6 @@ from .learners import (
     DEFAULT_LABEL,
     class_dims,
     fit_sequence,
-    memorizer,
     srm_penalty,
     stack_sequence,
 )
@@ -454,10 +452,13 @@ def _prediction_mask(
         errs = (table_matrix[:, list(idx)] != y).sum(axis=1)
         return int(np.argmin(errs))
     if learner == "memorizer":
-        S = LabeledSample(domain[list(idx)], np.asarray(labels, dtype=np.uint8))
-        h = memorizer(S, default=default_label)
-        bits = h.labels(domain)
-        return int(sum(int(b) << j for j, b in enumerate(bits)))
+        # Each seen point's label (the labels are noiseless, so repeats agree),
+        # default_label at every unseen point.
+        seen = ones = 0
+        for j, b in zip(idx, labels):
+            seen |= 1 << j
+            ones |= b << j
+        return ones | (((1 << n) - 1) ^ seen if default_label else 0)
     raise ValueError(f"unknown learner {learner!r}; expected one of {NFL_LEARNERS}")
 
 
@@ -582,13 +583,13 @@ def tradeoff_sweep(
 
     results = []
     for master in master_seeds:
+        spec = SeedSpec(master)
         for m in m_values:
             pens = np.array([
                 srm_penalty(d, w, delta, m, C=C) for d, w in zip(dims, seq.weights)
             ])
             for block in _trial_blocks(trials, len(stacked), m):
-                X, y = draw_block(D, m, [SeedSpec(master).derive(f"tradeoff-m{m}", t)
-                                         for t in block])
+                X, y = draw_block(D, m, [spec.derive(f"tradeoff-m{m}", t) for t in block])
                 fits, errors, picks = fit_sequence(trial_error_counts(stacked, X, y), ends, m,
                                                    pens)
                 for t, risks, errs, pick in zip(block, member_risk[fits], errors, picks.tolist()):

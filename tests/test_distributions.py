@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sltlab import jsonio
 from sltlab.core import (
@@ -25,6 +27,7 @@ from sltlab.distributions import (
     PointMasses,
     SeedSpec,
     UniformBox,
+    _pcg64_states,
     draw_block,
     draw_sample,
     hoeffding_band,
@@ -34,6 +37,13 @@ from sltlab.distributions import (
 )
 
 UNIT = UniformBox(((0.0, 1.0),))
+U64 = 2 ** 64
+
+
+# 0, one 32-bit word, two words, and the edges between: the SeedSequence
+# entropy of a row (master, stream hash, trial) is 3 to 6 words long
+SEED_INTS = st.one_of(st.sampled_from([0, 1, 2 ** 32 - 1, 2 ** 32, U64 - 1]),
+                      st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, U64 - 1))
 
 
 class TestSeedSpec:
@@ -55,6 +65,37 @@ class TestSeedSpec:
             SeedSpec(-1)
         with pytest.raises(ValueError, match="64-bit"):
             SeedSpec(2 ** 64)
+
+    def test_trial_range_checked(self):
+        with pytest.raises(ValueError, match="64-bit"):
+            SeedSpec(0, "s", U64)
+        with pytest.raises(ValueError, match="64-bit"):
+            SeedSpec(0).derive("s", U64)
+        assert SeedSpec(0, "s", U64 - 1).trial == U64 - 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(SEED_INTS, SEED_INTS, SEED_INTS), min_size=1, max_size=8))
+    @example([(0, 0, 0), (5, 2 ** 40, 0), (2 ** 40, 2 ** 40, 0), (2 ** 40, 2 ** 40, 2 ** 40)])
+    def test_block_states_equal_numpy_seeding(self, rows):
+        # the example block holds rows of 3, 4, 5 and 6 entropy words
+        expected = []
+        for row in rows:
+            state = np.random.PCG64(np.random.SeedSequence(list(row))).state["state"]
+            expected.append((state["state"], state["inc"]))
+        assert _pcg64_states(rows) == expected
+
+    @pytest.mark.parametrize("seed", [
+        SeedSpec(0), SeedSpec(99, "stream", 3), SeedSpec(2 ** 40 + 1, "x", 2 ** 33),
+        SeedSpec(U64 - 1, "pac-trial", U64 - 1),
+    ])
+    def test_generator_draws_equal_numpy_seeding(self, seed):
+        stream = int.from_bytes(hashlib.sha256(seed.stream.encode()).digest()[:8], "little")
+        ref = np.random.default_rng(np.random.SeedSequence([seed.master_seed, stream, seed.trial]))
+        got = seed.generator()
+        assert got.random(5).tolist() == ref.random(5).tolist()
+        assert got.integers(0, 1000, size=7).tolist() == ref.integers(0, 1000, size=7).tolist()
+        p = [0.1, 0.2, 0.3, 0.4]
+        assert got.choice(4, size=9, p=p).tolist() == ref.choice(4, size=9, p=p).tolist()
 
 
 class TestDrawSample:
@@ -150,6 +191,18 @@ class TestDrawBlock:
             assert np.array_equal(X[t], rX) and np.array_equal(y[t], ry)
             assert np.array_equal(S.X, rX) and np.array_equal(S.y, ry)
 
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_rows_equal_per_seed_draws_across_masters_and_streams(self, case):
+        marginal, labeler = BLOCK_CASES[case]
+        D = DataDistribution(marginal, labeler, noise=0.3)
+        seeds = [SeedSpec(17, "block", 2), SeedSpec(2 ** 40 + 3, "other", 2 ** 33),
+                 SeedSpec(0, "block", 0), SeedSpec(U64 - 1, "pac-trial", U64 - 1),
+                 SeedSpec(17, "other", 2)]
+        X, y = draw_block(D, 23, seeds)
+        for t, seed in enumerate(seeds):
+            rX, ry = reference_draw(D, 23, seed)
+            assert np.array_equal(X[t], rX) and np.array_equal(y[t], ry)
+
     def test_non_finite_instances_rejected(self):
         D = DataDistribution(FiniteUniform(((0.0,), (math.inf,))), Threshold(0.5))
         with pytest.raises(ValueError, match="finite coordinates"):
@@ -163,7 +216,9 @@ class TestDrawBlock:
             hi = lo + rng.random(dim) * 10.0 ** rng.integers(-3, 6) + 1e-9
             box = UniformBox(tuple(zip(lo.tolist(), hi.tolist())))
             expected = np.random.default_rng(case).uniform(lo, hi, size=(37, dim))
-            assert np.array_equal(box.sample(np.random.default_rng(case), 37), expected)
+            out = np.empty((37, dim))
+            box.sample(np.random.default_rng(case), out)
+            assert np.array_equal(out, expected)
 
 
 class TestTrueRisk:

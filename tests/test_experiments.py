@@ -290,6 +290,22 @@ class TestNflByLabelledPointSets:
                 on_set = _prediction_mask(learner, domain, T, distinct, bits, default_label)
                 assert on_tuple == on_set
 
+    @pytest.mark.parametrize("default_label", [0, 1])
+    def test_memorizer_mask_equals_the_fitted_lookup_table(self, default_label):
+        # every labelled point set at m = 3 (up to 3 of 6 points), against
+        # packing learners.memorizer(...).labels(domain)
+        m, n = 3, 6
+        domain = np.arange(n, dtype=float)[:, None]
+        for size in range(1, m + 1):
+            for points in itertools.combinations(range(n), size):
+                for labels in itertools.product((0, 1), repeat=size):
+                    S = LabeledSample(domain[list(points)], np.asarray(labels, dtype=np.uint8))
+                    bits = learners.memorizer(S, default=default_label).labels(domain)
+                    expected = int(sum(int(b) << j for j, b in enumerate(bits)))
+                    got = _prediction_mask("memorizer", domain, None, points, labels,
+                                           default_label)
+                    assert got == expected
+
 
 class TestTradeoffSweep:
     def test_approximation_constant_in_m(self):
