@@ -112,6 +112,12 @@ class JsonFields:
     json_tag_key: ClassVar[str | None] = None
     json_names: ClassVar[dict[str, str]] = {}
 
+    def _check_dim(self, dim: int, key: str) -> None:
+        """Reject the zero-dimensional instance space that field key gives."""
+        if dim < 1:
+            raise ValueError(f"{getattr(self, self.json_tag_key)}: {key}: "
+                             f"instance dimension must be at least 1, got {dim}")
+
     def to_json(self) -> dict:
         out = {self.json_tag_key: getattr(self, self.json_tag_key)} if self.json_tag_key else {}
         for name, key, _, default in _json_schema(type(self)):
@@ -224,8 +230,12 @@ def from_tagged(data, tag_key: str, types_by_tag: dict, what: str):
 class Hypothesis(JsonFields):
     """A total, deterministic binary labeling rule on d-dimensional instances.
 
-    Subclasses implement ``labels`` (vectorized over an (n, d) matrix) and
-    expose ``dim``.  Equal inputs always give equal labels.
+    Subclasses expose ``dim`` and declare their rule once, for a stack of
+    members: ``_stack_row()`` gives a stacking key and a float parameter row;
+    ``_label_stack(out, P, X)``, called on one member, writes into the (k, n)
+    bool array out the labels on the (n, dim) matrix X of the k members of its
+    exact type and key whose rows form P.  ``labels`` is that rule on a
+    one-member stack.  Equal inputs always give equal labels.
     """
 
     json_tag_key = "kind"
@@ -237,11 +247,18 @@ class Hypothesis(JsonFields):
 
     def labels(self, X: np.ndarray) -> np.ndarray:
         """Labels in {0, 1} for each row of an (n, dim) matrix."""
-        raise NotImplementedError
+        return label_matrix((self,), X)[0]
 
     def describe(self) -> str:
         """Compact one-line description for tables and logs."""
         return repr(self)
+
+
+def _in_closed(x: np.ndarray, P: np.ndarray, j: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(k, n) bool: P[i, j] <= x <= P[i, j + 1] for each row i of P and point x."""
+    out = np.greater_equal(x, P[:, j:j + 1], out=out)
+    out &= x <= P[:, j + 1:j + 2]
+    return out
 
 
 @dataclass(frozen=True)
@@ -261,11 +278,11 @@ class Threshold(Hypothesis):
     def dim(self) -> int:
         return 1
 
-    def labels(self, X: np.ndarray) -> np.ndarray:
-        X = _check_matrix(X, 1, "threshold hypothesis")
-        if self.direction == "ge":
-            return (X[:, 0] >= self.theta).astype(np.uint8)
-        return (X[:, 0] <= self.theta).astype(np.uint8)
+    def _stack_row(self):
+        return self.direction, (self.theta,)
+
+    def _label_stack(self, out, P, X):
+        (np.greater_equal if self.direction == "ge" else np.less_equal)(X[:, 0], P, out=out)
 
     def describe(self) -> str:
         op = ">=" if self.direction == "ge" else "<="
@@ -289,10 +306,11 @@ class Interval(Hypothesis):
     def dim(self) -> int:
         return 1
 
-    def labels(self, X: np.ndarray) -> np.ndarray:
-        X = _check_matrix(X, 1, "interval hypothesis")
-        x = X[:, 0]
-        return ((x >= self.lo) & (x <= self.hi)).astype(np.uint8)
+    def _stack_row(self):
+        return None, (self.lo, self.hi)
+
+    def _label_stack(self, out, P, X):
+        _in_closed(X[:, 0], P, 0, out)
 
     def describe(self) -> str:
         return f"1[{self.lo:g} <= x <= {self.hi:g}]"
@@ -319,13 +337,13 @@ class IntervalUnion(Hypothesis):
     def dim(self) -> int:
         return 1
 
-    def labels(self, X: np.ndarray) -> np.ndarray:
-        X = _check_matrix(X, 1, "interval-union hypothesis")
-        x = X[:, 0]
-        out = np.zeros(len(x), dtype=np.uint8)
-        for lo, hi in self.intervals:
-            out |= ((x >= lo) & (x <= hi)).astype(np.uint8)
-        return out
+    def _stack_row(self):
+        return len(self.intervals), sum(self.intervals, ())
+
+    def _label_stack(self, out, P, X):
+        out[:] = False
+        for j in range(0, P.shape[1], 2):
+            out |= _in_closed(X[:, 0], P, j)
 
     def describe(self) -> str:
         parts = " u ".join(f"[{lo:g},{hi:g}]" for lo, hi in self.intervals)
@@ -341,6 +359,7 @@ class Rectangle(Hypothesis):
     kind = "rectangle"
 
     def __post_init__(self):
+        self._check_dim(self.dim, "bounds")
         for lo, hi in self.bounds:
             if lo > hi:
                 raise ValueError(f"box bounds out of order: [{lo}, {hi}]")
@@ -349,12 +368,13 @@ class Rectangle(Hypothesis):
     def dim(self) -> int:
         return len(self.bounds)
 
-    def labels(self, X: np.ndarray) -> np.ndarray:
-        X = _check_matrix(X, self.dim, "rectangle hypothesis")
-        inside = np.ones(len(X), dtype=bool)
-        for j, (lo, hi) in enumerate(self.bounds):
-            inside &= (X[:, j] >= lo) & (X[:, j] <= hi)
-        return inside.astype(np.uint8)
+    def _stack_row(self):
+        return self.dim, sum(self.bounds, ())
+
+    def _label_stack(self, out, P, X):
+        _in_closed(X[:, 0], P, 0, out)
+        for j in range(1, self.dim):
+            out &= _in_closed(X[:, j], P, 2 * j)
 
     def describe(self) -> str:
         parts = " x ".join(f"[{lo:g},{hi:g}]" for lo, hi in self.bounds)
@@ -370,13 +390,21 @@ class Halfspace(Hypothesis):
 
     kind = "halfspace"
 
+    def __post_init__(self):
+        self._check_dim(self.dim, "weights")
+
     @property
     def dim(self) -> int:
         return len(self.weights)
 
-    def labels(self, X: np.ndarray) -> np.ndarray:
-        X = _check_matrix(X, self.dim, "halfspace hypothesis")
-        return (X @ np.asarray(self.weights) + self.bias >= 0.0).astype(np.uint8)
+    def _stack_row(self):
+        return self.dim, (*self.weights, self.bias)
+
+    def _label_stack(self, out, P, X):
+        # One product per member: a product of the whole stack rounds some
+        # points on a boundary line to the other side.
+        for row, p in zip(out, P):
+            np.greater_equal(X @ p[:-1] + p[-1], 0.0, out=row)
 
     def describe(self) -> str:
         w = ",".join(f"{v:g}" for v in self.weights)
@@ -395,9 +423,12 @@ class SineSign(Hypothesis):
     def dim(self) -> int:
         return 1
 
-    def labels(self, X: np.ndarray) -> np.ndarray:
-        X = _check_matrix(X, 1, "sine hypothesis")
-        return (np.sin(self.alpha * X[:, 0]) >= 0.0).astype(np.uint8)
+    def _stack_row(self):
+        return None, (self.alpha,)
+
+    def _label_stack(self, out, P, X):
+        for row, alpha in zip(out, P[:, 0]):
+            np.greater_equal(np.sin(alpha * X[:, 0]), 0.0, out=row)
 
     def describe(self) -> str:
         return f"1[sin({self.alpha:g} x) >= 0]"
@@ -424,15 +455,18 @@ class LookupTable(Hypothesis):
             raise ValueError("all table points must share one dimension")
         object.__setattr__(self, "_table", dict(zip(self.points, self.point_labels)))
         object.__setattr__(self, "_dim", dims.pop() if dims else 1)
+        self._check_dim(self._dim, "points")
 
     @property
     def dim(self) -> int:
         return self._dim
 
-    def labels(self, X: np.ndarray) -> np.ndarray:
-        X = _check_matrix(X, self.dim, "lookup-table hypothesis")
+    def _stack_row(self):
+        return self, ()  # a stack holds equal tables only
+
+    def _label_stack(self, out, P, X):
         table = self._table
-        return np.fromiter(
+        out[:] = np.fromiter(
             (table.get(tuple(row), self.default) for row in X), dtype=np.uint8, count=len(X)
         )
 
@@ -450,12 +484,7 @@ def hypothesis_from_json(data: dict) -> Hypothesis:
 
 def predict(h: Hypothesis, x) -> int:
     """Label of a single instance under h; rejects dimension mismatches."""
-    arr = as_instance(x)
-    if len(arr) != h.dim:
-        raise DimensionMismatchError(
-            f"hypothesis is defined on dimension {h.dim} but instance has dimension {len(arr)}"
-        )
-    return int(h.labels(arr[None, :])[0])
+    return int(h.labels(as_instance(x)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -635,10 +664,10 @@ def label_matrix(members: Sequence[Hypothesis], X: np.ndarray) -> np.ndarray:
     """(len(members), n) uint8 labels on the (n, d) matrix X, in member order;
     row i equals ``members[i].labels(X)``.
 
-    Thresholds and intervals are compared with their stacked parameters in
-    one numpy call per run of one rule; any other hypothesis type stacks its
-    own ``labels`` rows.  Pass a StackedMembers to label one list on many
-    samples without collecting those parameters again.
+    Each run of members of one exact type and stacking key is labelled by one
+    call of that type's rule on the run's stacked parameter rows.  Pass a
+    StackedMembers to label one list on many samples without collecting those
+    rows again.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -650,35 +679,26 @@ def label_matrix(members: Sequence[Hypothesis], X: np.ndarray) -> np.ndarray:
     return out
 
 
-_RULE_SUBJECT = {"ge": "threshold hypothesis", "le": "threshold hypothesis",
-                 "interval": "interval hypothesis"}
-
-
 def _label_runs(members: Sequence[Hypothesis]) -> list[tuple]:
-    """Maximal runs (start, stop, rule, params) of members sharing one
-    vectorized rule: "ge" or "le" thresholds (params: one theta column),
-    "interval" (lo and hi columns), or None for every other type."""
+    """Maximal runs (start, stop, (type, key), params) of members of one
+    exact type and stacking key, with their ``_stack_row`` parameter rows
+    stacked into a float matrix."""
     runs: list[list] = []
     for i, h in enumerate(members):
-        # Exact types only: a subclass may label differently.
-        if type(h) is Threshold:
-            rule, p = h.direction, (h.theta,)
-        elif type(h) is Interval:
-            rule, p = "interval", (h.lo, h.hi)
-        else:
-            rule, p = None, ()
-        if runs and runs[-1][2] == rule:
+        key, row = h._stack_row()
+        group = (type(h), key)
+        if runs and runs[-1][2] == group:
             runs[-1][1] = i + 1
-            runs[-1][3].append(p)
+            runs[-1][3].append(row)
         else:
-            runs.append([i, i + 1, rule, [p]])
-    return [(a, b, rule, np.array(ps, dtype=float)) for a, b, rule, ps in runs]
+            runs.append([i, i + 1, group, [row]])
+    return [(a, b, group, np.array(rows, dtype=float)) for a, b, group, rows in runs]
 
 
 class StackedMembers(Sequence):
-    """An immutable copy of a member list that keeps the parameter runs
-    label_matrix and error_counts evaluate it with, collected once.  Code
-    that labels one list on many samples passes this in place of the list.
+    """An immutable copy of a member list that keeps the runs of stacked
+    parameter rows label_matrix and error_counts label it with, collected
+    once.  Code that labels one list on many samples passes this instead.
     """
 
     def __init__(self, members: Iterable[Hypothesis]):
@@ -705,25 +725,13 @@ def _fill_labels(out: np.ndarray, members: Sequence[Hypothesis], runs: Sequence[
                  X: np.ndarray, start: int) -> None:
     """Write the labels of members[start:start + len(out)] on X into out."""
     stop = start + len(out)
-    for a, b, rule, params in runs:
+    for a, b, _, params in runs:
         lo, hi = max(a, start), min(b, stop)
-        if lo >= hi:
-            continue
-        rows = out[lo - start:hi - start]
-        if rule is None:
-            for row, h in zip(rows, members[lo:hi]):
-                row[:] = h.labels(X)
-            continue
-        x = _check_matrix(X, 1, _RULE_SUBJECT[rule])[:, 0]
-        p = params[lo - a:hi - a]
-        flags = rows.view(bool)  # comparisons write 0/1 bytes without a cast
-        if rule == "ge":
-            np.greater_equal(x, p[:, :1], out=flags)
-        elif rule == "le":
-            np.less_equal(x, p[:, :1], out=flags)
-        else:
-            np.greater_equal(x, p[:, :1], out=flags)
-            flags &= x <= p[:, 1:]
+        if lo < hi:
+            h = members[lo]
+            # A bool view takes 0/1 bytes without a cast.
+            h._label_stack(out[lo - start:hi - start].view(bool), params[lo - a:hi - a],
+                           _check_matrix(X, h.dim, f"{h.kind} hypothesis"))
 
 
 # ---------------------------------------------------------------------------
@@ -932,6 +940,9 @@ class RectangleClass(HypothesisClass):
     grid: GridSpec | None = None
 
     family = "rectangles"
+
+    def __post_init__(self):
+        self._check_dim(self.dim, "bounds")
 
     @property
     def dim(self) -> int:

@@ -29,6 +29,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
+    LABEL_BLOCK_CELLS,
     Halfspace,
     Hypothesis,
     HypothesisClass,
@@ -211,6 +212,7 @@ class UniformBox(Marginal):
     type = "uniform_box"
 
     def __post_init__(self):
+        self._check_dim(self.dim, "bounds")
         for lo, hi in self.bounds:
             if not (lo < hi):
                 raise ValueError(f"box side [{lo}, {hi}] must have positive length")
@@ -247,6 +249,7 @@ class FiniteUniform(Marginal):
             raise ValueError("need at least one support point")
         if len({len(p) for p in self.points}) != 1:
             raise ValueError("support points must share one dimension")
+        self._check_dim(self.dim, "points")
         if len(set(self.points)) != len(self.points):
             raise ValueError("support points must be distinct")
 
@@ -283,6 +286,7 @@ class PointMasses(Marginal):
             raise ValueError(f"probabilities must sum to 1, got {sum(self.probs)}")
         if len({len(p) for p in self.points}) != 1:
             raise ValueError("support points must share one dimension")
+        self._check_dim(self.dim, "points")
         if len(set(self.points)) != len(self.points):
             raise ValueError("support points must be distinct")
 
@@ -636,29 +640,49 @@ def exact_or_mc_risk(
 ) -> tuple[float, bool]:
     """(risk, used_mc): the exact risk of h when D has a closed form for it,
     else the Monte Carlo estimate over mc_n draws from seed.derive(stream, index).
+    The one-member case of ``member_risks``.
 
     Without both mc_n and seed, a missing closed form raises
     AnalyticRiskUnavailable.
     """
-    try:
-        return true_risk(D, h), False
-    except AnalyticRiskUnavailable:
-        if mc_n is None or seed is None:
-            raise
-        return mc_risk(D, h, mc_n, seed.derive(stream, index))[0], True
+    risks, used_mc = member_risks(D, [h], mc_n, seed, stream, [index])
+    return float(risks[0]), used_mc
 
 
 def member_risks(
     D: DataDistribution,
-    members: list[Hypothesis],
+    members: Sequence[Hypothesis],
     mc_n: int | None = None,
     seed: SeedSpec | None = None,
     stream: str = "",
+    indices: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, bool]:
-    """(risks, used_mc) of each member in order; a member i without a closed
-    form draws its Monte Carlo sample from seed.derive(stream, i)."""
-    pairs = [exact_or_mc_risk(D, h, mc_n, seed, stream, i) for i, h in enumerate(members)]
-    return np.array([r for r, _ in pairs]), any(mc for _, mc in pairs)
+    """(risks, used_mc) of each member in order: its exact risk when D has a
+    closed form for it, else its ``mc_risk`` estimate over mc_n draws from
+    seed.derive(stream, indices[j]) for member j (indices default to 0, 1, ...).
+
+    The Monte Carlo samples are drawn through ``draw_block``, at most
+    LABEL_BLOCK_CELLS // mc_n seeds (at least one) per block, so a block
+    pays the seeder's fixed cost once.  Without both mc_n and seed, a
+    missing closed form raises AnalyticRiskUnavailable.
+    """
+    indices = range(len(members)) if indices is None else indices
+    risks = np.empty(len(members))
+    mc = []
+    for j, h in enumerate(members):
+        try:
+            risks[j] = true_risk(D, h)
+        except AnalyticRiskUnavailable:
+            if mc_n is None or seed is None:
+                raise
+            mc.append(j)
+    step = max(1, LABEL_BLOCK_CELLS // mc_n) if mc else 1  # mc_n is set when mc is not empty
+    for start in range(0, len(mc), step):
+        block = mc[start:start + step]
+        X, y = draw_block(D, mc_n, [seed.derive(stream, indices[j]) for j in block])
+        for j, Xt, yt in zip(block, X, y):
+            risks[j] = float(np.count_nonzero(members[j].labels(Xt) != yt)) / mc_n
+    return risks, bool(mc)
 
 
 def min_risk_in_class(

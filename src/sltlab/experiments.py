@@ -39,7 +39,6 @@ from .distributions import (
     DataDistribution,
     SeedSpec,
     draw_block,
-    exact_or_mc_risk,
     member_risks,
 )
 from .learners import (
@@ -249,14 +248,14 @@ def _learnability_records(
     min_risk: float, mc_n: int | None, members: Sequence[Hypothesis],
 ) -> list[TrialRecord]:
     """The learnability records of the given trials: one draw block, one
-    label pass, then per trial the first member with fewest mismatches (the
-    one ``erm`` picks) and its risk."""
+    label pass, per trial the first member with fewest mismatches (the one
+    ``erm`` picks), then the risks of the picked members."""
     X, y = draw_block(D, m, [seed.derive("pac-trial", t) for t in trials])
     counts = trial_error_counts(members, X, y)
+    picked = np.argmin(counts, axis=1).tolist()
+    risks, _ = member_risks(D, [members[i] for i in picked], mc_n, seed, "pac-risk", trials)
     records = []
-    for t, i, errors in zip(trials, np.argmin(counts, axis=1).tolist(),
-                            counts.min(axis=1).tolist()):
-        risk, _ = exact_or_mc_risk(D, members[i], mc_n, seed, "pac-risk", t)
+    for t, i, risk, errors in zip(trials, picked, risks.tolist(), counts.min(axis=1).tolist()):
         records.append(TrialRecord(
             trial=t,
             risk=risk,

@@ -262,6 +262,11 @@ class TestExitCodes:
         (["nfl", "--m", "5"], "config.m: the exact enumeration is capped at m=4, got 5"),
         (["nfl", "--m", "2", "--learner", "oracle"], "config.learner: unknown learner 'oracle'"),
         (["nfl", "--m", "2", "--default-label", "-1"], "config.default_label: must be 0 or 1"),
+        (["uc", "--dist", '{"marginal": {"type": "finite_uniform", "points": [[]]}, '
+          '"labeler": {"hypothesis": {"kind": "rectangle", "bounds": []}}}',
+          "--class", '{"family": "finite", "members": [{"kind": "rectangle", "bounds": []}]}',
+          "--m-values", "5", "--eps", "0.1", "--delta", "0.1", "--trials", "3"],
+         "rectangle: bounds: instance dimension must be at least 1, got 0"),
     ])
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG

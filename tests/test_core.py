@@ -1,9 +1,10 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sltlab import core, jsonio
@@ -115,6 +116,41 @@ class TestEmpiricalError:
         assert empirical_error(h, S) == empirical_error(h, P)
 
 
+def reference_labels(h, X: np.ndarray) -> np.ndarray:
+    """The per-member ``labels`` bodies each hypothesis type had before the
+    types declared one stacked rule, kept as the reference."""
+    if type(h) is Threshold:
+        if h.direction == "ge":
+            return (X[:, 0] >= h.theta).astype(np.uint8)
+        return (X[:, 0] <= h.theta).astype(np.uint8)
+    if type(h) is Interval:
+        x = X[:, 0]
+        return ((x >= h.lo) & (x <= h.hi)).astype(np.uint8)
+    if type(h) is IntervalUnion:
+        x = X[:, 0]
+        out = np.zeros(len(x), dtype=np.uint8)
+        for lo, hi in h.intervals:
+            out |= ((x >= lo) & (x <= hi)).astype(np.uint8)
+        return out
+    if type(h) is Rectangle:
+        inside = np.ones(len(X), dtype=bool)
+        for j, (lo, hi) in enumerate(h.bounds):
+            inside &= (X[:, j] >= lo) & (X[:, j] <= hi)
+        return inside.astype(np.uint8)
+    if type(h) is Halfspace:
+        return (X @ np.asarray(h.weights) + h.bias >= 0.0).astype(np.uint8)
+    if type(h) is SineSign:
+        return (np.sin(h.alpha * X[:, 0]) >= 0.0).astype(np.uint8)
+    table = dict(zip(h.points, h.point_labels))
+    return np.fromiter(
+        (table.get(tuple(row), h.default) for row in X), dtype=np.uint8, count=len(X)
+    )
+
+
+def reference_counts(members, X: np.ndarray, y: np.ndarray) -> list[int]:
+    return [int(np.count_nonzero(reference_labels(h, X) != y)) for h in members]
+
+
 # Parameters and instances share one coarse lattice, so boundary ties (a
 # point on a threshold, an interval end or a box edge) are frequent.
 LATTICE = st.sampled_from([i / 8 for i in range(-2, 11)])
@@ -127,17 +163,22 @@ def sorted_lattice(draw, n):
 
 @st.composite
 def line_hypotheses(draw):
-    kind = draw(st.sampled_from(["threshold", "interval", "union", "sine", "lookup"]))
+    kind = draw(st.sampled_from(["threshold", "interval", "union", "sine", "lookup",
+                                 "rectangle", "halfspace"]))
     if kind == "threshold":
         return Threshold(draw(LATTICE), draw(st.sampled_from(["ge", "le"])))
     if kind == "interval":
         return Interval(*draw(sorted_lattice(2)))
     if kind == "union":
-        ends = sorted(draw(st.sets(LATTICE, min_size=2, max_size=6)))
+        ends = sorted(draw(st.sets(LATTICE, min_size=0, max_size=6)))
         ends = ends[:len(ends) // 2 * 2]
         return IntervalUnion(tuple(zip(ends[::2], ends[1::2])))
     if kind == "sine":
         return SineSign(draw(st.floats(0.1, 100.0)))
+    if kind == "rectangle":
+        return Rectangle((tuple(draw(sorted_lattice(2))),))
+    if kind == "halfspace":
+        return Halfspace((draw(LATTICE),), draw(LATTICE))
     points = draw(st.lists(LATTICE, min_size=1, max_size=5, unique=True))
     labels = draw(st.lists(st.integers(0, 1), min_size=len(points), max_size=len(points)))
     return LookupTable(tuple((p,) for p in points), tuple(labels), draw(st.integers(0, 1)))
@@ -158,28 +199,61 @@ def plane_hypotheses(draw):
 @st.composite
 def members_and_points(draw):
     """A mixed member list (plain, a FiniteClass enumeration or stacked) and
-    points to label."""
+    points to label: lattice points, which fall on thresholds, interval ends
+    and box edges, and on the line also points where a sine member is 0."""
     dim = draw(st.sampled_from([1, 2]))
     strategy = line_hypotheses() if dim == 1 else plane_hypotheses()
     members = draw(st.lists(strategy, min_size=1, max_size=12))
+    rows = draw(st.lists(st.tuples(*[LATTICE] * dim), min_size=1, max_size=20))
+    rows += [(j * math.pi / h.alpha,) for h in members if type(h) is SineSign
+             for j in draw(st.lists(st.integers(-3, 30), max_size=3))]
     form = draw(st.sampled_from(["list", "finite", "stacked"]))
     if form == "finite":
         members = enumerate_class(FiniteClass(tuple(members)))
     elif form == "stacked":
         members = StackedMembers(members)
-    rows = draw(st.lists(st.tuples(*[LATTICE] * dim), min_size=1, max_size=20))
     return members, np.array(rows, dtype=float)
+
+
+# Unions with one and with two intervals, and threshold directions, side by side.
+MIXED_KEYS = ([IntervalUnion(((0.0, 0.25),)), IntervalUnion(((0.0, 0.25), (0.5, 0.75))),
+               Threshold(0.5), Threshold(0.5, "le"), Threshold(0.25), IntervalUnion(())],
+              np.array([[i / 8] for i in range(-1, 10)]))
+
+
+def halfspace_meshgrid(g: int) -> np.ndarray:
+    """The g x g lattice on [-2, 2]^2; many of its points lie on the 45-degree
+    lines of HalfspaceClass2D through the origin."""
+    xs = np.linspace(-2, 2, g)
+    return np.stack([a.ravel() for a in np.meshgrid(xs, xs)], axis=1)
 
 
 class TestLabelMatrix:
     @settings(max_examples=300, deadline=None)
     @given(members_and_points())
+    @example(MIXED_KEYS)
     def test_rows_equal_member_labels(self, case):
         members, X = case
         L = label_matrix(members, X)
         assert L.dtype == np.uint8 and L.shape == (len(members), len(X))
         for row, h in zip(L, members):
-            assert np.array_equal(row, h.labels(X))
+            expected = reference_labels(h, X)
+            labels = h.labels(X)
+            assert labels.dtype == np.uint8
+            assert row.tolist() == labels.tolist() == expected.tolist()
+
+    def test_halfspace_lattices_equal_the_reference(self):
+        # A product of the whole stack, or an elementwise one, rounds some of
+        # these points to the other side of the line.
+        members = enumerate_class(HalfspaceClass2D())
+        for g in range(2, 40):
+            X = halfspace_meshgrid(g)
+            expected = [reference_labels(h, X).tolist() for h in members]
+            assert label_matrix(members, X).tolist() == expected
+            assert [h.labels(X).tolist() for h in members] == expected
+            y = (X.sum(axis=1) >= 0).astype(np.uint8)
+            assert trial_error_counts(members, X[None], y[None])[0].tolist() == \
+                reference_counts(members, X, y)
 
     @settings(max_examples=100, deadline=None)
     @given(members_and_points(), st.integers(1, 40), st.data())
@@ -190,6 +264,7 @@ class TestLabelMatrix:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "LABEL_BLOCK_CELLS", cells)
             counts = error_counts(members, S)
+        assert counts.tolist() == reference_counts(members, X, y)
         assert counts.tolist() == [empirical_error_count(h, S) for h in members]
 
     @settings(max_examples=100, deadline=None)
@@ -209,8 +284,7 @@ class TestLabelMatrix:
             counts = trial_error_counts(members, XT, y)
             one_row = [error_counts(members, LabeledSample(XT[t], y[t])).tolist()
                        for t in range(trials)]
-        expected = [[empirical_error_count(h, LabeledSample(XT[t], y[t])) for h in members]
-                    for t in range(trials)]
+        expected = [reference_counts(members, XT[t], y[t]) for t in range(trials)]
         assert counts.shape == (trials, len(members))
         assert counts.tolist() == one_row == expected
 
@@ -247,10 +321,14 @@ class TestLabelMatrix:
             stacked[0] = SineSign(3.0)
 
     def test_dimension_mismatch_is_rejected(self):
-        X = np.zeros((3, 2))
-        for members in ([Threshold(0.5)], [Interval(0.0, 1.0)], [SineSign(1.0)]):
-            with pytest.raises(DimensionMismatchError):
-                label_matrix(members, X)
+        for h in TestSerialization.HYPS:  # one of each type
+            d = h.dim + 1
+            X = np.zeros((3, d))
+            message = (f"{h.kind} hypothesis is defined on dimension {h.dim} "
+                       f"but instances have dimension {d}")
+            for label in (h.labels, lambda X: label_matrix([h], X)):
+                with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+                    label(X)
 
 
 class TestEnumeration:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sltlab import jsonio
+from sltlab import distributions, jsonio
 from sltlab.core import (
     GridSpec,
     Halfspace,
@@ -30,8 +30,10 @@ from sltlab.distributions import (
     _pcg64_states,
     draw_block,
     draw_sample,
+    exact_or_mc_risk,
     hoeffding_band,
     mc_risk,
+    member_risks,
     min_risk_in_class,
     true_risk,
 )
@@ -314,6 +316,37 @@ class TestMcRisk:
             if abs(est - 0.2) <= band:
                 inside += 1
         assert inside >= 90
+
+    @pytest.mark.parametrize("cells", [1, 1500, 1 << 20])
+    @pytest.mark.parametrize("D, members", [
+        (DataDistribution(UNIT, Threshold(0.4), noise=0.1),
+         [SineSign(2.0), Threshold(0.3), SineSign(5.0), SineSign(2.0), Interval(0.1, 0.6),
+          LookupTable(((0.5,),), (1,)), SineSign(9.5)]),
+        (DataDistribution(UniformBox(((0.0, 1.0), (-1.0, 1.0))), Halfspace((0.6, -0.8), 0.1),
+                          noise=0.2),
+         [LookupTable(((0.5, 0.0),), (1,)), Rectangle(((0.0, 0.5), (0.0, 1.0))),
+          LookupTable(((0.5, 0.0),), (0,), default=1), Halfspace((1.0, 0.0), -0.5)]),
+    ], ids=["line", "plane"])
+    def test_member_risks_equal_per_member_risks(self, D, members, cells, monkeypatch):
+        # Members without a closed form are estimated in blocks of one, two
+        # and all seeds; each must equal its own one-seed estimate.
+        monkeypatch.setattr(distributions, "LABEL_BLOCK_CELLS", cells)
+        seed, mc_n = SeedSpec(31), 700
+        indices = [7, 0, 3, 12, 5, 1, 40][:len(members)]
+
+        def one(h, i):
+            try:
+                return true_risk(D, h), False
+            except AnalyticRiskUnavailable:
+                return mc_risk(D, h, mc_n, seed.derive("risk", i))[0], True
+
+        expected = [one(h, i) for h, i in zip(members, indices)]
+        risks, used_mc = member_risks(D, members, mc_n, seed, "risk", indices)
+        assert risks.tolist() == [r for r, _ in expected] and used_mc
+        assert [exact_or_mc_risk(D, h, mc_n, seed, "risk", i)
+                for h, i in zip(members, indices)] == expected
+        default, _ = member_risks(D, members, mc_n, seed, "risk")
+        assert default.tolist() == [one(h, i)[0] for i, h in enumerate(members)]
 
 
 class TestMinRiskInClass:

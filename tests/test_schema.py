@@ -247,6 +247,20 @@ def test_explicit_grid_is_the_enumerated_grid():
      "box side [0.0, inf] must have finite length"),
     (lambda bounds: UniformBox(bounds), ((0.0, 1.0), (float("-inf"), 0.0)),
      "box side [-inf, 0.0] must have finite length"),
+    (marginal_from_json, {"type": "uniform_box", "bounds": []},
+     "uniform_box: bounds: instance dimension must be at least 1, got 0"),
+    (marginal_from_json, {"type": "finite_uniform", "points": [[]]},
+     "finite_uniform: points: instance dimension must be at least 1, got 0"),
+    (marginal_from_json, {"type": "point_masses", "points": [[]], "probs": [1.0]},
+     "point_masses: points: instance dimension must be at least 1, got 0"),
+    (hypothesis_from_json, {"kind": "rectangle", "bounds": []},
+     "rectangle: bounds: instance dimension must be at least 1, got 0"),
+    (class_from_json, {"family": "rectangles", "bounds": []},
+     "rectangles: bounds: instance dimension must be at least 1, got 0"),
+    (hypothesis_from_json, {"kind": "halfspace", "weights": [], "bias": 0.0},
+     "halfspace: weights: instance dimension must be at least 1, got 0"),
+    (hypothesis_from_json, {"kind": "lookup", "points": [[]], "labels": [1]},
+     "lookup: points: instance dimension must be at least 1, got 0"),
 ])
 def test_bad_input_names_tag_and_key(reader, data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
