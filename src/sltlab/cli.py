@@ -379,8 +379,19 @@ def _run_erm(cfg: dict):
     return EXIT_OK, lines, files
 
 
-def _run_srm(cfg: dict):
+def _sequence(cfg: dict):
+    """The config's class sequence.  The CLI passes no dimensions of its own,
+    so every class needs a dimension hint."""
     seq = resolve_sequence(cfg["sequence"])
+    for pos, cls in enumerate(seq.classes, start=1):
+        if cls.vc_dim_hint is None:
+            raise ConfigError(f"config.sequence: class at position {pos} ({cls.family}) "
+                              "has no dimension hint")
+    return seq
+
+
+def _run_srm(cfg: dict):
+    seq = _sequence(cfg)
     S, generated = _sample_for(cfg, "cli-srm")
     out = srm(seq, S, cfg["delta"], C=cfg["C"], budget=cfg["budget"])
     lines = [f"selected class {out.class_index} member {out.hypothesis.describe()}; "
@@ -455,7 +466,7 @@ def _run_nfl(cfg: dict):
 
 def _run_tradeoff(cfg: dict):
     report = tradeoff_sweep(
-        resolve_sequence(cfg["sequence"]), resolve_distribution(cfg["dist"]),
+        _sequence(cfg), resolve_distribution(cfg["dist"]),
         m_values=cfg["m_values"], trials=cfg["trials"], delta=cfg["delta"],
         master_seeds=cfg.get("seeds", [cfg["seed"]]), C=cfg["C"],
         budget=cfg["budget"], keep_records=cfg["records"],

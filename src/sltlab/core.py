@@ -112,11 +112,15 @@ class JsonFields:
     json_tag_key: ClassVar[str | None] = None
     json_names: ClassVar[dict[str, str]] = {}
 
-    def _check_dim(self, dim: int, key: str) -> None:
-        """Reject the zero-dimensional instance space that field key gives."""
-        if dim < 1:
-            raise ValueError(f"{getattr(self, self.json_tag_key)}: {key}: "
-                             f"instance dimension must be at least 1, got {dim}")
+    def _check_counts(self, what: str = "", **counts: int) -> None:
+        """Reject a count below 1, naming the tag and the field that gives it:
+        each keyword is a field name and its count, either the field's value
+        or, when ``what`` names it, the count the field determines (say the
+        "instance dimension" of a bounds list)."""
+        for key, count in counts.items():
+            if count < 1:
+                raise ValueError(f"{getattr(self, self.json_tag_key)}: {key}: "
+                                 f"{what + ' ' if what else ''}must be at least 1, got {count}")
 
     def to_json(self) -> dict:
         out = {self.json_tag_key: getattr(self, self.json_tag_key)} if self.json_tag_key else {}
@@ -359,7 +363,7 @@ class Rectangle(Hypothesis):
     kind = "rectangle"
 
     def __post_init__(self):
-        self._check_dim(self.dim, "bounds")
+        self._check_counts("instance dimension", bounds=self.dim)
         for lo, hi in self.bounds:
             if lo > hi:
                 raise ValueError(f"box bounds out of order: [{lo}, {hi}]")
@@ -391,7 +395,7 @@ class Halfspace(Hypothesis):
     kind = "halfspace"
 
     def __post_init__(self):
-        self._check_dim(self.dim, "weights")
+        self._check_counts("instance dimension", weights=self.dim)
 
     @property
     def dim(self) -> int:
@@ -455,7 +459,7 @@ class LookupTable(Hypothesis):
             raise ValueError("all table points must share one dimension")
         object.__setattr__(self, "_table", dict(zip(self.points, self.point_labels)))
         object.__setattr__(self, "_dim", dims.pop() if dims else 1)
-        self._check_dim(self._dim, "points")
+        self._check_counts("instance dimension", points=self._dim)
 
     @property
     def dim(self) -> int:
@@ -819,6 +823,7 @@ class ThresholdClass(HypothesisClass):
     def __post_init__(self):
         if not self.directions or any(d not in ("ge", "le") for d in self.directions):
             raise ValueError(f"directions must be a nonempty subset of ('ge','le'), got {self.directions}")
+        self._check_counts(resolution=self.resolution)
 
     @property
     def dim(self) -> int:
@@ -857,6 +862,9 @@ class IntervalClass(HypothesisClass):
     family = "intervals"
     vc_dim_hint = 2
 
+    def __post_init__(self):
+        self._check_counts(resolution=self.resolution)
+
     @property
     def dim(self) -> int:
         return 1
@@ -892,8 +900,7 @@ class IntervalUnionClass(HypothesisClass):
     family = "interval_unions"
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        self._check_counts(k=self.k, resolution=self.resolution)
 
     @property
     def dim(self) -> int:
@@ -942,7 +949,8 @@ class RectangleClass(HypothesisClass):
     family = "rectangles"
 
     def __post_init__(self):
-        self._check_dim(self.dim, "bounds")
+        self._check_counts("instance dimension", bounds=self.dim)
+        self._check_counts(resolution=self.resolution)
 
     @property
     def dim(self) -> int:
@@ -992,6 +1000,9 @@ class HalfspaceClass2D(HypothesisClass):
     family = "halfspaces2d"
     vc_dim_hint = 3
 
+    def __post_init__(self):
+        self._check_counts(n_angles=self.n_angles, n_offsets=self.n_offsets)
+
     @property
     def dim(self) -> int:
         return 2
@@ -1028,6 +1039,9 @@ class SineClass(HypothesisClass):
 
     family = "sine"
     vc_dim_hint = None
+
+    def __post_init__(self):
+        self._check_counts(resolution=self.resolution)
 
     @property
     def dim(self) -> int:
@@ -1114,12 +1128,6 @@ def enumerate_class(
 # ---------------------------------------------------------------------------
 # Extensional comparison and weighted sequences
 # ---------------------------------------------------------------------------
-
-
-def extensionally_equal(h1: Hypothesis, h2: Hypothesis, probe: np.ndarray) -> bool:
-    """True when both hypotheses agree on every probe point."""
-    probe = np.asarray(probe, dtype=float)
-    return bool(np.array_equal(h1.labels(probe), h2.labels(probe)))
 
 
 def find_extensional_duplicates(

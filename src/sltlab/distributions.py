@@ -212,7 +212,7 @@ class UniformBox(Marginal):
     type = "uniform_box"
 
     def __post_init__(self):
-        self._check_dim(self.dim, "bounds")
+        self._check_counts("instance dimension", bounds=self.dim)
         for lo, hi in self.bounds:
             if not (lo < hi):
                 raise ValueError(f"box side [{lo}, {hi}] must have positive length")
@@ -249,7 +249,7 @@ class FiniteUniform(Marginal):
             raise ValueError("need at least one support point")
         if len({len(p) for p in self.points}) != 1:
             raise ValueError("support points must share one dimension")
-        self._check_dim(self.dim, "points")
+        self._check_counts("instance dimension", points=self.dim)
         if len(set(self.points)) != len(self.points):
             raise ValueError("support points must be distinct")
 
@@ -286,7 +286,7 @@ class PointMasses(Marginal):
             raise ValueError(f"probabilities must sum to 1, got {sum(self.probs)}")
         if len({len(p) for p in self.points}) != 1:
             raise ValueError("support points must share one dimension")
-        self._check_dim(self.dim, "points")
+        self._check_counts("instance dimension", points=self.dim)
         if len(set(self.points)) != len(self.points):
             raise ValueError("support points must be distinct")
 

@@ -7,8 +7,9 @@ Trials run in blocks, in index order.  Each trial draws from its own
 generator derived from (master seed, stream, trial index), so any single
 trial can be rebuilt on its own; a block of trials is drawn, labelled and
 fitted in one pass, sized so that its member x trial x sample-row label cells
-fill at most LABEL_BLOCK_CELLS.  All aggregation happens over arrays laid out
-in trial order.
+fill at most LABEL_BLOCK_CELLS.  A harness keeps its results as per-trial
+arrays in trial order and aggregates over them; per-trial records are built
+from those arrays only when ``keep_records`` asks for them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -86,7 +87,8 @@ def binomial_verdict(successes: int, trials: int, threshold: float):
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One independent draw; reconstructable from (config, master seed, trial)."""
+    """One independent draw; reconstructable from (config, master seed, trial).
+    Built from a harness's per-trial arrays only when records are kept."""
 
     trial: int
     risk: float | None
@@ -107,7 +109,8 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class ExperimentSummary:
-    """Aggregate of one harness run plus the decision it reached."""
+    """Aggregate of one harness run plus the decision it reached; ``records``
+    is None unless the run kept its per-trial records."""
 
     kind: str
     config: dict
@@ -168,12 +171,14 @@ def _check_harness(eps: float, delta: float, trials: int) -> None:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
-def _trial_blocks(trials: int, n: int, m: int) -> Iterator[range]:
-    """Trial indices 0..trials-1 in order, in blocks of as many trials as
-    fit n members x m sample rows each into LABEL_BLOCK_CELLS (at least one)."""
+def _per_trial(D: DataDistribution, m: int, seeds: Sequence[SeedSpec], n: int,
+               fn: Callable) -> list[np.ndarray]:
+    """fn(X, y) over samples of m rows drawn from the seeds, its per-trial
+    outputs concatenated in seed order.  A block of draws holds as many seeds
+    as fit n members x m rows into LABEL_BLOCK_CELLS (at least one)."""
     step = max(1, LABEL_BLOCK_CELLS // max(n * m, 1))
-    for start in range(0, trials, step):
-        yield range(start, min(start + step, trials))
+    parts = [fn(*draw_block(D, m, seeds[i:i + step])) for i in range(0, len(seeds), step)]
+    return [np.concatenate(outputs) for outputs in zip(*parts)]
 
 
 def check_distinct_sizes(m_values: Sequence[int]) -> None:
@@ -186,13 +191,13 @@ def check_distinct_sizes(m_values: Sequence[int]) -> None:
 
 def _summary(
     kind: str, H: HypothesisClass, D: DataDistribution, m: int, eps: float, delta: float,
-    seed: SeedSpec, records: list[TrialRecord], statistic: list[float], extra: dict,
-    keep_records: bool,
+    seed: SeedSpec, success: np.ndarray, statistic: np.ndarray, extra: dict,
+    records: list[TrialRecord] | None,
 ) -> ExperimentSummary:
-    """One harness run at sample size m: the exact binomial verdict of the
-    trials' successes against 1 - delta - VERDICT_SLACK, and the mean and
-    quantiles of the per-trial statistic."""
-    trials, successes = len(records), sum(1 for r in records if r.success)
+    """One harness run at sample size m from its per-trial arrays: the exact
+    binomial verdict of the successes against 1 - delta - VERDICT_SLACK, and
+    the mean and quantiles of the statistic."""
+    trials, successes = len(success), int(np.count_nonzero(success))
     threshold = 1.0 - delta - VERDICT_SLACK
     verdict, lower, upper = binomial_verdict(successes, trials, threshold)
     return ExperimentSummary(
@@ -215,7 +220,7 @@ def _summary(
             "q95": float(np.quantile(statistic, 0.95)),
         },
         extra=extra,
-        records=tuple(records) if keep_records else None,
+        records=None if records is None else tuple(records),
     )
 
 
@@ -240,31 +245,42 @@ def learnability_trial(
     ``members``, if given, is H's enumeration, as ``erm`` takes it."""
     if members is None:
         members = enumerate_class(H, budget=budget)
-    return _learnability_records(D, m, eps, seed, [trial], min_risk, mc_n, members)[0]
+    picked, errors, risks = _learnability_picks(D, m, seed, [trial], members, mc_n)
+    return _learnability_records(members, m, eps, min_risk, [trial], picked, errors, risks)[0]
+
+
+def _learnability_picks(
+    D: DataDistribution, m: int, seed: SeedSpec, trials: Sequence[int],
+    members: Sequence[Hypothesis], mc_n: int | None, risks: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(picked, errors, pick risks) of the given trials: per trial the first
+    member with fewest mismatches on its sample (the one ``erm`` picks), that
+    count and its risk, read from the class risk vector ``risks`` when given,
+    else from ``member_risks`` over each trial's own "pac-risk" stream."""
+    def pick(X, y):
+        counts = trial_error_counts(members, X, y)
+        return np.argmin(counts, axis=1), counts.min(axis=1)
+
+    picked, errors = _per_trial(D, m, [seed.derive("pac-trial", t) for t in trials],
+                                len(members), pick)
+    if risks is None:
+        risks, _ = member_risks(D, [members[i] for i in picked.tolist()], mc_n, seed,
+                                "pac-risk", trials)
+        return picked, errors, risks
+    return picked, errors, risks[picked]
 
 
 def _learnability_records(
-    D: DataDistribution, m: int, eps: float, seed: SeedSpec, trials: Sequence[int],
-    min_risk: float, mc_n: int | None, members: Sequence[Hypothesis],
+    members: Sequence[Hypothesis], m: int, eps: float, min_risk: float,
+    trials: Sequence[int], picked: np.ndarray, errors: np.ndarray, risks: np.ndarray,
 ) -> list[TrialRecord]:
-    """The learnability records of the given trials: one draw block, one
-    label pass, per trial the first member with fewest mismatches (the one
-    ``erm`` picks), then the risks of the picked members."""
-    X, y = draw_block(D, m, [seed.derive("pac-trial", t) for t in trials])
-    counts = trial_error_counts(members, X, y)
-    picked = np.argmin(counts, axis=1).tolist()
-    risks, _ = member_risks(D, [members[i] for i in picked], mc_n, seed, "pac-risk", trials)
-    records = []
-    for t, i, risk, errors in zip(trials, picked, risks.tolist(), counts.min(axis=1).tolist()):
-        records.append(TrialRecord(
-            trial=t,
-            risk=risk,
-            estimation=risk - min_risk,
-            empirical_error=errors / m,
-            success=bool(risk <= min_risk + eps),
-            hypothesis=members[i].to_json(),
-        ))
-    return records
+    """The records of the given trials from their picks, mismatch counts and
+    pick risks."""
+    return [
+        TrialRecord(trial=t, risk=risk, estimation=risk - min_risk, empirical_error=e / m,
+                    success=risk <= min_risk + eps, hypothesis=members[i].to_json())
+        for t, i, e, risk in zip(trials, picked.tolist(), errors.tolist(), risks.tolist())
+    ]
 
 
 def verify_learnability(
@@ -284,26 +300,20 @@ def verify_learnability(
 
     The decision threshold is 1 - delta - 0.02; the slack absorbs Monte Carlo
     noise at the boundary, and the verdict is "indeterminate" whenever the
-    one-sided confidence bounds straddle the threshold.
+    one-sided confidence bounds straddle the threshold.  A pick's risk is read
+    from the class's risk vector unless some member needed Monte Carlo.
     """
     _check_harness(eps, delta, trials)
     members = StackedMembers(enumerate_class(H, budget=budget))
-    min_risk = float(member_risks(D, members, mc_n, seed, "min-risk-member")[0].min())
-    records = [
-        r for block in _trial_blocks(trials, len(members), m)
-        for r in _learnability_records(D, m, eps, seed, block, min_risk, mc_n, members)
-    ]
-    return _summary("learnability", H, D, m, eps, delta, seed, records,
-                    [r.estimation for r in records],
-                    {"min_risk_in_class": min_risk, "statistic": "estimation_error"},
-                    keep_records)
-
-
-def success_frequency_at(records: Sequence[TrialRecord], min_risk: float, eps: float) -> float:
-    """Re-threshold stored trial risks at a different eps (monotone in eps)."""
-    if not records:
-        raise ValueError("no records to re-threshold")
-    return sum(1 for r in records if r.risk <= min_risk + eps) / len(records)
+    risks, used_mc = member_risks(D, members, mc_n, seed, "min-risk-member")
+    min_risk = float(risks.min())
+    picked, errors, pick_risks = _learnability_picks(D, m, seed, range(trials), members, mc_n,
+                                                     None if used_mc else risks)
+    records = _learnability_records(members, m, eps, min_risk, range(trials), picked, errors,
+                                    pick_risks) if keep_records else None
+    return _summary("learnability", H, D, m, eps, delta, seed, pick_risks <= min_risk + eps,
+                    pick_risks - min_risk,
+                    {"min_risk_in_class": min_risk, "statistic": "estimation_error"}, records)
 
 
 # ---------------------------------------------------------------------------
@@ -352,18 +362,18 @@ def verify_uniform_convergence(
 
     summaries = []
     for m in m_values:
-        records = []
-        for block in _trial_blocks(trials, len(members), m):
-            X, y = draw_block(D, m, [seed.derive(f"uc-trial-m{m}", t) for t in block])
-            # per trial, the sup over the class of |empirical error - true risk|
-            devs = np.max(np.abs(trial_error_counts(members, X, y) / m - risks), axis=1)
-            records.extend(TrialRecord(trial=t, risk=None, estimation=None, empirical_error=None,
-                                       success=dev <= eps, sup_deviation=dev)
-                           for t, dev in zip(block, devs.tolist()))
-        summaries.append(_summary("uniform_convergence", H, D, m, eps, delta, seed, records,
-                                  [r.sup_deviation for r in records],
+        # per trial, the sup over the class of |empirical error - true risk|
+        (devs,) = _per_trial(
+            D, m, [seed.derive(f"uc-trial-m{m}", t) for t in range(trials)], len(members),
+            lambda X, y: (np.max(np.abs(trial_error_counts(members, X, y) / m - risks), axis=1),))
+        success = devs <= eps
+        records = [TrialRecord(trial=t, risk=None, estimation=None, empirical_error=None,
+                               success=ok, sup_deviation=dev)
+                   for t, (dev, ok) in enumerate(zip(devs.tolist(), success.tolist()))
+                   ] if keep_records else None
+        summaries.append(_summary("uniform_convergence", H, D, m, eps, delta, seed, success, devs,
                                   {"statistic": "sup_deviation", "n_hypotheses": len(members)},
-                                  keep_records))
+                                  records))
 
     scaling = []
     for a, b in itertools.pairwise(range(len(m_values))):
@@ -580,46 +590,33 @@ def tradeoff_sweep(
     member_risk = member_risks(D, stacked)[0]
     approx = np.array([member_risk[a:b].min() for a, b in zip(ends[:-1], ends[1:])])
 
-    results = []
-    for master in master_seeds:
-        spec = SeedSpec(master)
-        for m in m_values:
-            pens = np.array([
-                srm_penalty(d, w, delta, m, C=C) for d, w in zip(dims, seq.weights)
-            ])
-            for block in _trial_blocks(trials, len(stacked), m):
-                X, y = draw_block(D, m, [spec.derive(f"tradeoff-m{m}", t) for t in block])
-                fits, errors, picks = fit_sequence(trial_error_counts(stacked, X, y), ends, m,
-                                                   pens)
-                for t, risks, errs, pick in zip(block, member_risk[fits], errors, picks.tolist()):
-                    results.append({
-                        "master_seed": master, "m": m, "trial": t,
-                        "risks": risks,
-                        "pick": pick, "objective": float(errs[pick] + pens[pick]),
-                        "pick_risk": float(risks[pick]),
-                    })
-
     rows: list[dict] = []
+    runs = []  # per m: each class's fit risk, the pick and its objective, per trial
     for m in m_values:
-        sel = [r for r in results if r["m"] == m]
+        pens = np.array([srm_penalty(d, w, delta, m, C=C) for d, w in zip(dims, seq.weights)])
+        # pooled over master seeds, master-major then trial
+        seeds = [SeedSpec(master).derive(f"tradeoff-m{m}", t)
+                 for master in master_seeds for t in range(trials)]
+        fits, errors, picks = _per_trial(
+            D, m, seeds, len(stacked),
+            lambda X, y: fit_sequence(trial_error_counts(stacked, X, y), ends, m, pens))
+        risks, at = member_risk[fits], np.arange(len(seeds))
+        objectives = errors[at, picks] + pens[picks]
+        runs.append((risks, picks, objectives))
         for c in range(n_classes):
-            totals = np.array([r["risks"][c] for r in sel])
             rows.append({
                 "learner": "erm",
                 "class_index": c + 1,
                 "vc_dim": dims[c],
                 "m": m,
                 "approximation_error": float(approx[c]),
-                "mean_estimation_error": float(np.mean(totals - approx[c])),
-                "mean_total_risk": float(np.mean(totals)),
+                "mean_estimation_error": float(np.mean(risks[:, c] - approx[c])),
+                "mean_total_risk": float(np.mean(risks[:, c])),
                 "mean_objective": None,
                 "pick_freqs": None,
-                "trials": len(sel),
+                "trials": len(seeds),
             })
-        pick_risks = np.array([r["pick_risk"] for r in sel])
-        objectives = np.array([r["objective"] for r in sel])
-        picks = [r["pick"] for r in sel]
-        freqs = {str(c + 1): picks.count(c) / len(sel) for c in range(n_classes)}
+        freqs = {str(c + 1): np.count_nonzero(picks == c) / len(seeds) for c in range(n_classes)}
         rows.append({
             "learner": "srm",
             "class_index": None,
@@ -627,24 +624,24 @@ def tradeoff_sweep(
             "m": m,
             "approximation_error": None,
             "mean_estimation_error": None,
-            "mean_total_risk": float(np.mean(pick_risks)),
+            "mean_total_risk": float(np.mean(risks[at, picks])),
             "mean_objective": float(np.mean(objectives)),
             "pick_freqs": ";".join(f"{k}:{v:.6f}" for k, v in sorted(freqs.items())),
-            "trials": len(sel),
+            "trials": len(seeds),
         })
 
-    records = None
-    if keep_records:
-        records = tuple(
-            {
-                "master_seed": r["master_seed"], "m": r["m"], "trial": r["trial"],
-                **{f"risk_class_{c + 1}": float(r["risks"][c]) for c in range(n_classes)},
-                "srm_pick": r["pick"] + 1,
-                "srm_risk": r["pick_risk"],
-                "srm_objective": r["objective"],
-            }
-            for r in results
-        )
+    records = tuple(
+        {
+            "master_seed": master, "m": m, "trial": t,
+            **{f"risk_class_{c + 1}": r for c, r in enumerate(risks[k].tolist())},
+            "srm_pick": int(picks[k]) + 1,
+            "srm_risk": float(risks[k, picks[k]]),
+            "srm_objective": float(objectives[k]),
+        }
+        for a, master in enumerate(master_seeds)
+        for m, (risks, picks, objectives) in zip(m_values, runs)
+        for t, k in enumerate(range(a * trials, (a + 1) * trials))
+    ) if keep_records else None
     config = {
         "sequence": seq.to_json(),
         "distribution": D.to_json(),

@@ -48,6 +48,9 @@ COMMAND_OPTIONS = {
                  "--sequence", "--trials"},
 }
 
+# a class sequence whose second class, the sign-of-sine family, has no dimension hint
+SINE_SEQUENCE = '{"classes": [{"family": "thresholds"}, {"family": "sine"}]}'
+
 
 class TestConfigValidation:
     def test_unknown_key_named(self):
@@ -267,6 +270,12 @@ class TestExitCodes:
           "--class", '{"family": "finite", "members": [{"kind": "rectangle", "bounds": []}]}',
           "--m-values", "5", "--eps", "0.1", "--delta", "0.1", "--trials", "3"],
          "rectangle: bounds: instance dimension must be at least 1, got 0"),
+        (["srm", "--sequence", SINE_SEQUENCE, "--dist", "uniform-threshold-noisy",
+          "--m", "20", "--delta", "0.1"],
+         "config.sequence: class at position 2 (sine) has no dimension hint"),
+        (["tradeoff", "--sequence", SINE_SEQUENCE, "--dist", "uniform-threshold-noisy",
+          "--m-values", "20", "--delta", "0.1", "--trials", "2"],
+         "config.sequence: class at position 2 (sine) has no dimension hint"),
     ])
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG

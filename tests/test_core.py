@@ -33,7 +33,6 @@ from sltlab.core import (
     empirical_error_count,
     enumerate_class,
     error_counts,
-    extensionally_equal,
     find_extensional_duplicates,
     hypothesis_from_json,
     label_matrix,
@@ -475,7 +474,6 @@ class TestExtensionalEquality:
     def test_duplicates_found_on_probe(self):
         probe = np.array([[0.2], [0.5], [0.8]])
         a, b = Threshold(0.4), Threshold(0.45)  # identical on the probe
-        assert extensionally_equal(a, b, probe)
         dupes = find_extensional_duplicates([a, b, Threshold(0.6)], probe)
         assert dupes == [(0, 1)]
 

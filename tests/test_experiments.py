@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sltlab import core, distributions, experiments, jsonio, learners
-from sltlab.core import FiniteClass, LabeledSample, Threshold, enumerate_class
+from sltlab.core import FiniteClass, LabeledSample, SineSign, Threshold, enumerate_class
 from sltlab.distributions import DataDistribution, FiniteUniform, SeedSpec, draw_sample
 from sltlab.experiments import (
     all_functions_class,
@@ -15,7 +15,6 @@ from sltlab.experiments import (
     binomial_verdict,
     learnability_trial,
     nfl_exact,
-    success_frequency_at,
     tradeoff_sweep,
     verify_learnability,
     verify_uniform_convergence,
@@ -76,18 +75,49 @@ class TestLearnability:
         s = verify_learnability(H, D, m=30, eps=0.05, delta=0.1, trials=150,
                                 seed=SeedSpec(3), keep_records=True)
         min_risk = s.extra["min_risk_in_class"]
-        freqs = [success_frequency_at(s.records, min_risk, eps)
+        freqs = [sum(r.risk <= min_risk + eps for r in s.records) / len(s.records)
                  for eps in (0.01, 0.05, 0.1, 0.2, 0.5, 1.0)]
         assert freqs == sorted(freqs)
         assert freqs[-1] == 1.0
 
-    def test_trial_records_reconstructable(self):
-        s = verify_learnability(H, D, m=25, eps=0.1, delta=0.1, trials=12,
-                                seed=SeedSpec(9), keep_records=True)
+    @pytest.mark.parametrize("cls, mc_n, kinds", [
+        (H, None, {"threshold"}),
+        (CLASSES["sine"], 300, {"sine"}),
+        # the sine member is 1 on [0.55, 1], close to the labeler's threshold
+        # at 0.5, so the picks hold both exact and Monte Carlo risks
+        (FiniteClass((Threshold(0.45), SineSign(-np.pi / 0.55))), 300, {"threshold", "sine"}),
+    ], ids=["exact", "monte-carlo", "mixed"])
+    def test_trial_records_reconstructable(self, cls, mc_n, kinds):
+        s = verify_learnability(cls, D, m=10, eps=0.1, delta=0.1, trials=24,
+                                seed=SeedSpec(9), mc_n=mc_n, keep_records=True)
         min_risk = s.extra["min_risk_in_class"]
+        assert {r.hypothesis["kind"] for r in s.records} == kinds
         for r in s.records:
-            again = learnability_trial(H, D, 25, 0.1, SeedSpec(9), r.trial, min_risk)
+            again = learnability_trial(cls, D, 10, 0.1, SeedSpec(9), r.trial, min_risk,
+                                       mc_n=mc_n)
             assert again == r
+
+    def test_one_exact_risk_per_member(self, monkeypatch):
+        calls = []
+        original = distributions.true_risk
+
+        def counted(D, h):
+            calls.append(h)
+            return original(D, h)
+
+        monkeypatch.setattr(distributions, "true_risk", counted)
+        verify_learnability(H, D, m=20, eps=0.1, delta=0.1, trials=200, seed=SeedSpec(1))
+        assert len(calls) == len(enumerate_class(H)) == 41
+
+    def test_no_records_built_unless_kept(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a TrialRecord was built without keep_records")
+
+        monkeypatch.setattr(experiments, "TrialRecord", refuse)
+        s = verify_learnability(H, D, m=20, eps=0.1, delta=0.1, trials=50, seed=SeedSpec(1))
+        rep = verify_uniform_convergence(H, D, [10, 20], eps=0.1, delta=0.1, trials=50,
+                                         seed=SeedSpec(1))
+        assert s.records is None and all(u.records is None for u in rep.summaries)
 
     def test_reproducible_across_runs_and_workers(self):
         kwargs = dict(m=40, eps=0.1, delta=0.1, trials=60, seed=SeedSpec(5))
@@ -412,13 +442,14 @@ class TestTrialBlocks:
     def test_tradeoff_records_equal_per_trial_srm(self, trials_per_block):
         seq = SEQUENCES["nested-thresholds"]
         trials_per_block(sum(c.size() for c in seq.classes), 15)
-        rep = tradeoff_sweep(seq, TIES, m_values=[15], trials=20, delta=0.1,
-                             master_seeds=[2, 3], C=2.0, keep_records=True)
-        assert [(r["master_seed"], r["trial"]) for r in rep.records] == [
-            (s, t) for s in (2, 3) for t in range(20)]
+        rep = tradeoff_sweep(seq, TIES, m_values=[15, 9], trials=20, delta=0.1,
+                             master_seeds=[3, 2], C=2.0, keep_records=True)
+        # master seed major, then m, then trial, each in the order given
+        assert [(r["master_seed"], r["m"], r["trial"]) for r in rep.records] == [
+            (s, m, t) for s in (3, 2) for m in (15, 9) for t in range(20)]
         for rec in rep.records:
-            S = draw_sample(TIES, 15, SeedSpec(rec["master_seed"]).derive("tradeoff-m15",
-                                                                          rec["trial"]))
+            S = draw_sample(TIES, rec["m"], SeedSpec(rec["master_seed"]).derive(
+                f"tradeoff-m{rec['m']}", rec["trial"]))
             out = srm(seq, S, delta=0.1, C=2.0)
             assert out.class_index == rec["srm_pick"]
             assert out.objective == rec["srm_objective"]

@@ -261,6 +261,25 @@ def test_explicit_grid_is_the_enumerated_grid():
      "halfspace: weights: instance dimension must be at least 1, got 0"),
     (hypothesis_from_json, {"kind": "lookup", "points": [[]], "labels": [1]},
      "lookup: points: instance dimension must be at least 1, got 0"),
+    (class_from_json, {"family": "thresholds", "resolution": 0},
+     "thresholds: resolution: must be at least 1, got 0"),
+    (class_from_json, {"family": "intervals", "resolution": -1},
+     "intervals: resolution: must be at least 1, got -1"),
+    (class_from_json, {"family": "interval_unions", "k": 0},
+     "interval_unions: k: must be at least 1, got 0"),
+    (class_from_json, {"family": "interval_unions", "resolution": 0},
+     "interval_unions: resolution: must be at least 1, got 0"),
+    (class_from_json, {"family": "rectangles", "resolution": 0},
+     "rectangles: resolution: must be at least 1, got 0"),
+    (class_from_json, {"family": "halfspaces2d", "n_angles": 0},
+     "halfspaces2d: n_angles: must be at least 1, got 0"),
+    (class_from_json, {"family": "halfspaces2d", "n_offsets": -2},
+     "halfspaces2d: n_offsets: must be at least 1, got -2"),
+    (class_from_json, {"family": "sine", "resolution": 0},
+     "sine: resolution: must be at least 1, got 0"),
+    # a count is checked even where an explicit grid leaves it unused
+    (class_from_json, {"family": "thresholds", "resolution": 0, "grid": {"axes": [[0.5]]}},
+     "thresholds: resolution: must be at least 1, got 0"),
 ])
 def test_bad_input_names_tag_and_key(reader, data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
