@@ -172,7 +172,8 @@ def is_eps_representative(
         raise ValueError("empirical error is undefined for an empty sample")
     members = enumerate_class(H, budget=budget)
     emp = error_counts(members, S) / S.m
-    risks, used_mc = member_risks(D, members, mc_n, seed, "representative-member")
+    risks, mc = member_risks(D, members, mc_n, seed, "representative-member")
+    used_mc = bool(mc.any())
     devs = np.abs(emp - risks)
     worst = int(np.argmax(devs))
     worst_dev = float(devs[worst])

@@ -28,6 +28,7 @@ from .bounds import (
 )
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
+    DimensionMismatchError,
     EnumerationBudgetError,
     LabeledSample,
     hypothesis_from_json,
@@ -334,8 +335,11 @@ def _run_vcdim(cfg: dict):
     if pool_spec is None:
         raise ConfigError("config.pool: required when the class is not a pooled preset")
     pool = resolve_pool(pool_spec)
-    report = vc_dimension(H, pool, subset_budget=cfg["subset_budget"],
-                          enum_budget=cfg["enum_budget"])
+    try:
+        report = vc_dimension(H, pool, subset_budget=cfg["subset_budget"],
+                              enum_budget=cfg["enum_budget"])
+    except DimensionMismatchError as exc:
+        raise ConfigError(f"config.pool: {exc}") from exc
     lines = [f"dimension over {report.pool_size}-point pool: {report.marker()}"]
     return EXIT_OK, lines, {"vc_report.json": report.to_json()}
 
@@ -360,7 +364,10 @@ def _run_risk(cfg: dict):
 def _sample_for(cfg: dict, stream: str) -> tuple[LabeledSample, bool]:
     """(sample, generated): ingested from CSV or drawn from a distribution."""
     if "data" in cfg:
-        return LabeledSample.from_csv(cfg["data"]), False
+        try:
+            return LabeledSample.from_csv(cfg["data"]), False
+        except (ValueError, OSError) as exc:
+            raise ConfigError(f"config.data: {exc}") from exc
     if "dist" not in cfg or "m" not in cfg:
         raise ConfigError("config: need either data=<csv> or dist=... plus m=...")
     D = resolve_distribution(cfg["dist"])

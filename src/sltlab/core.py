@@ -33,6 +33,13 @@ DEFAULT_ENUMERATION_BUDGET = 500_000
 # 80 000-row sample stays at about 1 MB per block.
 LABEL_BLOCK_CELLS = 1 << 20
 
+# Characters of sample-CSV text handled at once: from_csv reads whole lines
+# up to about this many per block, and to_csv formats rows of at most this
+# many per write, so neither holds the whole file as text.
+CSV_BLOCK_CHARS = 1 << 16
+# Widest cell to_csv writes: a 17-digit float such as -1.7976931348623157e+308.
+_CSV_CELL_CHARS = 24
+
 
 class DimensionMismatchError(ValueError):
     """Instance dimension does not match the hypothesis or sample dimension."""
@@ -570,12 +577,19 @@ class LabeledSample:
         return sample
 
     def to_csv(self, path) -> None:
-        """Write a header, then per pair a CRLF-ended row of 17-digit features and the label."""
+        """Write a header, then per pair a CRLF-ended row of 17-digit features and the label.
+
+        The bytes are csv.writer's: a finite 17-digit float or a 0/1 label never needs
+        quoting.  Rows are formatted and written a block of CSV_BLOCK_CHARS at a time.
+        """
+        row = "{:.17g}," * self.dim + "{}\r\n"
+        step = max(1, CSV_BLOCK_CHARS // ((_CSV_CELL_CHARS + 1) * self.dim + 3))
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{j + 1}" for j in range(self.dim)] + ["label"])
-            writer.writerows([format(v, ".17g") for v in x] + [label]
-                             for x, label in zip(self.X.tolist(), self.y.tolist()))
+            fh.write(",".join([f"x{j + 1}" for j in range(self.dim)] + ["label"]) + "\r\n")
+            for start in range(0, self.m, step):
+                block = slice(start, start + step)
+                columns = [*self.X[block].T.tolist(), self.y[block].tolist()]
+                fh.write("".join(map(row.format, *columns)))
 
     @classmethod
     def from_csv(cls, path, dim: int | None = None) -> "LabeledSample":
@@ -583,10 +597,16 @@ class LabeledSample:
 
         Fields may be quoted, blank lines are skipped, a header-only file is an empty sample; a
         non-finite feature or a label not 0 or 1 (spaces trimmed) fails naming the 1-based file
-        line where its record starts.
+        line where its record starts.  Plain files are read in blocks by _csv_table; a file it
+        doubts is read again from the start by the csv.reader loop, the reference, which
+        writes every error.
         """
-        rows: list[list[float]] = []
         with open(path, newline="") as fh:
+            table = _csv_table(fh, dim)
+            if table is not None:
+                return cls(table[:, :-1], table[:, -1])
+            fh.seek(0)
+            rows: list[list[float]] = []
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -615,6 +635,47 @@ class LabeledSample:
                 rows.append([*feats, float(raw)])
         table = np.array(rows, dtype=float).reshape(len(rows), width)
         return cls(table[:, :-1], table[:, -1])
+
+
+def _csv_table(fh, dim: int | None) -> np.ndarray | None:
+    """The (m, width) float table of a sample CSV, read in blocks of whole lines
+    of about CSV_BLOCK_CHARS, or None at the first doubt that the csv.reader
+    loop of LabeledSample.from_csv would read the file the same way and accept
+    it: a quote or NUL anywhere, a lone CR after the header, a header the loop
+    rejects, a line longer than csv's field limit, a line of another width, a
+    label other than exactly 0 or 1, a feature float() rejects or a non-finite
+    feature.
+
+    Blank lines are skipped, as csv.reader skips them; cells go through the
+    loop's own float(), so every token it accepts parses to the same bits.
+    """
+    limit = csv.field_size_limit()
+    header = fh.readline()
+    width = header.count(",") + 1
+    if '"' in header or "\0" in header or len(header) > limit or width < 2 \
+            or (dim is not None and width != dim + 1):
+        return None
+    blocks = []
+    while lines := fh.readlines(CSV_BLOCK_CHARS):
+        text = "".join(lines).replace("\r\n", "\n")
+        if '"' in text or "\r" in text or "\0" in text or max(map(len, lines)) > limit:
+            return None
+        rows = list(filter(None, text.split("\n")))
+        if not rows:
+            continue
+        if set(map(str.count, rows, itertools.repeat(","))) != {width - 1}:
+            return None
+        cells = ",".join(rows).split(",")
+        if not set(cells[width - 1::width]) <= {"0", "1"}:
+            return None
+        try:
+            block = np.array(list(map(float, cells)))
+        except ValueError:
+            return None
+        if not np.isfinite(block).all():
+            return None
+        blocks.append(block)
+    return np.concatenate(blocks or [np.empty(0)]).reshape(-1, width)
 
 
 def empirical_error(h: Hypothesis, S: LabeledSample) -> float:

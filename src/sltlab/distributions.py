@@ -645,8 +645,8 @@ def exact_or_mc_risk(
     Without both mc_n and seed, a missing closed form raises
     AnalyticRiskUnavailable.
     """
-    risks, used_mc = member_risks(D, [h], mc_n, seed, stream, [index])
-    return float(risks[0]), used_mc
+    risks, mc = member_risks(D, [h], mc_n, seed, stream, [index])
+    return float(risks[0]), bool(mc[0])
 
 
 def member_risks(
@@ -656,10 +656,11 @@ def member_risks(
     seed: SeedSpec | None = None,
     stream: str = "",
     indices: Sequence[int] | None = None,
-) -> tuple[np.ndarray, bool]:
-    """(risks, used_mc) of each member in order: its exact risk when D has a
+) -> tuple[np.ndarray, np.ndarray]:
+    """(risks, mc) of each member in order: its exact risk when D has a
     closed form for it, else its ``mc_risk`` estimate over mc_n draws from
-    seed.derive(stream, indices[j]) for member j (indices default to 0, 1, ...).
+    seed.derive(stream, indices[j]) for member j (indices default to 0, 1, ...);
+    the boolean mask mc marks the members estimated by Monte Carlo.
 
     The Monte Carlo samples are drawn through ``draw_block``, at most
     LABEL_BLOCK_CELLS // mc_n seeds (at least one) per block, so a block
@@ -668,21 +669,22 @@ def member_risks(
     """
     indices = range(len(members)) if indices is None else indices
     risks = np.empty(len(members))
-    mc = []
+    mc = np.zeros(len(members), dtype=bool)
     for j, h in enumerate(members):
         try:
             risks[j] = true_risk(D, h)
         except AnalyticRiskUnavailable:
             if mc_n is None or seed is None:
                 raise
-            mc.append(j)
-    step = max(1, LABEL_BLOCK_CELLS // mc_n) if mc else 1  # mc_n is set when mc is not empty
-    for start in range(0, len(mc), step):
-        block = mc[start:start + step]
+            mc[j] = True
+    todo = np.flatnonzero(mc).tolist()
+    step = max(1, LABEL_BLOCK_CELLS // mc_n) if todo else 1  # mc_n is set when todo is not empty
+    for start in range(0, len(todo), step):
+        block = todo[start:start + step]
         X, y = draw_block(D, mc_n, [seed.derive(stream, indices[j]) for j in block])
         for j, Xt, yt in zip(block, X, y):
             risks[j] = float(np.count_nonzero(members[j].labels(Xt) != yt)) / mc_n
-    return risks, bool(mc)
+    return risks, mc
 
 
 def min_risk_in_class(

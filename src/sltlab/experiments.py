@@ -245,29 +245,34 @@ def learnability_trial(
     ``members``, if given, is H's enumeration, as ``erm`` takes it."""
     if members is None:
         members = enumerate_class(H, budget=budget)
-    picked, errors, risks = _learnability_picks(D, m, seed, [trial], members, mc_n)
+    picked, errors, risks = _learnability_picks(D, m, seed, [trial], members, mc_n,
+                                                np.empty(len(members)),
+                                                np.ones(len(members), dtype=bool))
     return _learnability_records(members, m, eps, min_risk, [trial], picked, errors, risks)[0]
 
 
 def _learnability_picks(
     D: DataDistribution, m: int, seed: SeedSpec, trials: Sequence[int],
-    members: Sequence[Hypothesis], mc_n: int | None, risks: np.ndarray | None = None,
+    members: Sequence[Hypothesis], mc_n: int | None, risks: np.ndarray, redo: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(picked, errors, pick risks) of the given trials: per trial the first
     member with fewest mismatches on its sample (the one ``erm`` picks), that
-    count and its risk, read from the class risk vector ``risks`` when given,
-    else from ``member_risks`` over each trial's own "pac-risk" stream."""
+    count and its risk.  The risk is read from the class risk vector
+    ``risks``, unless the mask ``redo`` marks the member (its risk needed
+    Monte Carlo); then ``member_risks`` risks the pick over its trial's own
+    "pac-risk" stream."""
     def pick(X, y):
         counts = trial_error_counts(members, X, y)
         return np.argmin(counts, axis=1), counts.min(axis=1)
 
     picked, errors = _per_trial(D, m, [seed.derive("pac-trial", t) for t in trials],
                                 len(members), pick)
-    if risks is None:
-        risks, _ = member_risks(D, [members[i] for i in picked.tolist()], mc_n, seed,
-                                "pac-risk", trials)
-        return picked, errors, risks
-    return picked, errors, risks[picked]
+    pick_risks = risks[picked]
+    again = np.flatnonzero(redo[picked]).tolist()
+    if again:
+        pick_risks[again], _ = member_risks(D, [members[picked[k]] for k in again], mc_n, seed,
+                                            "pac-risk", [trials[k] for k in again])
+    return picked, errors, pick_risks
 
 
 def _learnability_records(
@@ -301,14 +306,14 @@ def verify_learnability(
     The decision threshold is 1 - delta - 0.02; the slack absorbs Monte Carlo
     noise at the boundary, and the verdict is "indeterminate" whenever the
     one-sided confidence bounds straddle the threshold.  A pick's risk is read
-    from the class's risk vector unless some member needed Monte Carlo.
+    from the class's risk vector unless that member needed Monte Carlo.
     """
     _check_harness(eps, delta, trials)
     members = StackedMembers(enumerate_class(H, budget=budget))
-    risks, used_mc = member_risks(D, members, mc_n, seed, "min-risk-member")
+    risks, mc = member_risks(D, members, mc_n, seed, "min-risk-member")
     min_risk = float(risks.min())
     picked, errors, pick_risks = _learnability_picks(D, m, seed, range(trials), members, mc_n,
-                                                     None if used_mc else risks)
+                                                     risks, mc)
     records = _learnability_records(members, m, eps, min_risk, range(trials), picked, errors,
                                     pick_risks) if keep_records else None
     return _summary("learnability", H, D, m, eps, delta, seed, pick_risks <= min_risk + eps,

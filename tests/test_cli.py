@@ -50,6 +50,9 @@ COMMAND_OPTIONS = {
 
 # a class sequence whose second class, the sign-of-sine family, has no dimension hint
 SINE_SEQUENCE = '{"classes": [{"family": "thresholds"}, {"family": "sine"}]}'
+# a sample CSV whose record on line 7 has the label 2, and a path with no file
+BAD_LABEL_CSV = pathlib.Path(__file__).parent / "data" / "bad_label.csv"
+MISSING_CSV = pathlib.Path(__file__).parent / "data" / "missing.csv"
 
 
 class TestConfigValidation:
@@ -276,6 +279,13 @@ class TestExitCodes:
         (["tradeoff", "--sequence", SINE_SEQUENCE, "--dist", "uniform-threshold-noisy",
           "--m-values", "20", "--delta", "0.1", "--trials", "2"],
          "config.sequence: class at position 2 (sine) has no dimension hint"),
+        (["erm", "--class", "thresholds", "--data", str(BAD_LABEL_CSV)],
+         f"config.data: {BAD_LABEL_CSV} line 7: label must be 0 or 1, got '2'"),
+        (["srm", "--preset", "srm-nested-thresholds-demo", "--data", str(MISSING_CSV)],
+         f"config.data: [Errno 2] No such file or directory: {str(MISSING_CSV)!r}"),
+        (["vcdim", "--class", "rectangles2d", "--pool", "[[0.1],[0.2]]"],
+         "config.pool: rectangle hypothesis is defined on dimension 2 but instances have "
+         "dimension 1"),
     ])
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG

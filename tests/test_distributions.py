@@ -341,8 +341,9 @@ class TestMcRisk:
                 return mc_risk(D, h, mc_n, seed.derive("risk", i))[0], True
 
         expected = [one(h, i) for h, i in zip(members, indices)]
-        risks, used_mc = member_risks(D, members, mc_n, seed, "risk", indices)
-        assert risks.tolist() == [r for r, _ in expected] and used_mc
+        risks, mc = member_risks(D, members, mc_n, seed, "risk", indices)
+        assert risks.tolist() == [r for r, _ in expected]
+        assert mc.dtype == bool and mc.tolist() == [used for _, used in expected]
         assert [exact_or_mc_risk(D, h, mc_n, seed, "risk", i)
                 for h, i in zip(members, indices)] == expected
         default, _ = member_risks(D, members, mc_n, seed, "risk")

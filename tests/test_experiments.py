@@ -109,6 +109,23 @@ class TestLearnability:
         verify_learnability(H, D, m=20, eps=0.1, delta=0.1, trials=200, seed=SeedSpec(1))
         assert len(calls) == len(enumerate_class(H)) == 41
 
+    def test_one_exact_risk_per_exact_member_of_a_mixed_class(self, monkeypatch):
+        # only the Monte Carlo picks are risked again, on their trial's stream
+        exact, sine = Threshold(0.45), SineSign(-np.pi / 0.55)
+        calls = []
+        original = distributions.true_risk
+
+        def counted(D, h):
+            calls.append(h)
+            return original(D, h)
+
+        monkeypatch.setattr(distributions, "true_risk", counted)
+        s = verify_learnability(FiniteClass((exact, sine)), D, m=10, eps=0.1, delta=0.1,
+                                trials=300, seed=SeedSpec(9), mc_n=300, keep_records=True)
+        kinds = [r.hypothesis["kind"] for r in s.records]
+        assert calls.count(exact) == 1 and kinds.count("threshold") > 0
+        assert calls.count(sine) == 1 + kinds.count("sine") > 1
+
     def test_no_records_built_unless_kept(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a TrialRecord was built without keep_records")

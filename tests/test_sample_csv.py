@@ -6,10 +6,11 @@ import csv
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sltlab.core import LabeledSample
+from sltlab.core import CSV_BLOCK_CHARS, LabeledSample
 
 
 def reference_from_csv(path, dim=None):
@@ -107,6 +108,12 @@ def outcome(read, path, dim):
 @example("x1,label\n0.5\n", None)
 @example("x1,label\n0.5,0,1\n", 1)
 @example('x1,label\n"0.5\n",1\n0.2,2\n', None)  # the bad record starts on line 4
+@example("x1,label\r0.5,1\r\n0.25,0\r", None)  # lone CR line ends
+@example("x1,label\n0.25,0\n0.5\r,1\n", None)  # a lone CR inside a record
+@example("x1,label\n0.5,1\n \n0.25,0\n", None)  # a whitespace-only line is a row
+@example("x1,label\n#0.5,1\n0.25,0\n", 1)  # no comment lines
+@example("x1,x2,label\n0.5,0.5\n1,0.25,0.75,0\n", None)  # a short row balanced by a long one
+@example('x1,"x,2",label\n0.5,0.25,0.75,1\n', None)  # a comma in a quoted header cell
 def test_from_csv_matches_reference(tmp_path, text, dim):
     path = tmp_path / "sample.csv"
     path.write_bytes(text.encode())
@@ -114,6 +121,88 @@ def test_from_csv_matches_reference(tmp_path, text, dim):
     assert got == outcome(reference_from_csv, path, dim)
     if got[0] != "error":
         assert (got[0], got[3]) == ("float64", "uint8")
+
+
+# Plain cells that LabeledSample.from_csv reads a block at a time, and
+# insertions after which it must read as the row loop does.
+PLAIN_FEATURES = ["0.5", "-0", " 0.25 ", "5e-324", "0.30000000000000004", "1_0", "+2", "1.5e3"]
+DOUBTS = ['"', '"0.5"', "\r", "\n", "\r\n", "\x00", ",", ",0", "nan", "-inf", "1e400", "2", " ",
+          "#", "x", "_", "\t"]
+
+
+@st.composite
+def near_plain_texts(draw):
+    """A header of 2 to 4 columns and up to 12 rows of plain cells, exact 0/1
+    labels and blank lines, LF or CRLF line ends; then maybe one cell
+    replaced by one of DOUBTS, and up to two DOUBTS inserted anywhere."""
+    width = draw(st.integers(2, 4))
+    rows = [[draw(st.sampled_from(PLAIN_FEATURES)) for _ in range(width - 1)]
+            + [draw(st.sampled_from(["0", "1"]))] for _ in range(draw(st.integers(0, 12)))]
+    if rows and draw(st.booleans()):
+        cells = rows[draw(st.integers(0, len(rows) - 1))]
+        cells[draw(st.integers(0, width - 1))] = draw(st.sampled_from(DOUBTS))
+    lines = [",".join([f"x{j + 1}" for j in range(width - 1)] + ["label"])]
+    lines += ["" if draw(st.integers(0, 5)) == 0 else ",".join(cells) for cells in rows]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(DOUBTS)) + text[at:]
+    return text
+
+
+def outcome_or_csv_error(read, path, dim):
+    try:
+        return outcome(read, path, dim)
+    except csv.Error as exc:  # a field over csv's limit, or a NUL before Python 3.11
+        return "csv.Error", str(exc)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(near_plain_texts(), st.sampled_from([None, None, 1, 2, 3]))
+@example("x1,label\n0.5,1\nnan,0\n", None)
+@example("x1,x2,label\r\n0.5,1e400,1\r\n", 2)
+def test_from_csv_near_plain_text_matches_reference(tmp_path, text, dim):
+    path = tmp_path / "sample.csv"
+    path.write_bytes(text.encode())
+    assert (outcome_or_csv_error(LabeledSample.from_csv, path, dim)
+            == outcome_or_csv_error(reference_from_csv, path, dim))
+
+
+@pytest.mark.parametrize("text", [
+    "x1,label\n0.5,1\n0\x00.25,0\n", "x1,label\n0.5,1\x00\n", "x\x001,label\n0.5,1\n",
+    f"x1,label\n0.{'0' * csv.field_size_limit()}1,0\n", f"x{'1' * csv.field_size_limit()},label\n",
+], ids=["nul-feature", "nul-label", "nul-header", "long-feature", "long-header"])
+def test_reader_errors_match_reference(tmp_path, text):
+    path = tmp_path / "sample.csv"
+    path.write_bytes(text.encode())
+    assert (outcome_or_csv_error(LabeledSample.from_csv, path, None)
+            == outcome_or_csv_error(reference_from_csv, path, None))
+
+
+@pytest.mark.parametrize("quoted, bad", [(None, None), (3000, None), (None, 5000), (3000, 5000),
+                                         (5000, 3000)])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_from_csv_past_the_first_block_matches_reference(tmp_path, quoted, bad, newline):
+    # rows 3000 and 5000 lie past the first read block of CSV_BLOCK_CHARS
+    rng = np.random.default_rng(4)
+    rows = [f"{format(v, '.17g')},{b}" for v, b in zip(rng.random(6000).tolist(),
+                                                       rng.integers(0, 2, 6000).tolist())]
+    assert len(newline.join(rows[:2999])) > CSV_BLOCK_CHARS
+    if quoted is not None:
+        value, label = rows[quoted].split(",")
+        rows[quoted] = f'"{value}",{label}'
+    if bad is not None:
+        rows[bad] = rows[bad][:-1] + "2"
+    path = tmp_path / "sample.csv"
+    path.write_bytes(newline.join(["x1,label", *rows, ""]).encode())
+    got = outcome(LabeledSample.from_csv, path, None)
+    assert got == outcome(reference_from_csv, path, None)
+    if bad is not None:
+        assert got == ("error", f"{path} line {bad + 2}: label must be 0 or 1, got '2'")
+    else:
+        assert got[1] == (6000, 1)
 
 
 @st.composite
@@ -134,6 +223,9 @@ def samples(draw):
 @example(LabeledSample(np.array([[-0.0, 5e-324, 2.2250738585072014e-308],
                                  [0.1 + 0.2, 1 / 3, -1.7976931348623157e308]]),
                        np.array([1, 0], dtype=np.uint8)))
+@example(LabeledSample(  # more than one write block of CSV_BLOCK_CHARS
+    np.random.default_rng(5).standard_normal((3000, 3)) * 10.0 ** np.arange(-300, 300, 200),
+    np.random.default_rng(6).integers(0, 2, 3000).astype(np.uint8)))
 def test_to_csv_bytes_match_reference_and_read_back(tmp_path, S):
     path, reference = tmp_path / "sample.csv", tmp_path / "reference.csv"
     S.to_csv(path)
