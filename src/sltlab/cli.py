@@ -28,7 +28,6 @@ from .bounds import (
 )
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
-    DimensionMismatchError,
     EnumerationBudgetError,
     LabeledSample,
     hypothesis_from_json,
@@ -334,11 +333,10 @@ def _run_vcdim(cfg: dict):
     pool_spec = cfg.get("pool", cfg["class"] if cfg["class"] in POOLS else None)
     if pool_spec is None:
         raise ConfigError("config.pool: required when the class is not a pooled preset")
-    pool = resolve_pool(pool_spec)
     try:
-        report = vc_dimension(H, pool, subset_budget=cfg["subset_budget"],
+        report = vc_dimension(H, resolve_pool(pool_spec), subset_budget=cfg["subset_budget"],
                               enum_budget=cfg["enum_budget"])
-    except DimensionMismatchError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config.pool: {exc}") from exc
     lines = [f"dimension over {report.pool_size}-point pool: {report.marker()}"]
     return EXIT_OK, lines, {"vc_report.json": report.to_json()}
@@ -511,15 +509,19 @@ def run(config: dict) -> int:
     """Validate and dispatch a config; write declared outputs plus a manifest."""
     started = time.monotonic()
     cfg = validate_config(config)
+    outdir = cfg.get("out")
+    if outdir:
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"config.out: {exc}") from exc
     try:
         code, lines, files = _RUNNERS[cfg["command"]](cfg)
     except (ValueError, EnumerationBudgetError, AnalyticRiskUnavailable, OSError) as exc:
         raise ConfigError(str(exc)) from exc
     for line in lines:
         print(line)
-    outdir = cfg.get("out")
     if outdir:
-        os.makedirs(outdir, exist_ok=True)
         digests = {}
         for name, payload in files.items():
             path = os.path.join(outdir, name)

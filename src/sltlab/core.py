@@ -592,33 +592,29 @@ class LabeledSample:
                 fh.write("".join(map(row.format, *columns)))
 
     @classmethod
-    def from_csv(cls, path, dim: int | None = None) -> "LabeledSample":
+    def from_csv(cls, path) -> "LabeledSample":
         """Read the CSV schema written by to_csv; all but the last column are features.
 
         Fields may be quoted, blank lines are skipped, a header-only file is an empty sample; a
-        non-finite feature or a label not 0 or 1 (spaces trimmed) fails naming the 1-based file
-        line where its record starts.  Plain files are read in blocks by _csv_table; a file it
-        doubts is read again from the start by the csv.reader loop, the reference, which
-        writes every error.
+        non-finite feature, a label not 0 or 1 (spaces trimmed) or a record csv cannot read
+        fails naming the 1-based file line where its record starts.  Plain files are read in
+        blocks by _csv_table; a file it doubts is read again from the start by the csv.reader
+        loop, the reference, which writes every error.
         """
         with open(path, newline="") as fh:
-            table = _csv_table(fh, dim)
+            table = _csv_table(fh)
             if table is not None:
                 return cls(table[:, :-1], table[:, -1])
             fh.seek(0)
             rows: list[list[float]] = []
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            records = _csv_records(fh, path)
+            _, header = next(records, (None, None))
             if header is None:
                 raise ValueError(f"{path}: empty file, expected a header row")
             width = len(header)
             if width < 2:
                 raise ValueError(f"{path}: need at least one feature column and one label column")
-            if dim is not None and width != dim + 1:
-                raise ValueError(f"{path}: expected {dim} feature columns, header has {width - 1}")
-            start = reader.line_num + 1  # a quoted field may span lines
-            for row in reader:
-                lineno, start = start, reader.line_num + 1
+            for lineno, row in records:
                 if not row:
                     continue
                 if len(row) != width:
@@ -637,7 +633,21 @@ class LabeledSample:
         return cls(table[:, :-1], table[:, -1])
 
 
-def _csv_table(fh, dim: int | None) -> np.ndarray | None:
+def _csv_records(fh, path):
+    """(start line, cells) of each csv.reader record of fh; a csv.Error (a
+    field over csv's limit, or a NUL before Python 3.11) becomes a ValueError
+    naming the line where the record starts."""
+    reader = csv.reader(fh)
+    start = 1  # a quoted field may span lines
+    try:
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise ValueError(f"{path} line {start}: {exc}") from None
+
+
+def _csv_table(fh) -> np.ndarray | None:
     """The (m, width) float table of a sample CSV, read in blocks of whole lines
     of about CSV_BLOCK_CHARS, or None at the first doubt that the csv.reader
     loop of LabeledSample.from_csv would read the file the same way and accept
@@ -652,8 +662,7 @@ def _csv_table(fh, dim: int | None) -> np.ndarray | None:
     limit = csv.field_size_limit()
     header = fh.readline()
     width = header.count(",") + 1
-    if '"' in header or "\0" in header or len(header) > limit or width < 2 \
-            or (dim is not None and width != dim + 1):
+    if '"' in header or "\0" in header or len(header) > limit or width < 2:
         return None
     blocks = []
     while lines := fh.readlines(CSV_BLOCK_CHARS):

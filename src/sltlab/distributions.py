@@ -614,11 +614,12 @@ def true_risk(D: DataDistribution, h: Hypothesis) -> float:
     return D.noise + (1.0 - 2.0 * D.noise) * rho
 
 
-def hoeffding_band(n: int, confidence: float = HOEFFDING_CONF) -> float:
-    """Half-width of the two-sided Hoeffding band for a mean of n 0/1 draws."""
+def hoeffding_band(n: int) -> float:
+    """Half-width of the two-sided Hoeffding band, at confidence HOEFFDING_CONF,
+    for a mean of n 0/1 draws."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n))
+    return math.sqrt(math.log(2.0 / (1.0 - HOEFFDING_CONF)) / (2.0 * n))
 
 
 def mc_risk(

@@ -54,8 +54,9 @@ VERDICT_SLACK = 0.02
 CONFIDENCE = 0.95
 
 
-def binomial_bounds(successes: int, trials: int, confidence: float = CONFIDENCE):
-    """Exact one-sided Clopper-Pearson bounds on a binomial proportion."""
+def binomial_bounds(successes: int, trials: int):
+    """Exact one-sided Clopper-Pearson bounds on a binomial proportion, each at
+    confidence CONFIDENCE."""
     if not (0 <= successes <= trials) or trials < 1:
         raise ValueError("need 0 <= successes <= trials with trials >= 1")
     # The beta quantile beta.ppf(q, a, b) is betaincinv(a, b, q), bit for bit.
@@ -64,12 +65,12 @@ def binomial_bounds(successes: int, trials: int, confidence: float = CONFIDENCE)
     # which holds beta.ppf, would add about another half second and 45 MB.
     from scipy.special import betaincinv
 
-    alpha = 1.0 - confidence
+    alpha = 1.0 - CONFIDENCE
     lower = 0.0 if successes == 0 else float(
         betaincinv(successes, trials - successes + 1, alpha)
     )
     upper = 1.0 if successes == trials else float(
-        betaincinv(successes + 1, trials - successes, confidence)
+        betaincinv(successes + 1, trials - successes, CONFIDENCE)
     )
     return lower, upper
 
@@ -239,12 +240,9 @@ def learnability_trial(
     min_risk: float,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     mc_n: int | None = None,
-    members: Sequence[Hypothesis] | None = None,
 ) -> TrialRecord:
-    """One independent draw-train-evaluate step of the learnability harness;
-    ``members``, if given, is H's enumeration, as ``erm`` takes it."""
-    if members is None:
-        members = enumerate_class(H, budget=budget)
+    """One independent draw-train-evaluate step of the learnability harness."""
+    members = enumerate_class(H, budget=budget)
     picked, errors, risks = _learnability_picks(D, m, seed, [trial], members, mc_n,
                                                 np.empty(len(members)),
                                                 np.ones(len(members), dtype=bool))
@@ -452,30 +450,6 @@ def all_functions_class(domain: np.ndarray) -> FiniteClass:
     return FiniteClass(members, domain=points)
 
 
-def _prediction_mask(
-    learner: str, domain: np.ndarray, table_matrix: np.ndarray | None,
-    idx: tuple[int, ...], labels: tuple[int, ...], default_label: int,
-) -> int:
-    """The learner's full-domain predictions, packed little-endian into an int."""
-    n = len(domain)
-    if learner == "erm_all_functions":
-        # First row of the all-functions table matrix with minimal mismatch
-        # count: identical to running the canonical-ties minimizer over the
-        # explicit class (integer enumeration order).
-        y = np.asarray(labels, dtype=np.uint8)
-        errs = (table_matrix[:, list(idx)] != y).sum(axis=1)
-        return int(np.argmin(errs))
-    if learner == "memorizer":
-        # Each seen point's label (the labels are noiseless, so repeats agree),
-        # default_label at every unseen point.
-        seen = ones = 0
-        for j, b in zip(idx, labels):
-            seen |= 1 << j
-            ones |= b << j
-        return ones | (((1 << n) - 1) ^ seen if default_label else 0)
-    raise ValueError(f"unknown learner {learner!r}; expected one of {NFL_LEARNERS}")
-
-
 def nfl_exact(
     m: int, learner: str = DEFAULT_NFL_LEARNER, default_label: int = DEFAULT_LABEL
 ) -> NflReport:
@@ -483,13 +457,15 @@ def nfl_exact(
     labeling of a uniform 2m-point domain.
 
     The sum runs over all 2^(2m) labeling functions f and all (2m)^m equally
-    likely ordered instance tuples.  Both learners are noiseless and look only
-    at which points were seen with which label, not at their order or
-    repeats, so every tuple with the same set of distinct points s yields the
-    same predictions under f.  The sum is therefore taken over labelled point
-    sets: the learner runs once per labelling of each s, and each s is
-    weighted by the number of ordered tuples whose points are exactly s.
-    All arithmetic is in integers and exact fractions.  Requires m <= 4.
+    likely ordered instance tuples.  After seeing f on the set s of distinct
+    points of a tuple, each learner predicts f on s and a fixed ``fill`` on
+    every unseen point: the memorizer fills with ``default_label``, and
+    ``erm_all_functions`` with 0, because the first all-functions member in
+    integer order that fits the sample is f & s, whose unseen bits are clear.
+    So f's error on a tuple is the number of unseen points where f differs
+    from the fill, and each s is weighted by the number of ordered tuples
+    whose points are exactly s.  All arithmetic is in integers and exact
+    fractions.  Requires m <= 4.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -503,27 +479,14 @@ def nfl_exact(
     if default_label not in (0, 1):
         raise ValueError(f"default_label must be 0 or 1, got {default_label!r}")
     n = 2 * m
-    domain = np.arange(n, dtype=float)[:, None]
-    table_matrix = None
-    if learner == "erm_all_functions":
-        table_matrix = np.array(
-            [[(r >> j) & 1 for j in range(n)] for r in range(2 ** n)], dtype=np.uint8
-        )
-
+    fill = (1 << n) - 1 if learner == "memorizer" and default_label else 0
     tuples = np.array(list(itertools.product(range(n), repeat=m)))
     tuple_counts = np.bincount(np.bitwise_or.reduce(1 << tuples, axis=1), minlength=2 ** n)
-    fs = np.arange(2 ** n)
+    sets = np.flatnonzero(tuple_counts)
     popcount = np.array([bin(v).count("1") for v in range(2 ** n)])
-    # err_totals[f] = sum over instance tuples of |{j : prediction_j != f_j}|
-    err_totals = np.zeros(2 ** n, dtype=np.int64)
-    pred = np.zeros(2 ** n, dtype=np.int64)  # pred[f & s]: predictions after seeing f on s
-    for s in np.flatnonzero(tuple_counts):
-        points = tuple(j for j in range(n) if (s >> j) & 1)
-        for labels in itertools.product((0, 1), repeat=len(points)):
-            pred[sum(b << j for b, j in zip(labels, points))] = _prediction_mask(
-                learner, domain, table_matrix, points, labels, default_label)
-        err_totals += tuple_counts[s] * popcount[pred[fs & s] ^ fs]
-    err_totals = err_totals.tolist()
+    # err_totals[f] = sum over instance tuples of |{j unseen : fill_j != f_j}|
+    unseen_errors = popcount[(np.arange(2 ** n) ^ fill) & ~sets[:, None]]
+    err_totals = (tuple_counts[sets] @ unseen_errors).tolist()
 
     denom = len(tuples) * n
     per_f = [Fraction(e, denom) for e in err_totals]

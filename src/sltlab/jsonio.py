@@ -22,9 +22,9 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _render(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _render(obj, level: int) -> str:
+    pad = "  " * level
+    inner = pad + "  "
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -42,21 +42,22 @@ def _render(obj, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [inner + _render(v, indent, level + 1) for v in obj]
+        items = [inner + _render(v, level + 1) for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            inner + json.dumps(str(k)) + ": " + _render(v, indent, level + 1)
+            inner + json.dumps(str(k)) + ": " + _render(v, level + 1)
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize value of type {type(obj).__name__}")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    return _render(obj, indent, 0) + "\n"
+def dumps(obj) -> str:
+    """obj as JSON text indented by two spaces per level, ending in a newline."""
+    return _render(obj, 0) + "\n"
 
 
 def dump(obj, path) -> None:

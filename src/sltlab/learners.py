@@ -48,19 +48,15 @@ def erm(
     H: HypothesisClass,
     S: LabeledSample,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-    members: Sequence[Hypothesis] | None = None,
 ) -> LearnerOutput:
     """First member of the enumerated class with minimal error on S.
 
     Mismatches are compared as integer counts, so ties are exact and the
-    returned member is the earliest minimizer in canonical order.  A caller
-    that fits H many times passes its enumeration once built as ``members``
-    (not checked against H or budget).
+    returned member is the earliest minimizer in canonical order.
     """
     if S.m == 0:
         raise ValueError("empirical risk minimization needs a nonempty sample")
-    if members is None:
-        members = enumerate_class(H, budget=budget)
+    members = enumerate_class(H, budget=budget)
     counts = error_counts(members, S)
     best = int(np.argmin(counts))
     return LearnerOutput(members[best], int(counts[best]) / S.m)

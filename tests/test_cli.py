@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import pathlib
@@ -286,12 +287,34 @@ class TestExitCodes:
         (["vcdim", "--class", "rectangles2d", "--pool", "[[0.1],[0.2]]"],
          "config.pool: rectangle hypothesis is defined on dimension 2 but instances have "
          "dimension 1"),
+        (["vcdim", "--class", "intervals", "--pool", "nosuch"],
+         "config.pool: no point pool named 'nosuch'; choose from"),
+        (["vcdim", "--class", "intervals", "--pool", "[[0.1"],
+         "config.pool: Expecting ',' delimiter"),
+        (["vcdim", "--class", "intervals", "--pool", '[["a"]]'],
+         "config.pool: could not convert string to float: 'a'"),
+        (["vcdim", "--class", "intervals", "--pool", "[]"],
+         "config.pool: the point pool must be nonempty"),
+        (["vcdim", "--class", "intervals", "--pool", "[[0.1],[0.1]]"],
+         "config.pool: point set must have pairwise distinct points"),
+        (["bounds", "--preset", "bounds-reference-point", "--out", str(BAD_LABEL_CSV / "sub")],
+         f"config.out: [Errno 20] Not a directory: {str(BAD_LABEL_CSV / 'sub')!r}"),
     ])
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
         assert key in captured.err
+
+    def test_unreadable_csv_record_names_key_and_line(self, tmp_path, capsys):
+        # one feature cell longer than csv's field limit, on line 2
+        path = tmp_path / "long.csv"
+        path.write_text(f"x1,label\n0.{'0' * csv.field_size_limit()}1,0\n")
+        assert main(["erm", "--class", "thresholds", "--data", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"sltlab: error: config.data: {path} line 2: field larger than "
+                                f"field limit ({csv.field_size_limit()})\n")
 
     @pytest.mark.parametrize("argv, data, key", [
         (["nfl"], {"m": 2.7}, "m"),

@@ -18,7 +18,6 @@ from sltlab.experiments import (
     tradeoff_sweep,
     verify_learnability,
     verify_uniform_convergence,
-    _prediction_mask,
 )
 from sltlab.learners import erm, srm
 from sltlab.presets import CLASSES, DISTRIBUTIONS, SEQUENCES
@@ -233,35 +232,19 @@ class TestNflExact:
         b = nfl_exact(3, learner="erm_all_functions")
         assert a == b
 
-    def test_erm_fast_path_agrees_with_real_erm(self):
-        # exhaustive over every (instance tuple, labeling-on-tuple) at m=2
-        m, n = 2, 4
-        domain = np.arange(n, dtype=float)[:, None]
-        Hall = all_functions_class(domain)
-        T = np.array([[(r >> j) & 1 for j in range(n)] for r in range(2 ** n)],
-                     dtype=np.uint8)
-        for idx in itertools.product(range(n), repeat=m):
-            distinct = sorted(set(idx))
-            for bits in itertools.product((0, 1), repeat=len(distinct)):
-                point_label = dict(zip(distinct, bits))
-                labels = tuple(point_label[j] for j in idx)
-                mask = _prediction_mask("erm_all_functions", domain, T, idx, labels, 0)
-                S = LabeledSample(domain[list(idx)], np.asarray(labels, dtype=np.uint8))
-                out = erm(Hall, S)
-                expected = sum(int(v) << j for j, v in enumerate(out.hypothesis.labels(domain)))
-                assert mask == expected
-
 
 def reference_nfl(m, learner, default_label):
-    """The per-tuple NFL sum: one learner call per (ordered tuple, labeling of
-    the tuple), then a loop over every labeling function f."""
+    """The per-tuple NFL sum: one call of the real learner per (ordered tuple,
+    labeling of the tuple), then a loop over every labeling function f."""
     n = 2 * m
     domain = np.arange(n, dtype=float)[:, None]
-    table_matrix = None
-    if learner == "erm_all_functions":
-        table_matrix = np.array(
-            [[(r >> j) & 1 for j in range(n)] for r in range(2 ** n)], dtype=np.uint8
-        )
+    Hall = all_functions_class(domain)
+
+    def fit(S):
+        if learner == "memorizer":
+            return learners.memorizer(S, default=default_label)
+        return erm(Hall, S).hypothesis
+
     err_totals = [0] * (2 ** n)
     cache = {}
     tuples = list(itertools.product(range(n), repeat=m))
@@ -270,8 +253,9 @@ def reference_nfl(m, learner, default_label):
         for assignment in itertools.product((0, 1), repeat=len(distinct)):
             point_label = dict(zip(distinct, assignment))
             labels = tuple(point_label[j] for j in idx)
-            pred = _prediction_mask(learner, domain, table_matrix, idx, labels, default_label)
-            cache[(idx, labels)] = pred
+            S = LabeledSample(domain[list(idx)], np.asarray(labels, dtype=np.uint8))
+            bits = fit(S).labels(domain)
+            cache[(idx, labels)] = sum(int(b) << j for j, b in enumerate(bits))
         for f in range(2 ** n):
             labels = tuple((f >> j) & 1 for j in idx)
             err_totals[f] += bin(cache[(idx, labels)] ^ f).count("1")
@@ -320,38 +304,6 @@ class TestNflByLabelledPointSets:
         text = jsonio.dumps(report.to_json())
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == self.M4_DIGESTS[(learner, default_label)]
-
-    @pytest.mark.parametrize("learner, default_label", NFL_CASES)
-    def test_predictions_depend_only_on_the_labelled_point_set(self, learner, default_label):
-        # exhaustive at m = 3: the tuple and its sorted distinct points agree
-        m, n = 3, 6
-        domain = np.arange(n, dtype=float)[:, None]
-        T = np.array([[(r >> j) & 1 for j in range(n)] for r in range(2 ** n)],
-                     dtype=np.uint8)
-        for idx in itertools.product(range(n), repeat=m):
-            distinct = tuple(sorted(set(idx)))
-            for bits in itertools.product((0, 1), repeat=len(distinct)):
-                point_label = dict(zip(distinct, bits))
-                labels = tuple(point_label[j] for j in idx)
-                on_tuple = _prediction_mask(learner, domain, T, idx, labels, default_label)
-                on_set = _prediction_mask(learner, domain, T, distinct, bits, default_label)
-                assert on_tuple == on_set
-
-    @pytest.mark.parametrize("default_label", [0, 1])
-    def test_memorizer_mask_equals_the_fitted_lookup_table(self, default_label):
-        # every labelled point set at m = 3 (up to 3 of 6 points), against
-        # packing learners.memorizer(...).labels(domain)
-        m, n = 3, 6
-        domain = np.arange(n, dtype=float)[:, None]
-        for size in range(1, m + 1):
-            for points in itertools.combinations(range(n), size):
-                for labels in itertools.product((0, 1), repeat=size):
-                    S = LabeledSample(domain[list(points)], np.asarray(labels, dtype=np.uint8))
-                    bits = learners.memorizer(S, default=default_label).labels(domain)
-                    expected = int(sum(int(b) << j for j, b in enumerate(bits)))
-                    got = _prediction_mask("memorizer", domain, None, points, labels,
-                                           default_label)
-                    assert got == expected
 
 
 class TestTradeoffSweep:
