@@ -25,7 +25,6 @@ from .core import (
 from .distributions import (
     DataDistribution,
     SeedSpec,
-    exact_or_mc_risk,
     hoeffding_band,
     member_risks,
     min_risk_in_class,
@@ -220,7 +219,8 @@ def decompose_error(
     estimation is nonnegative whenever h_hat is one of the enumerated members.
     """
     minimizer, approx = min_risk_in_class(D, H, budget=budget, mc_n=mc_n, seed=seed)
-    total, _ = exact_or_mc_risk(D, h_hat, mc_n, seed, "decompose-hhat")
+    risks, _ = member_risks(D, [h_hat], mc_n, seed, "decompose-hhat")
+    total = float(risks[0])
     return ErrorDecomposition(
         approximation_error=approx,
         estimation_error=total - approx,

@@ -57,8 +57,8 @@ from .presets import (
     resolve_sequence,
 )
 from .shattering import (
-    DEFAULT_SINE_BUDGET,
     DEFAULT_SUBSET_BUDGET,
+    MAX_SINE_POINTS,
     sine_shatter_witness,
     vc_dimension,
 )
@@ -113,6 +113,13 @@ def _nfl_m(value) -> int:
     if m > NFL_MAX_M:
         raise ValueError(f"the exact enumeration is capped at m={NFL_MAX_M}, got {m}")
     return m
+
+
+def _sine_k(value) -> int:
+    k = _at_least_one(value)
+    if k > MAX_SINE_POINTS:
+        raise ValueError(f"the witness is capped at k={MAX_SINE_POINTS}, got {k}")
+    return k
 
 
 def _nfl_learner(value) -> str:
@@ -173,8 +180,7 @@ _COMMAND_KEYS: dict[str, dict] = {
     "vcdim": {"class": (str, REQUIRED), "pool": (str, None),
               "subset_budget": (_at_least_one, DEFAULT_SUBSET_BUDGET),
               "enum_budget": (_at_least_one, DEFAULT_ENUMERATION_BUDGET),
-              "sine_k": (_whole, None),
-              "sine_budget": (_at_least_one, DEFAULT_SINE_BUDGET)},
+              "sine_k": (_sine_k, None)},
     "risk": {"dist": (str, REQUIRED), "hypothesis": (str, REQUIRED),
              "mc_n": (_at_least_one, None)},
     "erm": {"class": (str, REQUIRED), "data": (str, None), "dist": (str, None),
@@ -322,7 +328,7 @@ def _run_vcdim(cfg: dict):
     H = resolve_class(cfg["class"])
     if H.family == "sine":
         k = cfg.get("sine_k", 6)
-        report = sine_shatter_witness(k, budget=cfg["sine_budget"])
+        report = sine_shatter_witness(k)
         status = "all labelings realized" if report.complete else \
             f"{len(report.failed)} labelings NOT realized"
         lines = [f"sign-of-sine shattering at k={k}: {status}"]
@@ -506,19 +512,32 @@ _RUNNERS = {
 
 
 def run(config: dict) -> int:
-    """Validate and dispatch a config; write declared outputs plus a manifest."""
+    """Validate and dispatch a config; write declared outputs plus a manifest.
+    A run that fails removes the output directories it created."""
     started = time.monotonic()
     cfg = validate_config(config)
     outdir = cfg.get("out")
+    created = []  # the directories of outdir that do not exist yet, deepest first
     if outdir:
+        path = os.path.abspath(outdir)
+        while not os.path.exists(path):
+            created.append(path)
+            path = os.path.dirname(path)
         try:
             os.makedirs(outdir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"config.out: {exc}") from exc
     try:
         code, lines, files = _RUNNERS[cfg["command"]](cfg)
-    except (ValueError, EnumerationBudgetError, AnalyticRiskUnavailable, OSError) as exc:
-        raise ConfigError(str(exc)) from exc
+    except BaseException as exc:
+        for path in created:
+            os.rmdir(path)
+        if isinstance(exc, EnumerationBudgetError):
+            key = "enum_budget" if cfg["command"] == "vcdim" else "budget"
+            raise ConfigError(f"config.{key}: {exc}") from exc
+        if isinstance(exc, (ValueError, AnalyticRiskUnavailable, OSError)):
+            raise ConfigError(str(exc)) from exc
+        raise
     for line in lines:
         print(line)
     if outdir:

@@ -631,25 +631,6 @@ def mc_risk(
     return est, hoeffding_band(n)
 
 
-def exact_or_mc_risk(
-    D: DataDistribution,
-    h: Hypothesis,
-    mc_n: int | None,
-    seed: SeedSpec | None,
-    stream: str,
-    index: int = 0,
-) -> tuple[float, bool]:
-    """(risk, used_mc): the exact risk of h when D has a closed form for it,
-    else the Monte Carlo estimate over mc_n draws from seed.derive(stream, index).
-    The one-member case of ``member_risks``.
-
-    Without both mc_n and seed, a missing closed form raises
-    AnalyticRiskUnavailable.
-    """
-    risks, mc = member_risks(D, [h], mc_n, seed, stream, [index])
-    return float(risks[0]), bool(mc[0])
-
-
 def member_risks(
     D: DataDistribution,
     members: Sequence[Hypothesis],

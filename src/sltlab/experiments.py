@@ -28,7 +28,6 @@ from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     LABEL_BLOCK_CELLS,
     FiniteClass,
-    Hypothesis,
     HypothesisClass,
     LookupTable,
     StackedMembers,
@@ -230,62 +229,6 @@ def _summary(
 # ---------------------------------------------------------------------------
 
 
-def learnability_trial(
-    H: HypothesisClass,
-    D: DataDistribution,
-    m: int,
-    eps: float,
-    seed: SeedSpec,
-    trial: int,
-    min_risk: float,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-    mc_n: int | None = None,
-) -> TrialRecord:
-    """One independent draw-train-evaluate step of the learnability harness."""
-    members = enumerate_class(H, budget=budget)
-    picked, errors, risks = _learnability_picks(D, m, seed, [trial], members, mc_n,
-                                                np.empty(len(members)),
-                                                np.ones(len(members), dtype=bool))
-    return _learnability_records(members, m, eps, min_risk, [trial], picked, errors, risks)[0]
-
-
-def _learnability_picks(
-    D: DataDistribution, m: int, seed: SeedSpec, trials: Sequence[int],
-    members: Sequence[Hypothesis], mc_n: int | None, risks: np.ndarray, redo: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(picked, errors, pick risks) of the given trials: per trial the first
-    member with fewest mismatches on its sample (the one ``erm`` picks), that
-    count and its risk.  The risk is read from the class risk vector
-    ``risks``, unless the mask ``redo`` marks the member (its risk needed
-    Monte Carlo); then ``member_risks`` risks the pick over its trial's own
-    "pac-risk" stream."""
-    def pick(X, y):
-        counts = trial_error_counts(members, X, y)
-        return np.argmin(counts, axis=1), counts.min(axis=1)
-
-    picked, errors = _per_trial(D, m, [seed.derive("pac-trial", t) for t in trials],
-                                len(members), pick)
-    pick_risks = risks[picked]
-    again = np.flatnonzero(redo[picked]).tolist()
-    if again:
-        pick_risks[again], _ = member_risks(D, [members[picked[k]] for k in again], mc_n, seed,
-                                            "pac-risk", [trials[k] for k in again])
-    return picked, errors, pick_risks
-
-
-def _learnability_records(
-    members: Sequence[Hypothesis], m: int, eps: float, min_risk: float,
-    trials: Sequence[int], picked: np.ndarray, errors: np.ndarray, risks: np.ndarray,
-) -> list[TrialRecord]:
-    """The records of the given trials from their picks, mismatch counts and
-    pick risks."""
-    return [
-        TrialRecord(trial=t, risk=risk, estimation=risk - min_risk, empirical_error=e / m,
-                    success=risk <= min_risk + eps, hypothesis=members[i].to_json())
-        for t, i, e, risk in zip(trials, picked.tolist(), errors.tolist(), risks.tolist())
-    ]
-
-
 def verify_learnability(
     H: HypothesisClass,
     D: DataDistribution,
@@ -303,17 +246,35 @@ def verify_learnability(
 
     The decision threshold is 1 - delta - 0.02; the slack absorbs Monte Carlo
     noise at the boundary, and the verdict is "indeterminate" whenever the
-    one-sided confidence bounds straddle the threshold.  A pick's risk is read
-    from the class's risk vector unless that member needed Monte Carlo.
+    one-sided confidence bounds straddle the threshold.
+
+    Each trial picks the first member with fewest mismatches on its sample
+    (the one ``erm`` picks).  A pick's risk is read from the class's risk
+    vector, unless that member needed Monte Carlo; then ``member_risks`` risks
+    the pick over its trial's own "pac-risk" stream.
     """
     _check_harness(eps, delta, trials)
     members = StackedMembers(enumerate_class(H, budget=budget))
     risks, mc = member_risks(D, members, mc_n, seed, "min-risk-member")
     min_risk = float(risks.min())
-    picked, errors, pick_risks = _learnability_picks(D, m, seed, range(trials), members, mc_n,
-                                                     risks, mc)
-    records = _learnability_records(members, m, eps, min_risk, range(trials), picked, errors,
-                                    pick_risks) if keep_records else None
+
+    def pick(X, y):
+        counts = trial_error_counts(members, X, y)
+        return np.argmin(counts, axis=1), counts.min(axis=1)
+
+    picked, errors = _per_trial(D, m, [seed.derive("pac-trial", t) for t in range(trials)],
+                                len(members), pick)
+    pick_risks = risks[picked]
+    again = np.flatnonzero(mc[picked]).tolist()
+    if again:
+        pick_risks[again], _ = member_risks(D, [members[picked[t]] for t in again], mc_n, seed,
+                                            "pac-risk", again)
+    records = [
+        TrialRecord(trial=t, risk=risk, estimation=risk - min_risk, empirical_error=e / m,
+                    success=risk <= min_risk + eps, hypothesis=members[i].to_json())
+        for t, (i, e, risk) in enumerate(zip(picked.tolist(), errors.tolist(),
+                                             pick_risks.tolist()))
+    ] if keep_records else None
     return _summary("learnability", H, D, m, eps, delta, seed, pick_risks <= min_risk + eps,
                     pick_risks - min_risk,
                     {"min_risk_in_class": min_risk, "statistic": "estimation_error"}, records)

@@ -36,9 +36,7 @@ from .core import (
 )
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
-DEFAULT_SINE_BUDGET = 20_000
 MAX_SINE_POINTS = 8
-SINE_SEARCH_SEED = 0
 # At most this many member x subset pattern codes per block of the subset
 # search; a fixed constant, so the search adds little to the label matrix's
 # memory however large the class.
@@ -271,8 +269,8 @@ class SineWitnessReport:
     """Shattering witness for the sign-of-sine family on k geometric points.
 
     Reports "shatters k points" for the tested k only; no claim is made
-    beyond the verified labelings.  ``failed`` lists labelings the search
-    could not realize within budget (empty on success).
+    beyond the verified labelings.  ``failed`` lists labelings whose
+    closed-form frequency did not replay (empty on success).
     """
 
     points: tuple[float, ...]
@@ -293,61 +291,27 @@ class SineWitnessReport:
         }
 
 
-def _sine_alpha_candidate(points_pow10: tuple[int, ...], labeling: tuple[int, ...]) -> float:
-    # For x_i = 10^-i the frequency pi * (1 + sum_{i: y_i=0} 10^i) places
-    # sin(alpha x_i) strictly on the requested side of zero for every i.
-    total = 1 + sum(10 ** i for i, y in zip(points_pow10, labeling) if y == 0)
-    return math.pi * total
+def sine_shatter_witness(k: int) -> SineWitnessReport:
+    """Realize all 2^k labelings of the k points x_i = 10^-i by sign-of-sine
+    hypotheses.
 
-
-def _realizes(alpha: float, xs: np.ndarray, labeling: tuple[int, ...]) -> bool:
-    got = SineSign(alpha).labels(xs)
-    return tuple(int(v) for v in got) == labeling
-
-
-def sine_shatter_witness(
-    k: int,
-    points: tuple[float, ...] | None = None,
-    budget: int = DEFAULT_SINE_BUDGET,
-) -> SineWitnessReport:
-    """Realize all 2^k labelings of k points by sign-of-sine hypotheses.
-
-    Default points are geometric, x_i = 10^-i.  Every returned frequency is
-    verified by evaluation under the boundary convention.  For the default
-    points a closed-form frequency is tried first; a seeded random search
-    covers custom point sets, spending at most ``budget`` evaluations overall.
+    The frequency pi * (1 + sum of 10^i over the points labelled 0) places
+    sin(alpha x_i) strictly on the requested side of zero for every i.  Each
+    frequency is replayed under the boundary convention, and a labeling it
+    does not realize is reported in ``failed``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > MAX_SINE_POINTS:
         raise ValueError(f"k={k} exceeds the maximum {MAX_SINE_POINTS}")
-    geometric = points is None
-    pts = tuple(points) if points is not None else tuple(10.0 ** -(i + 1) for i in range(k))
-    if len(pts) != k:
-        raise ValueError(f"expected {k} points, got {len(pts)}")
-    xs = np.asarray(pts, dtype=float)[:, None]
-
-    rng = np.random.default_rng(SINE_SEARCH_SEED)
-    entries: list[tuple[tuple[int, ...], float]] = []
-    failed: list[tuple[int, ...]] = []
-    evals = 0
-    for labeling in itertools.product((0, 1), repeat=k):
-        alpha = None
-        if geometric:
-            cand = _sine_alpha_candidate(tuple(range(1, k + 1)), labeling)
-            evals += 1
-            if _realizes(cand, xs, labeling):
-                alpha = cand
-        if alpha is None:
-            span = 10.0 ** (k + 1)
-            while evals < budget:
-                cand = float(rng.uniform(0.0, math.pi * span))
-                evals += 1
-                if _realizes(cand, xs, labeling):
-                    alpha = cand
-                    break
-        if alpha is None:
-            failed.append(labeling)
-        else:
-            entries.append((labeling, alpha))
-    return SineWitnessReport(points=pts, entries=tuple(entries), failed=tuple(failed))
+    pts = tuple(10.0 ** -(i + 1) for i in range(k))
+    labelings = list(itertools.product((0, 1), repeat=k))
+    alphas = [math.pi * (1 + sum(10 ** i for i, y in enumerate(labeling, start=1) if y == 0))
+              for labeling in labelings]
+    replayed = label_matrix([SineSign(alpha) for alpha in alphas], np.asarray(pts)[:, None])
+    realized = (replayed == np.asarray(labelings)).all(axis=1).tolist()
+    return SineWitnessReport(
+        points=pts,
+        entries=tuple((lab, alpha) for lab, alpha, ok in zip(labelings, alphas, realized) if ok),
+        failed=tuple(lab for lab, ok in zip(labelings, realized) if not ok),
+    )

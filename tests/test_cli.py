@@ -36,8 +36,7 @@ COMMON_OPTIONS = {"--config", "--help", "--no-records", "--out", "--preset", "--
                   "--seed", "--workers"}
 COMMAND_OPTIONS = {
     "bounds": {"--C", "--C1", "--C2", "--d", "--delta", "--eps", "--m"},
-    "vcdim": {"--class", "--enum-budget", "--pool", "--sine-budget", "--sine-k",
-              "--subset-budget"},
+    "vcdim": {"--class", "--enum-budget", "--pool", "--sine-k", "--subset-budget"},
     "risk": {"--dist", "--hypothesis", "--mc-n"},
     "erm": {"--budget", "--class", "--data", "--dist", "--m"},
     "srm": {"--C", "--budget", "--data", "--delta", "--dist", "--m", "--sequence"},
@@ -74,6 +73,10 @@ class TestConfigValidation:
         assert validate_config({"command": "nfl", "m": 2, "workers": 3})["workers"] == 3
         with pytest.raises(ConfigError, match="config.workers: must be at least 1"):
             merge_config("pac", "pac-thresholds", None, {"workers": 0})
+
+    def test_old_sine_budget_key_is_unknown(self):
+        with pytest.raises(ConfigError, match="config.sine_budget: unknown key"):
+            merge_config("vcdim", "sine-shatter-k6", None, {"sine_budget": 20000})
 
     def test_preset_command_mismatch(self):
         with pytest.raises(ConfigError, match="belongs to command"):
@@ -146,13 +149,13 @@ class TestConfigValidation:
 
     def test_manifest_lists_defaults_used(self, tmp_path):
         from sltlab.core import DEFAULT_ENUMERATION_BUDGET
-        from sltlab.shattering import DEFAULT_SINE_BUDGET, DEFAULT_SUBSET_BUDGET
+        from sltlab.shattering import DEFAULT_SUBSET_BUDGET
 
         main(["vcdim", "--preset", "vc-intervals", "--out", str(tmp_path)])
         cfg = json.load(open(tmp_path / "manifest.json"))["config"]
         assert cfg["subset_budget"] == DEFAULT_SUBSET_BUDGET
         assert cfg["enum_budget"] == DEFAULT_ENUMERATION_BUDGET
-        assert cfg["sine_budget"] == DEFAULT_SINE_BUDGET
+        assert "sine_budget" not in cfg
         assert "pool" not in cfg and "sine_k" not in cfg
 
     def test_help_lists_every_preset(self, capsys):
@@ -202,7 +205,8 @@ class TestExitCodes:
         (["bounds", "--d", "1", "--eps", "0.1x", "--delta", "0.05"], "config.eps"),
         (["vcdim", "--preset", "vc-intervals", "--subset-budget", "0"], "config.subset_budget"),
         (["vcdim", "--preset", "vc-intervals", "--enum-budget", "0"], "config.enum_budget"),
-        (["vcdim", "--preset", "sine-shatter-k6", "--sine-budget", "0"], "config.sine_budget"),
+        (["vcdim", "--preset", "sine-shatter-k6", "--sine-k", "9"],
+         "config.sine_k: the witness is capped at k=8, got 9"),
         (["erm", "--preset", "erm-thresholds-demo", "--budget", "0"], "config.budget"),
         (["nfl", "--m", "two"], "config.m"),
         (["nfl", "--m", "2", "--learner", "erm_all_functions", "--default-label", "2"],
@@ -299,6 +303,12 @@ class TestExitCodes:
          "config.pool: point set must have pairwise distinct points"),
         (["bounds", "--preset", "bounds-reference-point", "--out", str(BAD_LABEL_CSV / "sub")],
          f"config.out: [Errno 20] Not a directory: {str(BAD_LABEL_CSV / 'sub')!r}"),
+        (["vcdim", "--preset", "sine-shatter-k6", "--sine-k", "0"],
+         "config.sine_k: must be at least 1, got 0"),
+        (["pac", "--preset", "pac-thresholds", "--budget", "3"],
+         "config.budget: enumeration requires 41 hypotheses but the budget is 3"),
+        (["vcdim", "--class", "interval-unions-2", "--enum-budget", "5"],
+         "config.enum_budget: enumeration requires 1365 hypotheses but the budget is 5"),
     ])
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG
@@ -489,6 +499,21 @@ class TestOutputsAndManifest:
         main(["nfl", "--preset", "nfl-m2-memorizer", "--out", str(out)])
         assert os.listdir(workdir) == []
         assert sorted(os.listdir(out)) == ["manifest.json", "nfl_report.json"]
+
+    def test_failed_run_removes_the_directories_it_created(self, tmp_path, capsys):
+        out = tmp_path / "runs" / "vc"
+        assert main(["vcdim", "--class", "intervals", "--pool", "nosuch",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "config.pool" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_run_keeps_a_directory_that_existed(self, tmp_path, capsys):
+        out = tmp_path / "vc"
+        out.mkdir()
+        assert main(["vcdim", "--class", "intervals", "--pool", "nosuch",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "config.pool" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["vc"] and os.listdir(out) == []
 
 
 class TestRunApi:

@@ -30,7 +30,6 @@ from sltlab.distributions import (
     _pcg64_states,
     draw_block,
     draw_sample,
-    exact_or_mc_risk,
     hoeffding_band,
     mc_risk,
     member_risks,
@@ -344,8 +343,9 @@ class TestMcRisk:
         risks, mc = member_risks(D, members, mc_n, seed, "risk", indices)
         assert risks.tolist() == [r for r, _ in expected]
         assert mc.dtype == bool and mc.tolist() == [used for _, used in expected]
-        assert [exact_or_mc_risk(D, h, mc_n, seed, "risk", i)
-                for h, i in zip(members, indices)] == expected
+        one_by_one = [member_risks(D, [h], mc_n, seed, "risk", [i])
+                      for h, i in zip(members, indices)]
+        assert [(float(r[0]), bool(used[0])) for r, used in one_by_one] == expected
         default, _ = member_risks(D, members, mc_n, seed, "risk")
         assert default.tolist() == [one(h, i)[0] for i, h in enumerate(members)]
 

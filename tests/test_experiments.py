@@ -8,12 +8,19 @@ import pytest
 
 from sltlab import core, distributions, experiments, jsonio, learners
 from sltlab.core import FiniteClass, LabeledSample, SineSign, Threshold, enumerate_class
-from sltlab.distributions import DataDistribution, FiniteUniform, SeedSpec, draw_sample
+from sltlab.distributions import (
+    AnalyticRiskUnavailable,
+    DataDistribution,
+    FiniteUniform,
+    SeedSpec,
+    draw_sample,
+    mc_risk,
+    true_risk,
+)
 from sltlab.experiments import (
     all_functions_class,
     binomial_bounds,
     binomial_verdict,
-    learnability_trial,
     nfl_exact,
     tradeoff_sweep,
     verify_learnability,
@@ -87,14 +94,25 @@ class TestLearnability:
         (FiniteClass((Threshold(0.45), SineSign(-np.pi / 0.55))), 300, {"threshold", "sine"}),
     ], ids=["exact", "monte-carlo", "mixed"])
     def test_trial_records_reconstructable(self, cls, mc_n, kinds):
+        # each record rebuilt from public pieces: erm on the trial's own
+        # sample, then the exact risk or a Monte Carlo one on its own stream
+        seed = SeedSpec(9)
         s = verify_learnability(cls, D, m=10, eps=0.1, delta=0.1, trials=24,
-                                seed=SeedSpec(9), mc_n=mc_n, keep_records=True)
+                                seed=seed, mc_n=mc_n, keep_records=True)
         min_risk = s.extra["min_risk_in_class"]
         assert {r.hypothesis["kind"] for r in s.records} == kinds
+        assert [r.trial for r in s.records] == list(range(24))
         for r in s.records:
-            again = learnability_trial(cls, D, 10, 0.1, SeedSpec(9), r.trial, min_risk,
-                                       mc_n=mc_n)
-            assert again == r
+            out = erm(cls, draw_sample(D, 10, seed.derive("pac-trial", r.trial)))
+            try:
+                risk = true_risk(D, out.hypothesis)
+            except AnalyticRiskUnavailable:
+                risk, _ = mc_risk(D, out.hypothesis, mc_n, seed.derive("pac-risk", r.trial))
+            assert r.hypothesis == out.hypothesis.to_json()
+            assert r.empirical_error == out.empirical_error
+            assert r.risk == risk
+            assert r.estimation == risk - min_risk
+            assert r.success == (risk <= min_risk + 0.1)
 
     def test_one_exact_risk_per_member(self, monkeypatch):
         calls = []

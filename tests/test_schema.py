@@ -294,7 +294,7 @@ def test_whole_number_floats_cast_to_int():
 
 @pytest.mark.parametrize("fn", [
     learners.erm, learners.srm, distributions.min_risk_in_class, bounds.is_eps_representative,
-    bounds.decompose_error, experiments.learnability_trial, experiments.verify_learnability,
+    bounds.decompose_error, experiments.verify_learnability,
     experiments.verify_uniform_convergence, experiments.tradeoff_sweep, shattering.restriction,
     shattering.shatters, shattering.vc_dimension, enumerate_class,
     ThresholdClass.size, ThresholdClass.members, ThresholdClass.resolve_grid,

@@ -19,6 +19,7 @@ from sltlab.core import (
 )
 from sltlab.presets import CLASSES, POOLS
 from sltlab.shattering import (
+    MAX_SINE_POINTS,
     Dichotomy,
     VcReport,
     restriction,
@@ -258,6 +259,14 @@ class TestSineWitness:
         with pytest.raises(ValueError, match="maximum"):
             sine_shatter_witness(9)
 
-    def test_custom_points_search_path(self):
-        rep = sine_shatter_witness(2, points=(0.37, 0.11), budget=50_000)
-        assert rep.complete
+    @pytest.mark.parametrize("k", range(1, MAX_SINE_POINTS + 1))
+    def test_closed_form_is_complete_and_replays(self, k):
+        rep = sine_shatter_witness(k)
+        assert rep.complete and rep.failed == ()
+        assert rep.points == tuple(10.0 ** -i for i in range(1, k + 1))
+        assert [lab for lab, _ in rep.entries] == list(itertools.product((0, 1), repeat=k))
+        X = np.asarray(rep.points)[:, None]
+        for labeling, alpha in rep.entries:
+            assert alpha == math.pi * (1 + sum(10 ** i for i, y in enumerate(labeling, 1)
+                                               if y == 0))
+            assert tuple(int(v) for v in SineSign(alpha).labels(X)) == labeling
