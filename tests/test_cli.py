@@ -53,6 +53,7 @@ SINE_SEQUENCE = '{"classes": [{"family": "thresholds"}, {"family": "sine"}]}'
 # a sample CSV whose record on line 7 has the label 2, and a path with no file
 BAD_LABEL_CSV = pathlib.Path(__file__).parent / "data" / "bad_label.csv"
 MISSING_CSV = pathlib.Path(__file__).parent / "data" / "missing.csv"
+OLD_SINE_BUDGET_CONFIG = pathlib.Path(__file__).parent / "data" / "old_sine_budget.json"
 
 
 class TestConfigValidation:
@@ -205,8 +206,9 @@ class TestExitCodes:
         (["bounds", "--d", "1", "--eps", "0.1x", "--delta", "0.05"], "config.eps"),
         (["vcdim", "--preset", "vc-intervals", "--subset-budget", "0"], "config.subset_budget"),
         (["vcdim", "--preset", "vc-intervals", "--enum-budget", "0"], "config.enum_budget"),
-        (["vcdim", "--preset", "sine-shatter-k6", "--sine-k", "9"],
-         "config.sine_k: the witness is capped at k=8, got 9"),
+        # sine_budget is no longer a vcdim key: a config file that still sets it is refused
+        (["vcdim", "--preset", "sine-shatter-k6", "--config", str(OLD_SINE_BUDGET_CONFIG)],
+         "config.sine_budget"),
         (["erm", "--preset", "erm-thresholds-demo", "--budget", "0"], "config.budget"),
         (["nfl", "--m", "two"], "config.m"),
         (["nfl", "--m", "2", "--learner", "erm_all_functions", "--default-label", "2"],
@@ -309,6 +311,8 @@ class TestExitCodes:
          "config.budget: enumeration requires 41 hypotheses but the budget is 3"),
         (["vcdim", "--class", "interval-unions-2", "--enum-budget", "5"],
          "config.enum_budget: enumeration requires 1365 hypotheses but the budget is 5"),
+        (["vcdim", "--preset", "sine-shatter-k6", "--sine-k", "9"],
+         "config.sine_k: the witness is capped at k=8, got 9"),
     ])
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG
