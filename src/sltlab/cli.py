@@ -327,6 +327,8 @@ def _run_bounds(cfg: dict):
 def _run_vcdim(cfg: dict):
     H = resolve_class(cfg["class"])
     if H.family == "sine":
+        if "pool" in cfg:
+            raise ConfigError("config.pool: only meaningful for non-sine families")
         k = cfg.get("sine_k", 6)
         report = sine_shatter_witness(k)
         status = "all labelings realized" if report.complete else \
@@ -355,9 +357,9 @@ def _run_risk(cfg: dict):
         value = true_risk(D, h)
         payload = {"risk": value, "method": "analytic", "hypothesis": h.to_json()}
         lines = [f"risk = {value:.17g} (analytic)"]
-    except AnalyticRiskUnavailable as exc:
+    except AnalyticRiskUnavailable:
         if "mc_n" not in cfg:
-            raise ConfigError(f"config.mc_n: required, {exc}") from exc
+            raise  # run names config.mc_n
         est, band = mc_risk(D, h, cfg["mc_n"], SeedSpec(cfg["seed"], "cli-risk"))
         payload = {"risk": est, "method": "monte_carlo", "band": band,
                    "n": cfg["mc_n"], "hypothesis": h.to_json()}
@@ -535,33 +537,45 @@ def run(config: dict) -> int:
         if isinstance(exc, EnumerationBudgetError):
             key = "enum_budget" if cfg["command"] == "vcdim" else "budget"
             raise ConfigError(f"config.{key}: {exc}") from exc
+        if (isinstance(exc, AnalyticRiskUnavailable) and "mc_n" not in cfg
+                and "mc_n" in _COMMAND_KEYS[cfg["command"]]):
+            raise ConfigError(f"config.mc_n: required, {exc}") from exc
         if isinstance(exc, (ValueError, AnalyticRiskUnavailable, OSError)):
             raise ConfigError(str(exc)) from exc
         raise
     for line in lines:
         print(line)
     if outdir:
-        digests = {}
-        for name, payload in files.items():
-            path = os.path.join(outdir, name)
-            if isinstance(payload, LabeledSample):
-                payload.to_csv(path)
-            elif isinstance(payload, list):
-                jsonio.write_csv(path, rows=payload)
-            else:
-                jsonio.dump(payload, path)
-            digests[name] = jsonio.sha256_file(path)
-        manifest = {
-            "tool": "sltlab",
-            "version": __version__,
-            "command": cfg["command"],
-            "config": {k: v for k, v in sorted(cfg.items())},
-            "duration_seconds": time.monotonic() - started,
-            "outputs": digests,
-        }
-        jsonio.dump(manifest, os.path.join(outdir, "manifest.json"))
+        try:
+            digests = _write_outputs(outdir, files, cfg, started)
+        except OSError as exc:
+            raise ConfigError(f"config.out: {exc}") from exc
         print(f"wrote {len(digests)} output file(s) + manifest to {outdir}")
     return code
+
+
+def _write_outputs(outdir: str, files: dict, cfg: dict, started: float) -> dict:
+    """Write each output file and then the manifest; return the digests."""
+    digests = {}
+    for name, payload in files.items():
+        path = os.path.join(outdir, name)
+        if isinstance(payload, LabeledSample):
+            payload.to_csv(path)
+        elif isinstance(payload, list):
+            jsonio.write_csv(path, rows=payload)
+        else:
+            jsonio.dump(payload, path)
+        digests[name] = jsonio.sha256_file(path)
+    manifest = {
+        "tool": "sltlab",
+        "version": __version__,
+        "command": cfg["command"],
+        "config": {k: v for k, v in sorted(cfg.items())},
+        "duration_seconds": time.monotonic() - started,
+        "outputs": digests,
+    }
+    jsonio.dump(manifest, os.path.join(outdir, "manifest.json"))
+    return digests
 
 
 class _Parser(argparse.ArgumentParser):

@@ -7,7 +7,9 @@ determined by a SeedSpec: each trial's PCG64 state is derived by hashing its
 seed, and one bit generator is reset to that state before the trial is drawn,
 so no state carries over between trials and any trial can be rebuilt on its
 own.  ``draw_block`` draws many such trials at once and labels them in one
-pass; ``draw_sample`` is its one-trial case.
+pass; ``draw_sample`` is its one-trial case.  A trial costs one state reset
+and, on a uniform box, one generator call for its instances and noise flips;
+the box map is applied once per block.
 
 Exact risk is implemented where the disagreement region is cheap to measure:
 any finite-support marginal, interval-decomposable hypotheses on a 1-d
@@ -141,12 +143,20 @@ def _pcg64_states(seeds: Sequence[tuple[int, int, int]]) -> list[tuple[int, int]
     return states
 
 
+def _check_trial(trial: int) -> None:
+    if trial < 0:
+        raise ValueError("trial index must be nonnegative")
+    if trial >= 2 ** 64:
+        raise ValueError("trial index must be a 64-bit unsigned integer")
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Master seed plus a named sub-stream and trial index.
 
     The generator is a pure function of (master_seed, stream, trial); deriving
-    the same triple twice yields identical draws.
+    the same triple twice yields identical draws.  A SeedSpec unpacks to its
+    row (master_seed, stream hash, trial), the form ``draw_block`` reads.
     """
 
     master_seed: int
@@ -156,13 +166,22 @@ class SeedSpec:
     def __post_init__(self):
         if not (0 <= self.master_seed < 2 ** 64):
             raise ValueError("master_seed must be a 64-bit unsigned integer")
-        if self.trial < 0:
-            raise ValueError("trial index must be nonnegative")
-        if self.trial >= 2 ** 64:
-            raise ValueError("trial index must be a 64-bit unsigned integer")
+        _check_trial(self.trial)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter((self.master_seed, _stream_hash(self.stream), self.trial))
 
     def derive(self, stream: str, trial: int = 0) -> "SeedSpec":
         return SeedSpec(self.master_seed, stream, trial)
+
+    def rows(self, stream: str, trials: Sequence[int]) -> list[tuple[int, int, int]]:
+        """The rows of self.derive(stream, t) for each t in trials, in order;
+        the stream is hashed once and the trials checked as ``derive`` does."""
+        if len(trials):
+            _check_trial(min(trials))
+            _check_trial(max(trials))
+        h = _stream_hash(stream)
+        return [(self.master_seed, h, t) for t in trials]
 
     def generator(self) -> np.random.Generator:
         """The draws of np.random.default_rng(np.random.SeedSequence(
@@ -170,14 +189,15 @@ class SeedSpec:
         return next(_generators([self]))
 
 
-def _generators(seeds: Sequence[SeedSpec]) -> Iterator[np.random.Generator]:
-    """One generator, reset in turn to each seed's PCG64 state."""
+def _generators(rows: Sequence[Sequence[int]]) -> Iterator[np.random.Generator]:
+    """One generator, reset in turn to each row's PCG64 state; one state
+    dict serves every reset."""
     bit_gen = np.random.PCG64(0)  # its state is replaced before any draw
     rng = np.random.Generator(bit_gen)
-    for state, inc in _pcg64_states([(s.master_seed, _stream_hash(s.stream), s.trial)
-                                     for s in seeds]):
-        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                         "has_uint32": 0, "uinteger": 0}
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    pcg = state["state"]
+    for pcg["state"], pcg["inc"] in _pcg64_states(rows):
+        bit_gen.state = state
         yield rng
 
 
@@ -229,9 +249,14 @@ class UniformBox(Marginal):
         return len(self.bounds)
 
     def sample(self, rng, out):
-        # The same doubles as rng.uniform(low, low + span, size=(m, dim)),
-        # without its per-call broadcasting and range checks.
         rng.random(out=out)
+        self.place(out)
+
+    def place(self, out: np.ndarray) -> None:
+        """Map the doubles of out, drawn uniform on [0, 1), onto the box in
+        place, one instance per row of dim columns.  This gives the doubles
+        of rng.uniform(low, low + span, size=(m, dim)) without its per-call
+        broadcasting and range checks, whatever the number of rows."""
         out *= self._span
         out += self._low
 
@@ -401,38 +426,48 @@ def _labeler_from_json(data: dict) -> Hypothesis | ConditionalTable:
 
 
 def draw_block(
-    D: DataDistribution, m: int, seeds: Sequence[SeedSpec]
+    D: DataDistribution, m: int, rows: Sequence[Sequence[int]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(X, y) of shapes (T, m, dim) and (T, m): row t holds m i.i.d. pairs in
-    draw order, fully determined by seeds[t].
+    """(X, y) of shapes (T, m, dim) and (T, m): sample t holds m i.i.d. pairs
+    in draw order, fully determined by rows[t], the (master_seed, stream hash,
+    trial) of a SeedSpec (``SeedSpec.rows``; a SeedSpec is its own row).
 
-    One generator is reset to each seed's state in turn and called in a fixed
-    order: instances, then base labels (table labelers only), then noise flips.  The whole block is then
-    labelled in one call and checked once for finite coordinates.
+    One generator is reset to each row's state in turn and draws, in order,
+    the instances, the base labels (table labelers only) and the noise flips.
+    A uniform box's instances are doubles of [0, 1) like the rest, so each
+    trial fills its row of one buffer with one call, and the box map is then
+    applied to the whole block in place; other marginals draw their instances
+    with their own ``sample`` first.  The block is labelled in one call and
+    checked once for finite coordinates.
     """
     if m < 1:
         raise ValueError(f"sample size must be at least 1, got {m}")
-    T = len(seeds)
+    T, d = len(rows), D.dim
+    box = isinstance(D.marginal, UniformBox)
     table = not isinstance(D.labeler, Hypothesis)
-    X = np.empty((T, m, D.dim))
-    base = np.empty((T, m)) if table else None
-    flips = np.empty((T, m)) if D.noise > 0.0 else None
-    for t, rng in enumerate(_generators(seeds)):
-        D.marginal.sample(rng, X[t])
-        if base is not None:
-            rng.random(out=base[t])
-        if flips is not None:
-            rng.random(out=flips[t])
-    if not np.isfinite(X).all():
-        raise ValueError("sample instances must have finite coordinates")
-    points = X.reshape(T * m, D.dim)
-    if table:
-        y = (base.reshape(-1) < D.labeler.prob1(points)).astype(np.uint8)
+    k = m * d if box else 0  # instance doubles drawn with the rest
+    width = k + m * table + m * (D.noise > 0.0)
+    U = np.empty((T, width))
+    X = None if box else np.empty((T, m, d))
+    for t, rng in enumerate(_generators(rows)):
+        if not box:
+            D.marginal.sample(rng, X[t])
+        if width:
+            rng.random(out=U[t])
+    if box:
+        points = U[:, :k].reshape(T * m, d)  # a copy when flips part the trials' instances
+        D.marginal.place(points)
     else:
-        y = D.labeler.labels(points).astype(np.uint8)
-    y = y.reshape(T, m)
-    if flips is not None:
-        y ^= flips < D.noise
+        points = X.reshape(T * m, d)
+    X = points.reshape(T, m, d)
+    if not np.isfinite(points).all():
+        raise ValueError("sample instances must have finite coordinates")
+    if table:
+        y = (U[:, k:k + m] < D.labeler.prob1(points).reshape(T, m)).astype(np.uint8)
+    else:
+        y = D.labeler.labels(points).astype(np.uint8).reshape(T, m)
+    if D.noise > 0.0:
+        y ^= U[:, width - m:] < D.noise
     return X, y
 
 
@@ -660,10 +695,13 @@ def member_risks(
                 raise
             mc[j] = True
     todo = np.flatnonzero(mc).tolist()
-    step = max(1, LABEL_BLOCK_CELLS // mc_n) if todo else 1  # mc_n is set when todo is not empty
+    if not todo:
+        return risks, mc
+    rows = seed.rows(stream, [indices[j] for j in todo])
+    step = max(1, LABEL_BLOCK_CELLS // mc_n)
     for start in range(0, len(todo), step):
         block = todo[start:start + step]
-        X, y = draw_block(D, mc_n, [seed.derive(stream, indices[j]) for j in block])
+        X, y = draw_block(D, mc_n, rows[start:start + step])
         for j, Xt, yt in zip(block, X, y):
             risks[j] = float(np.count_nonzero(members[j].labels(Xt) != yt)) / mc_n
     return risks, mc

@@ -171,13 +171,14 @@ def _check_harness(eps: float, delta: float, trials: int) -> None:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
-def _per_trial(D: DataDistribution, m: int, seeds: Sequence[SeedSpec], n: int,
+def _per_trial(D: DataDistribution, m: int, rows: Sequence[tuple[int, int, int]], n: int,
                fn: Callable) -> list[np.ndarray]:
-    """fn(X, y) over samples of m rows drawn from the seeds, its per-trial
-    outputs concatenated in seed order.  A block of draws holds as many seeds
-    as fit n members x m rows into LABEL_BLOCK_CELLS (at least one)."""
+    """fn(X, y) over samples of m rows drawn from the seed rows (see
+    ``SeedSpec.rows``), its per-trial outputs concatenated in row order.  A
+    block of draws holds as many trials as fit n members x m rows into
+    LABEL_BLOCK_CELLS (at least one)."""
     step = max(1, LABEL_BLOCK_CELLS // max(n * m, 1))
-    parts = [fn(*draw_block(D, m, seeds[i:i + step])) for i in range(0, len(seeds), step)]
+    parts = [fn(*draw_block(D, m, rows[i:i + step])) for i in range(0, len(rows), step)]
     return [np.concatenate(outputs) for outputs in zip(*parts)]
 
 
@@ -262,8 +263,7 @@ def verify_learnability(
         counts = trial_error_counts(members, X, y)
         return np.argmin(counts, axis=1), counts.min(axis=1)
 
-    picked, errors = _per_trial(D, m, [seed.derive("pac-trial", t) for t in range(trials)],
-                                len(members), pick)
+    picked, errors = _per_trial(D, m, seed.rows("pac-trial", range(trials)), len(members), pick)
     pick_risks = risks[picked]
     again = np.flatnonzero(mc[picked]).tolist()
     if again:
@@ -328,7 +328,7 @@ def verify_uniform_convergence(
     for m in m_values:
         # per trial, the sup over the class of |empirical error - true risk|
         (devs,) = _per_trial(
-            D, m, [seed.derive(f"uc-trial-m{m}", t) for t in range(trials)], len(members),
+            D, m, seed.rows(f"uc-trial-m{m}", range(trials)), len(members),
             lambda X, y: (np.max(np.abs(trial_error_counts(members, X, y) / m - risks), axis=1),))
         success = devs <= eps
         records = [TrialRecord(trial=t, risk=None, estimation=None, empirical_error=None,
@@ -524,8 +524,8 @@ def tradeoff_sweep(
     for m in m_values:
         pens = np.array([srm_penalty(d, w, delta, m, C=C) for d, w in zip(dims, seq.weights)])
         # pooled over master seeds, master-major then trial
-        seeds = [SeedSpec(master).derive(f"tradeoff-m{m}", t)
-                 for master in master_seeds for t in range(trials)]
+        seeds = [row for master in master_seeds
+                 for row in SeedSpec(master).rows(f"tradeoff-m{m}", range(trials))]
         fits, errors, picks = _per_trial(
             D, m, seeds, len(stacked),
             lambda X, y: fit_sequence(trial_error_counts(stacked, X, y), ends, m, pens))

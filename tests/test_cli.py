@@ -54,6 +54,10 @@ SINE_SEQUENCE = '{"classes": [{"family": "thresholds"}, {"family": "sine"}]}'
 BAD_LABEL_CSV = pathlib.Path(__file__).parent / "data" / "bad_label.csv"
 MISSING_CSV = pathlib.Path(__file__).parent / "data" / "missing.csv"
 OLD_SINE_BUDGET_CONFIG = pathlib.Path(__file__).parent / "data" / "old_sine_budget.json"
+RECTANGLES_3D = '{"family": "rectangles", "bounds": [[0, 1], [0, 1], [0, 1]], "resolution": 3}'
+BOX_3D = ('{"marginal": {"type": "uniform_box", "bounds": [[0, 1], [0, 1], [0, 1]]}, '
+          '"labeler": {"hypothesis": {"kind": "rectangle", '
+          '"bounds": [[0, 0.5], [0, 1], [0, 0.5]]}}, "noise": 0.1}')
 
 
 class TestConfigValidation:
@@ -313,6 +317,16 @@ class TestExitCodes:
          "config.enum_budget: enumeration requires 1365 hypotheses but the budget is 5"),
         (["vcdim", "--preset", "sine-shatter-k6", "--sine-k", "9"],
          "config.sine_k: the witness is capped at k=8, got 9"),
+        (["vcdim", "--class", "sine", "--pool", "nosuch", "--sine-k", "2"],
+         "config.pool: only meaningful for non-sine families"),
+        (["pac", "--class", RECTANGLES_3D, "--dist", BOX_3D, "--m", "20", "--trials", "3",
+          "--eps", "0.3", "--delta", "0.5"],
+         "config.mc_n: required, uniform-box geometry is implemented for 1 and 2 dimensions, "
+         "not 3"),
+        (["uc", "--class", RECTANGLES_3D, "--dist", BOX_3D, "--m-values", "20", "--trials", "3",
+          "--eps", "0.3", "--delta", "0.5"],
+         "config.mc_n: required, uniform-box geometry is implemented for 1 and 2 dimensions, "
+         "not 3"),
     ])
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG
@@ -518,6 +532,14 @@ class TestOutputsAndManifest:
                      "--out", str(out)]) == EXIT_CONFIG
         assert "config.pool" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["vc"] and os.listdir(out) == []
+
+    def test_failed_write_names_config_out(self, tmp_path, capsys):
+        (tmp_path / "bounds.json").mkdir()
+        assert main(["bounds", "--preset", "bounds-reference-point",
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (f"sltlab: error: config.out: [Errno 21] Is a directory: "
+                       f"{str(tmp_path / 'bounds.json')!r}\n")
 
 
 class TestRunApi:

@@ -222,6 +222,79 @@ class TestDrawBlock:
             assert np.array_equal(out, expected)
 
 
+BOX_3D = UniformBox(((0.0, 1.0), (-2.0, 3.0), (5.0, 5.5)))
+RECT_3D = Rectangle(((0.2, 0.7), (-1.0, 2.0), (5.0, 5.3)))
+
+
+class TestDrawBlockRows:
+    """draw_block on the rows of SeedSpec.rows: each sample equals the plain
+    per-seed draw of its SeedSpec."""
+
+    def test_rows_are_the_derived_seeds(self):
+        seed = SeedSpec(2 ** 40 + 3)
+        trials = [5, 0, 2 ** 33, U64 - 1]
+        assert seed.rows("pac-trial", trials) == [tuple(seed.derive("pac-trial", t))
+                                                  for t in trials]
+        assert seed.rows("pac-trial", range(0)) == []
+
+    def test_rows_range_checked(self):
+        with pytest.raises(ValueError, match="64-bit"):
+            SeedSpec(0).rows("s", [3, U64])
+        with pytest.raises(ValueError, match="nonnegative"):
+            SeedSpec(0).rows("s", [3, -1])
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_box_3d_rows_with_gaps(self, noise):
+        D = DataDistribution(BOX_3D, RECT_3D, noise=noise)
+        seed, trials = SeedSpec(17), (0, 1, 2, 5, 40)
+        X, y = draw_block(D, 23, seed.rows("block", trials))
+        assert X.shape == (5, 23, 3) and y.shape == (5, 23) and y.dtype == np.uint8
+        for t, trial in enumerate(trials):
+            rX, ry = reference_draw(D, 23, seed.derive("block", trial))
+            assert np.array_equal(X[t], rX) and np.array_equal(y[t], ry)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES) + ["box-3d"])
+    def test_rows_across_masters_and_streams(self, case, noise):
+        marginal, labeler = BLOCK_CASES.get(case, (BOX_3D, RECT_3D))
+        D = DataDistribution(marginal, labeler, noise=noise)
+        parts = [(SeedSpec(17), "block", [2, 0, 40]), (SeedSpec(2 ** 40 + 3), "other", [2 ** 33]),
+                 (SeedSpec(U64 - 1), "pac-trial", [U64 - 1, 1]), (SeedSpec(17), "other", [2])]
+        rows = [row for seed, stream, trials in parts for row in seed.rows(stream, trials)]
+        seeds = [seed.derive(stream, t) for seed, stream, trials in parts for t in trials]
+        X, y = draw_block(D, 23, rows)
+        for t, seed in enumerate(seeds):
+            rX, ry = reference_draw(D, 23, seed)
+            assert np.array_equal(X[t], rX) and np.array_equal(y[t], ry)
+
+    @settings(max_examples=60, deadline=None)
+    @given(master=SEED_INTS, trials=st.lists(SEED_INTS, min_size=1, max_size=6),
+           m=st.integers(1, 40), d=st.integers(1, 4), noise=st.sampled_from([0.0, 0.25]))
+    def test_box_block_equals_per_seed_draws(self, master, trials, m, d, noise):
+        box = UniformBox(tuple((-1.5 * j, 2.0 ** j) for j in range(d)))
+        D = DataDistribution(box, Halfspace((1.0,) * d, -0.5), noise=noise)
+        seed = SeedSpec(master)
+        X, y = draw_block(D, m, seed.rows("prop", trials))
+        assert X.shape == (len(trials), m, d) and y.shape == (len(trials), m)
+        for t, trial in enumerate(trials):
+            rX, ry = reference_draw(D, m, seed.derive("prop", trial))
+            assert np.array_equal(X[t], rX) and np.array_equal(y[t], ry)
+
+    @pytest.mark.parametrize("cells", [1, 700, 1 << 20])
+    def test_member_risks_with_gapped_indices_equal_mc_risk(self, cells, monkeypatch):
+        # every member of a 3-d box needs Monte Carlo; blocks of one, two and
+        # all seeds must each give the one-seed estimate of its own index
+        monkeypatch.setattr(distributions, "LABEL_BLOCK_CELLS", cells)
+        D = DataDistribution(BOX_3D, RECT_3D, noise=0.2)
+        members = [RECT_3D, Rectangle(((0.0, 1.0), (-2.0, 0.0), (5.0, 5.5))),
+                   Halfspace((1.0, 0.5, -1.0), 4.0), RECT_3D, Rectangle(((0.5, 0.6),) * 3)]
+        seed, mc_n, indices = SeedSpec(31), 350, [40, 0, 5, 2 ** 33, 2]
+        risks, mc = member_risks(D, members, mc_n, seed, "risk", indices)
+        assert mc.all()
+        assert risks.tolist() == [mc_risk(D, h, mc_n, seed.derive("risk", i))[0]
+                                  for h, i in zip(members, indices)]
+
+
 class TestTrueRisk:
     def test_labeler_itself_zero(self):
         D = DataDistribution(UNIT, Threshold(0.3), noise=0.0)
