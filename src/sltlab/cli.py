@@ -202,7 +202,8 @@ _COMMAND_KEYS: dict[str, dict] = {
                  "m_values": (_sample_sizes, REQUIRED),
                  "trials": (_at_least_one, REQUIRED),
                  "delta": (_real, REQUIRED), "C": (_real, DEFAULT_C),
-                 "seeds": (_each_seed, None), "budget": _BUDGET},
+                 "seeds": (_each_seed, None), "mc_n": (_at_least_one, None),
+                 "budget": _BUDGET},
 }
 
 _COMMAND_HELP = {
@@ -353,6 +354,9 @@ def _run_vcdim(cfg: dict):
 def _run_risk(cfg: dict):
     D = resolve_distribution(cfg["dist"])
     h = hypothesis_from_json(json.loads(cfg["hypothesis"]))
+    if h.dim != D.dim:
+        raise ConfigError(f"config.hypothesis: hypothesis {h.kind} has dimension {h.dim}, but "
+                          f"config.dist has dimension {D.dim}")
     try:
         value = true_risk(D, h)
         payload = {"risk": value, "method": "analytic", "hypothesis": h.to_json()}
@@ -367,22 +371,37 @@ def _run_risk(cfg: dict):
     return EXIT_OK, lines, {"risk.json": payload}
 
 
-def _sample_for(cfg: dict, stream: str) -> tuple[LabeledSample, bool]:
-    """(sample, generated): ingested from CSV or drawn from a distribution."""
+def _check_dims(key: str, classes, dim: int, source: str = "config.dist") -> None:
+    """Reject a class of config.<key> whose instances have another dimension
+    than the source's, dim, before any work on them."""
+    for pos, H in enumerate(classes, start=1):
+        if H.dim != dim:
+            what = f"class at position {pos} ({H.family})" if key == "sequence" else \
+                f"class {H.family}"
+            raise ConfigError(f"config.{key}: {what} has dimension {H.dim}, but {source} "
+                              f"has dimension {dim}")
+
+
+def _sample_for(cfg: dict, stream: str, key: str, classes) -> tuple[LabeledSample, bool]:
+    """(sample, generated): ingested from CSV or drawn from a distribution;
+    each of the classes of config.<key> must share its dimension."""
     if "data" in cfg:
         try:
-            return LabeledSample.from_csv(cfg["data"]), False
+            S = LabeledSample.from_csv(cfg["data"])
         except (ValueError, OSError) as exc:
             raise ConfigError(f"config.data: {exc}") from exc
+        _check_dims(key, classes, S.dim, "the sample in config.data")
+        return S, False
     if "dist" not in cfg or "m" not in cfg:
         raise ConfigError("config: need either data=<csv> or dist=... plus m=...")
     D = resolve_distribution(cfg["dist"])
+    _check_dims(key, classes, D.dim)
     return draw_sample(D, cfg["m"], SeedSpec(cfg["seed"], stream)), True
 
 
 def _run_erm(cfg: dict):
     H = resolve_class(cfg["class"])
-    S, generated = _sample_for(cfg, "cli-erm")
+    S, generated = _sample_for(cfg, "cli-erm", "class", [H])
     out = erm(H, S, budget=cfg["budget"])
     lines = [f"selected {out.hypothesis.describe()} with empirical error "
              f"{out.empirical_error:.6g} on m={S.m}"]
@@ -405,7 +424,7 @@ def _sequence(cfg: dict):
 
 def _run_srm(cfg: dict):
     seq = _sequence(cfg)
-    S, generated = _sample_for(cfg, "cli-srm")
+    S, generated = _sample_for(cfg, "cli-srm", "sequence", seq.classes)
     out = srm(seq, S, cfg["delta"], C=cfg["C"], budget=cfg["budget"])
     lines = [f"selected class {out.class_index} member {out.hypothesis.describe()}; "
              f"objective {out.objective:.6g}"]
@@ -419,9 +438,10 @@ _VERDICT_EXIT = {"pass": EXIT_OK, "fail": EXIT_FAIL, "indeterminate": EXIT_INDET
 
 
 def _run_pac(cfg: dict):
+    H, D = resolve_class(cfg["class"]), resolve_distribution(cfg["dist"])
+    _check_dims("class", [H], D.dim)
     summary = verify_learnability(
-        resolve_class(cfg["class"]), resolve_distribution(cfg["dist"]),
-        m=cfg["m"], eps=cfg["eps"], delta=cfg["delta"], trials=cfg["trials"],
+        H, D, m=cfg["m"], eps=cfg["eps"], delta=cfg["delta"], trials=cfg["trials"],
         seed=SeedSpec(cfg["seed"]), mc_n=cfg.get("mc_n"),
         budget=cfg["budget"], keep_records=cfg["records"],
     )
@@ -436,9 +456,10 @@ def _run_pac(cfg: dict):
 
 
 def _run_uc(cfg: dict):
+    H, D = resolve_class(cfg["class"]), resolve_distribution(cfg["dist"])
+    _check_dims("class", [H], D.dim)
     report = verify_uniform_convergence(
-        resolve_class(cfg["class"]), resolve_distribution(cfg["dist"]),
-        m_values=cfg["m_values"], eps=cfg["eps"], delta=cfg["delta"],
+        H, D, m_values=cfg["m_values"], eps=cfg["eps"], delta=cfg["delta"],
         trials=cfg["trials"], seed=SeedSpec(cfg["seed"]), mc_n=cfg.get("mc_n"),
         budget=cfg["budget"], keep_records=cfg["records"],
     )
@@ -478,11 +499,12 @@ def _run_nfl(cfg: dict):
 
 
 def _run_tradeoff(cfg: dict):
+    seq, D = _sequence(cfg), resolve_distribution(cfg["dist"])
+    _check_dims("sequence", seq.classes, D.dim)
     report = tradeoff_sweep(
-        _sequence(cfg), resolve_distribution(cfg["dist"]),
-        m_values=cfg["m_values"], trials=cfg["trials"], delta=cfg["delta"],
+        seq, D, m_values=cfg["m_values"], trials=cfg["trials"], delta=cfg["delta"],
         master_seeds=cfg.get("seeds", [cfg["seed"]]), C=cfg["C"],
-        budget=cfg["budget"], keep_records=cfg["records"],
+        budget=cfg["budget"], keep_records=cfg["records"], mc_n=cfg.get("mc_n"),
     )
     lines = []
     for row in report.rows:

@@ -6,10 +6,12 @@ symmetric label-flip noise rate below one half.  Sampling is i.i.d. and fully
 determined by a SeedSpec: each trial's PCG64 state is derived by hashing its
 seed, and one bit generator is reset to that state before the trial is drawn,
 so no state carries over between trials and any trial can be rebuilt on its
-own.  ``draw_block`` draws many such trials at once and labels them in one
-pass; ``draw_sample`` is its one-trial case.  A trial costs one state reset
-and, on a uniform box, one generator call for its instances and noise flips;
-the box map is applied once per block.
+own.  ``draw_blocks`` derives the states of all of a run's trials in one
+vectorised pass and then draws the trials block by block, each block
+labelled in one pass; ``draw_block`` is its one-block case and
+``draw_sample`` its one-trial case.  Past its share of that seeding pass, a
+trial costs one state reset and, on a uniform box, one generator call for
+its instances and noise flips; the box map is applied once per block.
 
 Exact risk is implemented where the disagreement region is cheap to measure:
 any finite-support marginal, interval-decomposable hypotheses on a 1-d
@@ -186,17 +188,17 @@ class SeedSpec:
     def generator(self) -> np.random.Generator:
         """The draws of np.random.default_rng(np.random.SeedSequence(
         [master_seed, stream hash, trial]))."""
-        return next(_generators([self]))
+        return next(_generators(_pcg64_states([self])))
 
 
-def _generators(rows: Sequence[Sequence[int]]) -> Iterator[np.random.Generator]:
-    """One generator, reset in turn to each row's PCG64 state; one state
-    dict serves every reset."""
+def _generators(states: Sequence[tuple[int, int]]) -> Iterator[np.random.Generator]:
+    """One generator, reset in turn to each PCG64 (state, inc) of
+    ``_pcg64_states``; one state dict serves every reset."""
     bit_gen = np.random.PCG64(0)  # its state is replaced before any draw
     rng = np.random.Generator(bit_gen)
     state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
     pcg = state["state"]
-    for pcg["state"], pcg["inc"] in _pcg64_states(rows):
+    for pcg["state"], pcg["inc"] in states:
         bit_gen.state = state
         yield rng
 
@@ -438,18 +440,42 @@ def draw_block(
     trial fills its row of one buffer with one call, and the box map is then
     applied to the whole block in place; other marginals draw their instances
     with their own ``sample`` first.  The block is labelled in one call and
-    checked once for finite coordinates.
+    checked once for finite coordinates.  This is the one-block case of
+    ``draw_blocks``.
     """
+    return _draw(D, m, _pcg64_states(rows))
+
+
+def draw_blocks(
+    D: DataDistribution, m: int, rows: Sequence[Sequence[int]], step: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``draw_block`` of each run of step consecutive rows in turn: of
+    rows[0:step], rows[step:2 * step], and so on, the last run possibly
+    shorter.  The PCG64 states of all the rows are derived by one pass before
+    the first block is drawn, so the seeder's fixed cost is paid once per call
+    rather than once per block; the states take O(len(rows)) memory, as the
+    rows do."""
+    if step < 1:
+        raise ValueError(f"block step must be at least 1, got {step}")
+    states = _pcg64_states(rows)
+    for start in range(0, len(states), step):
+        yield _draw(D, m, states[start:start + step])
+
+
+def _draw(
+    D: DataDistribution, m: int, states: Sequence[tuple[int, int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``draw_block`` from the PCG64 (state, inc) of each row."""
     if m < 1:
         raise ValueError(f"sample size must be at least 1, got {m}")
-    T, d = len(rows), D.dim
+    T, d = len(states), D.dim
     box = isinstance(D.marginal, UniformBox)
     table = not isinstance(D.labeler, Hypothesis)
     k = m * d if box else 0  # instance doubles drawn with the rest
     width = k + m * table + m * (D.noise > 0.0)
     U = np.empty((T, width))
     X = None if box else np.empty((T, m, d))
-    for t, rng in enumerate(_generators(rows)):
+    for t, rng in enumerate(_generators(states)):
         if not box:
             D.marginal.sample(rng, X[t])
         if width:
@@ -679,10 +705,10 @@ def member_risks(
     seed.derive(stream, indices[j]) for member j (indices default to 0, 1, ...);
     the boolean mask mc marks the members estimated by Monte Carlo.
 
-    The Monte Carlo samples are drawn through ``draw_block``, at most
-    LABEL_BLOCK_CELLS // mc_n seeds (at least one) per block, so a block
-    pays the seeder's fixed cost once.  Without both mc_n and seed, a
-    missing closed form raises AnalyticRiskUnavailable.
+    The Monte Carlo samples are drawn through ``draw_blocks``, at most
+    LABEL_BLOCK_CELLS // mc_n seeds (at least one) per block, so the seeds
+    of all the Monte Carlo members are derived in one pass.  Without both
+    mc_n and seed, a missing closed form raises AnalyticRiskUnavailable.
     """
     indices = range(len(members)) if indices is None else indices
     risks = np.empty(len(members))
@@ -698,12 +724,10 @@ def member_risks(
     if not todo:
         return risks, mc
     rows = seed.rows(stream, [indices[j] for j in todo])
-    step = max(1, LABEL_BLOCK_CELLS // mc_n)
-    for start in range(0, len(todo), step):
-        block = todo[start:start + step]
-        X, y = draw_block(D, mc_n, rows[start:start + step])
-        for j, Xt, yt in zip(block, X, y):
-            risks[j] = float(np.count_nonzero(members[j].labels(Xt) != yt)) / mc_n
+    samples = itertools.chain.from_iterable(
+        zip(*block) for block in draw_blocks(D, mc_n, rows, max(1, LABEL_BLOCK_CELLS // mc_n)))
+    for j, (Xt, yt) in zip(todo, samples):
+        risks[j] = float(np.count_nonzero(members[j].labels(Xt) != yt)) / mc_n
     return risks, mc
 
 

@@ -38,7 +38,7 @@ from .core import (
 from .distributions import (
     DataDistribution,
     SeedSpec,
-    draw_block,
+    draw_blocks,
     member_risks,
 )
 from .learners import (
@@ -174,11 +174,12 @@ def _check_harness(eps: float, delta: float, trials: int) -> None:
 def _per_trial(D: DataDistribution, m: int, rows: Sequence[tuple[int, int, int]], n: int,
                fn: Callable) -> list[np.ndarray]:
     """fn(X, y) over samples of m rows drawn from the seed rows (see
-    ``SeedSpec.rows``), its per-trial outputs concatenated in row order.  A
-    block of draws holds as many trials as fit n members x m rows into
-    LABEL_BLOCK_CELLS (at least one)."""
+    ``SeedSpec.rows``), its per-trial outputs concatenated in row order.  The
+    rows are seeded in one pass and drawn by ``draw_blocks``, each block
+    holding as many trials as fit n members x m rows into LABEL_BLOCK_CELLS
+    (at least one)."""
     step = max(1, LABEL_BLOCK_CELLS // max(n * m, 1))
-    parts = [fn(*draw_block(D, m, rows[i:i + step])) for i in range(0, len(rows), step)]
+    parts = [fn(X, y) for X, y in draw_blocks(D, m, rows, step)]
     return [np.concatenate(outputs) for outputs in zip(*parts)]
 
 
@@ -499,6 +500,7 @@ def tradeoff_sweep(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     vc_dims: tuple[int, ...] | None = None,
     keep_records: bool = False,
+    mc_n: int | None = None,
 ) -> TradeoffReport:
     """Mean approximation/estimation/total risk of the per-class minimizer for
     each (class, m), pooled over master seeds, plus one penalized-selection
@@ -506,7 +508,10 @@ def tradeoff_sweep(
 
     Each block of trials labels every member of the sequence once per trial;
     ``fit_sequence`` gives both the per-class fits and the penalized pick of
-    each trial, as in ``srm``.
+    each trial, as in ``srm``.  A member without a closed-form risk is
+    risked by ``member_risks`` over mc_n draws of the "tradeoff-member-risk"
+    stream of the first master seed; without mc_n it raises
+    AnalyticRiskUnavailable.
     """
     if trials < 1 or not master_seeds:
         raise ValueError("need at least one trial and one master seed")
@@ -516,7 +521,8 @@ def tradeoff_sweep(
     n_classes = len(seq)
     dims = class_dims(seq, vc_dims)
     stacked, ends = stack_sequence(seq, budget)
-    member_risk = member_risks(D, stacked)[0]
+    member_risk = member_risks(D, stacked, mc_n, SeedSpec(master_seeds[0]),
+                               "tradeoff-member-risk")[0]
     approx = np.array([member_risk[a:b].min() for a, b in zip(ends[:-1], ends[1:])])
 
     rows: list[dict] = []
@@ -581,4 +587,6 @@ def tradeoff_sweep(
         "master_seeds": list(master_seeds),
         "vc_dims": dims,
     }
+    if mc_n is not None:
+        config["mc_n"] = mc_n
     return TradeoffReport(tuple(rows), config, records)

@@ -44,7 +44,7 @@ COMMAND_OPTIONS = {
     "uc": {"--budget", "--class", "--delta", "--dist", "--eps", "--m-values", "--mc-n",
            "--trials"},
     "nfl": {"--default-label", "--learner", "--m"},
-    "tradeoff": {"--C", "--budget", "--delta", "--dist", "--m-values", "--seeds",
+    "tradeoff": {"--C", "--budget", "--delta", "--dist", "--m-values", "--mc-n", "--seeds",
                  "--sequence", "--trials"},
 }
 
@@ -58,6 +58,11 @@ RECTANGLES_3D = '{"family": "rectangles", "bounds": [[0, 1], [0, 1], [0, 1]], "r
 BOX_3D = ('{"marginal": {"type": "uniform_box", "bounds": [[0, 1], [0, 1], [0, 1]]}, '
           '"labeler": {"hypothesis": {"kind": "rectangle", '
           '"bounds": [[0, 0.5], [0, 1], [0, 0.5]]}}, "noise": 0.1}')
+SEQUENCE_3D = f'{{"classes": [{RECTANGLES_3D}]}}'
+# the second class, thresholds, is 1-d
+MIXED_SEQUENCE_3D = f'{{"classes": [{RECTANGLES_3D}, {{"family": "thresholds"}}]}}'
+RECTANGLES_2D_SEQUENCE = ('{"classes": [{"family": "rectangles", '
+                          '"bounds": [[0, 1], [0, 1]], "resolution": 3}]}')
 
 
 class TestConfigValidation:
@@ -327,12 +332,51 @@ class TestExitCodes:
           "--eps", "0.3", "--delta", "0.5"],
          "config.mc_n: required, uniform-box geometry is implemented for 1 and 2 dimensions, "
          "not 3"),
+        (["tradeoff", "--sequence", SEQUENCE_3D, "--dist", BOX_3D, "--m-values", "20",
+          "--trials", "2", "--delta", "0.1"],
+         "config.mc_n: required, uniform-box geometry is implemented for 1 and 2 dimensions, "
+         "not 3"),
+        (["pac", "--class", "thresholds", "--dist", BOX_3D, "--m", "20", "--trials", "3",
+          "--eps", "0.3", "--delta", "0.5", "--mc-n", "100"],
+         "config.class: class thresholds has dimension 1, but config.dist has dimension 3"),
+        (["uc", "--class", "rectangles2d", "--dist", "uniform-threshold-clean",
+          "--m-values", "20", "--trials", "3", "--eps", "0.3", "--delta", "0.5"],
+         "config.class: class rectangles has dimension 2, but config.dist has dimension 1"),
+        (["tradeoff", "--sequence", MIXED_SEQUENCE_3D, "--dist", BOX_3D, "--m-values", "20",
+          "--trials", "2", "--delta", "0.1", "--mc-n", "100"],
+         "config.sequence: class at position 2 (thresholds) has dimension 1, but config.dist "
+         "has dimension 3"),
+        (["erm", "--class", "rectangles2d", "--dist", "uniform-threshold-clean", "--m", "10"],
+         "config.class: class rectangles has dimension 2, but config.dist has dimension 1"),
+        (["srm", "--sequence", RECTANGLES_2D_SEQUENCE, "--dist", "uniform-threshold-clean",
+          "--m", "10", "--delta", "0.1"],
+         "config.sequence: class at position 1 (rectangles) has dimension 2, but config.dist "
+         "has dimension 1"),
+        (["risk", "--dist", BOX_3D, "--hypothesis", '{"kind": "threshold", "theta": 0.5}'],
+         "config.hypothesis: hypothesis threshold has dimension 1, but config.dist has "
+         "dimension 3"),
     ])
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
         assert key in captured.err
+
+    @pytest.mark.parametrize("argv, key", [
+        (["erm", "--class", "rectangles2d"],
+         "config.class: class rectangles has dimension 2, but the sample in config.data has "
+         "dimension 1"),
+        (["srm", "--sequence", RECTANGLES_2D_SEQUENCE, "--delta", "0.1"],
+         "config.sequence: class at position 1 (rectangles) has dimension 2, but the sample in "
+         "config.data has dimension 1"),
+    ])
+    def test_sample_dimension_mismatch_names_key(self, argv, key, tmp_path, capsys):
+        path = tmp_path / "line.csv"
+        path.write_text("x1,label\n0.25,0\n0.75,1\n")
+        assert main(argv + ["--data", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"sltlab: error: {key}\n"
 
     def test_unreadable_csv_record_names_key_and_line(self, tmp_path, capsys):
         # one feature cell longer than csv's field limit, on line 2
@@ -540,6 +584,17 @@ class TestOutputsAndManifest:
         err = capsys.readouterr().err
         assert err == (f"sltlab: error: config.out: [Errno 21] Is a directory: "
                        f"{str(tmp_path / 'bounds.json')!r}\n")
+
+    def test_tradeoff_monte_carlo_on_a_3d_box(self, tmp_path, capsys):
+        assert main(["tradeoff", "--sequence", SEQUENCE_3D, "--dist", BOX_3D,
+                     "--m-values", "20", "--trials", "2", "--delta", "0.1", "--mc-n", "200",
+                     "--out", str(tmp_path / "mc")]) == EXIT_OK
+        assert json.load(open(tmp_path / "mc" / "tradeoff.json"))["config"]["mc_n"] == 200
+        assert json.load(open(tmp_path / "mc" / "manifest.json"))["config"]["mc_n"] == 200
+        assert main(["tradeoff", "--preset", "tradeoff-nested-thresholds",
+                     "--out", str(tmp_path / "preset")]) == EXIT_OK
+        for name in ("tradeoff.json", "manifest.json"):
+            assert "mc_n" not in json.load(open(tmp_path / "preset" / name))["config"]
 
 
 class TestRunApi:

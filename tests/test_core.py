@@ -297,6 +297,20 @@ class TestLabelMatrix:
         counts = error_counts(members, S)
         assert counts.tolist() == [empirical_error_count(h, S) for h in members]
 
+    @pytest.mark.parametrize("m", [2 ** 16 - 1, 2 ** 16])
+    def test_trial_error_counts_at_the_uint16_edge(self, m):
+        # Trial 0 is labelled all 0 and trial 1 all 1, so the first member
+        # (1 everywhere) mismatches every label of trial 0 and the second
+        # (0 everywhere) every label of trial 1: counts of m, the uint16
+        # maximum at m = 2^16 - 1 and one past it at m = 2^16.
+        members = [Threshold(0.0), Threshold(1.5), Threshold(0.5), SineSign(7.0),
+                   Interval(0.2, 0.7)]
+        X = np.random.default_rng(m).uniform(0, 1, (2, m, 1))
+        y = np.stack([np.zeros(m, np.uint8), np.ones(m, np.uint8)])
+        counts = trial_error_counts(members, X, y)
+        assert counts[0, 0] == counts[1, 1] == m
+        assert counts.tolist() == [reference_counts(members, X[t], y[t]) for t in range(2)]
+
     def test_a_list_changed_after_evaluation_is_labelled_afresh(self):
         X = np.array([[0.1], [0.3], [0.6]])
         S = LabeledSample(X, np.array([0, 1, 1]))

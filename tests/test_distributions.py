@@ -29,6 +29,7 @@ from sltlab.distributions import (
     UniformBox,
     _pcg64_states,
     draw_block,
+    draw_blocks,
     draw_sample,
     hoeffding_band,
     mc_risk,
@@ -293,6 +294,89 @@ class TestDrawBlockRows:
         assert mc.all()
         assert risks.tolist() == [mc_risk(D, h, mc_n, seed.derive("risk", i))[0]
                                   for h, i in zip(members, indices)]
+
+
+class TestDrawBlocks:
+    """draw_blocks seeds all its rows in one pass and yields the draw_block of
+    each run of step consecutive rows."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.sampled_from(sorted(BLOCK_CASES) + ["box-3d"]),
+           noise=st.sampled_from([0.0, 0.3]), step=st.integers(1, 5),
+           full=st.integers(0, 3), edge=st.sampled_from([-1, 0, 1]), m=st.integers(1, 9))
+    @example(case="table", noise=0.0, step=1, full=0, edge=1, m=1)
+    @example(case="box-3d", noise=0.3, step=4, full=3, edge=-1, m=7)
+    def test_blocks_equal_draw_block_on_each_slice(self, case, noise, step, full, edge, m):
+        # full * step + edge rows: one row short of, at, or one row past a
+        # block edge
+        marginal, labeler = BLOCK_CASES.get(case, (BOX_3D, RECT_3D))
+        D = DataDistribution(marginal, labeler, noise=noise)
+        n = max(1, full * step + edge)
+        rows = SeedSpec(2 ** 40 + 3).rows("blocks", [3 * t + 1 for t in range(n)])
+        blocks = list(draw_blocks(D, m, rows, step))
+        assert [len(y) for _, y in blocks] == [len(rows[i:i + step])
+                                              for i in range(0, n, step)]
+        for i, (X, y) in zip(range(0, n, step), blocks):
+            bX, by = draw_block(D, m, rows[i:i + step])
+            assert np.array_equal(X, bX) and np.array_equal(y, by) and y.dtype == by.dtype
+        X = np.concatenate([X for X, _ in blocks])
+        y = np.concatenate([y for _, y in blocks])
+        aX, ay = draw_block(D, m, rows)
+        assert np.array_equal(X, aX) and np.array_equal(y, ay)
+
+    def test_rows_are_seeded_in_one_pass(self, monkeypatch):
+        calls = []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return _pcg64_states(rows)
+
+        monkeypatch.setattr(distributions, "_pcg64_states", counted)
+        D = DataDistribution(BOX_3D, RECT_3D, noise=0.2)
+        rows = SeedSpec(5).rows("blocks", range(10))
+        assert len(list(draw_blocks(D, 4, rows, 3))) == 4
+        assert calls == [10]
+
+    def test_no_rows_no_blocks(self):
+        assert list(draw_blocks(DataDistribution(UNIT, Threshold(0.5)), 5, [], 3)) == []
+
+    def test_step_below_one_rejected(self):
+        D = DataDistribution(UNIT, Threshold(0.5))
+        with pytest.raises(ValueError, match="block step must be at least 1, got 0"):
+            next(draw_blocks(D, 5, [SeedSpec(0)], 0))
+
+    # Parent-pinned mismatch counts (risk * mc_n) of the Monte Carlo members;
+    # the exact members keep their closed form.
+    PINNED_MC_COUNTS = {
+        "line": [193, None, 321, 177, None, 283, 268],
+        "box-3d": [92, 215, 195, 84, 134],
+    }
+
+    @pytest.mark.parametrize("cells", [1, 900, 1 << 20])
+    @pytest.mark.parametrize("case", sorted(PINNED_MC_COUNTS))
+    def test_member_risks_with_gapped_indices_are_unchanged(self, case, cells, monkeypatch):
+        monkeypatch.setattr(distributions, "LABEL_BLOCK_CELLS", cells)
+        if case == "line":
+            D = DataDistribution(UNIT, Threshold(0.4), noise=0.1)
+            members = [SineSign(2.0), Threshold(0.3), SineSign(5.0), SineSign(2.0),
+                       Interval(0.1, 0.6), SineSign(9.5), LookupTable(((0.5,),), (1,))]
+            indices = [7, 0, 3, 2 ** 33, 5, 1, 40]
+        else:
+            D = DataDistribution(BOX_3D, RECT_3D, noise=0.2)
+            members = [RECT_3D, Rectangle(((0.0, 1.0), (-2.0, 0.0), (5.0, 5.5))),
+                       Halfspace((1.0, 0.5, -1.0), 4.0), RECT_3D, Rectangle(((0.5, 0.6),) * 3)]
+            indices = [40, 0, 5, 2 ** 33, 2]
+        seed, mc_n = SeedSpec(2 ** 40 + 9), 450
+        risks, mc = member_risks(D, members, mc_n, seed, "pin", indices)
+        pinned = self.PINNED_MC_COUNTS[case]
+        assert mc.tolist() == [c is not None for c in pinned]
+        for h, i, c, r in zip(members, indices, pinned, risks.tolist()):
+            if c is None:
+                assert r == true_risk(D, h)
+            else:
+                # the plain per-seed draw, apart from draw_blocks
+                X, y = reference_draw(D, mc_n, seed.derive("pin", i))
+                assert r == c / mc_n == np.count_nonzero(h.labels(X) != y) / mc_n
 
 
 class TestTrueRisk:

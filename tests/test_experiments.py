@@ -7,12 +7,23 @@ import numpy as np
 import pytest
 
 from sltlab import core, distributions, experiments, jsonio, learners
-from sltlab.core import FiniteClass, LabeledSample, SineSign, Threshold, enumerate_class
+from sltlab.core import (
+    DEFAULT_ENUMERATION_BUDGET,
+    FiniteClass,
+    LabeledSample,
+    Rectangle,
+    RectangleClass,
+    SineSign,
+    Threshold,
+    WeightedClassSequence,
+    enumerate_class,
+)
 from sltlab.distributions import (
     AnalyticRiskUnavailable,
     DataDistribution,
     FiniteUniform,
     SeedSpec,
+    UniformBox,
     draw_sample,
     mc_risk,
     true_risk,
@@ -377,6 +388,32 @@ class TestTradeoffSweep:
         b = tradeoff_sweep(SEQUENCES["nested-thresholds"], D, **kwargs)
         assert jsonio.dumps(a.to_json()) == jsonio.dumps(b.to_json())
 
+    def test_monte_carlo_member_risks(self):
+        # No member of a 3-d box has a closed form: they are risked over the
+        # "tradeoff-member-risk" stream of the first master seed.
+        box = UniformBox(((0.0, 1.0),) * 3)
+        D3 = DataDistribution(box, Rectangle(((0.0, 0.5), (0.0, 1.0), (0.0, 0.5))), noise=0.1)
+        seq = WeightedClassSequence((RectangleClass(((0.0, 1.0),) * 3, resolution=2),
+                                     RectangleClass(((0.0, 1.0),) * 3, resolution=3)))
+        with pytest.raises(AnalyticRiskUnavailable):
+            tradeoff_sweep(seq, D3, m_values=[20], trials=2, delta=0.1, master_seeds=[5, 6])
+        rep = tradeoff_sweep(seq, D3, m_values=[20], trials=2, delta=0.1, master_seeds=[5, 6],
+                             mc_n=300)
+        stacked, ends = learners.stack_sequence(seq, DEFAULT_ENUMERATION_BUDGET)
+        risks, mc = distributions.member_risks(D3, stacked, 300, SeedSpec(5),
+                                               "tradeoff-member-risk")
+        assert mc.all()
+        approx = [r["approximation_error"] for r in rep.rows if r["learner"] == "erm"]
+        assert approx == [risks[a:b].min() for a, b in zip(ends[:-1], ends[1:])]
+        assert rep.config["mc_n"] == 300
+
+    def test_config_has_mc_n_only_when_set(self):
+        kwargs = dict(m_values=[20], trials=2, delta=0.1, master_seeds=[0])
+        exact = tradeoff_sweep(SEQUENCES["nested-thresholds"], D, **kwargs)
+        unused = tradeoff_sweep(SEQUENCES["nested-thresholds"], D, mc_n=50, **kwargs)
+        assert "mc_n" not in exact.config and unused.config["mc_n"] == 50
+        assert exact.rows == unused.rows
+
 
 # A finite support, so that many members tie on every sample and the harness
 # must pick the first of them, as per-trial ERM does.
@@ -489,3 +526,49 @@ class TestEnumeratesOncePerRun:
         srm(seq, S, delta=0.1)
         assert enumerations == list(seq.classes)
         assert calls == [sum(c.size() for c in seq.classes)]
+
+
+@pytest.fixture
+def seedings(monkeypatch):
+    """The row count of each _pcg64_states call, the one seeding pass of a
+    draw_blocks call."""
+    calls = []
+    original = distributions._pcg64_states
+
+    def counted(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(distributions, "_pcg64_states", counted)
+    return calls
+
+
+class TestSeedsOncePerRun:
+    """Blocks of one trial: each run of trials is still seeded in one pass."""
+
+    @pytest.fixture(autouse=True)
+    def one_trial_blocks(self, monkeypatch):
+        monkeypatch.setattr(experiments, "LABEL_BLOCK_CELLS", 1)
+        monkeypatch.setattr(distributions, "LABEL_BLOCK_CELLS", 1)
+
+    def test_learnability(self, seedings):
+        verify_learnability(H, D, m=20, eps=0.1, delta=0.1, trials=30, seed=SeedSpec(1))
+        assert seedings == [30]
+
+    def test_learnability_monte_carlo(self, seedings):
+        cls = FiniteClass((Threshold(0.3), SineSign(2.0), SineSign(5.0)))
+        s = verify_learnability(cls, D, m=20, eps=0.1, delta=0.1, trials=30, seed=SeedSpec(1),
+                                mc_n=50, keep_records=True)
+        again = sum(r.hypothesis["kind"] == "sine" for r in s.records)
+        # the class's Monte Carlo members, the trials, then the sine picks
+        assert seedings == [2, 30] + ([again] if again else [])
+
+    def test_uniform_convergence(self, seedings):
+        verify_uniform_convergence(H, D, [20, 40], eps=0.1, delta=0.1, trials=30,
+                                   seed=SeedSpec(1))
+        assert seedings == [30, 30]
+
+    def test_tradeoff(self, seedings):
+        tradeoff_sweep(SEQUENCES["nested-thresholds"], D, m_values=[10, 20], trials=10,
+                       delta=0.1, master_seeds=[0, 1])
+        assert seedings == [20, 20]
