@@ -28,6 +28,7 @@ from .bounds import (
 )
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
+    DimensionMismatchError,
     EnumerationBudgetError,
     LabeledSample,
     hypothesis_from_json,
@@ -59,6 +60,7 @@ from .presets import (
 from .shattering import (
     DEFAULT_SUBSET_BUDGET,
     MAX_SINE_POINTS,
+    PointSetError,
     sine_shatter_witness,
     vc_dimension,
 )
@@ -326,7 +328,10 @@ def _run_bounds(cfg: dict):
 
 
 def _run_vcdim(cfg: dict):
-    H = resolve_class(cfg["class"])
+    try:
+        H = resolve_class(cfg["class"])
+    except ValueError as exc:
+        raise ConfigError(f"config.class: {exc}") from exc
     if H.family == "sine":
         if "pool" in cfg:
             raise ConfigError("config.pool: only meaningful for non-sine families")
@@ -343,10 +348,17 @@ def _run_vcdim(cfg: dict):
     if pool_spec is None:
         raise ConfigError("config.pool: required when the class is not a pooled preset")
     try:
-        report = vc_dimension(H, resolve_pool(pool_spec), subset_budget=cfg["subset_budget"],
-                              enum_budget=cfg["enum_budget"])
+        pool = resolve_pool(pool_spec)
     except ValueError as exc:
         raise ConfigError(f"config.pool: {exc}") from exc
+    try:
+        report = vc_dimension(H, pool, subset_budget=cfg["subset_budget"],
+                              enum_budget=cfg["enum_budget"])
+    except ValueError as exc:
+        # A pool that cannot be searched, or of another dimension than the
+        # class, names the pool; a member that cannot be built, the class.
+        key = "pool" if isinstance(exc, (PointSetError, DimensionMismatchError)) else "class"
+        raise ConfigError(f"config.{key}: {exc}") from exc
     lines = [f"dimension over {report.pool_size}-point pool: {report.marker()}"]
     return EXIT_OK, lines, {"vc_report.json": report.to_json()}
 

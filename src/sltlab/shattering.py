@@ -7,17 +7,43 @@ is sound).  A grid can only under-approximate a continuous family, so pool
 and grid presets are tuned so the lower bounds are tight for the shipped
 families.
 
-Subsets are tested by packed codes.  A member's labels on a k-subset, read as
-a k-bit number with the subset's first point as the high bit, are its pattern
-code, so code order is lexicographic labeling order.  The subsets of one size
-are taken in ``itertools.combinations`` order, in blocks of at most
-``CODE_BLOCK_CELLS`` member x subset codes (a 256 KB intp matrix, at least
-one subset per block), and one ``np.bincount`` per block counts every code of
-every subset in it: a subset is shattered when all 2^k counts are non-zero.
+The subsets of one size are taken in ``itertools.combinations`` order, in
+blocks, and each block is tested in one of two ways, which find the same
+first shattered subset:
+
+- Packed codes.  A member's labels on a k-subset, read as a k-bit number
+  with the subset's first point as the high bit, are its pattern code, so
+  code order is lexicographic labeling order.  A block holds at most
+  ``CODE_BLOCK_CELLS`` member x subset codes (a 256 KB intp matrix, at least
+  one subset per block), and one ``np.bincount`` per block counts every code
+  of every subset in it: a subset is shattered when all 2^k counts are
+  non-zero.
+- Member bitsets.  Each pool point has two bitsets of W = ceil(members / 64)
+  uint64 words, the members labelling it 1 and the members labelling it 0,
+  with the pad bits past the last member 0 in both.  A k-subset is shattered
+  exactly when all 2^k ANDs of one bitset per point are non-zero.  A block's
+  ANDs are built a point at a time, as a (2^j, W, subsets) array of at most
+  ``CODE_BLOCK_CELLS`` words, and a subset leaves the block once one of its
+  ANDs is zero.
+
+One cost comparison per subset size k picks the test: bitsets when
+BITSET_WORD_COST * 2^k * W <= members * k, the words a subset ANDs, at 3
+codes a word, against the codes it packs.  The bitset cost grows as 2^k.  The
+constant 3 comes from per-subset timings of both tests on random 24-point
+label matrices (Python 3.11, numpy 2.4, 2-core Xeon), where bitsets were
+faster for
+
+    members              100   400   1365   5000   20 000   50 000
+    bitsets faster for   k<=6  k<=7  k<=7   k<=6   k<=7     k<=8
+
+(k <= 6 is every size 100 members can shatter) and 1.5-11 times slower from
+k = 9 on; the rule picks bitsets for k <= 7 at 400 members and more.  Either
+way, the certificate of the shattered subset is read from its codes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -41,6 +67,14 @@ MAX_SINE_POINTS = 8
 # search; a fixed constant, so the search adds little to the label matrix's
 # memory however large the class.
 CODE_BLOCK_CELLS = 1 << 15
+# Cost of one bitset word against one packed code, in the rule of the module
+# docstring that picks a size's subset test.
+BITSET_WORD_COST = 3
+
+
+class PointSetError(ValueError):
+    """A point set or pool that cannot be searched: not an (n, d) matrix,
+    empty, with a non-finite coordinate or with a repeated point."""
 
 
 @dataclass(frozen=True)
@@ -111,9 +145,12 @@ def _points_matrix(X) -> np.ndarray:
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2:
-        raise ValueError(f"point set must be an (n, d) matrix, got shape {pts.shape}")
+        raise PointSetError(f"point set must be an (n, d) matrix, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        bad = pts[~np.isfinite(pts)][0]
+        raise PointSetError(f"point set coordinates must be finite, got {bad}")
     if len(np.unique(pts, axis=0)) != len(pts):
-        raise ValueError("point set must have pairwise distinct points")
+        raise PointSetError("point set must have pairwise distinct points")
     return pts
 
 
@@ -128,7 +165,7 @@ def restriction(
     """
     pts = _points_matrix(X)
     if len(pts) == 0:
-        raise ValueError("restriction needs a nonempty point set")
+        raise PointSetError("restriction needs a nonempty point set")
     L = label_matrix(enumerate_class(H, budget=budget), pts)
     return {tuple(int(v) for v in row) for row in np.unique(L, axis=0)}
 
@@ -151,6 +188,71 @@ def shatters(
     return _first_shattered(L, iter([tuple(range(len(pts)))]), len(pts))[1] is not None
 
 
+def _prefers_bitsets(n_members: int, k: int) -> bool:
+    """The rule of the module docstring: test k-subsets by member bitsets when
+    BITSET_WORD_COST * 2^k * W words cost no more than members * k codes."""
+    return BITSET_WORD_COST * (1 << k) * -(-n_members // 64) <= n_members * k
+
+
+def _member_bitsets(L: np.ndarray) -> np.ndarray:
+    """(2, W, points) uint64 bitsets over the members of the label matrix L:
+    the W words [b, :, p] hold one bit per member, set when that member
+    labels point p with b.  The pad bits past the last member are 0 in both."""
+    n_members, n_pts = L.shape
+    by_point = np.ascontiguousarray(L.T)
+    octets = np.zeros((2, n_pts, 8 * -(-n_members // 64)), dtype=np.uint8)
+    octets[:, :, :-(-n_members // 8)] = np.packbits(np.stack([by_point == 0, by_point == 1]),
+                                                    axis=2, bitorder="little")
+    return np.ascontiguousarray(octets.view(np.uint64).transpose(0, 2, 1))
+
+
+def _first_hit_by_bitsets(bits: np.ndarray, block: np.ndarray) -> int:
+    """Index of the first subset (row of ``block``) whose 2^k ANDs of one
+    member bitset per point are all non-zero, or -1.  The ANDs are built a
+    point at a time, with the subsets on the last axis, and a subset leaves
+    the block once one of its ANDs is zero."""
+    k, words = block.shape[1], bits.shape[1]
+    rows = np.arange(len(block))
+    acc = bits.take(block[:, 0], axis=2)
+    for j in range(1, k + 1):
+        alive = acc.any(axis=1).all(axis=0)
+        if not alive.all():
+            rows, acc = rows[alive], acc.compress(alive, axis=2)
+        if j == k or len(rows) == 0:
+            break
+        acc = (acc[:, None] & bits.take(block[rows, j], axis=2)).reshape(-1, words, len(rows))
+    return int(rows[0]) if len(rows) else -1
+
+
+def _first_hit_by_codes(L: np.ndarray, block: np.ndarray) -> int:
+    """Index of the first subset (row of ``block``) whose member codes show
+    all 2^k patterns, or -1, by one ``np.bincount`` over the block."""
+    n_members, k = L.shape[0], block.shape[1]
+    patterns = 1 << k
+    codes = np.zeros((n_members, len(block)), dtype=np.intp)
+    for j in range(k):
+        codes <<= 1
+        codes |= L[:, block[:, j]]
+    offsets = np.arange(len(block), dtype=np.intp) * patterns
+    counts = np.bincount((codes + offsets).ravel(), minlength=len(block) * patterns)
+    hits = np.flatnonzero(counts.reshape(len(block), patterns).all(axis=1))
+    return int(hits[0]) if len(hits) else -1
+
+
+def _first_realizers(L: np.ndarray, combo: tuple[int, ...]) -> np.ndarray:
+    """first[code] = the earliest member of L realizing the pattern with that
+    code on the columns ``combo``."""
+    n_members = L.shape[0]
+    codes = np.zeros(n_members, dtype=np.intp)
+    for c in combo:
+        codes <<= 1
+        codes |= L[:, c]
+    first = np.empty(1 << len(combo), dtype=np.intp)
+    # Written in reverse member order, so the earliest member wins.
+    first[codes[::-1]] = np.arange(n_members - 1, -1, -1)
+    return first
+
+
 def _first_shattered(
     L: np.ndarray,
     combos: Iterator[tuple[int, ...]],
@@ -164,27 +266,23 @@ def _first_shattered(
     first are None when no subset in ``combos`` is shattered.
     """
     n_members = L.shape[0]
-    patterns = 1 << k
-    step = max(1, CODE_BLOCK_CELLS // n_members)
+    if _prefers_bitsets(n_members, k):
+        bits = _member_bitsets(L)
+        step = max(1, CODE_BLOCK_CELLS // ((1 << k) * bits.shape[1]))
+        first_hit = functools.partial(_first_hit_by_bitsets, bits)
+    else:
+        step = max(1, CODE_BLOCK_CELLS // n_members)
+        first_hit = functools.partial(_first_hit_by_codes, L)
     scanned = 0
     while True:
         block = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, step)),
                             dtype=np.intp).reshape(-1, k)
         if len(block) == 0:
             return scanned, None, None
-        codes = np.zeros((n_members, len(block)), dtype=np.intp)
-        for j in range(k):
-            codes <<= 1
-            codes |= L[:, block[:, j]]
-        offsets = np.arange(len(block), dtype=np.intp) * patterns
-        counts = np.bincount((codes + offsets).ravel(), minlength=len(block) * patterns)
-        hits = np.flatnonzero(counts.reshape(len(block), patterns).all(axis=1))
-        if len(hits):
-            i = int(hits[0])
-            first = np.empty(patterns, dtype=np.intp)
-            # Written in reverse member order, so the earliest member wins.
-            first[codes[::-1, i]] = np.arange(n_members - 1, -1, -1)
-            return scanned + i + 1, tuple(int(c) for c in block[i]), first
+        i = first_hit(block)
+        if i >= 0:
+            combo = tuple(int(c) for c in block[i])
+            return scanned + i + 1, combo, _first_realizers(L, combo)
         scanned += len(block)
 
 
@@ -197,15 +295,15 @@ def vc_dimension(
     """Largest size of a pool subset shattered by the enumerated class.
 
     Searches subset sizes in increasing order, each size's subsets in
-    ``itertools.combinations`` order, by the packed-code blocks of the module
-    docstring: the first shattered subset of a size is its witness, and each
-    labeling's certificate is the earliest enumerated member realizing it.
-    At most ``subset_budget`` subsets are tested in all; if it cuts a size
+    ``itertools.combinations`` order, by the blocks of the module docstring:
+    the first shattered subset of a size is its witness, and each labeling's
+    certificate is the earliest enumerated member realizing it.  At most
+    ``subset_budget`` subsets are tested in all; if it cuts a size
     short, the reported value is a lower bound and ``exact`` is false.
     """
     pts = _points_matrix(pool)
     if len(pts) == 0:
-        raise ValueError("the point pool must be nonempty")
+        raise PointSetError("the point pool must be nonempty")
     members = enumerate_class(H, budget=enum_budget)
     L = label_matrix(members, pts)
 

@@ -355,6 +355,20 @@ class TestExitCodes:
         (["risk", "--dist", BOX_3D, "--hypothesis", '{"kind": "threshold", "theta": 0.5}'],
          "config.hypothesis: hypothesis threshold has dimension 1, but config.dist has "
          "dimension 3"),
+        (["vcdim", "--class", "intervals", "--pool", "[[NaN],[NaN]]"],
+         "config.pool: point set coordinates must be finite, got nan"),
+        (["vcdim", "--class", "intervals", "--pool", "[[NaN],[0.5]]"],
+         "config.pool: point set coordinates must be finite, got nan"),
+        (["vcdim", "--class", "thresholds-both", "--pool", "[[Infinity],[0.5]]"],
+         "config.pool: point set coordinates must be finite, got inf"),
+        (["vcdim", "--class", "intervals", "--pool", "[[0.5],[-Infinity]]"],
+         "config.pool: point set coordinates must be finite, got -inf"),
+        (["vcdim", "--class", "nosuch"], "config.class: unknown class preset 'nosuch'"),
+        (["vcdim", "--class", "{family}"],
+         "config.class: Expecting property name enclosed in double quotes"),
+        (["vcdim", "--class", '{"family": "intervals", "lo": 1, "hi": 0}',
+          "--pool", "[[0.1],[0.3]]"],
+         "config.class: interval endpoints out of order"),
     ])
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG
@@ -462,6 +476,15 @@ class TestVcdimCommand:
         report = VcReport.from_json(data)
         assert report.value == 2
         assert verify_certificate(report)
+
+    def test_non_finite_pool_leaves_no_output(self, tmp_path, capsys):
+        out = tmp_path / "vc"
+        assert main(["vcdim", "--class", "thresholds-both", "--pool", "[[Infinity],[0.5]]",
+                     "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sltlab: error: config.pool: ")
+        assert os.listdir(tmp_path) == []
 
     def test_sine_witness_output(self, tmp_path):
         code = main(["vcdim", "--preset", "sine-shatter-k6", "--out", str(tmp_path)])

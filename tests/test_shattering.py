@@ -21,6 +21,7 @@ from sltlab.presets import CLASSES, POOLS
 from sltlab.shattering import (
     MAX_SINE_POINTS,
     Dichotomy,
+    PointSetError,
     VcReport,
     restriction,
     shatters,
@@ -66,6 +67,13 @@ class TestRestriction:
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             restriction(CLASSES["intervals"], pts(0.5, 0.5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("search", [restriction, shatters, vc_dimension])
+    def test_non_finite_points_rejected(self, search, bad):
+        for X in (pts(bad, 0.5), pts(bad, bad), pts(bad)):
+            with pytest.raises(PointSetError, match=f"must be finite, got {bad}"):
+                search(CLASSES["intervals"], X)
 
 
 class TestShatters:
@@ -175,18 +183,34 @@ def reference_search(L: np.ndarray, subset_budget: int):
 
 
 def assert_search_matches_reference(H, pool, L, subset_budget, per_block):
-    """vc_dimension, with blocks of ``per_block`` subsets, against the
-    reference search on the label matrix L of H's members on the pool."""
+    """vc_dimension, by member bitsets and then by packed codes, against the
+    reference search on the label matrix L of H's members on the pool.  The
+    block cap holds ``per_block`` subsets' codes, and so, for bitsets, a
+    number of subsets that falls as 2^k grows."""
     members = enumerate_class(H)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(shattering, "CODE_BLOCK_CELLS", len(members) * per_block)
-        rep = vc_dimension(H, pool, subset_budget=subset_budget)
     value, exact, tested, combo, first = reference_search(L, subset_budget)
-    assert (rep.value, rep.exact, rep.subsets_tested) == (value, exact, tested)
-    assert rep.witness == tuple(tuple(float(c) for c in pool[i]) for i in combo)
-    assert [(d.labeling, h) for d, h in rep.certificate] == [
-        (labeling, members[i]) for labeling, i in sorted(first.items())]
-    assert verify_certificate(rep)
+    for bitsets in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(shattering, "CODE_BLOCK_CELLS", len(members) * per_block)
+            mp.setattr(shattering, "_prefers_bitsets", lambda n_members, k: bitsets)
+            rep = vc_dimension(H, pool, subset_budget=subset_budget)
+        assert (rep.value, rep.exact, rep.subsets_tested) == (value, exact, tested)
+        assert rep.witness == tuple(tuple(float(c) for c in pool[i]) for i in combo)
+        assert [(d.labeling, h) for d, h in rep.certificate] == [
+            (labeling, members[i]) for labeling, i in sorted(first.items())]
+        assert verify_certificate(rep)
+
+
+def tagged_class(L: np.ndarray) -> FiniteClass:
+    """Lookup tables labelling the points 0, 1, ... as the rows of L.  Hidden
+    points past them spell each member's index, so members with equal labels
+    on those points are still different hypotheses."""
+    n_members, n_pts = L.shape
+    tags = max(1, (n_members - 1).bit_length())
+    domain = tuple((float(v),) for v in range(n_pts + tags))
+    return FiniteClass(tuple(
+        LookupTable(domain, tuple(int(b) for b in row) + tuple((i >> t) & 1 for t in range(tags)))
+        for i, row in enumerate(L)))
 
 
 @st.composite
@@ -204,16 +228,8 @@ class TestPackedSearchAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(label_matrices(), st.integers(-2, 70), st.integers(1, 7))
     def test_random_label_matrices(self, L, subset_budget, per_block):
-        n_members, n_pts = L.shape
-        pool = np.arange(n_pts, dtype=float)[:, None]
-        # Hidden points outside the pool spell each member's index, so members
-        # with equal labels on the pool are still different hypotheses.
-        tags = max(1, (n_members - 1).bit_length())
-        domain = tuple((float(v),) for v in range(n_pts + tags))
-        members = tuple(
-            LookupTable(domain, tuple(int(b) for b in row) + tuple((i >> t) & 1 for t in range(tags)))
-            for i, row in enumerate(L))
-        assert_search_matches_reference(FiniteClass(members), pool, L, subset_budget, per_block)
+        pool = np.arange(L.shape[1], dtype=float)[:, None]
+        assert_search_matches_reference(tagged_class(L), pool, L, subset_budget, per_block)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(["thresholds-both", "intervals", "rectangles2d", "halfspaces2d"]),
@@ -226,6 +242,35 @@ class TestPackedSearchAgainstReference:
         L = label_matrix(enumerate_class(H), pool)
         assert_search_matches_reference(H, pool, L, subset_budget, per_block)
         assert shatters(H, pool) == (len(restriction(H, pool)) == 2 ** len(pool))
+
+    @pytest.mark.parametrize("n_members", [63, 64, 65])
+    @pytest.mark.parametrize("missing", list(itertools.product((0, 1), repeat=3)))
+    def test_pad_bits_never_realize_a_pattern(self, n_members, missing):
+        # Members cycle through every labeling of 3 points but one, so no
+        # 3-subset is shattered; a set pad bit past the last member would
+        # realize the missing labeling in either bitset.
+        patterns = [p for p in itertools.product((0, 1), repeat=3) if p != missing]
+        L = np.array([patterns[i % len(patterns)] for i in range(n_members)], dtype=np.uint8)
+        H, pool = tagged_class(L), np.arange(3, dtype=float)[:, None]
+        assert_search_matches_reference(H, pool, L, 100, 2)
+        assert shattering._member_bitsets(L).shape[1] == -(-n_members // 64)
+        assert not shatters(H, pool)
+        assert shatters(H, pool[:2])
+
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_codes_decide_large_subsets(self, k):
+        # 2^k + 1 members on k points: every labeling once plus a repeat, and
+        # then every labeling but the first, plus two repeats.
+        assert not shattering._prefers_bitsets(2 ** k + 1, k)
+        every = np.array(list(itertools.product((0, 1), repeat=k)), dtype=np.uint8)
+        pool = np.arange(k, dtype=float)[:, None]
+        full = np.vstack([every, every[:1]])
+        assert shatters(tagged_class(full), pool)
+        short = np.vstack([every[1:], every[1:3]])
+        assert not shatters(tagged_class(short), pool)
+        rep = vc_dimension(tagged_class(short), pool)
+        assert (rep.value, rep.exact) == (k - 1, True)
+        assert verify_certificate(rep)
 
 
 class TestDichotomy:
