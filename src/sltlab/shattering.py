@@ -224,17 +224,23 @@ def _first_hit_by_bitsets(bits: np.ndarray, block: np.ndarray) -> int:
     return int(rows[0]) if len(rows) else -1
 
 
+def _pattern_codes(L: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """(members, subsets) pattern codes of each member of L on each subset
+    (row of ``block``)."""
+    codes = np.zeros((L.shape[0], len(block)), dtype=np.intp)
+    for j in range(block.shape[1]):
+        codes <<= 1
+        codes |= L[:, block[:, j]]
+    return codes
+
+
 def _first_hit_by_codes(L: np.ndarray, block: np.ndarray) -> int:
     """Index of the first subset (row of ``block``) whose member codes show
     all 2^k patterns, or -1, by one ``np.bincount`` over the block."""
-    n_members, k = L.shape[0], block.shape[1]
-    patterns = 1 << k
-    codes = np.zeros((n_members, len(block)), dtype=np.intp)
-    for j in range(k):
-        codes <<= 1
-        codes |= L[:, block[:, j]]
+    patterns = 1 << block.shape[1]
     offsets = np.arange(len(block), dtype=np.intp) * patterns
-    counts = np.bincount((codes + offsets).ravel(), minlength=len(block) * patterns)
+    counts = np.bincount((_pattern_codes(L, block) + offsets).ravel(),
+                         minlength=len(block) * patterns)
     hits = np.flatnonzero(counts.reshape(len(block), patterns).all(axis=1))
     return int(hits[0]) if len(hits) else -1
 
@@ -243,10 +249,7 @@ def _first_realizers(L: np.ndarray, combo: tuple[int, ...]) -> np.ndarray:
     """first[code] = the earliest member of L realizing the pattern with that
     code on the columns ``combo``."""
     n_members = L.shape[0]
-    codes = np.zeros(n_members, dtype=np.intp)
-    for c in combo:
-        codes <<= 1
-        codes |= L[:, c]
+    codes = _pattern_codes(L, np.array([combo], dtype=np.intp))[:, 0]
     first = np.empty(1 << len(combo), dtype=np.intp)
     # Written in reverse member order, so the earliest member wins.
     first[codes[::-1]] = np.arange(n_members - 1, -1, -1)
