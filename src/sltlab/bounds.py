@@ -19,7 +19,7 @@ from .core import (
     HypothesisClass,
     JsonFields,
     LabeledSample,
-    enumerate_class,
+    StackedMembers,
     error_counts,
 )
 from .distributions import (
@@ -169,7 +169,7 @@ def is_eps_representative(
         raise ValueError(f"eps must be positive, got {eps}")
     if S.m == 0:
         raise ValueError("empirical error is undefined for an empty sample")
-    members = enumerate_class(H, budget=budget)
+    members = StackedMembers.of(H, budget=budget)
     emp = error_counts(members, S) / S.m
     risks, mc = member_risks(D, members, mc_n, seed, "representative-member")
     used_mc = bool(mc.any())

@@ -31,6 +31,7 @@ from .core import (
     DimensionMismatchError,
     EnumerationBudgetError,
     LabeledSample,
+    StackedMembers,
     hypothesis_from_json,
     real_number,
     whole_number,
@@ -327,11 +328,17 @@ def _run_bounds(cfg: dict):
     return EXIT_OK, lines, files
 
 
-def _run_vcdim(cfg: dict):
+def _resolve(cfg: dict, key: str, resolver):
+    """resolver(cfg[key]); a spec it rejects (bad inline JSON, an unknown
+    preset, a bad value inside) names config.<key>."""
     try:
-        H = resolve_class(cfg["class"])
+        return resolver(cfg[key])
     except ValueError as exc:
-        raise ConfigError(f"config.class: {exc}") from exc
+        raise ConfigError(f"config.{key}: {exc}") from exc
+
+
+def _run_vcdim(cfg: dict):
+    H = _resolve(cfg, "class", resolve_class)
     if H.family == "sine":
         if "pool" in cfg:
             raise ConfigError("config.pool: only meaningful for non-sine families")
@@ -344,13 +351,9 @@ def _run_vcdim(cfg: dict):
                 {"sine_witness.json": report.to_json()})
     if "sine_k" in cfg:
         raise ConfigError("config.sine_k: only meaningful for the sine family")
-    pool_spec = cfg.get("pool", cfg["class"] if cfg["class"] in POOLS else None)
-    if pool_spec is None:
+    if "pool" not in cfg and cfg["class"] not in POOLS:
         raise ConfigError("config.pool: required when the class is not a pooled preset")
-    try:
-        pool = resolve_pool(pool_spec)
-    except ValueError as exc:
-        raise ConfigError(f"config.pool: {exc}") from exc
+    pool = _resolve(cfg, "pool", resolve_pool) if "pool" in cfg else POOLS[cfg["class"]]
     try:
         report = vc_dimension(H, pool, subset_budget=cfg["subset_budget"],
                               enum_budget=cfg["enum_budget"])
@@ -364,8 +367,8 @@ def _run_vcdim(cfg: dict):
 
 
 def _run_risk(cfg: dict):
-    D = resolve_distribution(cfg["dist"])
-    h = hypothesis_from_json(json.loads(cfg["hypothesis"]))
+    D = _resolve(cfg, "dist", resolve_distribution)
+    h = _resolve(cfg, "hypothesis", lambda spec: hypothesis_from_json(json.loads(spec)))
     if h.dim != D.dim:
         raise ConfigError(f"config.hypothesis: hypothesis {h.kind} has dimension {h.dim}, but "
                           f"config.dist has dimension {D.dim}")
@@ -383,15 +386,21 @@ def _run_risk(cfg: dict):
     return EXIT_OK, lines, {"risk.json": payload}
 
 
-def _check_dims(key: str, classes, dim: int, source: str = "config.dist") -> None:
-    """Reject a class of config.<key> whose instances have another dimension
-    than the source's, dim, before any work on them."""
+def _check_classes(cfg: dict, key: str, classes, dim: int, source: str = "config.dist") -> None:
+    """Reject, before any work on them, a class of config.<key> whose
+    instances have another dimension than the source's, dim, or with a member
+    that cannot be built: the rows of its members are checked as arrays, and
+    the first bad member's own error names config.<key>."""
     for pos, H in enumerate(classes, start=1):
         if H.dim != dim:
             what = f"class at position {pos} ({H.family})" if key == "sequence" else \
                 f"class {H.family}"
             raise ConfigError(f"config.{key}: {what} has dimension {H.dim}, but {source} "
                               f"has dimension {dim}")
+    try:
+        StackedMembers.of(*classes, budget=cfg["budget"])
+    except ValueError as exc:
+        raise ConfigError(f"config.{key}: {exc}") from exc
 
 
 def _sample_for(cfg: dict, stream: str, key: str, classes) -> tuple[LabeledSample, bool]:
@@ -402,17 +411,17 @@ def _sample_for(cfg: dict, stream: str, key: str, classes) -> tuple[LabeledSampl
             S = LabeledSample.from_csv(cfg["data"])
         except (ValueError, OSError) as exc:
             raise ConfigError(f"config.data: {exc}") from exc
-        _check_dims(key, classes, S.dim, "the sample in config.data")
+        _check_classes(cfg, key, classes, S.dim, "the sample in config.data")
         return S, False
     if "dist" not in cfg or "m" not in cfg:
         raise ConfigError("config: need either data=<csv> or dist=... plus m=...")
-    D = resolve_distribution(cfg["dist"])
-    _check_dims(key, classes, D.dim)
+    D = _resolve(cfg, "dist", resolve_distribution)
+    _check_classes(cfg, key, classes, D.dim)
     return draw_sample(D, cfg["m"], SeedSpec(cfg["seed"], stream)), True
 
 
 def _run_erm(cfg: dict):
-    H = resolve_class(cfg["class"])
+    H = _resolve(cfg, "class", resolve_class)
     S, generated = _sample_for(cfg, "cli-erm", "class", [H])
     out = erm(H, S, budget=cfg["budget"])
     lines = [f"selected {out.hypothesis.describe()} with empirical error "
@@ -426,7 +435,7 @@ def _run_erm(cfg: dict):
 def _sequence(cfg: dict):
     """The config's class sequence.  The CLI passes no dimensions of its own,
     so every class needs a dimension hint."""
-    seq = resolve_sequence(cfg["sequence"])
+    seq = _resolve(cfg, "sequence", resolve_sequence)
     for pos, cls in enumerate(seq.classes, start=1):
         if cls.vc_dim_hint is None:
             raise ConfigError(f"config.sequence: class at position {pos} ({cls.family}) "
@@ -450,8 +459,8 @@ _VERDICT_EXIT = {"pass": EXIT_OK, "fail": EXIT_FAIL, "indeterminate": EXIT_INDET
 
 
 def _run_pac(cfg: dict):
-    H, D = resolve_class(cfg["class"]), resolve_distribution(cfg["dist"])
-    _check_dims("class", [H], D.dim)
+    H, D = _resolve(cfg, "class", resolve_class), _resolve(cfg, "dist", resolve_distribution)
+    _check_classes(cfg, "class", [H], D.dim)
     summary = verify_learnability(
         H, D, m=cfg["m"], eps=cfg["eps"], delta=cfg["delta"], trials=cfg["trials"],
         seed=SeedSpec(cfg["seed"]), mc_n=cfg.get("mc_n"),
@@ -468,8 +477,8 @@ def _run_pac(cfg: dict):
 
 
 def _run_uc(cfg: dict):
-    H, D = resolve_class(cfg["class"]), resolve_distribution(cfg["dist"])
-    _check_dims("class", [H], D.dim)
+    H, D = _resolve(cfg, "class", resolve_class), _resolve(cfg, "dist", resolve_distribution)
+    _check_classes(cfg, "class", [H], D.dim)
     report = verify_uniform_convergence(
         H, D, m_values=cfg["m_values"], eps=cfg["eps"], delta=cfg["delta"],
         trials=cfg["trials"], seed=SeedSpec(cfg["seed"]), mc_n=cfg.get("mc_n"),
@@ -511,8 +520,8 @@ def _run_nfl(cfg: dict):
 
 
 def _run_tradeoff(cfg: dict):
-    seq, D = _sequence(cfg), resolve_distribution(cfg["dist"])
-    _check_dims("sequence", seq.classes, D.dim)
+    seq, D = _sequence(cfg), _resolve(cfg, "dist", resolve_distribution)
+    _check_classes(cfg, "sequence", seq.classes, D.dim)
     report = tradeoff_sweep(
         seq, D, m_values=cfg["m_values"], trials=cfg["trials"], delta=cfg["delta"],
         master_seeds=cfg.get("seeds", [cfg["seed"]]), C=cfg["C"],

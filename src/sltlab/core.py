@@ -242,7 +242,9 @@ class Hypothesis(JsonFields):
     """A total, deterministic binary labeling rule on d-dimensional instances.
 
     Subclasses expose ``dim`` and declare their rule once, for a stack of
-    members: ``_stack_row()`` gives a stacking key and a float parameter row;
+    members: ``_stack_row()`` gives a stacking key and a float parameter row,
+    and ``_from_row(key, row)`` builds the member back from them;
+    ``_bad_rows(P)`` marks the rows whose member the constructor rejects;
     ``_label_stack(out, P, X)``, called on one member, writes into the (k, n)
     bool array out the labels on the (n, dim) matrix X of the k members of its
     exact type and key whose rows form P.  ``labels`` is that rule on a
@@ -255,6 +257,9 @@ class Hypothesis(JsonFields):
     @property
     def dim(self) -> int:
         raise NotImplementedError
+
+    _from_row = classmethod(lambda cls, key, row: cls(*row))
+    _bad_rows = staticmethod(lambda P: np.zeros(len(P), dtype=bool))
 
     def labels(self, X: np.ndarray) -> np.ndarray:
         """Labels in {0, 1} for each row of an (n, dim) matrix."""
@@ -292,6 +297,8 @@ class Threshold(Hypothesis):
     def _stack_row(self):
         return self.direction, (self.theta,)
 
+    _from_row = classmethod(lambda cls, key, row: cls(*row, key))
+
     def _label_stack(self, out, P, X):
         (np.greater_equal if self.direction == "ge" else np.less_equal)(X[:, 0], P, out=out)
 
@@ -319,6 +326,8 @@ class Interval(Hypothesis):
 
     def _stack_row(self):
         return None, (self.lo, self.hi)
+
+    _bad_rows = staticmethod(lambda P: P[:, 0] > P[:, 1])
 
     def _label_stack(self, out, P, X):
         _in_closed(X[:, 0], P, 0, out)
@@ -351,6 +360,10 @@ class IntervalUnion(Hypothesis):
     def _stack_row(self):
         return len(self.intervals), sum(self.intervals, ())
 
+    _from_row = classmethod(lambda cls, key, row: cls(tuple(zip(row[0::2], row[1::2]))))
+    _bad_rows = staticmethod(lambda P: (P[:, 0::2] > P[:, 1::2]).any(axis=1)
+                             | (P[:, 2::2] <= P[:, 1:-1:2]).any(axis=1))
+
     def _label_stack(self, out, P, X):
         out[:] = False
         for j in range(0, P.shape[1], 2):
@@ -382,6 +395,9 @@ class Rectangle(Hypothesis):
     def _stack_row(self):
         return self.dim, sum(self.bounds, ())
 
+    _from_row = classmethod(lambda cls, key, row: cls(tuple(zip(row[0::2], row[1::2]))))
+    _bad_rows = staticmethod(lambda P: (P[:, 0::2] > P[:, 1::2]).any(axis=1))
+
     def _label_stack(self, out, P, X):
         _in_closed(X[:, 0], P, 0, out)
         for j in range(1, self.dim):
@@ -411,11 +427,14 @@ class Halfspace(Hypothesis):
     def _stack_row(self):
         return self.dim, (*self.weights, self.bias)
 
+    _from_row = classmethod(lambda cls, key, row: cls(tuple(row[:-1]), row[-1]))
+
     def _label_stack(self, out, P, X):
-        # One product per member: a product of the whole stack rounds some
-        # points on a boundary line to the other side.
-        for row, p in zip(out, P):
-            np.greater_equal(X @ p[:-1] + p[-1], 0.0, out=row)
+        # The batched matmul runs one matrix-vector product per member, as
+        # X @ w does, so a member's labels do not depend on its stack.  One
+        # product of the whole stack (X @ P[:, :-1].T) or an elementwise sum
+        # rounds some points on a boundary line to the other side.
+        np.greater_equal(np.matmul(X, P[:, :-1, None])[..., 0] + P[:, -1:], 0.0, out=out)
 
     def describe(self) -> str:
         w = ",".join(f"{v:g}" for v in self.weights)
@@ -474,6 +493,8 @@ class LookupTable(Hypothesis):
 
     def _stack_row(self):
         return self, ()  # a stack holds equal tables only
+
+    _from_row = classmethod(lambda cls, key, row: key)
 
     def _label_stack(self, out, P, X):
         table = self._table
@@ -730,7 +751,7 @@ def trial_error_counts(
     total = np.uint16 if m < 2 ** 16 else np.uint32
     for start in range(0, len(members), step):
         rows = block[:min(step, len(members) - start)]
-        _fill_labels(rows, members, runs, points, start)
+        _fill_labels(rows, runs, points, start)
         rows ^= flat_y
         counts[:, start:start + len(rows)] = rows.reshape(len(rows), T, m).sum(
             axis=2, dtype=total).T
@@ -744,7 +765,7 @@ def label_matrix(members: Sequence[Hypothesis], X: np.ndarray) -> np.ndarray:
     Each run of members of one exact type and stacking key is labelled by one
     call of that type's rule on the run's stacked parameter rows.  Pass a
     StackedMembers to label one list on many samples without collecting those
-    rows again.
+    rows again; ``StackedMembers.of`` labels a class without building it.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -752,14 +773,14 @@ def label_matrix(members: Sequence[Hypothesis], X: np.ndarray) -> np.ndarray:
             f"label_matrix expects an (n, d) matrix of instances, got shape {X.shape}"
         )
     out = np.empty((len(members), len(X)), dtype=np.uint8)
-    _fill_labels(out, members, _runs_of(members), X, 0)
+    _fill_labels(out, _runs_of(members), X, 0)
     return out
 
 
 def _label_runs(members: Sequence[Hypothesis]) -> list[tuple]:
-    """Maximal runs (start, stop, (type, key), params) of members of one
-    exact type and stacking key, with their ``_stack_row`` parameter rows
-    stacked into a float matrix."""
+    """Maximal runs (start, stop, (type, key), params, first member) of
+    members of one exact type and stacking key, with their ``_stack_row``
+    parameter rows stacked into a float matrix."""
     runs: list[list] = []
     for i, h in enumerate(members):
         key, row = h._stack_row()
@@ -768,14 +789,18 @@ def _label_runs(members: Sequence[Hypothesis]) -> list[tuple]:
             runs[-1][1] = i + 1
             runs[-1][3].append(row)
         else:
-            runs.append([i, i + 1, group, [row]])
-    return [(a, b, group, np.array(rows, dtype=float)) for a, b, group, rows in runs]
+            runs.append([i, i + 1, group, [row], h])
+    return [(a, b, group, np.array(rows, dtype=float), h) for a, b, group, rows, h in runs]
 
 
 class StackedMembers(Sequence):
-    """An immutable copy of a member list that keeps the runs of stacked
-    parameter rows label_matrix and error_counts label it with, collected
-    once.  Code that labels one list on many samples passes this instead.
+    """An immutable member list that keeps the runs of stacked parameter rows
+    label_matrix and error_counts label it with.  Code that labels one list on
+    many samples passes this instead.
+
+    Built from a member list, it copies the list.  Built by ``of`` from grid
+    families, it holds their rows only: reading member i builds that one
+    object from its row, and iterating builds them all in order.
     """
 
     def __init__(self, members: Iterable[Hypothesis]):
@@ -784,28 +809,63 @@ class StackedMembers(Sequence):
         for run in self._runs:
             run[3].flags.writeable = False
 
+    @classmethod
+    def of(cls, *classes: "HypothesisClass",
+           budget: int = DEFAULT_ENUMERATION_BUDGET) -> "StackedMembers":
+        """The members of classes in canonical order, each class under the
+        enumeration budget.  A grid family gives its rows, checked as arrays:
+        the first member that cannot be built raises its own error here.  A
+        class of objects (a FiniteClass) makes a stack of objects.
+        """
+        runs = []
+        for H in classes:
+            if H.size() > budget:
+                raise EnumerationBudgetError(H.size(), budget)
+            runs.append(H._param_runs())
+            for typ, key, P in runs[-1] or ():
+                bad = np.flatnonzero(typ._bad_rows(P))
+                if len(bad):
+                    typ._from_row(key, P[bad[0]].tolist())  # raises that member's error
+        if None in runs:
+            return cls(itertools.chain.from_iterable(H.members() for H in classes))
+        stacked = cls(())
+        rows = (run for run in itertools.chain.from_iterable(runs) if len(run[2]))
+        for group, same in itertools.groupby(rows, key=lambda run: run[:2]):
+            P = np.concatenate([run[2] for run in same])
+            P.flags.writeable = False
+            first = group[0]._from_row(group[1], P[0].tolist())
+            stacked._runs += ((len(stacked), len(stacked) + len(P), group, P, first),)
+        stacked._members = None
+        return stacked
+
     def __len__(self) -> int:
-        return len(self._members)
+        return self._runs[-1][1] if self._runs else 0
 
     def __getitem__(self, index):
-        return self._members[index]
+        if self._members is not None:
+            return self._members[index]
+        index = range(len(self))[index]
+        a, _, (typ, key), P, _ = next(run for run in self._runs if index < run[1])
+        return typ._from_row(key, P[index - a].tolist())
 
     def __iter__(self) -> Iterator[Hypothesis]:
-        return iter(self._members)
+        if self._members is not None:
+            return iter(self._members)
+        return (typ._from_row(key, row)
+                for _, _, (typ, key), P, _ in self._runs for row in P.tolist())
 
 
 def _runs_of(members: Sequence[Hypothesis]) -> Sequence[tuple]:
     return members._runs if isinstance(members, StackedMembers) else _label_runs(members)
 
 
-def _fill_labels(out: np.ndarray, members: Sequence[Hypothesis], runs: Sequence[tuple],
-                 X: np.ndarray, start: int) -> None:
-    """Write the labels of members[start:start + len(out)] on X into out."""
+def _fill_labels(out: np.ndarray, runs: Sequence[tuple], X: np.ndarray, start: int) -> None:
+    """Write the labels of members start to start + len(out) of the runs on X
+    into out, each run's by its first member's rule."""
     stop = start + len(out)
-    for a, b, _, params in runs:
+    for a, b, _, params, h in runs:
         lo, hi = max(a, start), min(b, stop)
         if lo < hi:
-            h = members[lo]
             # A bool view takes 0/1 bytes without a cast.
             h._label_stack(out[lo - start:hi - start].view(bool), params[lo - a:hi - a],
                            _check_matrix(X, h.dim, f"{h.kind} hypothesis"))
@@ -842,7 +902,9 @@ class HypothesisClass(JsonFields):
 
     Parametric families carry continuous parameter ranges, a default grid
     built from them and an optional explicit ``grid`` (their last field);
-    exhaustive operations discretize them through that GridSpec.
+    exhaustive operations discretize them through that GridSpec.  A grid
+    family declares its members once, as (type, key, P) runs of parameter
+    rows in canonical order (``_param_runs``), built with numpy.
     ``vc_dim_hint`` is the combinatorial dimension of the continuous family
     (None if infinite or unknown); grid restrictions never exceed it.
     """
@@ -874,8 +936,29 @@ class HypothesisClass(JsonFields):
         """Number of enumerated members."""
         raise NotImplementedError
 
+    def _param_runs(self) -> list[tuple] | None:
+        """None for a class that keeps its members as objects."""
+        return None
+
     def members(self) -> Iterator[Hypothesis]:
-        raise NotImplementedError
+        return iter(StackedMembers.of(self, budget=math.inf))
+
+
+def _row_product(blocks) -> np.ndarray:
+    """Each row of the first block joined to each of the next, first block major."""
+    P = np.empty((1, 0))
+    for block in blocks:
+        P = np.concatenate([np.repeat(P, len(block), axis=0), np.tile(block, (len(P), 1))], axis=1)
+    return P
+
+
+def _chains(axis, k: int) -> np.ndarray:
+    """Rows (axis[i1], axis[j1], ..., axis[ik], axis[jk]) over the index chains
+    i1 <= j1 < i2 <= ... <= jk < len(axis), in lexicographic index order: the
+    2k-subsets of range(len(axis) + k), index t of each lowered by (t + 1) // 2."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(len(axis) + k), 2 * k))
+    picks = np.fromiter(flat, dtype=np.intp).reshape(-1, 2 * k) - (np.arange(2 * k) + 1) // 2
+    return np.array(axis)[picks]
 
 
 @dataclass(frozen=True)
@@ -913,11 +996,9 @@ class ThresholdClass(HypothesisClass):
         g = self.resolve_grid()
         return len(g.axes[0]) * len(self.directions)
 
-    def members(self) -> Iterator[Hypothesis]:
-        g = self.resolve_grid()
-        for direction in self.directions:
-            for theta in g.axes[0]:
-                yield Threshold(theta, direction)
+    def _param_runs(self):
+        theta = np.array(self.resolve_grid().axes[0])[:, None]
+        return [(Threshold, direction, theta) for direction in self.directions]
 
 
 @dataclass(frozen=True)
@@ -949,11 +1030,8 @@ class IntervalClass(HypothesisClass):
         g = len(self.resolve_grid().axes[0])
         return g * (g + 1) // 2
 
-    def members(self) -> Iterator[Hypothesis]:
-        axis = self.resolve_grid().axes[0]
-        for i in range(len(axis)):
-            for j in range(i, len(axis)):
-                yield Interval(axis[i], axis[j])
+    def _param_runs(self):
+        return [(Interval, None, _chains(self.resolve_grid().axes[0], 1))]
 
 
 @dataclass(frozen=True)
@@ -990,21 +1068,8 @@ class IntervalUnionClass(HypothesisClass):
         g = len(self.resolve_grid().axes[0])
         return math.comb(g + self.k, 2 * self.k)
 
-    def members(self) -> Iterator[Hypothesis]:
-        axis = self.resolve_grid().axes[0]
-        g = len(axis)
-
-        def chains(start: int, remaining: int):
-            if remaining == 0:
-                yield ()
-                return
-            for i in range(start, g):
-                for j in range(i, g):
-                    for rest in chains(j + 1, remaining - 1):
-                        yield ((axis[i], axis[j]),) + rest
-
-        for ivs in chains(0, self.k):
-            yield IntervalUnion(ivs)
+    def _param_runs(self):
+        return [(IntervalUnion, self.k, _chains(self.resolve_grid().axes[0], self.k))]
 
 
 @dataclass(frozen=True)
@@ -1046,14 +1111,9 @@ class RectangleClass(HypothesisClass):
             total *= n * (n + 1) // 2
         return total
 
-    def members(self) -> Iterator[Hypothesis]:
-        g = self.resolve_grid()
-        per_axis = [
-            [(axis[i], axis[j]) for i in range(len(axis)) for j in range(i, len(axis))]
-            for axis in g.axes
-        ]
-        for combo in itertools.product(*per_axis):
-            yield Rectangle(tuple(combo))
+    def _param_runs(self):
+        pairs = (_chains(axis, 1) for axis in self.resolve_grid().axes)
+        return [(Rectangle, self.dim, _row_product(pairs))]
 
 
 @dataclass(frozen=True)
@@ -1089,12 +1149,11 @@ class HalfspaceClass2D(HypothesisClass):
         g = self.resolve_grid()
         return len(g.axes[0]) * len(g.axes[1])
 
-    def members(self) -> Iterator[Hypothesis]:
-        g = self.resolve_grid()
-        for angle in g.axes[0]:
-            w = (math.cos(angle), math.sin(angle))
-            for offset in g.axes[1]:
-                yield Halfspace(w, -offset)
+    def _param_runs(self):
+        angles, offsets = self.resolve_grid().axes
+        # math.cos per angle: np.cos may differ in the last bit.
+        normals = np.array([(math.cos(angle), math.sin(angle)) for angle in angles])
+        return [(Halfspace, self.dim, _row_product([normals, -np.array(offsets)[:, None]]))]
 
 
 @dataclass(frozen=True)
@@ -1126,9 +1185,8 @@ class SineClass(HypothesisClass):
     def size(self) -> int:
         return len(self.resolve_grid().axes[0])
 
-    def members(self) -> Iterator[Hypothesis]:
-        for alpha in self.resolve_grid().axes[0]:
-            yield SineSign(alpha)
+    def _param_runs(self):
+        return [(SineSign, None, np.array(self.resolve_grid().axes[0])[:, None])]
 
 
 @dataclass(frozen=True)
@@ -1192,10 +1250,7 @@ def enumerate_class(
     Exceeding the budget raises EnumerationBudgetError carrying the required
     size and the budget.
     """
-    size = H.size()
-    if size > budget:
-        raise EnumerationBudgetError(size, budget)
-    return list(H.members())
+    return list(StackedMembers.of(H, budget=budget))
 
 
 # ---------------------------------------------------------------------------

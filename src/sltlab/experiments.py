@@ -32,7 +32,6 @@ from .core import (
     LookupTable,
     StackedMembers,
     WeightedClassSequence,
-    enumerate_class,
     trial_error_counts,
 )
 from .distributions import (
@@ -256,7 +255,7 @@ def verify_learnability(
     the pick over its trial's own "pac-risk" stream.
     """
     _check_harness(eps, delta, trials)
-    members = StackedMembers(enumerate_class(H, budget=budget))
+    members = StackedMembers.of(H, budget=budget)
     risks, mc = member_risks(D, members, mc_n, seed, "min-risk-member")
     min_risk = float(risks.min())
 
@@ -322,7 +321,7 @@ def verify_uniform_convergence(
     """
     _check_harness(eps, delta, trials)
     check_distinct_sizes(m_values)
-    members = StackedMembers(enumerate_class(H, budget=budget))
+    members = StackedMembers.of(H, budget=budget)
     risks, _ = member_risks(D, members, mc_n, seed, "uc-member-risk")
 
     summaries = []

@@ -8,7 +8,6 @@ output is reproducible bit for bit.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,7 +24,6 @@ from .core import (
     LookupTable,
     StackedMembers,
     WeightedClassSequence,
-    enumerate_class,
     error_counts,
 )
 
@@ -56,7 +54,7 @@ def erm(
     """
     if S.m == 0:
         raise ValueError("empirical risk minimization needs a nonempty sample")
-    members = enumerate_class(H, budget=budget)
+    members = StackedMembers.of(H, budget=budget)
     counts = error_counts(members, S)
     best = int(np.argmin(counts))
     return LearnerOutput(members[best], int(counts[best]) / S.m)
@@ -92,9 +90,8 @@ def class_dims(seq: WeightedClassSequence, vc_dims: tuple[int, ...] | None = Non
 def stack_sequence(seq: WeightedClassSequence, budget: int) -> tuple[StackedMembers, np.ndarray]:
     """Every member of seq in one StackedMembers, class by class in canonical
     order, and the class ends: class c owns stacked[ends[c]:ends[c + 1]]."""
-    members = [enumerate_class(cls, budget=budget) for cls in seq.classes]
-    ends = np.cumsum([0] + [len(ms) for ms in members])
-    return StackedMembers(itertools.chain.from_iterable(members)), ends
+    ends = np.cumsum([0] + [cls.size() for cls in seq.classes])
+    return StackedMembers.of(*seq.classes, budget=budget), ends
 
 
 def fit_sequence(

@@ -1,11 +1,12 @@
 """Restrictions, shattering tests, exact VC dimension search, sine witnesses.
 
-The dimension search is exact over a finite point pool: it enumerates the
-class on a grid, walks subset sizes in increasing order, and stops at the
-first size with no shattered subset (shattering is downward closed, so this
-is sound).  A grid can only under-approximate a continuous family, so pool
-and grid presets are tuned so the lower bounds are tight for the shipped
-families.
+The dimension search is exact over a finite point pool: it labels the
+class's grid members on the pool from their stacked parameter rows
+(``StackedMembers.of``), building member objects only for the certificate,
+walks subset sizes in increasing order, and stops at the first size with no
+shattered subset (shattering is downward closed, so this is sound).  A grid
+can only under-approximate a continuous family, so pool and grid presets are
+tuned so the lower bounds are tight for the shipped families.
 
 The subsets of one size are taken in ``itertools.combinations`` order, in
 blocks, and each block is tested in one of two ways, which find the same
@@ -56,7 +57,7 @@ from .core import (
     Hypothesis,
     HypothesisClass,
     SineSign,
-    enumerate_class,
+    StackedMembers,
     hypothesis_from_json,
     label_matrix,
 )
@@ -166,7 +167,7 @@ def restriction(
     pts = _points_matrix(X)
     if len(pts) == 0:
         raise PointSetError("restriction needs a nonempty point set")
-    L = label_matrix(enumerate_class(H, budget=budget), pts)
+    L = label_matrix(StackedMembers.of(H, budget=budget), pts)
     return {tuple(int(v) for v in row) for row in np.unique(L, axis=0)}
 
 
@@ -179,7 +180,7 @@ def shatters(
     if np.asarray(X, dtype=float).size == 0:
         return True
     pts = _points_matrix(X)
-    members = enumerate_class(H, budget=budget)
+    members = StackedMembers.of(H, budget=budget)
     # More labelings than members cannot all be realized; below this bound the
     # pattern codes of the whole point set fit in an intp.
     if 2 ** len(pts) > len(members):
@@ -307,7 +308,7 @@ def vc_dimension(
     pts = _points_matrix(pool)
     if len(pts) == 0:
         raise PointSetError("the point pool must be nonempty")
-    members = enumerate_class(H, budget=enum_budget)
+    members = StackedMembers.of(H, budget=enum_budget)
     L = label_matrix(members, pts)
 
     # |restriction| <= |enumerated H| caps the reachable subset size.

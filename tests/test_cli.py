@@ -50,6 +50,10 @@ COMMAND_OPTIONS = {
 
 # a class sequence whose second class, the sign-of-sine family, has no dimension hint
 SINE_SEQUENCE = '{"classes": [{"family": "thresholds"}, {"family": "sine"}]}'
+# Intervals whose members cannot all be built: a backward range, and an
+# unsorted grid axis.
+BACKWARD_INTERVALS = '{"family": "intervals", "lo": 1, "hi": 0}'
+UNSORTED_INTERVALS = '{"family": "intervals", "grid": {"axes": [[0.5, 0.2, 0.9]]}}'
 # a sample CSV whose record on line 7 has the label 2, and a path with no file
 BAD_LABEL_CSV = pathlib.Path(__file__).parent / "data" / "bad_label.csv"
 MISSING_CSV = pathlib.Path(__file__).parent / "data" / "missing.csv"
@@ -199,7 +203,8 @@ class TestExitCodes:
 
     def test_unknown_class_preset_message_is_plain(self, capsys):
         assert main(["erm", "--preset", "erm-thresholds-demo", "--class", "nope"]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("sltlab: error: unknown class preset 'nope';")
+        assert capsys.readouterr().err.startswith(
+            "sltlab: error: config.class: unknown class preset 'nope';")
 
     def test_key_error_is_a_program_bug_not_a_config_error(self, monkeypatch):
         def broken(cfg):
@@ -369,6 +374,41 @@ class TestExitCodes:
         (["vcdim", "--class", '{"family": "intervals", "lo": 1, "hi": 0}',
           "--pool", "[[0.1],[0.3]]"],
          "config.class: interval endpoints out of order"),
+        # A member that cannot be built names its class key, with the message
+        # the first such member gives.
+        (["pac", "--preset", "pac-thresholds", "--class", BACKWARD_INTERVALS],
+         "config.class: interval endpoints out of order: [1.0, 0.9583333333333334]"),
+        (["pac", "--preset", "pac-thresholds", "--class", UNSORTED_INTERVALS],
+         "config.class: interval endpoints out of order: [0.5, 0.2]"),
+        (["uc", "--preset", "uc-thresholds-scaling", "--class",
+          '{"family": "rectangles", "bounds": [[0, 1]], "grid": {"axes": [[0.5, 0.2]]}}'],
+         "config.class: box bounds out of order: [0.5, 0.2]"),
+        (["erm", "--preset", "erm-thresholds-demo", "--class",
+          '{"family": "interval_unions", "grid": {"axes": [[0.0, 0.2, 0.2, 0.5]]}}'],
+         "config.class: intervals must be disjoint and sorted"),
+        (["srm", "--preset", "srm-nested-thresholds-demo", "--sequence",
+          '{"classes": [{"family": "thresholds"}, ' + BACKWARD_INTERVALS + "]}"],
+         "config.sequence: interval endpoints out of order: [1.0, 0.9583333333333334]"),
+        (["tradeoff", "--preset", "tradeoff-nested-thresholds", "--sequence",
+          '{"classes": [' + UNSORTED_INTERVALS + "]}"],
+         "config.sequence: interval endpoints out of order: [0.5, 0.2]"),
+        # Bad inline JSON and unknown presets name their key.
+        (["pac", "--preset", "pac-thresholds", "--dist", "{marginal"],
+         "config.dist: Expecting property name enclosed in double quotes"),
+        (["tradeoff", "--preset", "tradeoff-nested-thresholds", "--sequence", "{x"],
+         "config.sequence: Expecting property name enclosed in double quotes"),
+        (["pac", "--preset", "pac-thresholds", "--dist", "nosuch"],
+         "config.dist: unknown distribution preset 'nosuch'"),
+        (["risk", "--dist", "uniform-threshold-clean", "--hypothesis", "{x"],
+         "config.hypothesis: Expecting property name enclosed in double quotes"),
+        (["erm", "--preset", "erm-thresholds-demo", "--class", "nosuch"],
+         "config.class: unknown class preset 'nosuch'"),
+        (["srm", "--preset", "srm-nested-thresholds-demo", "--sequence", "nosuch"],
+         "config.sequence: unknown sequence preset 'nosuch'"),
+        (["uc", "--preset", "uc-thresholds-scaling", "--dist",
+          '{"marginal": {"type": "uniform_box", "bounds": [[0, 1]]}, '
+          '"labeler": {"hypothesis": {"kind": "halfspace", "w": [1]}}}'],
+         "config.dist: distribution: labeler: hypothesis: halfspace: unknown key 'w'"),
     ])
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG

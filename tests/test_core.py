@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -23,6 +24,7 @@ from sltlab.core import (
     LookupTable,
     Rectangle,
     RectangleClass,
+    SineClass,
     SineSign,
     StackedMembers,
     Threshold,
@@ -254,6 +256,25 @@ class TestLabelMatrix:
             assert trial_error_counts(members, X[None], y[None])[0].tolist() == \
                 reference_counts(members, X, y)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0, 2 * math.pi), min_size=1, max_size=8),
+           st.lists(st.floats(-2, 2), min_size=1, max_size=8), st.integers(0, 2 ** 32 - 1))
+    def test_halfplane_products_equal_per_member_products(self, angles, offsets, seed):
+        # Halfspace._label_stack relies on the batched product giving the
+        # bits of each member's own X @ w + b, also on points of its line.
+        H = HalfspaceClass2D(grid=GridSpec((angles, offsets)))
+        P = StackedMembers.of(H)._runs[0][3]
+        rng = np.random.default_rng(seed)
+        along = np.stack([-P[:, 1], P[:, 0]], axis=1)  # unit direction of each line
+        t = rng.uniform(-3, 3, (len(P), 4, 1))
+        on_lines = (-P[:, None, 2:] * P[:, None, :2] + t * along[:, None]).reshape(-1, 2)
+        X = np.concatenate([on_lines, rng.uniform(-3, 3, (20, 2))])
+        per_member = np.stack([X @ p[:-1] + p[-1] for p in P])
+        assert bits(np.matmul(X, P[:, :-1, None])[..., 0] + P[:, -1:]) == bits(per_member)
+        expected = (per_member >= 0).astype(np.uint8).tolist()
+        assert label_matrix(StackedMembers.of(H), X).tolist() == expected
+        assert [h.labels(X).tolist() for h in H.members()] == expected
+
     @settings(max_examples=100, deadline=None)
     @given(members_and_points(), st.integers(1, 40), st.data())
     def test_error_counts_in_small_blocks(self, case, cells, data):
@@ -385,6 +406,144 @@ class TestEnumeration:
             ("ge", 0.0), ("ge", 0.5), ("ge", 1.0),
             ("le", 0.0), ("le", 0.5), ("le", 1.0),
         ]
+
+
+def reference_members(H):
+    """The members each grid family yielded, one validated object at a time,
+    before the families declared their members as parameter rows; kept as
+    the reference."""
+    axes = H.resolve_grid().axes
+    if type(H) is ThresholdClass:
+        return [Threshold(theta, d) for d in H.directions for theta in axes[0]]
+    pairs = [[(axis[i], axis[j]) for i in range(len(axis)) for j in range(i, len(axis))]
+             for axis in axes]
+    if type(H) is IntervalClass:
+        return [Interval(lo, hi) for lo, hi in pairs[0]]
+    if type(H) is RectangleClass:
+        return [Rectangle(tuple(combo)) for combo in itertools.product(*pairs)]
+    if type(H) is HalfspaceClass2D:
+        return [Halfspace((math.cos(a), math.sin(a)), -o) for a in axes[0] for o in axes[1]]
+    if type(H) is SineClass:
+        return [SineSign(alpha) for alpha in axes[0]]
+    axis = axes[0]
+
+    def chains(start, remaining):
+        if remaining == 0:
+            yield ()
+            return
+        for i in range(start, len(axis)):
+            for j in range(i, len(axis)):
+                for rest in chains(j + 1, remaining - 1):
+                    yield ((axis[i], axis[j]),) + rest
+
+    return [IntervalUnion(ivs) for ivs in chains(0, H.k)]
+
+
+# Grid axis values: repeats and any order, including -0.0.
+AXIS = st.lists(st.sampled_from([-0.0, 0.0, 0.125, 0.5, 0.75, 1.0, 2.5, -1.0]),
+                min_size=1, max_size=6)
+
+
+@st.composite
+def grid_classes(draw):
+    """A grid family of each kind on explicit grid axes: unsorted and
+    repeated values, both threshold directions, unions with k = 1-3 and
+    boxes with d = 1-3."""
+    family = draw(st.sampled_from(["thresholds", "intervals", "unions", "rectangles",
+                                   "halfspaces", "sine"]))
+    if family == "thresholds":
+        directions = draw(st.sampled_from([("ge",), ("le",), ("ge", "le"), ("le", "ge"),
+                                           ("ge", "ge")]))
+        return ThresholdClass(directions=directions, grid=GridSpec((draw(AXIS),)))
+    if family == "intervals":
+        return IntervalClass(grid=GridSpec((draw(AXIS),)))
+    if family == "unions":
+        return IntervalUnionClass(k=draw(st.integers(1, 3)), grid=GridSpec((draw(AXIS),)))
+    if family == "rectangles":
+        d = draw(st.integers(1, 3))
+        axes = tuple(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1,
+                                   max_size=4 if d < 3 else 3)) for _ in range(d))
+        return RectangleClass(bounds=((0.0, 1.0),) * d, grid=GridSpec(axes))
+    if family == "halfspaces":
+        angles = draw(st.lists(st.sampled_from([j * math.pi / 6 for j in range(12)]),
+                               min_size=1, max_size=5))
+        return HalfspaceClass2D(grid=GridSpec((angles, draw(AXIS))))
+    return SineClass(grid=GridSpec((draw(AXIS),)))
+
+
+def bits(P: np.ndarray) -> list:
+    return P.view(np.int64).tolist()
+
+
+class TestGridRows:
+    """A grid family's parameter rows against the members the per-family
+    generators built."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(grid_classes())
+    @example(IntervalUnionClass(k=3, resolution=2))  # no chain fits: an empty class
+    @example(RectangleClass(bounds=((0, 1),) * 3, resolution=4))
+    @example(HalfspaceClass2D())
+    def test_rows_equal_the_reference_members(self, H):
+        try:
+            expected, error = reference_members(H), None
+        except ValueError as exc:
+            error = str(exc)
+        if error is not None:
+            # The first member that cannot be built fails before any is built.
+            for build in (StackedMembers.of, enumerate_class, lambda H: next(H.members())):
+                with pytest.raises(ValueError) as info:
+                    build(H)
+                assert str(info.value) == error
+            return
+        stacked = StackedMembers.of(H)
+        members = list(H.members())
+        assert len(stacked) == len(members) == H.size() == len(expected)
+        assert list(stacked) == members == enumerate_class(H) == expected
+        assert [repr(h) for h in members] == [repr(h) for h in expected]
+        assert [h.to_json() for h in members] == [h.to_json() for h in expected]
+        reference_runs = core._label_runs(expected)
+        assert [run[:3] for run in stacked._runs] == [run[:3] for run in reference_runs]
+        for (*_, P, first), (*_, Q, reference_first) in zip(stacked._runs, reference_runs):
+            assert P.shape == Q.shape and bits(P) == bits(Q)
+            assert not P.flags.writeable
+            assert repr(first) == repr(reference_first)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(grid_classes(), min_size=1, max_size=4))
+    def test_a_sequence_stacks_as_its_members_in_order(self, classes):
+        try:
+            expected = [h for H in classes for h in reference_members(H)]
+        except ValueError:
+            return
+        stacked = StackedMembers.of(*classes)
+        assert list(stacked) == expected
+        reference_runs = core._label_runs(expected)
+        assert [run[:3] for run in stacked._runs] == [run[:3] for run in reference_runs]
+        for (*_, P, _), (*_, Q, _) in zip(stacked._runs, reference_runs):
+            assert bits(P) == bits(Q)
+
+    def test_a_class_of_objects_keeps_its_objects(self):
+        table = LookupTable(((0.5,),), (1,))
+        finite = FiniteClass((Threshold(1), table))
+        stacked = StackedMembers.of(ThresholdClass(resolution=2), finite)
+        assert list(stacked) == [Threshold(0.0), Threshold(1.0), Threshold(1), table]
+        assert stacked[2].to_json() == {"kind": "threshold", "theta": 1, "direction": "ge"}
+        assert stacked[3] is table
+
+    def test_members_are_built_on_reading(self):
+        H = IntervalClass(resolution=4)
+        stacked = StackedMembers.of(H)
+        expected = reference_members(H)
+        assert [stacked[i] for i in range(-len(expected), len(expected))] == expected * 2
+        with pytest.raises(IndexError):
+            stacked[len(expected)]
+
+    def test_budget_is_checked_before_rows_are_built(self, monkeypatch):
+        H = RectangleClass(bounds=((0, 1),) * 3, resolution=40)
+        monkeypatch.setattr(RectangleClass, "_param_runs", lambda self: pytest.fail("built"))
+        with pytest.raises(EnumerationBudgetError, match="requires 551368000 hypotheses"):
+            StackedMembers.of(H)
 
 
 class TestSerialization:

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -484,17 +483,16 @@ class TestTrialBlocks:
 
 @pytest.fixture
 def enumerations(monkeypatch):
-    """The classes passed to enumerate_class, wherever a sltlab module calls it."""
+    """The classes stacked by StackedMembers.of, which enumerate_class and
+    every sltlab module that labels a class's members call."""
     calls = []
-    original = core.enumerate_class
+    original = core.StackedMembers.of.__func__
 
-    def counted(H, *args, **kwargs):
-        calls.append(H)
-        return original(H, *args, **kwargs)
+    def counted(cls, *classes, **kwargs):
+        calls.extend(classes)
+        return original(cls, *classes, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("sltlab") and getattr(module, "enumerate_class", None) is original:
-            monkeypatch.setattr(module, "enumerate_class", counted)
+    monkeypatch.setattr(core.StackedMembers, "of", classmethod(counted))
     return calls
 
 

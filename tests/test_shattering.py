@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -12,6 +13,7 @@ from sltlab.core import (
     FiniteClass,
     GridSpec,
     LookupTable,
+    RectangleClass,
     SineSign,
     ThresholdClass,
     enumerate_class,
@@ -153,6 +155,48 @@ class TestVcDimension:
         rep = vc_dimension(CLASSES["thresholds-both"], POOLS["thresholds-both"])
         assert rep.value == 2
         assert verify_certificate(rep)
+
+
+def interval_mid_pool(seed: int) -> np.ndarray:
+    """26 of the midpoints between neighbouring points of the intervals
+    preset's grid, chosen and ordered by the seed."""
+    axis = np.array(CLASSES["intervals"].resolve_grid().axes[0])
+    mids = (axis[:-1] + axis[1:]) / 2
+    return mids[np.random.default_rng([seed, 1]).choice(len(mids), size=26, replace=False)][:, None]
+
+
+BOX_3D = RectangleClass(bounds=((0, 1),) * 3, resolution=5)
+BOX_3D_POOL = [[0.5, 0.5, 0.1], [0.5, 0.5, 0.9], [0.5, 0.1, 0.5], [0.5, 0.9, 0.5],
+               [0.1, 0.5, 0.5], [0.9, 0.5, 0.5], [0.3, 0.3, 0.3], [0.7, 0.7, 0.7]]
+
+# sha256 of the report JSON as written when every grid member was built as
+# an object and halfplanes were labelled one product per member.
+VC_REPORT_DIGESTS = {
+    "thresholds": "827b9127ae480651d47d2ffb3b818fb8efb8905f701f79ac6835930820b0b8f3",
+    "thresholds-both": "86a92e03c917158ccf665b3989b1ccf8d8661b293cd720e8320e36a5dd67d87a",
+    "intervals": "f65f52835a64be75a95e553b4dcc56f2373954217f095c9c997be28fe4cdfca4",
+    "interval-unions-2": "30b5716182e77640570b181a322f08f0e8f5c12c5a491c1a0d2e02ea589bddc3",
+    "rectangles2d": "0ffd6289cd641ee301c0f5d7209f321e57eae87e1c08e641de36e146c1fbe9c9",
+    "halfspaces2d": "6c03d380159a86cbe7333d91035af97208076254a8506cdcf0ae92d18349f1c5",
+    "intervals-26-0": "8b5126526c53e6580d35653e5d9a8faa7fb3625596ebeb679dddd896f325783c",
+    "intervals-26-71": "8b062b1aa626ad9404d16849f88d6fedb786b358be765c6c399d854383b2a242",
+    "box-3d": "3be006c8baf2b85e07b982a5ce885d37310ecfac27d3a42d1174b92eb05f6eed",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VC_REPORT_DIGESTS))
+def test_report_bytes_are_pinned(name):
+    if name == "box-3d":
+        H, pool = BOX_3D, BOX_3D_POOL
+    elif name.startswith("intervals-26-"):
+        H, pool = CLASSES["intervals"], interval_mid_pool(int(name.rsplit("-", 1)[1]))
+    else:
+        H, pool = CLASSES[name], POOLS[name]
+    report = vc_dimension(H, pool)
+    assert hashlib.sha256(jsonio.dumps(report.to_json()).encode()).hexdigest() == \
+        VC_REPORT_DIGESTS[name]
+    if name == "box-3d":
+        assert (H.size(), report.value) == (3375, 6)
 
 
 def reference_search(L: np.ndarray, subset_budget: int):
