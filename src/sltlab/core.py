@@ -601,16 +601,16 @@ class LabeledSample:
         """Write a header, then per pair a CRLF-ended row of 17-digit features and the label.
 
         The bytes are csv.writer's: a finite 17-digit float or a 0/1 label never needs
-        quoting.  Rows are formatted and written a block of CSV_BLOCK_CHARS at a time.
+        quoting.  Each write, one block of at most CSV_BLOCK_CHARS and the most text held
+        at once, is formatted by one ``("%.17g," * dim + "%d\\r\\n") * rows`` template.
         """
-        row = "{:.17g}," * self.dim + "{}\r\n"
+        row = "%.17g," * self.dim + "%d\r\n"
         step = max(1, CSV_BLOCK_CHARS // ((_CSV_CELL_CHARS + 1) * self.dim + 3))
         with open(path, "w", newline="") as fh:
             fh.write(",".join([f"x{j + 1}" for j in range(self.dim)] + ["label"]) + "\r\n")
             for start in range(0, self.m, step):
-                block = slice(start, start + step)
-                columns = [*self.X[block].T.tolist(), self.y[block].tolist()]
-                fh.write("".join(map(row.format, *columns)))
+                block = np.column_stack([self.X[start:start + step], self.y[start:start + step]])
+                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "LabeledSample":
@@ -669,16 +669,17 @@ def _csv_records(fh, path):
 
 
 def _csv_table(fh) -> np.ndarray | None:
-    """The (m, width) float table of a sample CSV, read in blocks of whole lines
-    of about CSV_BLOCK_CHARS, or None at the first doubt that the csv.reader
-    loop of LabeledSample.from_csv would read the file the same way and accept
-    it: a quote or NUL anywhere, a lone CR after the header, a header the loop
-    rejects, a line longer than csv's field limit, a line of another width, a
-    label other than exactly 0 or 1, a feature float() rejects or a non-finite
-    feature.
-
-    Blank lines are skipped, as csv.reader skips them; cells go through the
-    loop's own float(), so every token it accepts parses to the same bits.
+    """The (m, width) float table of a sample CSV, parsed by np.loadtxt a block
+    of whole lines of about CSV_BLOCK_CHARS at a time, or None at the first
+    doubt that the csv.reader loop of LabeledSample.from_csv would read it the
+    same way and accept it.  Guards: a header with no quote or NUL, within csv's
+    field limit, of two or more cells; blocks that are ASCII, with no quote, no
+    control character but tab, LF and CRLF (numpy strips \\x1c-\\x1f around a
+    number, float() does not), no line over csv's field limit and each non-blank
+    line ending in ",0" or ",1"; then no ValueError from loadtxt, the header's
+    width and finite features.  loadtxt parses fields with float()'s parser,
+    PyOS_string_to_double, so accepted tokens keep their bits.  Blank lines are
+    skipped, as csv.reader skips them; one block of text is the most held at once.
     """
     limit = csv.field_size_limit()
     header = fh.readline()
@@ -687,25 +688,28 @@ def _csv_table(fh) -> np.ndarray | None:
         return None
     blocks = []
     while lines := fh.readlines(CSV_BLOCK_CHARS):
-        text = "".join(lines).replace("\r\n", "\n")
-        if '"' in text or "\r" in text or "\0" in text or max(map(len, lines)) > limit:
+        text = "".join(lines)
+        if not text.isascii() or '"' in text:
             return None
-        rows = list(filter(None, text.split("\n")))
-        if not rows:
+        raw = np.frombuffer(f"\n{text}\n".encode(), np.uint8)
+        lf = np.flatnonzero(raw == 10)  # the leading pad's, then each line's
+        cr = raw[lf[1:] - 1] == 13
+        end = lf[1:] - cr  # where each line's LF or CRLF starts
+        blank = raw[end - 1] == 10
+        label = ((raw[end - 1] == 48) | (raw[end - 1] == 49)) & (raw[end - 2] == 44)
+        if (np.count_nonzero(raw < 32) != len(lf) + np.count_nonzero(cr) + text.count("\t")
+                or np.diff(lf).max() > limit or not (blank | label).all()):
+            return None
+        if blank.all():
             continue
-        if set(map(str.count, rows, itertools.repeat(","))) != {width - 1}:
-            return None
-        cells = ",".join(rows).split(",")
-        if not set(cells[width - 1::width]) <= {"0", "1"}:
-            return None
         try:
-            block = np.array(list(map(float, cells)))
+            block = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
         except ValueError:
             return None
-        if not np.isfinite(block).all():
+        if block.shape[1] != width or not np.isfinite(block).all():
             return None
         blocks.append(block)
-    return np.concatenate(blocks or [np.empty(0)]).reshape(-1, width)
+    return np.concatenate(blocks or [np.empty((0, width))])
 
 
 def empirical_error(h: Hypothesis, S: LabeledSample) -> float:
@@ -912,6 +916,7 @@ class HypothesisClass(JsonFields):
     json_tag_key = "family"
     family: str = ""
     vc_dim_hint: int | None = None
+    grid_axes = 1  # axes of the family's grid, explicit or default
 
     @property
     def dim(self) -> int:
@@ -925,11 +930,9 @@ class HypothesisClass(JsonFields):
         the default grid."""
         if self.grid is None:
             return self.default_grid()
-        expected = len(self.default_grid().axes)
-        if len(self.grid.axes) != expected:
-            raise ValueError(
-                f"{self.family} discretization needs {expected} grid axes, got {len(self.grid.axes)}"
-            )
+        if len(self.grid.axes) != self.grid_axes:
+            raise ValueError(f"{self.family} discretization needs {self.grid_axes} grid axes, "
+                             f"got {len(self.grid.axes)}")
         return self.grid
 
     def size(self) -> int:
@@ -979,6 +982,8 @@ class ThresholdClass(HypothesisClass):
     def __post_init__(self):
         if not self.directions or any(d not in ("ge", "le") for d in self.directions):
             raise ValueError(f"directions must be a nonempty subset of ('ge','le'), got {self.directions}")
+        if self.lo > self.hi:
+            raise ValueError(f"thresholds: lo must not exceed hi, got lo={self.lo}, hi={self.hi}")
         self._check_counts(resolution=self.resolution)
 
     @property
@@ -1085,6 +1090,7 @@ class RectangleClass(HypothesisClass):
     grid: GridSpec | None = None
 
     family = "rectangles"
+    grid_axes = property(lambda self: self.dim)
 
     def __post_init__(self):
         self._check_counts("instance dimension", bounds=self.dim)
@@ -1132,6 +1138,7 @@ class HalfspaceClass2D(HypothesisClass):
 
     family = "halfspaces2d"
     vc_dim_hint = 3
+    grid_axes = 2
 
     def __post_init__(self):
         self._check_counts(n_angles=self.n_angles, n_offsets=self.n_offsets)

@@ -409,6 +409,10 @@ class TestExitCodes:
           '{"marginal": {"type": "uniform_box", "bounds": [[0, 1]]}, '
           '"labeler": {"hypothesis": {"kind": "halfspace", "w": [1]}}}'],
          "config.dist: distribution: labeler: hypothesis: halfspace: unknown key 'w'"),
+        # A threshold range given high end first.
+        (["pac", "--preset", "pac-thresholds", "--class",
+          '{"family": "thresholds", "lo": 1, "hi": 0}'],
+         "config.class: thresholds: lo must not exceed hi, got lo=1.0, hi=0.0"),
     ])
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from sltlab import core
 from sltlab.core import CSV_BLOCK_CHARS, LabeledSample
 
 
@@ -131,6 +132,10 @@ def test_from_csv_matches_reference(tmp_path, text):
 PLAIN_FEATURES = ["0.5", "-0", " 0.25 ", "5e-324", "0.30000000000000004", "1_0", "+2", "1.5e3"]
 DOUBTS = ['"', '"0.5"', "\r", "\n", "\r\n", "\x00", ",", ",0", "nan", "-inf", "1e400", "2", " ",
           "#", "x", "_", "\t"]
+# Tokens where numpy's text reader and float() might part ways: control
+# characters float() does or does not strip, a non-ASCII digit float() reads,
+# spellings of inf and nan, an underflow, a hex float and a trailing comma.
+DOUBTS += ["\x0b", "\x0c", "\x1c", "\u0661", "infinity", "+nan", "1e-400", "0x1p0", "0.5,"]
 
 
 @st.composite
@@ -159,6 +164,10 @@ def near_plain_texts(draw):
 @given(near_plain_texts())
 @example("x1,label\n0.5,1\nnan,0\n")
 @example("x1,x2,label\r\n0.5,1e400,1\r\n")
+@example("x1,label\n\x1c0.5,1\n")  # numpy strips \x1c-\x1f around a number, float() does not
+@example("x1,x2,label\r\n0.5,0.25\x1f,0\r\n")
+@example("x1,label\n0.5,1.0\n")  # labels numpy reads as 0 or 1, which are not "0" or "1"
+@example("x1,label\r\n0.5,01\r\n0.25,-0\r\n")
 def test_from_csv_near_plain_text_matches_reference(tmp_path, text):
     path = tmp_path / "sample.csv"
     path.write_bytes(text.encode())
@@ -197,6 +206,28 @@ def test_from_csv_past_the_first_block_matches_reference(tmp_path, quoted, bad, 
         assert got == ("error", f"{path} line {bad + 2}: label must be 0 or 1, got '2'")
     else:
         assert got[1] == (6000, 1)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_plain_files_never_reach_the_reference_loop(tmp_path, monkeypatch, newline):
+    # 6000 rows over several read blocks, every 7th line blank, and one block
+    # of blank lines
+    rng = np.random.default_rng(7)
+    rows = [f"{format(v, '.17g')},{format(w, '.17g')},{b}" for v, w, b in zip(
+        *rng.standard_normal((2, 6000)).tolist(), rng.integers(0, 2, 6000).tolist())]
+    for at in range(0, len(rows), 7):
+        rows.insert(at, "")
+    rows[3000:3000] = [""] * CSV_BLOCK_CHARS  # a read block of blank lines only
+    path = tmp_path / "sample.csv"
+    path.write_bytes(newline.join(["x1,x2,label", *rows, ""]).encode())
+    expected = outcome(reference_from_csv, path)
+
+    def fail(*args):
+        raise AssertionError("plain file read by the csv.reader loop")
+
+    monkeypatch.setattr(core, "_csv_records", fail)
+    assert outcome(LabeledSample.from_csv, path) == expected
+    assert expected[1] == (6000, 2)
 
 
 @st.composite
