@@ -270,6 +270,12 @@ class Hypothesis(JsonFields):
         return repr(self)
 
 
+def _reject_nan(what: str, *values: float) -> None:
+    """A NaN parameter orders with nothing, so no ordering check would catch it."""
+    if any(map(math.isnan, values)):
+        raise ValueError(f"{what} must not be NaN")
+
+
 def _in_closed(x: np.ndarray, P: np.ndarray, j: int, out: np.ndarray | None = None) -> np.ndarray:
     """(k, n) bool: P[i, j] <= x <= P[i, j + 1] for each row i of P and point x."""
     out = np.greater_equal(x, P[:, j:j + 1], out=out)
@@ -289,6 +295,7 @@ class Threshold(Hypothesis):
     def __post_init__(self):
         if self.direction not in ("ge", "le"):
             raise ValueError(f"direction must be 'ge' or 'le', got {self.direction!r}")
+        _reject_nan("threshold theta", self.theta)
 
     @property
     def dim(self) -> int:
@@ -317,6 +324,7 @@ class Interval(Hypothesis):
     kind = "interval"
 
     def __post_init__(self):
+        _reject_nan("interval endpoints", self.lo, self.hi)
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
 
@@ -345,13 +353,13 @@ class IntervalUnion(Hypothesis):
     kind = "interval_union"
 
     def __post_init__(self):
-        prev_hi = -math.inf
         for lo, hi in self.intervals:
+            _reject_nan("interval endpoints", lo, hi)
             if lo > hi:
                 raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
-            if lo <= prev_hi:
-                raise ValueError("intervals must be disjoint and sorted")
-            prev_hi = hi
+        # As _bad_rows has it: a first part may start at -inf.
+        if any(lo <= hi for (_, hi), (lo, _) in zip(self.intervals, self.intervals[1:])):
+            raise ValueError("intervals must be disjoint and sorted")
 
     @property
     def dim(self) -> int:
@@ -734,32 +742,91 @@ def trial_error_counts(
     members: Sequence[Hypothesis], X: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
     """(T, len(members)) mismatch counts of each member on each of T samples
-    of m pairs, given as (T, m, d) instances X and (T, m) 0/1 labels y.
+    of m pairs, given as (T, m, d) finite instances X and (T, m) 0/1 labels y.
 
     All T * m points are labelled at once, as by ``label_matrix``, in blocks
     of at most LABEL_BLOCK_CELLS label cells (at least one member per block),
     so memory is bounded by one block, about 1 MB, whatever the sizes.
+
+    A run of Interval or IntervalUnion members whose distinct lower endpoints
+    plus distinct upper endpoints number fewer than its members is counted
+    from threshold rows at those endpoints instead.  For a <= b and finite x,
+    1[a <= x <= b] = 1[x >= a] + 1[x <= b] - 1, so on a sample with n0 0s and
+    n1 1s an interval mismatches M_ge(a) + M_le(b) - n0 pairs, where M_ge and
+    M_le count the mismatches of the "ge" and "le" thresholds there.  The k
+    parts of a union are disjoint, so it mismatches
+    sum_i (M_ge(a_i) + M_le(b_i)) - k n0 - (k - 1) n1, the same integers.
     """
     T, m = y.shape
     points = X.reshape(T * m, X.shape[-1])
     flat_y = y.reshape(T * m)
-    runs = _runs_of(members)
-    counts = np.empty((T, len(members)), dtype=np.int64)
+    if isinstance(members, StackedMembers):
+        runs, sums = members._count_runs
+    else:
+        runs, sums = _endpoint_rows(_label_runs(members))
+    for a, *_ in sums or ():  # a wrong dimension names the member's own type
+        _check_matrix(points, members[a].dim, f"{members[a].kind} hypothesis")
+    n_rows = runs[-1][1] if runs else 0
+    counts = np.empty((T, n_rows), dtype=np.int64)
     step = max(1, LABEL_BLOCK_CELLS // max(T * m, 1))
-    block = np.empty((min(step, len(members)), T * m), dtype=np.uint8)
+    block = np.empty((min(step, n_rows), T * m), dtype=np.uint8)
     # Labels are 0/1, so after the xor a row segment's sum is its mismatch
     # count, at most m.  So a uint16 sum is exact while m < 2^16; on a 1 M-cell
     # block with m in the hundreds it takes about 60% of a uint32 sum's time,
     # and that about half of count_nonzero's along an axis.  m < 2^32 always
     # holds (X alone would need 32 GB otherwise).
     total = np.uint16 if m < 2 ** 16 else np.uint32
-    for start in range(0, len(members), step):
-        rows = block[:min(step, len(members) - start)]
+    for start in range(0, n_rows, step):
+        rows = block[:min(step, n_rows - start)]
         _fill_labels(rows, runs, points, start)
         rows ^= flat_y
         counts[:, start:start + len(rows)] = rows.reshape(len(rows), T, m).sum(
             axis=2, dtype=total).T
-    return counts
+    if sums is None:
+        return counts
+    out = np.empty((T, len(members)), dtype=np.int64)
+    n1 = y.sum(axis=1, dtype=np.int64)[:, None]
+    for a, b, cols, k in sums:
+        if k is None:  # a kept run: its rows start at cols
+            out[:, a:b] = counts[:, cols:cols + b - a]
+            continue
+        out[:, a:b] = n1 - k * m  # = -k n0 - (k - 1) n1
+        for col in cols.T:
+            out[:, a:b] += counts[:, col]
+    return out
+
+
+def _endpoint_rows(runs: Sequence[tuple]) -> tuple[list, list | None]:
+    """The runs trial_error_counts labels, each interval or union run whose
+    distinct endpoints number fewer than its members replaced by a "ge"
+    threshold run over its distinct lower endpoints and an "le" run over its
+    distinct upper ones; and, unless no run is replaced, per given run
+    (start, stop, cols, k): member start + i counts the sum of the rows
+    cols[i], plus n1 - k m, for a k-interval union; for a kept run, k is None
+    and cols the index of its first row.
+    Threshold rows compare as _in_closed does, so ties on an endpoint agree."""
+    out: list[tuple] = []
+    sums = []
+    replaced = False
+    for a, b, (typ, key), P, h in runs:
+        at = out[-1][1] if out else 0
+        if typ in (Interval, IntervalUnion):
+            lo, lo_row = np.unique(P[:, 0::2], return_inverse=True)
+            hi, hi_row = np.unique(P[:, 1::2], return_inverse=True)
+            if len(lo) + len(hi) < b - a:
+                for theta, direction, first in ((lo, "ge", at), (hi, "le", at + len(lo))):
+                    if len(theta):
+                        out.append((first, first + len(theta), (Threshold, direction),
+                                    theta[:, None], Threshold(float(theta[0]), direction)))
+                k = P.shape[1] // 2
+                cols = np.concatenate([lo_row.reshape(b - a, k) + at,
+                                       hi_row.reshape(b - a, k) + at + len(lo)], axis=1)
+                sums.append((a, b, cols, k))
+                replaced = True
+                continue
+        out.append((at, at + b - a, (typ, key), P, h))
+        sums.append((a, b, at, None))
+    return out, sums if replaced else None
 
 
 def label_matrix(members: Sequence[Hypothesis], X: np.ndarray) -> np.ndarray:
@@ -842,6 +909,12 @@ class StackedMembers(Sequence):
         stacked._members = None
         return stacked
 
+    @functools.cached_property
+    def _count_runs(self) -> tuple[list, list | None]:
+        """The runs trial_error_counts labels, by ``_endpoint_rows``, made
+        once for the counts on every sample."""
+        return _endpoint_rows(self._runs)
+
     def __len__(self) -> int:
         return self._runs[-1][1] if self._runs else 0
 
@@ -894,6 +967,7 @@ class GridSpec(JsonFields):
         for axis in axes:
             if not axis:
                 raise ValueError("grid axes must be nonempty")
+            _reject_nan("grid values", *axis)
         object.__setattr__(self, "axes", axes)
 
     @classmethod

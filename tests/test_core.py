@@ -365,6 +365,119 @@ class TestLabelMatrix:
                     label(X)
 
 
+# Endpoints of the interval runs below: -0.0 next to 0.0, and both infinities.
+ENDPOINTS = st.sampled_from([-math.inf, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, math.inf])
+
+
+@st.composite
+def endpoint_run(draw):
+    """A run of one interval type on an explicit grid that may be unsorted or
+    repeat values: unions of k = 0-3 parts (or intervals at k = 1) whose
+    sorted endpoints are drawn from the grid, or the grid class itself."""
+    grid = draw(st.lists(ENDPOINTS, min_size=1, max_size=8))
+    k = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        if k < 2:
+            return grid, enumerate_class(IntervalClass(grid=GridSpec((sorted(grid),))))
+        # A union chain needs b_i < a_(i+1), so its grid repeats no value.
+        axis = GridSpec((sorted(set(grid)),))
+        return grid, enumerate_class(IntervalUnionClass(k=k, grid=axis))
+    plain = k == 1 and draw(st.booleans())
+    members = []
+    for _ in range(draw(st.integers(1, 30))):
+        ends = sorted(draw(st.lists(st.sampled_from(grid), min_size=2 * k, max_size=2 * k)))
+        if all(b < a for b, a in zip(ends[1::2], ends[2::2])):
+            parts = tuple(zip(ends[0::2], ends[1::2]))
+            members.append(Interval(*parts[0]) if plain else IntervalUnion(parts))
+    return grid, members
+
+
+@st.composite
+def endpoint_members_and_trials(draw):
+    """Interval runs mixed with threshold runs and FiniteClass members, in
+    one of the three member forms, and T = 1-4 samples whose points lie on
+    the runs' endpoints or on the line's lattice."""
+    members, ends = [], [0.0]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["intervals", "intervals", "thresholds", "finite"]))
+        if kind == "intervals":
+            grid, run = draw(endpoint_run())
+            members += run
+            ends += [v for v in grid if math.isfinite(v)]
+        elif kind == "thresholds":
+            direction = draw(st.sampled_from(["ge", "le"]))
+            members += [Threshold(v, direction) for v in draw(st.lists(ENDPOINTS, min_size=1))]
+        else:
+            members += enumerate_class(FiniteClass(tuple(
+                draw(st.lists(line_hypotheses(), min_size=1, max_size=4)))))
+    form = draw(st.sampled_from(["list", "finite", "stacked"]))
+    if form == "finite" and members:
+        members = enumerate_class(FiniteClass(tuple(members)))
+    elif form == "stacked":
+        members = StackedMembers(members)
+    T, m = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    points = st.one_of(st.sampled_from(ends), LATTICE)
+    X = np.array(draw(st.lists(points, min_size=T * m, max_size=T * m))).reshape(T, m, 1)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=T * m, max_size=T * m)),
+                 dtype=np.uint8).reshape(T, m)
+    return members, X, y
+
+
+class TestEndpointCounts:
+    """Interval and union runs are counted from thresholds at their distinct
+    endpoints; every count must equal the member's own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(endpoint_members_and_trials(), st.integers(1, 60))
+    def test_counts_equal_per_member_counts(self, case, cells):
+        members, X, y = case
+        samples = [LabeledSample(X[t], y[t]) for t in range(len(X))]
+        expected = [[empirical_error_count(h, S) for h in members] for S in samples]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "LABEL_BLOCK_CELLS", cells)
+            counts = trial_error_counts(members, X, y)
+            one_row = [error_counts(members, S).tolist() for S in samples]
+        assert counts.shape == (len(X), len(members))
+        assert counts.tolist() == one_row == expected
+
+    def test_empty_union_counts_the_ones(self):
+        members = [IntervalUnion(())] * 3 + [IntervalUnion(((0.0, 0.5),))]
+        S = LabeledSample(np.array([[0.0], [0.5], [0.7], [0.2]]), np.array([1, 0, 1, 1]))
+        assert error_counts(members, S).tolist() == [3, 3, 3, 2]
+
+    @pytest.mark.parametrize("stack", [enumerate_class, StackedMembers.of])
+    def test_wrong_dimension_names_the_interval(self, stack):
+        with pytest.raises(DimensionMismatchError, match="^interval hypothesis"):
+            trial_error_counts(stack(IntervalClass()), np.zeros((1, 3, 2)),
+                               np.zeros((1, 3), dtype=np.uint8))
+
+
+class TestNanParameters:
+    """NaN orders with nothing, so it is refused where an order check would
+    pass it; the infinities stay accepted."""
+
+    @pytest.mark.parametrize("build", [
+        lambda v: Threshold(v),
+        lambda v: Threshold(v, "le"),
+        lambda v: Interval(v, 1.0),
+        lambda v: Interval(0.0, v),
+        lambda v: IntervalUnion(((0.0, 0.25), (0.5, v))),
+        lambda v: IntervalUnion(((v, 0.25),)),
+        lambda v: GridSpec(((0.0, v, 1.0),)),
+        lambda v: IntervalClass(grid=GridSpec(((0.0, v),))),
+    ])
+    def test_nan_is_rejected(self, build):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            build(math.nan)
+
+    def test_infinities_are_accepted(self):
+        assert Interval(-math.inf, math.inf).labels(np.array([[0.0]])).tolist() == [1]
+        assert Threshold(math.inf).labels(np.array([[0.0]])).tolist() == [0]
+        assert IntervalUnion(((-math.inf, 0.0), (1.0, math.inf))).labels(
+            np.array([[0.5], [2.0]])).tolist() == [0, 1]
+        assert GridSpec(((-math.inf, math.inf),)).axes == ((-math.inf, math.inf),)
+
+
 class TestEnumeration:
     def test_threshold_grid_count(self):
         H = ThresholdClass(0.1, 0.9, ("ge", "le"), resolution=9)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sltlab import core
 from sltlab.core import (
     FiniteClass,
     GridSpec,
@@ -17,6 +18,7 @@ from sltlab.core import (
 )
 from sltlab.distributions import DataDistribution, SeedSpec, UniformBox, draw_sample
 from sltlab.learners import erm, memorizer, srm, srm_penalty
+from sltlab.presets import CLASSES
 
 UNIT = UniformBox(((0.0, 1.0),))
 
@@ -154,6 +156,25 @@ class TestErm:
             H, S = random_case(rng)
             out = erm(H, S)
             assert out.empirical_error == empirical_error(out.hypothesis, S)
+
+    def test_intervals_are_counted_from_endpoint_thresholds(self, monkeypatch):
+        # The 561 intervals of a 33-value grid are counted from one "ge" and
+        # one "le" threshold row per grid value, 66 rows in all.
+        labelled = []
+
+        def fill_labels(out, runs, X, start):
+            for a, b, (typ, _), *_ in runs:
+                labelled.extend([typ] * (min(b, start + len(out)) - max(a, start)))
+            fill(out, runs, X, start)
+
+        H = CLASSES["intervals"]
+        S = draw_sample(DataDistribution(UNIT, Threshold(0.5), 0.2), 200, SeedSpec(3, "erm"))
+        fill = core._fill_labels
+        monkeypatch.setattr(core, "_fill_labels", fill_labels)
+        out = erm(H, S)
+        monkeypatch.undo()
+        assert H.size() == 561 and labelled == [Threshold] * 66
+        assert out.empirical_error == min(empirical_error(h, S) for h in enumerate_class(H))
 
 
 TIED_GRID = GridSpec(((0.25, 0.5),))
