@@ -598,17 +598,17 @@ def run(config: dict) -> int:
 
 
 def _write_outputs(outdir: str, files: dict, cfg: dict, started: float) -> dict:
-    """Write each output file and then the manifest; return the digests."""
+    """Write each output file and then the manifest; return the digests, each
+    of the bytes its writer wrote."""
     digests = {}
     for name, payload in files.items():
         path = os.path.join(outdir, name)
         if isinstance(payload, LabeledSample):
-            payload.to_csv(path)
+            digests[name] = payload.to_csv(path)
         elif isinstance(payload, list):
-            jsonio.write_csv(path, rows=payload)
+            digests[name] = jsonio.write_csv(path, rows=payload)
         else:
-            jsonio.dump(payload, path)
-        digests[name] = jsonio.sha256_file(path)
+            digests[name] = jsonio.dump(payload, path)
     manifest = {
         "tool": "sltlab",
         "version": __version__,

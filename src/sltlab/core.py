@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import numbers
@@ -128,6 +129,11 @@ class JsonFields:
             if count < 1:
                 raise ValueError(f"{getattr(self, self.json_tag_key)}: {key}: "
                                  f"{what + ' ' if what else ''}must be at least 1, got {count}")
+
+    def _check_not_nan(self, *fields: str) -> None:
+        """Reject a NaN float field, naming the tag and the field."""
+        for key in fields:
+            _reject_nan(f"{getattr(self, self.json_tag_key)}: {key}", getattr(self, key))
 
     def to_json(self) -> dict:
         out = {self.json_tag_key: getattr(self, self.json_tag_key)} if self.json_tag_key else {}
@@ -393,6 +399,7 @@ class Rectangle(Hypothesis):
     def __post_init__(self):
         self._check_counts("instance dimension", bounds=self.dim)
         for lo, hi in self.bounds:
+            _reject_nan("box bounds", lo, hi)
             if lo > hi:
                 raise ValueError(f"box bounds out of order: [{lo}, {hi}]")
 
@@ -404,7 +411,7 @@ class Rectangle(Hypothesis):
         return self.dim, sum(self.bounds, ())
 
     _from_row = classmethod(lambda cls, key, row: cls(tuple(zip(row[0::2], row[1::2]))))
-    _bad_rows = staticmethod(lambda P: (P[:, 0::2] > P[:, 1::2]).any(axis=1))
+    _bad_rows = staticmethod(lambda P: ~(P[:, 0::2] <= P[:, 1::2]).all(axis=1))  # NaN too
 
     def _label_stack(self, out, P, X):
         _in_closed(X[:, 0], P, 0, out)
@@ -427,6 +434,7 @@ class Halfspace(Hypothesis):
 
     def __post_init__(self):
         self._check_counts("instance dimension", weights=self.dim)
+        _reject_nan("halfspace weights and bias", *self.weights, self.bias)
 
     @property
     def dim(self) -> int:
@@ -456,6 +464,9 @@ class SineSign(Hypothesis):
     alpha: float
 
     kind = "sine"
+
+    def __post_init__(self):
+        _reject_nan("sine alpha", self.alpha)
 
     @property
     def dim(self) -> int:
@@ -605,20 +616,27 @@ class LabeledSample:
             raise ValueError(f"sample: declared m={data['m']} but {sample.m} pairs given")
         return sample
 
-    def to_csv(self, path) -> None:
-        """Write a header, then per pair a CRLF-ended row of 17-digit features and the label.
+    def to_csv(self, path) -> str:
+        """Write a header, then per pair a CRLF-ended row of 17-digit features and the
+        label; return the sha256 of the bytes written.
 
         The bytes are csv.writer's: a finite 17-digit float or a 0/1 label never needs
         quoting.  Each write, one block of at most CSV_BLOCK_CHARS and the most text held
-        at once, is formatted by one ``("%.17g," * dim + "%d\\r\\n") * rows`` template.
+        at once, is formatted by one ``("%.17g," * dim + "%d\\r\\n") * rows`` template
+        from the features as floats and the labels as ints.
         """
         row = "%.17g," * self.dim + "%d\r\n"
         step = max(1, CSV_BLOCK_CHARS // ((_CSV_CELL_CHARS + 1) * self.dim + 3))
+        digest = hashlib.sha256()
         with open(path, "w", newline="") as fh:
-            fh.write(",".join([f"x{j + 1}" for j in range(self.dim)] + ["label"]) + "\r\n")
+            def write(text):
+                fh.write(text)
+                digest.update(text.encode(fh.encoding))
+            write(",".join([f"x{j + 1}" for j in range(self.dim)] + ["label"]) + "\r\n")
             for start in range(0, self.m, step):
-                block = np.column_stack([self.X[start:start + step], self.y[start:start + step]])
-                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+                X, y = self.X[start:start + step], self.y[start:start + step].tolist()
+                write((row * len(y)) % tuple(itertools.chain.from_iterable(zip(*X.T.tolist(), y))))
+        return digest.hexdigest()
 
     @classmethod
     def from_csv(cls, path) -> "LabeledSample":
@@ -1056,6 +1074,7 @@ class ThresholdClass(HypothesisClass):
     def __post_init__(self):
         if not self.directions or any(d not in ("ge", "le") for d in self.directions):
             raise ValueError(f"directions must be a nonempty subset of ('ge','le'), got {self.directions}")
+        self._check_not_nan("lo", "hi")
         if self.lo > self.hi:
             raise ValueError(f"thresholds: lo must not exceed hi, got lo={self.lo}, hi={self.hi}")
         self._check_counts(resolution=self.resolution)
@@ -1096,6 +1115,7 @@ class IntervalClass(HypothesisClass):
     vc_dim_hint = 2
 
     def __post_init__(self):
+        self._check_not_nan("lo", "hi")
         self._check_counts(resolution=self.resolution)
 
     @property
@@ -1130,6 +1150,7 @@ class IntervalUnionClass(HypothesisClass):
     family = "interval_unions"
 
     def __post_init__(self):
+        self._check_not_nan("lo", "hi")
         self._check_counts(k=self.k, resolution=self.resolution)
 
     @property
@@ -1169,6 +1190,7 @@ class RectangleClass(HypothesisClass):
     def __post_init__(self):
         self._check_counts("instance dimension", bounds=self.dim)
         self._check_counts(resolution=self.resolution)
+        _reject_nan("rectangles: bounds", *itertools.chain.from_iterable(self.bounds))
 
     @property
     def dim(self) -> int:
@@ -1215,6 +1237,7 @@ class HalfspaceClass2D(HypothesisClass):
     grid_axes = 2
 
     def __post_init__(self):
+        self._check_not_nan("offset_lo", "offset_hi")
         self._check_counts(n_angles=self.n_angles, n_offsets=self.n_offsets)
 
     @property
@@ -1254,6 +1277,7 @@ class SineClass(HypothesisClass):
     vc_dim_hint = None
 
     def __post_init__(self):
+        self._check_not_nan("alpha_lo", "alpha_hi")
         self._check_counts(resolution=self.resolution)
 
     @property

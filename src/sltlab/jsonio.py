@@ -1,109 +1,106 @@
 """Deterministic JSON/CSV emission with fixed-width float formatting.
 
 Floats are rendered with 17 significant digits, which round-trips IEEE
-doubles exactly and makes output files byte-comparable across runs.
+doubles exactly and makes output files byte-comparable across runs.  A JSON
+value is rendered by the function its exact type picks, a list of one scalar
+type by one join; any other value (a subclass, a numpy scalar or array) is
+cast to such a type by ``_fallback``.  Each writer returns its bytes' sha256.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import json
+import io
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 
 import numpy as np
 
 
 def format_float(x: float) -> str:
     x = float(x)
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError(f"non-finite value {x} cannot be serialized")
     return format(x, ".17g")
 
 
-def _render(obj, level: int) -> str:
-    pad = "  " * level
+_SCALARS = {type(None): lambda v: "null", bool: lambda v: "true" if v else "false",
+            int: int.__repr__, float: format_float, str: _quote, Fraction: lambda v: _quote(str(v))}
+
+
+def _render(obj, pad: str) -> str:
+    scalar = _SCALARS.get(type(obj))
+    return scalar(obj) if scalar else _CONTAINERS.get(type(obj), _fallback)(obj, pad)
+
+
+def _list(obj, pad: str) -> str:
     inner = pad + "  "
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
-    if isinstance(obj, Fraction):
-        return json.dumps(str(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
+    kinds = set(map(type, obj))
+    scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    items = list(map(scalar, obj)) if scalar else [_render(v, inner) for v in obj]
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]" if items else "[]"
+
+
+def _dict(obj, pad: str) -> str:
+    inner = pad + "  "
+    items = [_quote(str(k)) + ": " + _render(v, inner) for k, v in obj.items()]
+    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}" if items else "{}"
+
+
+_CONTAINERS = {list: _list, tuple: _list, dict: _dict}
+# Other values are cast by the first entry they are an instance of; an array
+# is its tolist(), which must be a container (a 0-d array's scalar is refused).
+_CASTS = (((int, np.integer), int), ((float, np.floating), float), (Fraction, str),
+          (str, str.__str__), ((list, tuple), list), (dict, dict))
+_NUMBERS = (bool, int, np.integer, float, np.floating)  # CSV cells rendered as in JSON
+
+
+def _fallback(obj, pad: str) -> str:
+    casts = _CASTS
     if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [inner + _render(v, level + 1) for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            inner + json.dumps(str(k)) + ": " + _render(v, level + 1)
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        obj, casts = obj.tolist(), _CASTS[-2:]
+    for types, cast in casts:
+        if isinstance(obj, types):
+            return _render(cast(obj), pad)
     raise TypeError(f"cannot serialize value of type {type(obj).__name__}")
 
 
 def dumps(obj) -> str:
     """obj as JSON text indented by two spaces per level, ending in a newline."""
-    return _render(obj, 0) + "\n"
+    return _render(obj, "") + "\n"
 
 
-def dump(obj, path) -> None:
-    """Render first, so a value that cannot be serialized leaves no file behind."""
-    text = dumps(obj)
-    with open(path, "w") as fh:
+def _write(path, text: str) -> str:
+    """Write text with no newline translation; return the sha256 of the bytes written."""
+    with open(path, "w", newline="") as fh:
         fh.write(text)
+        return hashlib.sha256(text.encode(fh.encoding)).hexdigest()
 
 
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format_float(v)
-    if isinstance(v, Fraction):
-        return str(v)
-    return str(v)
+def dump(obj, path) -> str:
+    """Render first, so a value that cannot be serialized leaves no file behind."""
+    return _write(path, dumps(obj))
 
 
-def write_csv(path, rows: list[dict]) -> None:
-    """Write rows under a header of the first row's keys, formatting floats
-    deterministically.
-
-    Every row must have exactly those keys in that order.  Cells are rendered
-    first, so an empty row list or a row with other keys raises ValueError and
-    leaves no file behind.
-    """
+def write_csv(path, rows: list[dict]) -> str:
+    """Write rows under a header of the first row's keys, which every row must
+    have in that order, and return the sha256.  Cells are rendered first, so no
+    rows or a row with other keys raises ValueError and leaves no file behind."""
     if not rows:
         raise ValueError(f"{path}: no rows to write")
-    header = list(rows[0])
-    table = [header]
+    header, text = list(rows[0]), io.StringIO(newline="")
+    table = csv.writer(text)
+    table.writerow(header)
     for i, row in enumerate(rows):
         if list(row) != header:
             raise ValueError(f"{path}: row {i} has keys {list(row)}, expected {header}")
-        table.append([_cell(v) for v in row.values()])
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(table)
+        table.writerow([_render(v, "") if isinstance(v, _NUMBERS) else "" if v is None else str(v)
+                        for v in row.values()])
+    return _write(path, text.getvalue())
 
 
 def sha256_file(path) -> str:
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()

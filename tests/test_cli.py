@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import pathlib
@@ -598,6 +599,20 @@ class TestOutputsAndManifest:
         assert manifest["config"]["preset_version"] == 1
         for name, digest in manifest["outputs"].items():
             assert jsonio.sha256_file(tmp_path / name) == digest
+
+    @pytest.mark.parametrize("argv, written", [
+        (["pac", "--preset", "pac-thresholds", "--trials", "20", "--records"], "records.csv"),
+        (["tradeoff", "--preset", "tradeoff-nested-thresholds", "--trials", "5", "--records"],
+         "records.csv"),
+        (["srm", "--preset", "srm-nested-thresholds-demo"], "sample.csv"),
+    ], ids=["pac-records", "tradeoff-records", "srm"])
+    def test_manifest_digests_are_of_the_written_bytes(self, tmp_path, argv, written):
+        main(argv + ["--out", str(tmp_path)])
+        outputs = json.load(open(tmp_path / "manifest.json"))["outputs"]
+        assert written in outputs
+        assert {*outputs, "manifest.json"} == {p.name for p in tmp_path.iterdir()}
+        for name, digest in outputs.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("preset", [
         "pac-thresholds", "uc-thresholds-scaling", "tradeoff-nested-thresholds",

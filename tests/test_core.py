@@ -465,10 +465,42 @@ class TestNanParameters:
         lambda v: IntervalUnion(((v, 0.25),)),
         lambda v: GridSpec(((0.0, v, 1.0),)),
         lambda v: IntervalClass(grid=GridSpec(((0.0, v),))),
+        lambda v: Rectangle(((v, 1.0),)),
+        lambda v: Rectangle(((0.0, 1.0), (0.0, v))),
+        lambda v: Halfspace((v,), 0.0),
+        lambda v: Halfspace((1.0,), v),
+        lambda v: SineSign(v),
+        lambda v: ThresholdClass(lo=v),
+        lambda v: ThresholdClass(hi=v),
+        lambda v: IntervalClass(lo=v),
+        lambda v: IntervalUnionClass(lo=v),
+        lambda v: IntervalUnionClass(hi=v),
+        lambda v: RectangleClass(bounds=((0.0, 1.0), (v, 1.0))),
+        lambda v: HalfspaceClass2D(offset_lo=v),
+        lambda v: HalfspaceClass2D(offset_hi=v),
+        lambda v: SineClass(alpha_lo=v),
     ])
     def test_nan_is_rejected(self, build):
         with pytest.raises(ValueError, match="must not be NaN"):
             build(math.nan)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda v: ThresholdClass(lo=v), "thresholds: lo"),
+        (lambda v: IntervalClass(hi=v), "intervals: hi"),
+        (lambda v: IntervalUnionClass(lo=v), "interval_unions: lo"),
+        (lambda v: HalfspaceClass2D(offset_lo=v), "halfspaces2d: offset_lo"),
+        (lambda v: SineClass(alpha_hi=v), "sine: alpha_hi"),
+        (lambda v: RectangleClass(bounds=((0.0, v),)), "rectangles: bounds"),
+        (lambda v: Halfspace((1.0, v), 0.0), "halfspace weights and bias"),
+    ])
+    def test_nan_error_names_the_field(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} must not be NaN$"):
+            build(math.nan)
+
+    def test_rectangle_bad_rows_flag_nan_as_the_constructor_does(self):
+        P = np.array([[0.0, 1.0, 0.0, 1.0], [math.nan, 1.0, 0.0, 1.0],
+                      [0.0, 1.0, 0.0, math.nan], [1.0, 0.0, 0.0, 1.0]])
+        assert Rectangle._bad_rows(P).tolist() == [False, True, True, True]
 
     def test_infinities_are_accepted(self):
         assert Interval(-math.inf, math.inf).labels(np.array([[0.0]])).tolist() == [1]
