@@ -253,8 +253,8 @@ class Hypothesis(JsonFields):
     ``_bad_rows(P)`` marks the rows whose member the constructor rejects;
     ``_label_stack(out, P, X)``, called on one member, writes into the (k, n)
     bool array out the labels on the (n, dim) matrix X of the k members of its
-    exact type and key whose rows form P.  ``labels`` is that rule on a
-    one-member stack.  Equal inputs always give equal labels.
+    exact type and key whose rows form P.  ``labels`` is that rule on the
+    member's own one-row P.  Equal inputs always give equal labels.
     """
 
     json_tag_key = "kind"
@@ -269,17 +269,23 @@ class Hypothesis(JsonFields):
 
     def labels(self, X: np.ndarray) -> np.ndarray:
         """Labels in {0, 1} for each row of an (n, dim) matrix."""
-        return label_matrix((self,), X)[0]
+        X = _check_matrix(X, self.dim, f"{self.kind} hypothesis")
+        out = np.empty((1, len(X)), dtype=np.uint8)
+        self._label_stack(out.view(bool), np.array([self._stack_row()[1]], dtype=float), X)
+        return out[0]
 
     def describe(self) -> str:
         """Compact one-line description for tables and logs."""
         return repr(self)
 
 
-def _reject_nan(what: str, *values: float) -> None:
-    """A NaN parameter orders with nothing, so no ordering check would catch it."""
+def _reject_nan(what: str, *values: float, finite: bool = False) -> None:
+    """Reject NaN, which orders with nothing, so no ordering check would catch
+    it; with finite, also an infinity, which times a zero coordinate is NaN."""
     if any(map(math.isnan, values)):
         raise ValueError(f"{what} must not be NaN")
+    if finite and any(map(math.isinf, values)):
+        raise ValueError(f"{what} must be finite")
 
 
 def _in_closed(x: np.ndarray, P: np.ndarray, j: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -435,6 +441,7 @@ class Halfspace(Hypothesis):
     def __post_init__(self):
         self._check_counts("instance dimension", weights=self.dim)
         _reject_nan("halfspace weights and bias", *self.weights, self.bias)
+        _reject_nan("halfspace weights", *self.weights, finite=True)
 
     @property
     def dim(self) -> int:
@@ -466,7 +473,7 @@ class SineSign(Hypothesis):
     kind = "sine"
 
     def __post_init__(self):
-        _reject_nan("sine alpha", self.alpha)
+        _reject_nan("sine alpha", self.alpha, finite=True)
 
     @property
     def dim(self) -> int:
@@ -474,6 +481,8 @@ class SineSign(Hypothesis):
 
     def _stack_row(self):
         return None, (self.alpha,)
+
+    _bad_rows = staticmethod(lambda P: ~np.isfinite(P[:, 0]))
 
     def _label_stack(self, out, P, X):
         for row, alpha in zip(out, P[:, 0]):
@@ -775,13 +784,12 @@ def trial_error_counts(
     parts of a union are disjoint, so it mismatches
     sum_i (M_ge(a_i) + M_le(b_i)) - k n0 - (k - 1) n1, the same integers.
     """
+    if not isinstance(members, StackedMembers):
+        members = StackedMembers(members)
     T, m = y.shape
     points = X.reshape(T * m, X.shape[-1])
     flat_y = y.reshape(T * m)
-    if isinstance(members, StackedMembers):
-        runs, sums = members._count_runs
-    else:
-        runs, sums = _endpoint_rows(_label_runs(members))
+    runs, sums = members._count_runs
     for a, *_ in sums or ():  # a wrong dimension names the member's own type
         _check_matrix(points, members[a].dim, f"{members[a].kind} hypothesis")
     n_rows = runs[-1][1] if runs else 0
@@ -853,78 +861,54 @@ def label_matrix(members: Sequence[Hypothesis], X: np.ndarray) -> np.ndarray:
 
     Each run of members of one exact type and stacking key is labelled by one
     call of that type's rule on the run's stacked parameter rows.  Pass a
-    StackedMembers to label one list on many samples without collecting those
-    rows again; ``StackedMembers.of`` labels a class without building it.
+    StackedMembers to label one list on many samples without stacking it
+    again; ``StackedMembers.of`` labels a class without building it.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(
             f"label_matrix expects an (n, d) matrix of instances, got shape {X.shape}"
         )
+    if not isinstance(members, StackedMembers):
+        members = StackedMembers(members)
     out = np.empty((len(members), len(X)), dtype=np.uint8)
-    _fill_labels(out, _runs_of(members), X, 0)
+    _fill_labels(out, members._runs, X, 0)
     return out
 
 
-def _label_runs(members: Sequence[Hypothesis]) -> list[tuple]:
-    """Maximal runs (start, stop, (type, key), params, first member) of
-    members of one exact type and stacking key, with their ``_stack_row``
-    parameter rows stacked into a float matrix."""
-    runs: list[list] = []
-    for i, h in enumerate(members):
-        key, row = h._stack_row()
-        group = (type(h), key)
-        if runs and runs[-1][2] == group:
-            runs[-1][1] = i + 1
-            runs[-1][3].append(row)
-        else:
-            runs.append([i, i + 1, group, [row], h])
-    return [(a, b, group, np.array(rows, dtype=float), h) for a, b, group, rows, h in runs]
-
-
 class StackedMembers(Sequence):
-    """An immutable member list that keeps the runs of stacked parameter rows
-    label_matrix and error_counts label it with.  Code that labels one list on
-    many samples passes this instead.
+    """An immutable member list held as the runs of stacked parameter rows
+    label_matrix and error_counts label it with.  Code that labels one list
+    on many samples passes this instead.
 
-    Built from a member list, it copies the list.  Built by ``of`` from grid
-    families, it holds their rows only: reading member i builds that one
-    object from its row, and iterating builds them all in order.
+    It holds rows only, whether built from a member list or by ``of`` from
+    classes: reading member i builds that one object from its row (equal to
+    the member stacked; a lookup table is the same object), and iterating
+    builds them all in order.
     """
 
-    def __init__(self, members: Iterable[Hypothesis]):
-        self._members = tuple(members)
-        self._runs = tuple(_label_runs(self._members))
-        for run in self._runs:
-            run[3].flags.writeable = False
+    def __init__(self, members: Iterable[Hypothesis] = ()):
+        rows = ((type(h), *h._stack_row()) for h in members)
+        self._runs = _joined_runs((typ, key, np.array([row], dtype=float)) for typ, key, row in rows)
 
     @classmethod
     def of(cls, *classes: "HypothesisClass",
            budget: int = DEFAULT_ENUMERATION_BUDGET) -> "StackedMembers":
         """The members of classes in canonical order, each class under the
-        enumeration budget.  A grid family gives its rows, checked as arrays:
-        the first member that cannot be built raises its own error here.  A
-        class of objects (a FiniteClass) makes a stack of objects.
+        enumeration budget.  Each class gives its rows, checked as arrays:
+        the first member that cannot be built raises its own error here.
         """
         runs = []
         for H in classes:
             if H.size() > budget:
                 raise EnumerationBudgetError(H.size(), budget)
-            runs.append(H._param_runs())
-            for typ, key, P in runs[-1] or ():
+            for typ, key, P in H._param_runs():
                 bad = np.flatnonzero(typ._bad_rows(P))
                 if len(bad):
                     typ._from_row(key, P[bad[0]].tolist())  # raises that member's error
-        if None in runs:
-            return cls(itertools.chain.from_iterable(H.members() for H in classes))
-        stacked = cls(())
-        rows = (run for run in itertools.chain.from_iterable(runs) if len(run[2]))
-        for group, same in itertools.groupby(rows, key=lambda run: run[:2]):
-            P = np.concatenate([run[2] for run in same])
-            P.flags.writeable = False
-            first = group[0]._from_row(group[1], P[0].tolist())
-            stacked._runs += ((len(stacked), len(stacked) + len(P), group, P, first),)
-        stacked._members = None
+                runs.append((typ, key, P))
+        stacked = cls()
+        stacked._runs = _joined_runs(runs)
         return stacked
 
     @functools.cached_property
@@ -937,21 +921,30 @@ class StackedMembers(Sequence):
         return self._runs[-1][1] if self._runs else 0
 
     def __getitem__(self, index):
-        if self._members is not None:
-            return self._members[index]
         index = range(len(self))[index]
         a, _, (typ, key), P, _ = next(run for run in self._runs if index < run[1])
         return typ._from_row(key, P[index - a].tolist())
 
     def __iter__(self) -> Iterator[Hypothesis]:
-        if self._members is not None:
-            return iter(self._members)
         return (typ._from_row(key, row)
                 for _, _, (typ, key), P, _ in self._runs for row in P.tolist())
 
 
-def _runs_of(members: Sequence[Hypothesis]) -> Sequence[tuple]:
-    return members._runs if isinstance(members, StackedMembers) else _label_runs(members)
+def _joined_runs(runs: Iterable[tuple]) -> tuple[tuple, ...]:
+    """(start, stop, (type, key), P, first member) of each maximal sequence of
+    adjacent nonempty (type, key, P) runs of one exact type and key, their
+    rows joined into one read-only matrix P.  A lookup table is its own key
+    and joins only itself, so each comes back as the same object."""
+    out: list[tuple] = []
+    nonempty = (run for run in runs if len(run[2]))
+    group = lambda run: (run[0], id(run[1]) if run[0] is LookupTable else run[1])
+    for _, same in itertools.groupby(nonempty, key=group):
+        typ, key, P = next(same)
+        P = np.concatenate([P, *(run[2] for run in same)])
+        P.flags.writeable = False
+        at = out[-1][1] if out else 0
+        out.append((at, at + len(P), (typ, key), P, typ._from_row(key, P[0].tolist())))
+    return tuple(out)
 
 
 def _fill_labels(out: np.ndarray, runs: Sequence[tuple], X: np.ndarray, start: int) -> None:
@@ -998,9 +991,10 @@ class HypothesisClass(JsonFields):
 
     Parametric families carry continuous parameter ranges, a default grid
     built from them and an optional explicit ``grid`` (their last field);
-    exhaustive operations discretize them through that GridSpec.  A grid
-    family declares its members once, as (type, key, P) runs of parameter
-    rows in canonical order (``_param_runs``), built with numpy.
+    exhaustive operations discretize them through that GridSpec.  Every
+    class declares its members once, as (type, key, P) runs of parameter
+    rows in canonical order (``_param_runs``): a grid family builds them with
+    numpy, a finite class stacks its members' ``_stack_row`` rows.
     ``vc_dim_hint`` is the combinatorial dimension of the continuous family
     (None if infinite or unknown); grid restrictions never exceed it.
     """
@@ -1031,9 +1025,8 @@ class HypothesisClass(JsonFields):
         """Number of enumerated members."""
         raise NotImplementedError
 
-    def _param_runs(self) -> list[tuple] | None:
-        """None for a class that keeps its members as objects."""
-        return None
+    def _param_runs(self) -> list[tuple]:
+        raise NotImplementedError
 
     def members(self) -> Iterator[Hypothesis]:
         return iter(StackedMembers.of(self, budget=math.inf))
@@ -1255,6 +1248,7 @@ class HalfspaceClass2D(HypothesisClass):
 
     def _param_runs(self):
         angles, offsets = self.resolve_grid().axes
+        _reject_nan(f"{self.family}: grid angles", *angles, finite=True)
         # math.cos per angle: np.cos may differ in the last bit.
         normals = np.array([(math.cos(angle), math.sin(angle)) for angle in angles])
         return [(Halfspace, self.dim, _row_product([normals, -np.array(offsets)[:, None]]))]
@@ -1298,8 +1292,11 @@ class SineClass(HypothesisClass):
 class FiniteClass(HypothesisClass):
     """An explicit finite list of hypotheses in a fixed, stored order.
 
-    If a finite probe domain is declared, members must be pairwise distinct on
-    it (extensional de-duplication diagnostic).
+    Members are enumerated rebuilt from float rows, like a grid family's:
+    ``Threshold(1)`` comes back as ``Threshold(1.0)``, equal and with the same
+    JSON bytes while each integer is below 2^53 in size.  If a finite probe
+    domain is declared, members must be pairwise distinct on it (extensional
+    de-duplication diagnostic).
     """
 
     hypotheses: tuple[Hypothesis, ...]
@@ -1332,8 +1329,8 @@ class FiniteClass(HypothesisClass):
     def size(self) -> int:
         return len(self.hypotheses)
 
-    def members(self) -> Iterator[Hypothesis]:
-        return iter(self.hypotheses)
+    def _param_runs(self):
+        return [(*group, P) for _, _, group, P, _ in StackedMembers(self.hypotheses)._runs]
 
 
 _CLASS_FAMILIES = {c.family: c for c in (

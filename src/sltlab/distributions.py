@@ -42,9 +42,9 @@ from .core import (
     JsonFields,
     LabeledSample,
     Rectangle,
+    StackedMembers,
     Threshold,
     check_keys,
-    enumerate_class,
     from_tagged,
     hypothesis_from_json,
     read_key,
@@ -744,7 +744,7 @@ def min_risk_in_class(
     back to Monte Carlo with the declared sample count ``mc_n`` (a seed is
     then required and each member gets an independently derived stream).
     """
-    members = enumerate_class(H, budget=budget)
+    members = StackedMembers.of(H, budget=budget)
     risks, _ = member_risks(D, members, mc_n, seed, "min-risk-member")
     best = int(np.argmin(risks))
     return members[best], float(risks[best])

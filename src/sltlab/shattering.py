@@ -1,7 +1,7 @@
 """Restrictions, shattering tests, exact VC dimension search, sine witnesses.
 
 The dimension search is exact over a finite point pool: it labels the
-class's grid members on the pool from their stacked parameter rows
+class's members on the pool from their stacked parameter rows
 (``StackedMembers.of``), building member objects only for the certificate,
 walks subset sizes in increasing order, and stops at the first size with no
 shattered subset (shattering is downward closed, so this is sound).  A grid

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -364,6 +365,21 @@ class TestLabelMatrix:
                 with pytest.raises(DimensionMismatchError, match=re.escape(message)):
                     label(X)
 
+    @settings(max_examples=200, deadline=None)
+    @given(members_and_points())
+    @example(MIXED_KEYS)
+    def test_labels_are_the_one_member_stack_bit_for_bit(self, case):
+        # labels applies a member's rule to its own row without building a stack.
+        members, X = case
+        for h in members:
+            labels = h.labels(X)
+            assert labels.dtype == np.uint8 and labels.shape == (len(X),)
+            assert labels.tobytes() == label_matrix((h,), X)[0].tobytes()
+            with pytest.raises(ValueError, match=r"expects an \(n, d\) matrix"):
+                h.labels(X[0])
+            with pytest.raises(DimensionMismatchError):
+                h.labels(np.zeros((len(X), h.dim + 1)))
+
 
 # Endpoints of the interval runs below: -0.0 next to 0.0, and both infinities.
 ENDPOINTS = st.sampled_from([-math.inf, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, math.inf])
@@ -454,7 +470,9 @@ class TestEndpointCounts:
 
 class TestNanParameters:
     """NaN orders with nothing, so it is refused where an order check would
-    pass it; the infinities stay accepted."""
+    pass it.  The infinities stay accepted, save in a factor of a coordinate
+    (a sine frequency, a halfspace weight, a halfplane angle), where inf * 0
+    would be NaN."""
 
     @pytest.mark.parametrize("build", [
         lambda v: Threshold(v),
@@ -496,6 +514,21 @@ class TestNanParameters:
     def test_nan_error_names_the_field(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)} must not be NaN$"):
             build(math.nan)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda v: SineSign(v), "sine alpha"),
+        (lambda v: SineSign(-v), "sine alpha"),
+        (lambda v: Halfspace((v, 0.0), 0.0), "halfspace weights"),
+        (lambda v: Halfspace((0.0, -v), 1.0), "halfspace weights"),
+        (lambda v: StackedMembers.of(SineClass(grid=GridSpec(((1.0, v),)))), "sine alpha"),
+        (lambda v: StackedMembers.of(HalfspaceClass2D(grid=GridSpec(((0.0, -v), (0.0,))))),
+         "halfspaces2d: grid angles"),
+    ])
+    def test_infinite_factor_is_rejected(self, build, message):
+        # SineSign(inf) would label x = 0 as 0 (sin(inf * 0) is NaN), where
+        # the tie sin(0) = 0 gives 1; an infinite angle has no cosine.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} must be finite$"):
+            build(math.inf)
 
     def test_rectangle_bad_rows_flag_nan_as_the_constructor_does(self):
         P = np.array([[0.0, 1.0, 0.0, 1.0], [math.nan, 1.0, 0.0, 1.0],
@@ -647,7 +680,7 @@ class TestGridRows:
         assert list(stacked) == members == enumerate_class(H) == expected
         assert [repr(h) for h in members] == [repr(h) for h in expected]
         assert [h.to_json() for h in members] == [h.to_json() for h in expected]
-        reference_runs = core._label_runs(expected)
+        reference_runs = StackedMembers(expected)._runs
         assert [run[:3] for run in stacked._runs] == [run[:3] for run in reference_runs]
         for (*_, P, first), (*_, Q, reference_first) in zip(stacked._runs, reference_runs):
             assert P.shape == Q.shape and bits(P) == bits(Q)
@@ -663,7 +696,7 @@ class TestGridRows:
             return
         stacked = StackedMembers.of(*classes)
         assert list(stacked) == expected
-        reference_runs = core._label_runs(expected)
+        reference_runs = StackedMembers(expected)._runs
         assert [run[:3] for run in stacked._runs] == [run[:3] for run in reference_runs]
         for (*_, P, _), (*_, Q, _) in zip(stacked._runs, reference_runs):
             assert bits(P) == bits(Q)
@@ -689,6 +722,96 @@ class TestGridRows:
         monkeypatch.setattr(RectangleClass, "_param_runs", lambda self: pytest.fail("built"))
         with pytest.raises(EnumerationBudgetError, match="requires 551368000 hypotheses"):
             StackedMembers.of(H)
+
+
+# Finite-class parameters: the lattice, -0.0, and whole numbers as ints below
+# 2^53 in size, which a float row holds exactly.
+FINITE_VALUES = st.one_of(LATTICE, st.just(-0.0), st.integers(-3, 3),
+                          st.integers(-(2 ** 53 - 1), 2 ** 53 - 1))
+
+
+@st.composite
+def finite_runs(draw, dim):
+    """Members of one type, 1-3 of them, with one stacking key, so adjacent
+    runs often differ only in key: a threshold direction, a union's k, or a
+    lookup table (the same object, an equal copy or another table)."""
+    kinds = (["threshold", "interval", "union", "sine", "rectangle", "halfspace", "lookup"]
+             if dim == 1 else ["rectangle", "halfspace", "lookup"])
+    kind, n = draw(st.sampled_from(kinds)), draw(st.integers(1, 3))
+    pair = st.lists(FINITE_VALUES, min_size=2, max_size=2).map(lambda v: tuple(sorted(v)))
+    if kind == "threshold":
+        direction = draw(st.sampled_from(["ge", "le"]))
+        return [Threshold(draw(FINITE_VALUES), direction) for _ in range(n)]
+    if kind == "interval":
+        return [Interval(*draw(pair)) for _ in range(n)]
+    if kind == "union":
+        k = draw(st.integers(0, 3))
+        ends = st.sets(FINITE_VALUES, min_size=2 * k, max_size=2 * k).map(sorted)
+        return [IntervalUnion(tuple(zip(e[0::2], e[1::2]))) for e in draw(st.lists(
+            ends, min_size=n, max_size=n))]
+    if kind == "sine":
+        return [SineSign(draw(FINITE_VALUES)) for _ in range(n)]
+    if kind == "rectangle":
+        return [Rectangle(tuple(draw(pair) for _ in range(dim))) for _ in range(n)]
+    if kind == "halfspace":
+        return [Halfspace(tuple(draw(FINITE_VALUES) for _ in range(dim)), draw(FINITE_VALUES))
+                for _ in range(n)]
+    table = draw(plane_hypotheses().filter(lambda h: type(h) is LookupTable) if dim == 2 else
+                 line_hypotheses().filter(lambda h: type(h) is LookupTable))
+    tables = [table]
+    for _ in range(n - 1):
+        how = draw(st.sampled_from(["same", "equal", "other"]))
+        tables.append(table if how == "same" else LookupTable(*dataclasses.astuple(table))
+                      if how == "equal" else LookupTable(table.points, table.point_labels,
+                                                         1 - table.default))
+    return tables
+
+
+@st.composite
+def finite_classes_and_trials(draw):
+    """A FiniteClass of 1-5 runs and T = 1-3 samples whose points fall on the
+    members' parameters, on sine zeros and on halfplane lines."""
+    dim = draw(st.sampled_from([1, 2]))
+    members = sum(draw(st.lists(finite_runs(dim), min_size=1, max_size=5)), [])
+    rows = draw(st.lists(st.tuples(*[LATTICE] * dim), min_size=1, max_size=8))
+    if dim == 1:
+        params = [v for h in members if type(h) is not LookupTable
+                  for v in np.ravel(h._stack_row()[1]).tolist()]
+        rows += [(v,) for v in params]
+        rows += [(j * math.pi / h.alpha,) for h in members if type(h) is SineSign and h.alpha
+                 for j in (-1, 1, 2)]
+    for h in members:
+        if type(h) is Halfspace and any(h.weights) and dim == 2:
+            w = np.array(h.weights, dtype=float)
+            foot = -h.bias * w / (w @ w)
+            rows += [tuple(foot + t * np.array([-w[1], w[0]])) for t in (-1.0, 0.5, 3.0)]
+    X = np.array(rows, dtype=float)
+    T, m = draw(st.integers(1, 3)), len(X)
+    XT = np.stack([X[draw(st.permutations(range(m)))] for _ in range(T)])
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=T * m, max_size=T * m)),
+                 dtype=np.uint8).reshape(T, m)
+    return FiniteClass(tuple(members)), XT, y
+
+
+class TestFiniteRows:
+    """A finite class is stacked and enumerated as rows; each member must
+    label, count and serialize as the member it was built from."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(finite_classes_and_trials())
+    def test_rows_equal_the_members(self, case):
+        H, XT, y = case
+        stacked = StackedMembers.of(H)
+        X = XT[0]
+        assert label_matrix(stacked, X).tolist() == [h.labels(X).tolist() for h in H.hypotheses]
+        assert trial_error_counts(stacked, XT, y).tolist() == [
+            [int(np.count_nonzero(h.labels(Xt) != yt)) for h in H.hypotheses]
+            for Xt, yt in zip(XT, y)]
+        rebuilt = list(stacked)
+        assert rebuilt == list(H.members()) == enumerate_class(H) == list(H.hypotheses)
+        assert jsonio.dumps([h.to_json() for h in rebuilt]) == \
+            jsonio.dumps([h.to_json() for h in H.hypotheses])
+        assert all(r is h for r, h in zip(rebuilt, H.hypotheses) if type(h) is LookupTable)
 
 
 class TestSerialization:
