@@ -280,8 +280,7 @@ class Hypothesis(JsonFields):
 
 
 def _reject_nan(what: str, *values: float, finite: bool = False) -> None:
-    """Reject NaN, which orders with nothing, so no ordering check would catch
-    it; with finite, also an infinity, which times a zero coordinate is NaN."""
+    """Reject NaN, which orders with nothing, and if finite, infinity: times 0 it is NaN."""
     if any(map(math.isnan, values)):
         raise ValueError(f"{what} must not be NaN")
     if finite and any(map(math.isinf, values)):
@@ -784,8 +783,7 @@ def trial_error_counts(
     parts of a union are disjoint, so it mismatches
     sum_i (M_ge(a_i) + M_le(b_i)) - k n0 - (k - 1) n1, the same integers.
     """
-    if not isinstance(members, StackedMembers):
-        members = StackedMembers(members)
+    members = members if isinstance(members, StackedMembers) else StackedMembers(members)
     T, m = y.shape
     points = X.reshape(T * m, X.shape[-1])
     flat_y = y.reshape(T * m)
@@ -833,7 +831,6 @@ def _endpoint_rows(runs: Sequence[tuple]) -> tuple[list, list | None]:
     Threshold rows compare as _in_closed does, so ties on an endpoint agree."""
     out: list[tuple] = []
     sums = []
-    replaced = False
     for a, b, (typ, key), P, h in runs:
         at = out[-1][1] if out else 0
         if typ in (Interval, IntervalUnion):
@@ -848,11 +845,10 @@ def _endpoint_rows(runs: Sequence[tuple]) -> tuple[list, list | None]:
                 cols = np.concatenate([lo_row.reshape(b - a, k) + at,
                                        hi_row.reshape(b - a, k) + at + len(lo)], axis=1)
                 sums.append((a, b, cols, k))
-                replaced = True
                 continue
         out.append((at, at + b - a, (typ, key), P, h))
         sums.append((a, b, at, None))
-    return out, sums if replaced else None
+    return out, sums if any(k is not None for *_, k in sums) else None
 
 
 def label_matrix(members: Sequence[Hypothesis], X: np.ndarray) -> np.ndarray:
@@ -869,35 +865,29 @@ def label_matrix(members: Sequence[Hypothesis], X: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"label_matrix expects an (n, d) matrix of instances, got shape {X.shape}"
         )
-    if not isinstance(members, StackedMembers):
-        members = StackedMembers(members)
+    members = members if isinstance(members, StackedMembers) else StackedMembers(members)
     out = np.empty((len(members), len(X)), dtype=np.uint8)
     _fill_labels(out, members._runs, X, 0)
     return out
 
 
 class StackedMembers(Sequence):
-    """An immutable member list held as the runs of stacked parameter rows
-    label_matrix and error_counts label it with.  Code that labels one list
-    on many samples passes this instead.
-
-    It holds rows only, whether built from a member list or by ``of`` from
-    classes: reading member i builds that one object from its row (equal to
-    the member stacked; a lookup table is the same object), and iterating
-    builds them all in order.
+    """An immutable member list, built from a list or by ``of`` from classes,
+    held as the runs of stacked parameter rows label_matrix and error_counts
+    label it with; code that labels one list on many samples passes this.
+    Reading member i builds that one object from its float row (see
+    FiniteClass), and iterating builds them all in order.
     """
 
     def __init__(self, members: Iterable[Hypothesis] = ()):
-        rows = ((type(h), *h._stack_row()) for h in members)
-        self._runs = _joined_runs((typ, key, np.array([row], dtype=float)) for typ, key, row in rows)
+        self._runs = _joined_runs(_row_runs(members))
 
     @classmethod
     def of(cls, *classes: "HypothesisClass",
            budget: int = DEFAULT_ENUMERATION_BUDGET) -> "StackedMembers":
         """The members of classes in canonical order, each class under the
         enumeration budget.  Each class gives its rows, checked as arrays:
-        the first member that cannot be built raises its own error here.
-        """
+        the first member that cannot be built raises its own error here."""
         runs = []
         for H in classes:
             if H.size() > budget:
@@ -930,17 +920,30 @@ class StackedMembers(Sequence):
                 for _, _, (typ, key), P, _ in self._runs for row in P.tolist())
 
 
+def _adjacent_runs(items: Iterable[tuple]) -> list[tuple]:
+    """(type, key, parts) per maximal run of adjacent (type, (key, part))
+    items; a lookup table is its own key and joins only the same object."""
+    runs: list[tuple] = []
+    for typ, (key, part) in items:
+        if not (runs and runs[-1][0] is typ and (
+                runs[-1][1] is key or typ is not LookupTable and runs[-1][1] == key)):
+            runs.append((typ, key, []))
+        runs[-1][2].append(part)
+    return runs
+
+
+def _row_runs(members: Iterable[Hypothesis]) -> list[tuple]:
+    """(type, key, P) of each maximal run of members, P their float rows."""
+    rows = [(type(h), h._stack_row()) for h in members]
+    return [(typ, key, np.array(part, dtype=float)) for typ, key, part in _adjacent_runs(rows)]
+
+
 def _joined_runs(runs: Iterable[tuple]) -> tuple[tuple, ...]:
     """(start, stop, (type, key), P, first member) of each maximal sequence of
-    adjacent nonempty (type, key, P) runs of one exact type and key, their
-    rows joined into one read-only matrix P.  A lookup table is its own key
-    and joins only itself, so each comes back as the same object."""
+    adjacent nonempty (type, key, P) runs, P their rows, read-only."""
     out: list[tuple] = []
-    nonempty = (run for run in runs if len(run[2]))
-    group = lambda run: (run[0], id(run[1]) if run[0] is LookupTable else run[1])
-    for _, same in itertools.groupby(nonempty, key=group):
-        typ, key, P = next(same)
-        P = np.concatenate([P, *(run[2] for run in same)])
+    for typ, key, parts in _adjacent_runs((typ, (key, P)) for typ, key, P in runs if len(P)):
+        P = np.concatenate(parts)
         P.flags.writeable = False
         at = out[-1][1] if out else 0
         out.append((at, at + len(P), (typ, key), P, typ._from_row(key, P[0].tolist())))
@@ -992,9 +995,8 @@ class HypothesisClass(JsonFields):
     Parametric families carry continuous parameter ranges, a default grid
     built from them and an optional explicit ``grid`` (their last field);
     exhaustive operations discretize them through that GridSpec.  Every
-    class declares its members once, as (type, key, P) runs of parameter
-    rows in canonical order (``_param_runs``): a grid family builds them with
-    numpy, a finite class stacks its members' ``_stack_row`` rows.
+    class, finite or grid, declares its members once, as (type, key, P) runs
+    of parameter rows in canonical order (``_param_runs``).
     ``vc_dim_hint`` is the combinatorial dimension of the continuous family
     (None if infinite or unknown); grid restrictions never exceed it.
     """
@@ -1293,10 +1295,10 @@ class FiniteClass(HypothesisClass):
     """An explicit finite list of hypotheses in a fixed, stored order.
 
     Members are enumerated rebuilt from float rows, like a grid family's:
-    ``Threshold(1)`` comes back as ``Threshold(1.0)``, equal and with the same
-    JSON bytes while each integer is below 2^53 in size.  If a finite probe
-    domain is declared, members must be pairwise distinct on it (extensional
-    de-duplication diagnostic).
+    each parameter comes back as its nearest float, equal and with the same
+    JSON bytes for a float or an int below 2^53 in size (not for a Fraction
+    or a larger int).  If a finite probe domain is declared, members must be
+    pairwise distinct on it (extensional de-duplication diagnostic).
     """
 
     hypotheses: tuple[Hypothesis, ...]
@@ -1330,7 +1332,7 @@ class FiniteClass(HypothesisClass):
         return len(self.hypotheses)
 
     def _param_runs(self):
-        return [(*group, P) for _, _, group, P, _ in StackedMembers(self.hypotheses)._runs]
+        return _row_runs(self.hypotheses)
 
 
 _CLASS_FAMILIES = {c.family: c for c in (

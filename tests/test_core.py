@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -812,6 +813,15 @@ class TestFiniteRows:
         assert jsonio.dumps([h.to_json() for h in rebuilt]) == \
             jsonio.dumps([h.to_json() for h in H.hypotheses])
         assert all(r is h for r, h in zip(rebuilt, H.hypotheses) if type(h) is LookupTable)
+
+    def test_other_parameter_values_come_back_as_nearest_floats(self):
+        # Only a float, or an int below 2^53 in size, survives a float row.
+        given = (Threshold(Fraction(1, 3)), Threshold(2 ** 53 + 1), Threshold(1))
+        back = list(FiniteClass(given).members())
+        assert back == [Threshold(1 / 3), Threshold(float(2 ** 53)), Threshold(1.0)]
+        assert [b == g for b, g in zip(back, given)] == [False, False, True]
+        assert [jsonio.dumps(b.to_json()) == jsonio.dumps(g.to_json())
+                for b, g in zip(back, given)] == [False, False, True]
 
 
 class TestSerialization:
