@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
-import hashlib
 import itertools
 import math
 import numbers
@@ -25,6 +24,8 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .jsonio import write_text
 
 DEFAULT_ENUMERATION_BUDGET = 500_000
 
@@ -129,11 +130,6 @@ class JsonFields:
             if count < 1:
                 raise ValueError(f"{getattr(self, self.json_tag_key)}: {key}: "
                                  f"{what + ' ' if what else ''}must be at least 1, got {count}")
-
-    def _check_not_nan(self, *fields: str) -> None:
-        """Reject a NaN float field, naming the tag and the field."""
-        for key in fields:
-            _reject_nan(f"{getattr(self, self.json_tag_key)}: {key}", getattr(self, key))
 
     def to_json(self) -> dict:
         out = {self.json_tag_key: getattr(self, self.json_tag_key)} if self.json_tag_key else {}
@@ -259,10 +255,7 @@ class Hypothesis(JsonFields):
 
     json_tag_key = "kind"
     kind: str = ""
-
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
+    dim = 1  # instances are on the line unless a subclass says otherwise
 
     _from_row = classmethod(lambda cls, key, row: cls(*row))
     _bad_rows = staticmethod(lambda P: np.zeros(len(P), dtype=bool))
@@ -308,10 +301,6 @@ class Threshold(Hypothesis):
             raise ValueError(f"direction must be 'ge' or 'le', got {self.direction!r}")
         _reject_nan("threshold theta", self.theta)
 
-    @property
-    def dim(self) -> int:
-        return 1
-
     def _stack_row(self):
         return self.direction, (self.theta,)
 
@@ -338,10 +327,6 @@ class Interval(Hypothesis):
         _reject_nan("interval endpoints", self.lo, self.hi)
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
-
-    @property
-    def dim(self) -> int:
-        return 1
 
     def _stack_row(self):
         return None, (self.lo, self.hi)
@@ -371,10 +356,6 @@ class IntervalUnion(Hypothesis):
         # As _bad_rows has it: a first part may start at -inf.
         if any(lo <= hi for (_, hi), (lo, _) in zip(self.intervals, self.intervals[1:])):
             raise ValueError("intervals must be disjoint and sorted")
-
-    @property
-    def dim(self) -> int:
-        return 1
 
     def _stack_row(self):
         return len(self.intervals), sum(self.intervals, ())
@@ -473,10 +454,6 @@ class SineSign(Hypothesis):
 
     def __post_init__(self):
         _reject_nan("sine alpha", self.alpha, finite=True)
-
-    @property
-    def dim(self) -> int:
-        return 1
 
     def _stack_row(self):
         return None, (self.alpha,)
@@ -629,22 +606,20 @@ class LabeledSample:
         label; return the sha256 of the bytes written.
 
         The bytes are csv.writer's: a finite 17-digit float or a 0/1 label never needs
-        quoting.  Each write, one block of at most CSV_BLOCK_CHARS and the most text held
-        at once, is formatted by one ``("%.17g," * dim + "%d\\r\\n") * rows`` template
-        from the features as floats and the labels as ints.
+        quoting.  Each block of at most CSV_BLOCK_CHARS, the most text held at once, is
+        formatted by one ``("%.17g," * dim + "%d\\r\\n") * rows`` template from the
+        features as floats and the labels as ints, and handed with the header to
+        jsonio.write_text, which rewrites an existing file in place and cuts it to length.
         """
         row = "%.17g," * self.dim + "%d\r\n"
         step = max(1, CSV_BLOCK_CHARS // ((_CSV_CELL_CHARS + 1) * self.dim + 3))
-        digest = hashlib.sha256()
-        with open(path, "w", newline="") as fh:
-            def write(text):
-                fh.write(text)
-                digest.update(text.encode(fh.encoding))
-            write(",".join([f"x{j + 1}" for j in range(self.dim)] + ["label"]) + "\r\n")
+
+        def texts():
+            yield ",".join([f"x{j + 1}" for j in range(self.dim)] + ["label"]) + "\r\n"
             for start in range(0, self.m, step):
                 X, y = self.X[start:start + step], self.y[start:start + step].tolist()
-                write((row * len(y)) % tuple(itertools.chain.from_iterable(zip(*X.T.tolist(), y))))
-        return digest.hexdigest()
+                yield (row * len(y)) % tuple(itertools.chain.from_iterable(zip(*X.T.tolist(), y)))
+        return write_text(path, texts())
 
     @classmethod
     def from_csv(cls, path) -> "LabeledSample":
@@ -1005,13 +980,21 @@ class HypothesisClass(JsonFields):
     family: str = ""
     vc_dim_hint: int | None = None
     grid_axes = 1  # axes of the family's grid, explicit or default
-
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
+    dim = 1  # instances are on the line unless a family says otherwise
 
     def default_grid(self) -> GridSpec:
         raise NotImplementedError
+
+    def _check_range(self, lo: str, hi: str) -> None:
+        """Reject a NaN bound, naming the tag and the field.  With no explicit
+        grid, the bounds span the default grid, so an infinite bound or a span
+        hi - lo that overflows, either of which makes that grid NaN, is refused too."""
+        bounds = getattr(self, lo), getattr(self, hi)
+        for key, value in zip((lo, hi), bounds):
+            _reject_nan(f"{self.family}: {key}", value, finite=self.grid is None)
+        if self.grid is None and math.isinf(bounds[1] - bounds[0]):
+            raise ValueError(f"{self.family}: {hi} - {lo} must be finite, "
+                             f"got {lo}={bounds[0]}, {hi}={bounds[1]}")
 
     def resolve_grid(self) -> GridSpec:
         """The explicit grid, checked against the family's axis count, else
@@ -1069,14 +1052,10 @@ class ThresholdClass(HypothesisClass):
     def __post_init__(self):
         if not self.directions or any(d not in ("ge", "le") for d in self.directions):
             raise ValueError(f"directions must be a nonempty subset of ('ge','le'), got {self.directions}")
-        self._check_not_nan("lo", "hi")
+        self._check_range("lo", "hi")
         if self.lo > self.hi:
             raise ValueError(f"thresholds: lo must not exceed hi, got lo={self.lo}, hi={self.hi}")
         self._check_counts(resolution=self.resolution)
-
-    @property
-    def dim(self) -> int:
-        return 1
 
     @property
     def vc_dim_hint(self) -> int:
@@ -1110,12 +1089,8 @@ class IntervalClass(HypothesisClass):
     vc_dim_hint = 2
 
     def __post_init__(self):
-        self._check_not_nan("lo", "hi")
+        self._check_range("lo", "hi")
         self._check_counts(resolution=self.resolution)
-
-    @property
-    def dim(self) -> int:
-        return 1
 
     def default_grid(self) -> GridSpec:
         return GridSpec.linspace(self.lo, self.hi, self.resolution)
@@ -1145,12 +1120,8 @@ class IntervalUnionClass(HypothesisClass):
     family = "interval_unions"
 
     def __post_init__(self):
-        self._check_not_nan("lo", "hi")
+        self._check_range("lo", "hi")
         self._check_counts(k=self.k, resolution=self.resolution)
-
-    @property
-    def dim(self) -> int:
-        return 1
 
     @property
     def vc_dim_hint(self) -> int:
@@ -1185,7 +1156,10 @@ class RectangleClass(HypothesisClass):
     def __post_init__(self):
         self._check_counts("instance dimension", bounds=self.dim)
         self._check_counts(resolution=self.resolution)
-        _reject_nan("rectangles: bounds", *itertools.chain.from_iterable(self.bounds))
+        _reject_nan("rectangles: bounds", *itertools.chain.from_iterable(self.bounds),
+                    finite=self.grid is None)
+        if self.grid is None and any(math.isinf(hi - lo) for lo, hi in self.bounds):
+            raise ValueError(f"rectangles: bounds: hi - lo must be finite, got {self.bounds}")
 
     @property
     def dim(self) -> int:
@@ -1229,15 +1203,11 @@ class HalfspaceClass2D(HypothesisClass):
 
     family = "halfspaces2d"
     vc_dim_hint = 3
-    grid_axes = 2
+    dim = grid_axes = 2
 
     def __post_init__(self):
-        self._check_not_nan("offset_lo", "offset_hi")
+        self._check_range("offset_lo", "offset_hi")
         self._check_counts(n_angles=self.n_angles, n_offsets=self.n_offsets)
-
-    @property
-    def dim(self) -> int:
-        return 2
 
     def default_grid(self) -> GridSpec:
         angles = tuple((2.0 * math.pi * j / self.n_angles) for j in range(self.n_angles))
@@ -1273,12 +1243,8 @@ class SineClass(HypothesisClass):
     vc_dim_hint = None
 
     def __post_init__(self):
-        self._check_not_nan("alpha_lo", "alpha_hi")
+        self._check_range("alpha_lo", "alpha_hi")
         self._check_counts(resolution=self.resolution)
-
-    @property
-    def dim(self) -> int:
-        return 1
 
     def default_grid(self) -> GridSpec:
         return GridSpec.linspace(self.alpha_lo, self.alpha_hi, self.resolution)

@@ -4,7 +4,9 @@ Floats are rendered with 17 significant digits, which round-trips IEEE
 doubles exactly and makes output files byte-comparable across runs.  A JSON
 value is rendered by the function its exact type picks, a list of one scalar
 type by one join; any other value (a subclass, a numpy scalar or array) is
-cast to such a type by ``_fallback``.  Each writer returns its bytes' sha256.
+cast to such a type by ``_fallback``.  Every output file, a sample's CSV too,
+is written by ``write_text``, which rewrites an existing file in place and
+returns the sha256 of the bytes written.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import csv
 import hashlib
 import io
 import math
+import os
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 
@@ -72,16 +75,30 @@ def dumps(obj) -> str:
     return _render(obj, "") + "\n"
 
 
-def _write(path, text: str) -> str:
-    """Write text with no newline translation; return the sha256 of the bytes written."""
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-        return hashlib.sha256(text.encode(fh.encoding)).hexdigest()
+def write_text(path, texts) -> str:
+    """Write each text of texts with no newline translation; return the sha256
+    of the bytes written.  Like open(path, "w"), this writes through a symlink
+    or hard link, creates a file with mode 0o666 & ~umask and keeps an existing
+    file's mode.  But it opens without O_TRUNC, whose close on ext4 forces the
+    file's writeback, and cuts the file to the bytes written only if it was
+    longer, which a FIFO or /dev/null never is.  A text that raises midway
+    leaves the bytes written so far over the old ones."""
+    digest, written = hashlib.sha256(), 0
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as fh:
+        for text in texts:
+            data = text.encode(fh.encoding)
+            fh.write(text)
+            digest.update(data)
+            written += len(data)
+        fh.flush()
+        if os.fstat(fh.fileno()).st_size > written:
+            os.ftruncate(fh.fileno(), written)
+    return digest.hexdigest()
 
 
 def dump(obj, path) -> str:
     """Render first, so a value that cannot be serialized leaves no file behind."""
-    return _write(path, dumps(obj))
+    return write_text(path, [dumps(obj)])
 
 
 def write_csv(path, rows: list[dict]) -> str:
@@ -98,7 +115,7 @@ def write_csv(path, rows: list[dict]) -> str:
             raise ValueError(f"{path}: row {i} has keys {list(row)}, expected {header}")
         table.writerow([_render(v, "") if isinstance(v, _NUMBERS) else "" if v is None else str(v)
                         for v in row.values()])
-    return _write(path, text.getvalue())
+    return write_text(path, [text.getvalue()])
 
 
 def sha256_file(path) -> str:

@@ -635,6 +635,28 @@ class TestOutputsAndManifest:
         for name in ("uc_report.json", "summary.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["vcdim", "--preset", "vc-rectangles2d"],
+        ["pac", "--preset", "pac-thresholds", "--records", "--trials", "50"],
+        ["srm", "--preset", "srm-nested-thresholds-demo"],
+    ], ids=["vcdim", "pac-records", "srm"])
+    def test_rerun_over_longer_files_rewrites_them(self, tmp_path, argv):
+        # The same --out both times, since the manifest's config names it.
+        main(argv + ["--out", str(tmp_path)])
+        first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        for name, data in first.items():
+            (tmp_path / name).write_bytes(b"junk," * (len(data) // 5 + 100))
+        main(argv + ["--out", str(tmp_path)])
+        second = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert second.keys() == first.keys()
+        manifests = [json.loads(run.pop("manifest.json")) for run in (first, second)]
+        assert second == first
+        for manifest in manifests:
+            manifest.pop("duration_seconds")
+            for name, digest in manifest["outputs"].items():
+                assert hashlib.sha256(second[name]).hexdigest() == digest
+        assert manifests[0] == manifests[1]
+
     def test_outputs_confined_to_declared_directory(self, tmp_path, monkeypatch):
         workdir = tmp_path / "cwd"
         workdir.mkdir()

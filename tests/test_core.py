@@ -531,6 +531,32 @@ class TestNanParameters:
         with pytest.raises(ValueError, match=f"^{re.escape(message)} must be finite$"):
             build(math.inf)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ThresholdClass(0.0, math.inf), "thresholds: hi must be finite"),
+        (lambda: ThresholdClass(lo=-math.inf), "thresholds: lo must be finite"),
+        (lambda: IntervalClass(-math.inf, 1.0), "intervals: lo must be finite"),
+        (lambda: IntervalUnionClass(hi=math.inf), "interval_unions: hi must be finite"),
+        (lambda: SineClass(1.0, math.inf), "sine: alpha_hi must be finite"),
+        (lambda: HalfspaceClass2D(offset_hi=math.inf), "halfspaces2d: offset_hi must be finite"),
+        (lambda: RectangleClass(bounds=((0.0, 1.0), (-math.inf, 1.0))),
+         "rectangles: bounds must be finite"),
+        (lambda: ThresholdClass(-1e308, 1e308), "thresholds: hi - lo must be finite"),
+        (lambda: IntervalClass(-1e308, 1e308), "intervals: hi - lo must be finite"),
+        (lambda: SineClass(-1e308, 1e308), "sine: alpha_hi - alpha_lo must be finite"),
+        (lambda: HalfspaceClass2D(-1e308, 1e308), "halfspaces2d: offset_hi - offset_lo must be finite"),
+        (lambda: RectangleClass(bounds=((-1e308, 1e308),)), "rectangles: bounds: hi - lo must be finite"),
+    ])
+    def test_range_that_spans_no_default_grid_is_rejected(self, build, message):
+        # np.linspace over an infinite bound or an overflowing span is NaN.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            build()
+
+    def test_infinite_range_with_an_explicit_grid_is_accepted(self):
+        grid = GridSpec(((0.5,),))
+        assert ThresholdClass(-math.inf, math.inf, grid=grid).size() == 1
+        assert SineClass(1.0, math.inf, grid=grid).size() == 1
+        assert RectangleClass(bounds=((-math.inf, math.inf),), grid=grid).size() == 1
+
     def test_rectangle_bad_rows_flag_nan_as_the_constructor_does(self):
         P = np.array([[0.0, 1.0, 0.0, 1.0], [math.nan, 1.0, 0.0, 1.0],
                       [0.0, 1.0, 0.0, math.nan], [1.0, 0.0, 0.0, 1.0]])

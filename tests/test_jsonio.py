@@ -5,7 +5,9 @@ import io
 import json
 import locale
 import math
+import os
 import re
+import stat
 from fractions import Fraction
 
 import numpy as np
@@ -264,3 +266,103 @@ class TestCsv:
         with pytest.raises(ValueError, match="non-finite"):
             jsonio.write_csv(path, [{"a": 1.0}, {"a": math.inf}])
         assert not path.exists()
+
+
+def _dump(path):
+    return jsonio.dump({"name": "café", "values": [0.1, 2, None, Fraction(1, 3)]}, path)
+
+
+def _write_csv(path):
+    return jsonio.write_csv(path, [{"a": 1 / 3, "b": 'quote " and, comma', "c": None},
+                                   {"a": 2.0, "b": "café\nline", "c": True}])
+
+
+def _to_csv(path):
+    # 2500 two-feature rows take several blocks
+    rng = np.random.default_rng(7)
+    return LabeledSample(rng.normal(size=(2500, 2)) * 1e3, rng.integers(0, 2, size=2500)).to_csv(path)
+
+
+WRITERS = pytest.mark.parametrize("write", [_dump, _write_csv, _to_csv],
+                                  ids=["dump", "write_csv", "to_csv"])
+
+
+class TestInPlaceWriter:
+    """Every writer rewrites an existing file in place and cuts it to length:
+    whatever the path held, it ends with the bytes a write to a fresh path
+    leaves, through links as open(path, "w") would write."""
+
+    @staticmethod
+    def fresh(write, tmp_path):
+        path = tmp_path / "fresh"
+        assert write(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+        return path.read_bytes()
+
+    @WRITERS
+    @pytest.mark.parametrize("old", [
+        lambda ref: ref + b"stale tail\n" * 100,
+        lambda ref: ref[:len(ref) // 2],
+        lambda ref: bytes(len(ref)),
+        lambda ref: b"",
+    ], ids=["longer", "shorter", "equal", "empty"])
+    def test_overwrite_leaves_the_fresh_bytes(self, tmp_path, write, old):
+        ref = self.fresh(write, tmp_path)
+        path = tmp_path / "out"
+        path.write_bytes(old(ref))
+        digest = write(path)
+        assert path.read_bytes() == ref
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @WRITERS
+    def test_symlink_is_written_through(self, tmp_path, write):
+        ref = self.fresh(write, tmp_path)
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_bytes(b"x" * (len(ref) + 4096))
+        link.symlink_to(target)
+        write(link)
+        assert link.is_symlink()
+        assert target.read_bytes() == ref
+
+    @WRITERS
+    def test_hard_link_sees_the_new_bytes(self, tmp_path, write):
+        ref = self.fresh(write, tmp_path)
+        path, other = tmp_path / "out", tmp_path / "other"
+        path.write_bytes(b"x" * (len(ref) + 4096))
+        os.link(path, other)
+        write(path)
+        assert other.read_bytes() == ref
+        assert os.stat(path).st_ino == os.stat(other).st_ino
+
+    @WRITERS
+    def test_new_file_mode_follows_umask_and_old_mode_is_kept(self, tmp_path, write):
+        old_umask = os.umask(0o027)
+        try:
+            write(tmp_path / "new")
+        finally:
+            os.umask(old_umask)
+        assert stat.S_IMODE(os.stat(tmp_path / "new").st_mode) == 0o666 & ~0o027
+        path = tmp_path / "old"
+        path.write_bytes(b"x" * 10)
+        path.chmod(0o604)
+        write(path)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o604
+
+    @WRITERS
+    def test_devnull(self, tmp_path, write):
+        ref = self.fresh(write, tmp_path)
+        assert write(os.devnull) == hashlib.sha256(ref).hexdigest()
+
+    @WRITERS
+    def test_opened_without_truncation(self, tmp_path, monkeypatch, write):
+        calls, os_open = [], os.open
+
+        def spy(path, flags, *args, **kwargs):
+            calls.append((os.fspath(path), flags))
+            return os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(jsonio.os, "open", spy)
+        path = tmp_path / "out"
+        path.write_bytes(b"x" * 100)
+        write(path)
+        assert calls == [(str(path), os.O_WRONLY | os.O_CREAT)]
+        assert not calls[0][1] & os.O_TRUNC
