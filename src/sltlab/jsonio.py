@@ -76,18 +76,20 @@ def dumps(obj) -> str:
 
 
 def write_text(path, texts) -> str:
-    """Write each text of texts with no newline translation; return the sha256
-    of the bytes written.  Like open(path, "w"), this writes through a symlink
-    or hard link, creates a file with mode 0o666 & ~umask and keeps an existing
-    file's mode.  But it opens without O_TRUNC, whose close on ext4 forces the
-    file's writeback, and cuts the file to the bytes written only if it was
-    longer, which a FIFO or /dev/null never is.  A text that raises midway
-    leaves the bytes written so far over the old ones."""
+    """Write each text of texts, encoded once in the text layer's encoding and
+    with no newline translation; return the sha256 of the bytes written.
+
+    Like open(path, "w"), this writes through a symlink or hard link, creates
+    a file with mode 0o666 & ~umask and keeps an existing file's mode.  But it
+    opens without O_TRUNC, whose close on ext4 forces the file's writeback,
+    and cuts the file to the bytes written only if it was longer, which a FIFO
+    or /dev/null never is.  If texts raises midway, the bytes written so far
+    lie over the old ones."""
     digest, written = hashlib.sha256(), 0
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as fh:
         for text in texts:
             data = text.encode(fh.encoding)
-            fh.write(text)
+            fh.buffer.write(data)
             digest.update(data)
             written += len(data)
         fh.flush()

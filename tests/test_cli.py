@@ -422,6 +422,19 @@ class TestExitCodes:
         assert key in captured.err
 
     @pytest.mark.parametrize("argv, key", [
+        (["pac", "--preset", "pac-thresholds", "--class",
+          '{"family": "thresholds", "lo": -1e308, "hi": 1e308}'],
+         "config.class: thresholds: hi - lo must be finite, got lo=-1e+308, hi=1e+308"),
+        (["vcdim", "--class", '{"family": "sine", "alpha_lo": -1e308, "alpha_hi": 1e308}'],
+         "config.class: sine: alpha_hi - alpha_lo must be finite"),
+    ])
+    def test_range_too_wide_for_a_default_grid_names_key(self, argv, key, capsys):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"sltlab: error: {key}")
+
+    @pytest.mark.parametrize("argv, key", [
         (["erm", "--class", "rectangles2d"],
          "config.class: class rectangles has dimension 2, but the sample in config.data has "
          "dimension 1"),
