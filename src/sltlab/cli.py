@@ -31,7 +31,6 @@ from .core import (
     DimensionMismatchError,
     EnumerationBudgetError,
     LabeledSample,
-    StackedMembers,
     hypothesis_from_json,
     real_number,
     whole_number,
@@ -357,11 +356,8 @@ def _run_vcdim(cfg: dict):
     try:
         report = vc_dimension(H, pool, subset_budget=cfg["subset_budget"],
                               enum_budget=cfg["enum_budget"])
-    except ValueError as exc:
-        # A pool that cannot be searched, or of another dimension than the
-        # class, names the pool; a member that cannot be built, the class.
-        key = "pool" if isinstance(exc, (PointSetError, DimensionMismatchError)) else "class"
-        raise ConfigError(f"config.{key}: {exc}") from exc
+    except (PointSetError, DimensionMismatchError) as exc:  # a pool that cannot be searched
+        raise ConfigError(f"config.pool: {exc}") from exc
     lines = [f"dimension over {report.pool_size}-point pool: {report.marker()}"]
     return EXIT_OK, lines, {"vc_report.json": report.to_json()}
 
@@ -388,19 +384,20 @@ def _run_risk(cfg: dict):
 
 def _check_classes(cfg: dict, key: str, classes, dim: int, source: str = "config.dist") -> None:
     """Reject, before any work on them, a class of config.<key> whose
-    instances have another dimension than the source's, dim, or with a member
-    that cannot be built: the rows of its members are checked as arrays, and
-    the first bad member's own error names config.<key>."""
+    instances have another dimension than the source's, dim, or that has no
+    members, then one over the enumeration budget.  A class that cannot be
+    built was refused when config.<key> was read, so nothing is stacked here."""
     for pos, H in enumerate(classes, start=1):
+        what = f"class at position {pos} ({H.family})" if key == "sequence" else \
+            f"class {H.family}"
         if H.dim != dim:
-            what = f"class at position {pos} ({H.family})" if key == "sequence" else \
-                f"class {H.family}"
             raise ConfigError(f"config.{key}: {what} has dimension {H.dim}, but {source} "
                               f"has dimension {dim}")
-    try:
-        StackedMembers.of(*classes, budget=cfg["budget"])
-    except ValueError as exc:
-        raise ConfigError(f"config.{key}: {exc}") from exc
+        if H.size() == 0:
+            raise ConfigError(f"config.{key}: {what} has no members")
+    for H in classes:
+        if H.size() > cfg["budget"]:
+            raise EnumerationBudgetError(H.size(), cfg["budget"])
 
 
 def _sample_for(cfg: dict, stream: str, key: str, classes) -> tuple[LabeledSample, bool]:

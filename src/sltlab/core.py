@@ -246,7 +246,6 @@ class Hypothesis(JsonFields):
     Subclasses expose ``dim`` and declare their rule once, for a stack of
     members: ``_stack_row()`` gives a stacking key and a float parameter row,
     and ``_from_row(key, row)`` builds the member back from them;
-    ``_bad_rows(P)`` marks the rows whose member the constructor rejects;
     ``_label_stack(out, P, X)``, called on one member, writes into the (k, n)
     bool array out the labels on the (n, dim) matrix X of the k members of its
     exact type and key whose rows form P.  ``labels`` is that rule on the
@@ -258,7 +257,6 @@ class Hypothesis(JsonFields):
     dim = 1  # instances are on the line unless a subclass says otherwise
 
     _from_row = classmethod(lambda cls, key, row: cls(*row))
-    _bad_rows = staticmethod(lambda P: np.zeros(len(P), dtype=bool))
 
     def labels(self, X: np.ndarray) -> np.ndarray:
         """Labels in {0, 1} for each row of an (n, dim) matrix."""
@@ -331,8 +329,6 @@ class Interval(Hypothesis):
     def _stack_row(self):
         return None, (self.lo, self.hi)
 
-    _bad_rows = staticmethod(lambda P: P[:, 0] > P[:, 1])
-
     def _label_stack(self, out, P, X):
         _in_closed(X[:, 0], P, 0, out)
 
@@ -353,16 +349,15 @@ class IntervalUnion(Hypothesis):
             _reject_nan("interval endpoints", lo, hi)
             if lo > hi:
                 raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
-        # As _bad_rows has it: a first part may start at -inf.
-        if any(lo <= hi for (_, hi), (lo, _) in zip(self.intervals, self.intervals[1:])):
+        # Compared as the floats of its row, where parts less than a float apart touch.
+        ends = [float(v) for part in self.intervals for v in part]
+        if any(lo <= hi for hi, lo in zip(ends[1:-1:2], ends[2::2])):
             raise ValueError("intervals must be disjoint and sorted")
 
     def _stack_row(self):
         return len(self.intervals), sum(self.intervals, ())
 
     _from_row = classmethod(lambda cls, key, row: cls(tuple(zip(row[0::2], row[1::2]))))
-    _bad_rows = staticmethod(lambda P: (P[:, 0::2] > P[:, 1::2]).any(axis=1)
-                             | (P[:, 2::2] <= P[:, 1:-1:2]).any(axis=1))
 
     def _label_stack(self, out, P, X):
         out[:] = False
@@ -397,7 +392,6 @@ class Rectangle(Hypothesis):
         return self.dim, sum(self.bounds, ())
 
     _from_row = classmethod(lambda cls, key, row: cls(tuple(zip(row[0::2], row[1::2]))))
-    _bad_rows = staticmethod(lambda P: ~(P[:, 0::2] <= P[:, 1::2]).all(axis=1))  # NaN too
 
     def _label_stack(self, out, P, X):
         _in_closed(X[:, 0], P, 0, out)
@@ -457,8 +451,6 @@ class SineSign(Hypothesis):
 
     def _stack_row(self):
         return None, (self.alpha,)
-
-    _bad_rows = staticmethod(lambda P: ~np.isfinite(P[:, 0]))
 
     def _label_stack(self, out, P, X):
         for row, alpha in zip(out, P[:, 0]):
@@ -861,17 +853,14 @@ class StackedMembers(Sequence):
     def of(cls, *classes: "HypothesisClass",
            budget: int = DEFAULT_ENUMERATION_BUDGET) -> "StackedMembers":
         """The members of classes in canonical order, each class under the
-        enumeration budget.  Each class gives its rows, checked as arrays:
-        the first member that cannot be built raises its own error here."""
+        enumeration budget.  A class is checked when it is built, so every
+        row it gives builds its member, and the one error raised here is
+        EnumerationBudgetError."""
         runs = []
         for H in classes:
             if H.size() > budget:
                 raise EnumerationBudgetError(H.size(), budget)
-            for typ, key, P in H._param_runs():
-                bad = np.flatnonzero(typ._bad_rows(P))
-                if len(bad):
-                    typ._from_row(key, P[bad[0]].tolist())  # raises that member's error
-                runs.append((typ, key, P))
+            runs += H._param_runs()
         stacked = cls()
         stacked._runs = _joined_runs(runs)
         return stacked
@@ -971,7 +960,9 @@ class HypothesisClass(JsonFields):
     built from them and an optional explicit ``grid`` (their last field);
     exhaustive operations discretize them through that GridSpec.  Every
     class, finite or grid, declares its members once, as (type, key, P) runs
-    of parameter rows in canonical order (``_param_runs``).
+    of parameter rows in canonical order (``_param_runs``).  A grid family
+    checks its resolved grid when it is built and refuses one on which some
+    member would not build, so every row it declares builds its member.
     ``vc_dim_hint`` is the combinatorial dimension of the continuous family
     (None if infinite or unknown); grid restrictions never exceed it.
     """
@@ -983,7 +974,8 @@ class HypothesisClass(JsonFields):
     dim = 1  # instances are on the line unless a family says otherwise
 
     def default_grid(self) -> GridSpec:
-        raise NotImplementedError
+        """``resolution`` values from lo to hi, unless a family says otherwise."""
+        return GridSpec.linspace(self.lo, self.hi, self.resolution)
 
     def _check_range(self, lo: str, hi: str) -> None:
         """Reject a NaN bound, naming the tag and the field.  With no explicit
@@ -996,9 +988,37 @@ class HypothesisClass(JsonFields):
             raise ValueError(f"{self.family}: {hi} - {lo} must be finite, "
                              f"got {lo}={bounds[0]}, {hi}={bounds[1]}")
 
+    def _check_order(self, ranges: Sequence[tuple[str, float, float]],
+                     strict: bool = False) -> None:
+        """Reject, unless the class is empty, a resolved grid axis that
+        decreases or, if strict, repeats a value: some member would not build.
+        The message names the field that gives the axis and the first pair out
+        of order: ``grid``, else the axis's (field prefix, lo, hi) in ranges."""
+        order = "increasing" if strict else "nondecreasing"
+        axes = self.resolve_grid().axes
+        if self.size() == 0:
+            return
+        for n, (axis, (field, lo, hi)) in enumerate(zip(axes, ranges), start=1):
+            bad = [(a, b) for a, b in zip(axis, axis[1:]) if b < a or strict and b == a]
+            if not bad:
+                continue
+            got = "got {} then {}".format(*bad[0])
+            if self.grid is not None:
+                where = "grid" if len(axes) == 1 else f"grid axis {n}"
+                raise ValueError(f"{self.family}: {where} must be {order}, {got}")
+            if lo > hi:
+                raise ValueError(f"{self.family}: {field}lo must not exceed hi, "
+                                 f"got lo={lo}, hi={hi}")
+            raise ValueError(f"{self.family}: {field}the default grid of {self.resolution} "
+                             f"values from lo={lo} to hi={hi} must be {order}, {got}")
+
     def resolve_grid(self) -> GridSpec:
         """The explicit grid, checked against the family's axis count, else
-        the default grid."""
+        the default grid; resolved once, when the class is built."""
+        return self._grid
+
+    @functools.cached_property
+    def _grid(self) -> GridSpec:
         if self.grid is None:
             return self.default_grid()
         if len(self.grid.axes) != self.grid_axes:
@@ -1056,17 +1076,14 @@ class ThresholdClass(HypothesisClass):
         if self.lo > self.hi:
             raise ValueError(f"thresholds: lo must not exceed hi, got lo={self.lo}, hi={self.hi}")
         self._check_counts(resolution=self.resolution)
+        self.resolve_grid()
 
     @property
     def vc_dim_hint(self) -> int:
         return 1 if len(self.directions) == 1 else 2
 
-    def default_grid(self) -> GridSpec:
-        return GridSpec.linspace(self.lo, self.hi, self.resolution)
-
     def size(self) -> int:
-        g = self.resolve_grid()
-        return len(g.axes[0]) * len(self.directions)
+        return len(self.resolve_grid().axes[0]) * len(self.directions)
 
     def _param_runs(self):
         theta = np.array(self.resolve_grid().axes[0])[:, None]
@@ -1091,9 +1108,7 @@ class IntervalClass(HypothesisClass):
     def __post_init__(self):
         self._check_range("lo", "hi")
         self._check_counts(resolution=self.resolution)
-
-    def default_grid(self) -> GridSpec:
-        return GridSpec.linspace(self.lo, self.hi, self.resolution)
+        self._check_order([("", self.lo, self.hi)])
 
     def size(self) -> int:
         g = len(self.resolve_grid().axes[0])
@@ -1122,13 +1137,12 @@ class IntervalUnionClass(HypothesisClass):
     def __post_init__(self):
         self._check_range("lo", "hi")
         self._check_counts(k=self.k, resolution=self.resolution)
+        # A chain of k >= 2 parts needs b_i < a_(i+1).
+        self._check_order([("", self.lo, self.hi)], strict=self.k > 1)
 
     @property
     def vc_dim_hint(self) -> int:
         return 2 * self.k
-
-    def default_grid(self) -> GridSpec:
-        return GridSpec.linspace(self.lo, self.hi, self.resolution)
 
     def size(self) -> int:
         g = len(self.resolve_grid().axes[0])
@@ -1160,6 +1174,7 @@ class RectangleClass(HypothesisClass):
                     finite=self.grid is None)
         if self.grid is None and any(math.isinf(hi - lo) for lo, hi in self.bounds):
             raise ValueError(f"rectangles: bounds: hi - lo must be finite, got {self.bounds}")
+        self._check_order([("bounds: ", lo, hi) for lo, hi in self.bounds])
 
     @property
     def dim(self) -> int:
@@ -1175,12 +1190,7 @@ class RectangleClass(HypothesisClass):
         )
 
     def size(self) -> int:
-        g = self.resolve_grid()
-        total = 1
-        for axis in g.axes:
-            n = len(axis)
-            total *= n * (n + 1) // 2
-        return total
+        return math.prod(len(axis) * (len(axis) + 1) // 2 for axis in self.resolve_grid().axes)
 
     def _param_runs(self):
         pairs = (_chains(axis, 1) for axis in self.resolve_grid().axes)
@@ -1208,6 +1218,7 @@ class HalfspaceClass2D(HypothesisClass):
     def __post_init__(self):
         self._check_range("offset_lo", "offset_hi")
         self._check_counts(n_angles=self.n_angles, n_offsets=self.n_offsets)
+        _reject_nan(f"{self.family}: grid angles", *self.resolve_grid().axes[0], finite=True)
 
     def default_grid(self) -> GridSpec:
         angles = tuple((2.0 * math.pi * j / self.n_angles) for j in range(self.n_angles))
@@ -1215,12 +1226,10 @@ class HalfspaceClass2D(HypothesisClass):
         return GridSpec((angles, offsets))
 
     def size(self) -> int:
-        g = self.resolve_grid()
-        return len(g.axes[0]) * len(g.axes[1])
+        return math.prod(map(len, self.resolve_grid().axes))
 
     def _param_runs(self):
         angles, offsets = self.resolve_grid().axes
-        _reject_nan(f"{self.family}: grid angles", *angles, finite=True)
         # math.cos per angle: np.cos may differ in the last bit.
         normals = np.array([(math.cos(angle), math.sin(angle)) for angle in angles])
         return [(Halfspace, self.dim, _row_product([normals, -np.array(offsets)[:, None]]))]
@@ -1245,6 +1254,7 @@ class SineClass(HypothesisClass):
     def __post_init__(self):
         self._check_range("alpha_lo", "alpha_hi")
         self._check_counts(resolution=self.resolution)
+        _reject_nan(f"{self.family}: grid frequencies", *self.resolve_grid().axes[0], finite=True)
 
     def default_grid(self) -> GridSpec:
         return GridSpec.linspace(self.alpha_lo, self.alpha_hi, self.resolution)

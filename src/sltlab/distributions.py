@@ -8,10 +8,10 @@ seed, and one bit generator is reset to that state before the trial is drawn,
 so no state carries over between trials and any trial can be rebuilt on its
 own.  ``draw_blocks`` derives the states of all of a run's trials in one
 vectorised pass and then draws the trials block by block, each block
-labelled in one pass; ``draw_block`` is its one-block case and
-``draw_sample`` its one-trial case.  Past its share of that seeding pass, a
-trial costs one state reset and, on a uniform box, one generator call for
-its instances and noise flips; the box map is applied once per block.
+labelled in one pass; ``draw_sample`` is its one-trial case.  Past its share
+of that seeding pass, a trial costs one state reset and, on a uniform box,
+one generator call for its instances and noise flips; the box map is applied
+once per block.
 
 Exact risk is implemented where the disagreement region is cheap to measure:
 any finite-support marginal, interval-decomposable hypotheses on a 1-d
@@ -158,7 +158,7 @@ class SeedSpec:
 
     The generator is a pure function of (master_seed, stream, trial); deriving
     the same triple twice yields identical draws.  A SeedSpec unpacks to its
-    row (master_seed, stream hash, trial), the form ``draw_block`` reads.
+    row (master_seed, stream hash, trial), the form ``draw_blocks`` reads.
     """
 
     master_seed: int
@@ -427,34 +427,25 @@ def _labeler_from_json(data: dict) -> Hypothesis | ConditionalTable:
     return read_key(data, "table", ConditionalTable.from_json)
 
 
-def draw_block(
-    D: DataDistribution, m: int, rows: Sequence[Sequence[int]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(X, y) of shapes (T, m, dim) and (T, m): sample t holds m i.i.d. pairs
-    in draw order, fully determined by rows[t], the (master_seed, stream hash,
-    trial) of a SeedSpec (``SeedSpec.rows``; a SeedSpec is its own row).
-
-    One generator is reset to each row's state in turn and draws, in order,
-    the instances, the base labels (table labelers only) and the noise flips.
-    A uniform box's instances are doubles of [0, 1) like the rest, so each
-    trial fills its row of one buffer with one call, and the box map is then
-    applied to the whole block in place; other marginals draw their instances
-    with their own ``sample`` first.  The block is labelled in one call and
-    checked once for finite coordinates.  This is the one-block case of
-    ``draw_blocks``.
-    """
-    return _draw(D, m, _pcg64_states(rows))
-
-
 def draw_blocks(
     D: DataDistribution, m: int, rows: Sequence[Sequence[int]], step: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``draw_block`` of each run of step consecutive rows in turn: of
-    rows[0:step], rows[step:2 * step], and so on, the last run possibly
-    shorter.  The PCG64 states of all the rows are derived by one pass before
-    the first block is drawn, so the seeder's fixed cost is paid once per call
-    rather than once per block; the states take O(len(rows)) memory, as the
-    rows do."""
+    """The samples of rows[0:step], rows[step:2 * step], and so on, the last
+    block possibly shorter, as (X, y) of shapes (T, m, dim) and (T, m):
+    sample t holds m i.i.d. pairs in draw order, fully determined by rows[t],
+    the (master_seed, stream hash, trial) of a SeedSpec (``SeedSpec.rows``;
+    a SeedSpec is its own row).
+
+    The PCG64 states of all the rows are derived in one pass, in O(len(rows))
+    memory, before the first block is drawn.  One generator is reset to each
+    row's state in turn and draws, in order, the instances, the base labels
+    (table labelers only) and the noise flips.  A uniform box's instances are
+    doubles of [0, 1) like the rest, so each trial fills its row of one buffer
+    with one call, and the box map is then applied to the whole block in
+    place; other marginals draw their instances with their own ``sample``
+    first.  Each block is labelled in one call and checked once for finite
+    coordinates.
+    """
     if step < 1:
         raise ValueError(f"block step must be at least 1, got {step}")
     states = _pcg64_states(rows)
@@ -465,7 +456,7 @@ def draw_blocks(
 def _draw(
     D: DataDistribution, m: int, states: Sequence[tuple[int, int]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``draw_block`` from the PCG64 (state, inc) of each row."""
+    """One block of ``draw_blocks`` from the PCG64 (state, inc) of each row."""
     if m < 1:
         raise ValueError(f"sample size must be at least 1, got {m}")
     T, d = len(states), D.dim
@@ -499,8 +490,8 @@ def _draw(
 
 def draw_sample(D: DataDistribution, m: int, seed: SeedSpec) -> LabeledSample:
     """m i.i.d. pairs in draw order, fully determined by the seed: the
-    one-trial case of ``draw_block``."""
-    X, y = draw_block(D, m, [seed])
+    one-trial case of ``draw_blocks``."""
+    X, y = next(draw_blocks(D, m, [seed], 1))
     return LabeledSample(X[0], y[0])
 
 

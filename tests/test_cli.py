@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sltlab
-from sltlab import cli, jsonio
+from sltlab import cli, core, jsonio
 from sltlab.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -55,6 +55,8 @@ SINE_SEQUENCE = '{"classes": [{"family": "thresholds"}, {"family": "sine"}]}'
 # unsorted grid axis.
 BACKWARD_INTERVALS = '{"family": "intervals", "lo": 1, "hi": 0}'
 UNSORTED_INTERVALS = '{"family": "intervals", "grid": {"axes": [[0.5, 0.2, 0.9]]}}'
+# Unions of three intervals on a two-value grid: no chain fits, so no members.
+EMPTY_UNIONS = '{"family": "interval_unions", "k": 3, "resolution": 2}'
 # a sample CSV whose record on line 7 has the label 2, and a path with no file
 BAD_LABEL_CSV = pathlib.Path(__file__).parent / "data" / "bad_label.csv"
 MISSING_CSV = pathlib.Path(__file__).parent / "data" / "missing.csv"
@@ -374,25 +376,25 @@ class TestExitCodes:
          "config.class: Expecting property name enclosed in double quotes"),
         (["vcdim", "--class", '{"family": "intervals", "lo": 1, "hi": 0}',
           "--pool", "[[0.1],[0.3]]"],
-         "config.class: interval endpoints out of order"),
-        # A member that cannot be built names its class key, with the message
-        # the first such member gives.
+         "config.class: intervals: lo must not exceed hi, got lo=1.0, hi=0.0"),
+        # A grid on which some member cannot be built fails as the class is
+        # built, naming its key, the family and the field that gives the grid.
         (["pac", "--preset", "pac-thresholds", "--class", BACKWARD_INTERVALS],
-         "config.class: interval endpoints out of order: [1.0, 0.9583333333333334]"),
+         "config.class: intervals: lo must not exceed hi, got lo=1.0, hi=0.0"),
         (["pac", "--preset", "pac-thresholds", "--class", UNSORTED_INTERVALS],
-         "config.class: interval endpoints out of order: [0.5, 0.2]"),
+         "config.class: intervals: grid must be nondecreasing, got 0.5 then 0.2"),
         (["uc", "--preset", "uc-thresholds-scaling", "--class",
           '{"family": "rectangles", "bounds": [[0, 1]], "grid": {"axes": [[0.5, 0.2]]}}'],
-         "config.class: box bounds out of order: [0.5, 0.2]"),
+         "config.class: rectangles: grid must be nondecreasing, got 0.5 then 0.2"),
         (["erm", "--preset", "erm-thresholds-demo", "--class",
           '{"family": "interval_unions", "grid": {"axes": [[0.0, 0.2, 0.2, 0.5]]}}'],
-         "config.class: intervals must be disjoint and sorted"),
+         "config.class: interval_unions: grid must be increasing, got 0.2 then 0.2"),
         (["srm", "--preset", "srm-nested-thresholds-demo", "--sequence",
           '{"classes": [{"family": "thresholds"}, ' + BACKWARD_INTERVALS + "]}"],
-         "config.sequence: interval endpoints out of order: [1.0, 0.9583333333333334]"),
+         "config.sequence: classes: intervals: lo must not exceed hi, got lo=1.0, hi=0.0"),
         (["tradeoff", "--preset", "tradeoff-nested-thresholds", "--sequence",
           '{"classes": [' + UNSORTED_INTERVALS + "]}"],
-         "config.sequence: interval endpoints out of order: [0.5, 0.2]"),
+         "config.sequence: classes: intervals: grid must be nondecreasing, got 0.5 then 0.2"),
         # Bad inline JSON and unknown presets name their key.
         (["pac", "--preset", "pac-thresholds", "--dist", "{marginal"],
          "config.dist: Expecting property name enclosed in double quotes"),
@@ -414,6 +416,19 @@ class TestExitCodes:
         (["pac", "--preset", "pac-thresholds", "--class",
           '{"family": "thresholds", "lo": 1, "hi": 0}'],
          "config.class: thresholds: lo must not exceed hi, got lo=1.0, hi=0.0"),
+        # A class with no members, refused before any sample is drawn.
+        (["erm", "--class", EMPTY_UNIONS, "--dist", "uniform-threshold-clean", "--m", "10"],
+         "config.class: class interval_unions has no members"),
+        (["srm", "--preset", "srm-nested-thresholds-demo", "--sequence",
+          '{"classes": [{"family": "thresholds"}, ' + EMPTY_UNIONS + "]}"],
+         "config.sequence: class at position 2 (interval_unions) has no members"),
+        (["pac", "--preset", "pac-thresholds", "--class", EMPTY_UNIONS],
+         "config.class: class interval_unions has no members"),
+        (["uc", "--preset", "uc-thresholds-scaling", "--class", EMPTY_UNIONS],
+         "config.class: class interval_unions has no members"),
+        (["tradeoff", "--preset", "tradeoff-nested-thresholds", "--sequence",
+          '{"classes": [' + EMPTY_UNIONS + "]}"],
+         "config.sequence: class at position 1 (interval_unions) has no members"),
     ])
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG
@@ -525,7 +540,36 @@ class TestExitCodes:
         assert code == 3
 
 
+class TestStacksOncePerRun:
+    """A class is checked when it is built, so a learning command stacks its
+    classes once, for the learner or harness, and never to check them."""
+
+    @pytest.mark.parametrize("argv, stacked", [
+        (["erm", "--preset", "erm-thresholds-demo"], ["thresholds"]),
+        (["srm", "--preset", "srm-nested-thresholds-demo"], ["thresholds"] * 5),
+        (["pac", "--preset", "pac-thresholds", "--trials", "20"], ["thresholds"]),
+        (["uc", "--preset", "uc-thresholds-scaling", "--trials", "20"], ["thresholds"]),
+        (["tradeoff", "--preset", "tradeoff-nested-thresholds", "--trials", "2",
+          "--seeds", "0"], ["thresholds"] * 5),
+    ])
+    def test_each_learning_command_stacks_once(self, argv, stacked, monkeypatch, capsys):
+        calls = []
+        original = core.StackedMembers.of.__func__
+
+        def counted(cls, *classes, **kwargs):
+            calls.append([H.family for H in classes])
+            return original(cls, *classes, **kwargs)
+
+        monkeypatch.setattr(core.StackedMembers, "of", classmethod(counted))
+        assert main(argv) != EXIT_CONFIG
+        assert calls == [stacked]
+
+
 class TestVcdimCommand:
+    def test_empty_class_has_dimension_zero(self, capsys):
+        assert main(["vcdim", "--class", EMPTY_UNIONS, "--pool", "[[0.1],[0.2]]"]) == EXIT_OK
+        assert capsys.readouterr().out == "dimension over 2-point pool: 0\n"
+
     def test_intervals_report_is_replayable(self, tmp_path, capsys):
         code = main(["vcdim", "--preset", "vc-intervals", "--out", str(tmp_path)])
         assert code == EXIT_OK

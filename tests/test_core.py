@@ -521,8 +521,8 @@ class TestNanParameters:
         (lambda v: SineSign(-v), "sine alpha"),
         (lambda v: Halfspace((v, 0.0), 0.0), "halfspace weights"),
         (lambda v: Halfspace((0.0, -v), 1.0), "halfspace weights"),
-        (lambda v: StackedMembers.of(SineClass(grid=GridSpec(((1.0, v),)))), "sine alpha"),
-        (lambda v: StackedMembers.of(HalfspaceClass2D(grid=GridSpec(((0.0, -v), (0.0,))))),
+        (lambda v: SineClass(grid=GridSpec(((1.0, v),))), "sine: grid frequencies"),
+        (lambda v: HalfspaceClass2D(grid=GridSpec(((0.0, -v), (0.0,)))),
          "halfspaces2d: grid angles"),
     ])
     def test_infinite_factor_is_rejected(self, build, message):
@@ -556,11 +556,6 @@ class TestNanParameters:
         assert ThresholdClass(-math.inf, math.inf, grid=grid).size() == 1
         assert SineClass(1.0, math.inf, grid=grid).size() == 1
         assert RectangleClass(bounds=((-math.inf, math.inf),), grid=grid).size() == 1
-
-    def test_rectangle_bad_rows_flag_nan_as_the_constructor_does(self):
-        P = np.array([[0.0, 1.0, 0.0, 1.0], [math.nan, 1.0, 0.0, 1.0],
-                      [0.0, 1.0, 0.0, math.nan], [1.0, 0.0, 0.0, 1.0]])
-        assert Rectangle._bad_rows(P).tolist() == [False, True, True, True]
 
     def test_infinities_are_accepted(self):
         assert Interval(-math.inf, math.inf).labels(np.array([[0.0]])).tolist() == [1]
@@ -616,8 +611,8 @@ class TestEnumeration:
 def reference_members(H):
     """The members each grid family yielded, one validated object at a time,
     before the families declared their members as parameter rows; kept as
-    the reference."""
-    axes = H.resolve_grid().axes
+    the reference.  H may be built without its checks (``unchecked``)."""
+    axes = (H.default_grid() if H.grid is None else H.grid).axes
     if type(H) is ThresholdClass:
         return [Threshold(theta, d) for d in H.directions for theta in axes[0]]
     pairs = [[(axis[i], axis[j]) for i in range(len(axis)) for j in range(i, len(axis))]
@@ -644,36 +639,59 @@ def reference_members(H):
     return [IntervalUnion(ivs) for ivs in chains(0, H.k)]
 
 
-# Grid axis values: repeats and any order, including -0.0.
-AXIS = st.lists(st.sampled_from([-0.0, 0.0, 0.125, 0.5, 0.75, 1.0, 2.5, -1.0]),
-                min_size=1, max_size=6)
+# Grid axis values: repeats and any order, including -0.0 and the infinities.
+AXIS = st.lists(st.sampled_from([-math.inf, -0.0, 0.0, 0.125, 0.5, 0.75, 1.0, 2.5, -1.0,
+                                 math.inf]), min_size=1, max_size=6)
+# Ends of a default grid's range, drawn in either order and equal.
+RANGE_END = st.sampled_from([-1.0, 0.0, 0.25, 1.0])
 
 
 @st.composite
 def grid_classes(draw):
-    """A grid family of each kind on explicit grid axes: unsorted and
-    repeated values, both threshold directions, unions with k = 1-3 and
-    boxes with d = 1-3."""
-    family = draw(st.sampled_from(["thresholds", "intervals", "unions", "rectangles",
-                                   "halfspaces", "sine"]))
-    if family == "thresholds":
-        directions = draw(st.sampled_from([("ge",), ("le",), ("ge", "le"), ("le", "ge"),
-                                           ("ge", "ge")]))
-        return ThresholdClass(directions=directions, grid=GridSpec((draw(AXIS),)))
-    if family == "intervals":
-        return IntervalClass(grid=GridSpec((draw(AXIS),)))
-    if family == "unions":
-        return IntervalUnionClass(k=draw(st.integers(1, 3)), grid=GridSpec((draw(AXIS),)))
-    if family == "rectangles":
+    """(family type, constructor keywords) of a grid family of each kind:
+    explicit grid axes with unsorted and repeated values and the
+    infinities, or a default grid whose range may run high end first or be
+    one point, with resolutions from 1; both threshold directions, unions
+    with k = 1-3 and boxes with d = 1-3."""
+    family = draw(st.sampled_from([ThresholdClass, IntervalClass, IntervalUnionClass,
+                                   RectangleClass, HalfspaceClass2D, SineClass]))
+    explicit = draw(st.booleans())
+    kwargs = {}
+    if family is HalfspaceClass2D:
+        if explicit:
+            angles = draw(st.lists(st.sampled_from(
+                [j * math.pi / 6 for j in range(12)] + [math.inf]), min_size=1, max_size=5))
+            return family, {"grid": GridSpec((angles, draw(AXIS)))}
+        return family, {"offset_lo": draw(RANGE_END), "offset_hi": draw(RANGE_END),
+                        "n_angles": draw(st.integers(1, 4)), "n_offsets": draw(st.integers(1, 4))}
+    if family is RectangleClass:
         d = draw(st.integers(1, 3))
-        axes = tuple(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1,
-                                   max_size=4 if d < 3 else 3)) for _ in range(d))
-        return RectangleClass(bounds=((0.0, 1.0),) * d, grid=GridSpec(axes))
-    if family == "halfspaces":
-        angles = draw(st.lists(st.sampled_from([j * math.pi / 6 for j in range(12)]),
-                               min_size=1, max_size=5))
-        return HalfspaceClass2D(grid=GridSpec((angles, draw(AXIS))))
-    return SineClass(grid=GridSpec((draw(AXIS),)))
+        if explicit:
+            axes = tuple(draw(st.lists(st.sampled_from([-math.inf, 0.0, 0.25, 0.5, 1.0]),
+                                       min_size=1, max_size=4 if d < 3 else 3)) for _ in range(d))
+            return family, {"bounds": ((0.0, 1.0),) * d, "grid": GridSpec(axes)}
+        return family, {"bounds": tuple((draw(RANGE_END), draw(RANGE_END)) for _ in range(d)),
+                        "resolution": draw(st.integers(1, 4 if d < 3 else 3))}
+    if family is ThresholdClass:
+        kwargs["directions"] = draw(st.sampled_from([("ge",), ("le",), ("ge", "le"),
+                                                     ("le", "ge"), ("ge", "ge")]))
+    if family is IntervalUnionClass:
+        kwargs["k"] = draw(st.integers(1, 3))
+    if explicit:
+        return family, {**kwargs, "grid": GridSpec((draw(AXIS),))}
+    lo, hi = draw(RANGE_END), draw(RANGE_END)
+    if family is ThresholdClass:  # a threshold range is refused high end first
+        lo, hi = sorted((lo, hi))
+    names = ("alpha_lo", "alpha_hi") if family is SineClass else ("lo", "hi")
+    return family, {**kwargs, names[0]: lo, names[1]: hi, "resolution": draw(st.integers(1, 5))}
+
+
+def unchecked(family, kwargs):
+    """family(**kwargs) with its fields set but none of its checks run."""
+    H = object.__new__(family)
+    for f in dataclasses.fields(family):
+        object.__setattr__(H, f.name, kwargs.get(f.name, f.default))
+    return H
 
 
 def bits(P: np.ndarray) -> list:
@@ -684,23 +702,25 @@ class TestGridRows:
     """A grid family's parameter rows against the members the per-family
     generators built."""
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(grid_classes())
-    @example(IntervalUnionClass(k=3, resolution=2))  # no chain fits: an empty class
-    @example(RectangleClass(bounds=((0, 1),) * 3, resolution=4))
-    @example(HalfspaceClass2D())
-    def test_rows_equal_the_reference_members(self, H):
+    @example((IntervalUnionClass, {"k": 3, "resolution": 2}))  # no chain fits: an empty class
+    @example((IntervalUnionClass, {"k": 3, "grid": GridSpec(((0.5, 0.2),))}))  # empty too
+    @example((IntervalUnionClass, {"k": 3, "lo": 1.0, "hi": 0.0, "resolution": 2}))  # and this
+    @example((IntervalClass, {"lo": 1.0, "hi": 0.0, "resolution": 1}))  # one member, [1, 1]
+    @example((IntervalUnionClass, {"k": 2, "lo": 0.5, "hi": 0.5, "resolution": 2}))
+    @example((RectangleClass, {"bounds": ((0, 1),) * 3, "resolution": 4}))
+    @example((HalfspaceClass2D, {}))
+    def test_rows_equal_the_reference_members(self, case):
+        # A class builds exactly when the reference builds every member.
+        family, kwargs = case
         try:
-            expected, error = reference_members(H), None
-        except ValueError as exc:
-            error = str(exc)
-        if error is not None:
-            # The first member that cannot be built fails before any is built.
-            for build in (StackedMembers.of, enumerate_class, lambda H: next(H.members())):
-                with pytest.raises(ValueError) as info:
-                    build(H)
-                assert str(info.value) == error
+            expected = reference_members(unchecked(family, kwargs))
+        except ValueError:
+            with pytest.raises(ValueError, match=f"^{family.family}: "):
+                family(**kwargs)
             return
+        H = family(**kwargs)
         stacked = StackedMembers.of(H)
         members = list(H.members())
         assert len(stacked) == len(members) == H.size() == len(expected)
@@ -716,11 +736,12 @@ class TestGridRows:
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(grid_classes(), min_size=1, max_size=4))
-    def test_a_sequence_stacks_as_its_members_in_order(self, classes):
+    def test_a_sequence_stacks_as_its_members_in_order(self, cases):
         try:
-            expected = [h for H in classes for h in reference_members(H)]
+            classes = [family(**kwargs) for family, kwargs in cases]
         except ValueError:
             return
+        expected = [h for H in classes for h in reference_members(H)]
         stacked = StackedMembers.of(*classes)
         assert list(stacked) == expected
         reference_runs = StackedMembers(expected)._runs
@@ -743,6 +764,30 @@ class TestGridRows:
         assert [stacked[i] for i in range(-len(expected), len(expected))] == expected * 2
         with pytest.raises(IndexError):
             stacked[len(expected)]
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: IntervalClass(lo=1, hi=0), "intervals: lo must not exceed hi, got lo=1, hi=0"),
+        (lambda: IntervalClass(grid=GridSpec(((0.0, 0.5, 0.2),))),
+         "intervals: grid must be nondecreasing, got 0.5 then 0.2"),
+        (lambda: IntervalUnionClass(k=1, grid=GridSpec(((0.5, -math.inf),))),
+         "interval_unions: grid must be nondecreasing, got 0.5 then -inf"),
+        (lambda: IntervalUnionClass(k=2, grid=GridSpec(((0.0, 0.2, 0.2, 0.5),))),
+         "interval_unions: grid must be increasing, got 0.2 then 0.2"),
+        (lambda: IntervalUnionClass(k=2, lo=0.5, hi=0.5, resolution=3),
+         "interval_unions: the default grid of 3 values from lo=0.5 to hi=0.5 must be "
+         "increasing, got 0.5 then 0.5"),
+        (lambda: RectangleClass(bounds=((0, 1), (1, 0))),
+         "rectangles: bounds: lo must not exceed hi, got lo=1, hi=0"),
+        (lambda: RectangleClass(grid=GridSpec(((0.0, 1.0), (0.5, 0.2)))),
+         "rectangles: grid axis 2 must be nondecreasing, got 0.5 then 0.2"),
+        (lambda: RectangleClass(grid=GridSpec(((0.0, 1.0),))),
+         "rectangles discretization needs 2 grid axes, got 1"),
+        (lambda: HalfspaceClass2D(grid=GridSpec(((0.0, 1.0),))),
+         "halfspaces2d discretization needs 2 grid axes, got 1"),
+    ])
+    def test_a_bad_grid_fails_when_built_naming_the_field(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_budget_is_checked_before_rows_are_built(self, monkeypatch):
         H = RectangleClass(bounds=((0, 1),) * 3, resolution=40)
@@ -839,6 +884,11 @@ class TestFiniteRows:
         assert jsonio.dumps([h.to_json() for h in rebuilt]) == \
             jsonio.dumps([h.to_json() for h in H.hypotheses])
         assert all(r is h for r, h in zip(rebuilt, H.hypotheses) if type(h) is LookupTable)
+
+    def test_union_parts_one_float_apart_are_refused(self):
+        # 1/3 and 1/3 + 1e-30 round to one float, where the row's parts touch.
+        with pytest.raises(ValueError, match="^intervals must be disjoint and sorted$"):
+            IntervalUnion(((0.0, Fraction(1, 3)), (Fraction(1, 3) + Fraction(1, 10 ** 30), 1.0)))
 
     def test_other_parameter_values_come_back_as_nearest_floats(self):
         # Only a float, or an int below 2^53 in size, survives a float row.

@@ -28,7 +28,6 @@ from sltlab.distributions import (
     SeedSpec,
     UniformBox,
     _pcg64_states,
-    draw_block,
     draw_blocks,
     draw_sample,
     hoeffding_band,
@@ -145,6 +144,12 @@ class TestDrawSample:
         assert abs(np.mean(at0) - 0.9) < 0.02
 
 
+def one_block(D, m, rows):
+    """Every row drawn as the one block of draw_blocks."""
+    (block,) = draw_blocks(D, m, rows, len(rows))
+    return block
+
+
 def reference_draw(D, m, seed):
     """(X, y) of one seed by the plain per-seed rule: default_rng, the box
     through rng.uniform and the noise through np.where."""
@@ -185,7 +190,7 @@ class TestDrawBlock:
         marginal, labeler = BLOCK_CASES[case]
         D = DataDistribution(marginal, labeler, noise=noise)
         seeds = [SeedSpec(17).derive("block", t) for t in (0, 1, 2, 5, 40)]
-        X, y = draw_block(D, 23, seeds)
+        X, y = one_block(D, 23, seeds)
         assert X.shape == (5, 23, D.dim) and y.shape == (5, 23) and y.dtype == np.uint8
         for t, seed in enumerate(seeds):
             S = draw_sample(D, 23, seed)
@@ -200,7 +205,7 @@ class TestDrawBlock:
         seeds = [SeedSpec(17, "block", 2), SeedSpec(2 ** 40 + 3, "other", 2 ** 33),
                  SeedSpec(0, "block", 0), SeedSpec(U64 - 1, "pac-trial", U64 - 1),
                  SeedSpec(17, "other", 2)]
-        X, y = draw_block(D, 23, seeds)
+        X, y = one_block(D, 23, seeds)
         for t, seed in enumerate(seeds):
             rX, ry = reference_draw(D, 23, seed)
             assert np.array_equal(X[t], rX) and np.array_equal(y[t], ry)
@@ -208,7 +213,7 @@ class TestDrawBlock:
     def test_non_finite_instances_rejected(self):
         D = DataDistribution(FiniteUniform(((0.0,), (math.inf,))), Threshold(0.5))
         with pytest.raises(ValueError, match="finite coordinates"):
-            draw_block(D, 50, [SeedSpec(0)])
+            one_block(D, 50, [SeedSpec(0)])
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_box_sample_equals_rng_uniform(self, dim):
@@ -228,7 +233,7 @@ RECT_3D = Rectangle(((0.2, 0.7), (-1.0, 2.0), (5.0, 5.3)))
 
 
 class TestDrawBlockRows:
-    """draw_block on the rows of SeedSpec.rows: each sample equals the plain
+    """One block drawn on the rows of SeedSpec.rows: each sample equals the plain
     per-seed draw of its SeedSpec."""
 
     def test_rows_are_the_derived_seeds(self):
@@ -248,7 +253,7 @@ class TestDrawBlockRows:
     def test_box_3d_rows_with_gaps(self, noise):
         D = DataDistribution(BOX_3D, RECT_3D, noise=noise)
         seed, trials = SeedSpec(17), (0, 1, 2, 5, 40)
-        X, y = draw_block(D, 23, seed.rows("block", trials))
+        X, y = one_block(D, 23, seed.rows("block", trials))
         assert X.shape == (5, 23, 3) and y.shape == (5, 23) and y.dtype == np.uint8
         for t, trial in enumerate(trials):
             rX, ry = reference_draw(D, 23, seed.derive("block", trial))
@@ -263,7 +268,7 @@ class TestDrawBlockRows:
                  (SeedSpec(U64 - 1), "pac-trial", [U64 - 1, 1]), (SeedSpec(17), "other", [2])]
         rows = [row for seed, stream, trials in parts for row in seed.rows(stream, trials)]
         seeds = [seed.derive(stream, t) for seed, stream, trials in parts for t in trials]
-        X, y = draw_block(D, 23, rows)
+        X, y = one_block(D, 23, rows)
         for t, seed in enumerate(seeds):
             rX, ry = reference_draw(D, 23, seed)
             assert np.array_equal(X[t], rX) and np.array_equal(y[t], ry)
@@ -275,7 +280,7 @@ class TestDrawBlockRows:
         box = UniformBox(tuple((-1.5 * j, 2.0 ** j) for j in range(d)))
         D = DataDistribution(box, Halfspace((1.0,) * d, -0.5), noise=noise)
         seed = SeedSpec(master)
-        X, y = draw_block(D, m, seed.rows("prop", trials))
+        X, y = one_block(D, m, seed.rows("prop", trials))
         assert X.shape == (len(trials), m, d) and y.shape == (len(trials), m)
         for t, trial in enumerate(trials):
             rX, ry = reference_draw(D, m, seed.derive("prop", trial))
@@ -297,8 +302,8 @@ class TestDrawBlockRows:
 
 
 class TestDrawBlocks:
-    """draw_blocks seeds all its rows in one pass and yields the draw_block of
-    each run of step consecutive rows."""
+    """draw_blocks seeds all its rows in one pass and yields the block that
+    each run of step consecutive rows gives on its own."""
 
     @settings(max_examples=80, deadline=None)
     @given(case=st.sampled_from(sorted(BLOCK_CASES) + ["box-3d"]),
@@ -306,7 +311,7 @@ class TestDrawBlocks:
            full=st.integers(0, 3), edge=st.sampled_from([-1, 0, 1]), m=st.integers(1, 9))
     @example(case="table", noise=0.0, step=1, full=0, edge=1, m=1)
     @example(case="box-3d", noise=0.3, step=4, full=3, edge=-1, m=7)
-    def test_blocks_equal_draw_block_on_each_slice(self, case, noise, step, full, edge, m):
+    def test_blocks_equal_one_block_of_each_slice(self, case, noise, step, full, edge, m):
         # full * step + edge rows: one row short of, at, or one row past a
         # block edge
         marginal, labeler = BLOCK_CASES.get(case, (BOX_3D, RECT_3D))
@@ -317,11 +322,11 @@ class TestDrawBlocks:
         assert [len(y) for _, y in blocks] == [len(rows[i:i + step])
                                               for i in range(0, n, step)]
         for i, (X, y) in zip(range(0, n, step), blocks):
-            bX, by = draw_block(D, m, rows[i:i + step])
+            bX, by = one_block(D, m, rows[i:i + step])
             assert np.array_equal(X, bX) and np.array_equal(y, by) and y.dtype == by.dtype
         X = np.concatenate([X for X, _ in blocks])
         y = np.concatenate([y for _, y in blocks])
-        aX, ay = draw_block(D, m, rows)
+        aX, ay = one_block(D, m, rows)
         assert np.array_equal(X, aX) and np.array_equal(y, ay)
 
     def test_rows_are_seeded_in_one_pass(self, monkeypatch):
