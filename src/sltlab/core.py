@@ -25,7 +25,7 @@ from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .jsonio import write_text
+from .jsonio import csv_rows, write_text
 
 DEFAULT_ENUMERATION_BUDGET = 500_000
 
@@ -35,11 +35,20 @@ DEFAULT_ENUMERATION_BUDGET = 500_000
 # 80 000-row sample stays at about 1 MB per block.
 LABEL_BLOCK_CELLS = 1 << 20
 
+# Largest sample size m at which trial_error_counts lays its label blocks out
+# m-major.  A count of a 1 M-cell block of 41 threshold members took 0.38 ms
+# m-major against 0.94 ms at m = 32, and 0.90 ms against 0.36 ms at m = 500;
+# with 5 members the two tie near m = 40 (2-core x86 host).
+COUNT_M_MAJOR = 32
+
 # Characters of sample-CSV text handled at once: from_csv reads whole lines
 # up to about this many per block, and to_csv formats rows of at most this
 # many per write, so neither holds the whole file as text.
 CSV_BLOCK_CHARS = 1 << 16
 # Widest cell to_csv writes: a 17-digit float such as -1.7976931348623157e+308.
+# A block of rows of cells this wide is at most CSV_BLOCK_CHARS of text; the
+# kernel of jsonio.csv_rows assembles it in a NUL-padded byte matrix of about
+# twice that (48 bytes per cell) before the NULs are dropped.
 _CSV_CELL_CHARS = 24
 
 
@@ -95,14 +104,16 @@ def check_keys(data, known, where: str = "") -> None:
 def read_key(data: dict, key: str, cast: Callable, where: str = "",
              default=dataclasses.MISSING):
     """data[key] passed through cast, or default when the key is absent; a
-    missing required key or a failed cast raises ValueError naming the key."""
+    missing required key or a failed cast raises ValueError naming the key.
+    A JSON integer beyond the float range fails its cast with OverflowError,
+    which is mapped the same way."""
     if key not in data:
         if default is dataclasses.MISSING:
             raise ValueError(f"{where}missing {key!r}")
         return default
     try:
         return cast(data[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}{key}: {exc}") from exc
 
 
@@ -599,18 +610,18 @@ class LabeledSample:
 
         The bytes are csv.writer's: a finite 17-digit float or a 0/1 label never needs
         quoting.  Each block of at most CSV_BLOCK_CHARS, the most text held at once, is
-        formatted by one ``("%.17g," * dim + "%d\\r\\n") * rows`` template from the
-        features as floats and the labels as ints, and handed with the header to
-        jsonio.write_text, which rewrites an existing file in place and cuts it to length.
+        the text of the ``("%.17g," * dim + "%d\\r\\n") * rows`` template, made by
+        jsonio.csv_rows: rows whose features all lie in 1e-4 <= |v| < 1e16 or are 0 by an
+        exact integer kernel, the other rows by the template itself.  The blocks go with
+        the header to jsonio.write_text, which rewrites an existing file in place and cuts
+        it to length.
         """
-        row = "%.17g," * self.dim + "%d\r\n"
         step = max(1, CSV_BLOCK_CHARS // ((_CSV_CELL_CHARS + 1) * self.dim + 3))
 
         def texts():
             yield ",".join([f"x{j + 1}" for j in range(self.dim)] + ["label"]) + "\r\n"
             for start in range(0, self.m, step):
-                X, y = self.X[start:start + step], self.y[start:start + step].tolist()
-                yield (row * len(y)) % tuple(itertools.chain.from_iterable(zip(*X.T.tolist(), y)))
+                yield csv_rows(self.X[start:start + step], self.y[start:start + step])
         return write_text(path, texts())
 
     @classmethod
@@ -752,8 +763,12 @@ def trial_error_counts(
     """
     members = members if isinstance(members, StackedMembers) else StackedMembers(members)
     T, m = y.shape
-    points = X.reshape(T * m, X.shape[-1])
-    flat_y = y.reshape(T * m)
+    # Labels are per point, so the points can go in any order: at small m they
+    # go m-major, and a block is summed over its middle axis of m rows of T
+    # cells, not along m-cell segments, which numpy's reduction pays per call.
+    m_major = m <= COUNT_M_MAJOR
+    points = (X.transpose(1, 0, 2) if m_major else X).reshape(T * m, X.shape[-1])
+    flat_y = (y.T if m_major else y).reshape(T * m)
     runs, sums = members._count_runs
     for a, *_ in sums or ():  # a wrong dimension names the member's own type
         _check_matrix(points, members[a].dim, f"{members[a].kind} hypothesis")
@@ -771,8 +786,9 @@ def trial_error_counts(
         rows = block[:min(step, n_rows - start)]
         _fill_labels(rows, runs, points, start)
         rows ^= flat_y
-        counts[:, start:start + len(rows)] = rows.reshape(len(rows), T, m).sum(
-            axis=2, dtype=total).T
+        counts[:, start:start + len(rows)] = (
+            rows.reshape(len(rows), m, T).sum(axis=1, dtype=total).T if m_major
+            else rows.reshape(len(rows), T, m).sum(axis=2, dtype=total).T)
     if sums is None:
         return counts
     out = np.empty((T, len(members)), dtype=np.int64)

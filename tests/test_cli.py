@@ -57,6 +57,8 @@ BACKWARD_INTERVALS = '{"family": "intervals", "lo": 1, "hi": 0}'
 UNSORTED_INTERVALS = '{"family": "intervals", "grid": {"axes": [[0.5, 0.2, 0.9]]}}'
 # Unions of three intervals on a two-value grid: no chain fits, so no members.
 EMPTY_UNIONS = '{"family": "interval_unions", "k": 3, "resolution": 2}'
+# A JSON integer of 401 digits, beyond the float range.
+HUGE_INT = "1" + "0" * 400
 # a sample CSV whose record on line 7 has the label 2, and a path with no file
 BAD_LABEL_CSV = pathlib.Path(__file__).parent / "data" / "bad_label.csv"
 MISSING_CSV = pathlib.Path(__file__).parent / "data" / "missing.csv"
@@ -429,6 +431,16 @@ class TestExitCodes:
         (["tradeoff", "--preset", "tradeoff-nested-thresholds", "--sequence",
           '{"classes": [' + EMPTY_UNIONS + "]}"],
          "config.sequence: class at position 1 (interval_unions) has no members"),
+        # A JSON integer beyond the float range fails its cast, naming the key.
+        (["risk", "--dist", "uniform-threshold-clean", "--hypothesis",
+          '{"kind": "threshold", "theta": ' + HUGE_INT + "}"],
+         "config.hypothesis: threshold: theta: int too large to convert to float"),
+        (["pac", "--preset", "pac-thresholds", "--class",
+          '{"family": "thresholds", "hi": ' + HUGE_INT + "}"],
+         "config.class: thresholds: hi: int too large to convert to float"),
+        (["pac", "--preset", "pac-thresholds", "--class",
+          '{"family": "intervals", "grid": {"axes": [[0, ' + HUGE_INT + "]]}}"],
+         "config.class: intervals: grid: axes: int too large to convert to float"),
     ])
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG

@@ -320,6 +320,29 @@ class TestLabelMatrix:
         counts = error_counts(members, S)
         assert counts.tolist() == [empirical_error_count(h, S) for h in members]
 
+    @pytest.mark.parametrize("cells", [1, 700, core.LABEL_BLOCK_CELLS])
+    @pytest.mark.parametrize("m", [1, core.COUNT_M_MAJOR - 1, core.COUNT_M_MAJOR,
+                                   core.COUNT_M_MAJOR + 1, 3 * core.COUNT_M_MAJOR])
+    def test_m_major_counts_equal_dense_counts(self, m, cells):
+        # The layout follows m alone, so each side of COUNT_M_MAJOR is forced
+        # both ways: the m-major sum against the dense one, block by block.
+        members = (enumerate_class(ThresholdClass(directions=("ge", "le"), resolution=5))
+                   + enumerate_class(IntervalClass(resolution=6))
+                   + enumerate_class(IntervalUnionClass(k=2, resolution=5))
+                   + [SineSign(7.0), Interval(0.2, 0.7)])
+        rng = np.random.default_rng(m)
+        trials = 7
+        X = rng.choice(np.linspace(0, 1, 11), (trials, m, 1))  # ties on grid endpoints
+        y = rng.integers(0, 2, (trials, m)).astype(np.uint8)
+        counts = {}
+        for layout, most in (("dense", 0), ("m-major", m)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core, "LABEL_BLOCK_CELLS", cells)
+                mp.setattr(core, "COUNT_M_MAJOR", most)
+                counts[layout] = trial_error_counts(members, X, y)
+        assert counts["m-major"].tolist() == counts["dense"].tolist() == [
+            reference_counts(members, X[t], y[t]) for t in range(trials)]
+
     @pytest.mark.parametrize("m", [2 ** 16 - 1, 2 ** 16])
     def test_trial_error_counts_at_the_uint16_edge(self, m):
         # Trial 0 is labelled all 0 and trial 1 all 1, so the first member

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sltlab import core
+from sltlab import core, jsonio
 from sltlab.core import CSV_BLOCK_CHARS, LabeledSample
 
 
@@ -259,3 +259,82 @@ def test_to_csv_bytes_match_reference_and_read_back(tmp_path, S):
     back = LabeledSample.from_csv(path)
     assert back.X.shape == S.X.shape
     assert back.X.tobytes() == S.X.tobytes() and back.y.tobytes() == S.y.tobytes()
+
+
+@st.composite
+def kernel_values(draw):
+    """A float aimed at the kernel of jsonio.csv_rows, 1e-4 <= |v| < 1e16 or
+    0, and at its edges, of either sign: any float with |v| in [1e-5, 1e17];
+    an exact tie n / 2^k of 18 significant digits, which %.17g rounds to
+    even; 10^k or a neighbour, where log10 may be off by one; a short
+    decimal, whose double often lies just below it, so that its 17 digits
+    round up through a run of nines; or 0."""
+    kind = draw(st.sampled_from(["range", "tie", "power", "short", "zero"]))
+    if kind == "range":
+        v = draw(st.floats(1e-5, 1e17))
+    elif kind == "tie":
+        k = draw(st.integers(5, 25))
+        lo, hi = -(-10 ** 17 // 5 ** k), min(10 ** 18 // 5 ** k, 2 ** 53)
+        v = (2 * draw(st.integers(lo // 2, (hi - 2) // 2)) + 1) / 2 ** k
+    elif kind == "power":
+        v = 10.0 ** draw(st.integers(-5, 17))
+        for _ in range(draw(st.integers(0, 2))):
+            v = np.nextafter(v, draw(st.sampled_from([0.0, math.inf])))
+    elif kind == "short":
+        v = float(f"{draw(st.integers(1, 9999))}e{draw(st.integers(-9, 16))}")
+    else:
+        v = 0.0
+    return -float(v) if draw(st.booleans()) else float(v)
+
+
+@st.composite
+def kernel_samples(draw):
+    """Up to 40 rows of 1 to 3 features drawn from kernel_values, some rows
+    with a cell of any finite float, which the % template writes."""
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    values = [draw(st.floats(allow_nan=False, allow_infinity=False)
+                   if draw(st.integers(0, 9)) == 0 else kernel_values()) for _ in range(m * d)]
+    labels = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    return LabeledSample(np.array(values).reshape(m, d), np.array(labels, dtype=np.uint8))
+
+
+def sample_of(rows):
+    return LabeledSample(np.array(rows, dtype=float), np.arange(len(rows)) % 2)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kernel_samples())
+@example(sample_of([[0.0], [-0.0], [1e-4], [-9.9999999999999991e-05], [9999999999999998.0]]))
+@example(sample_of([[1049 / 2 ** 20], [1051 / 2 ** 20], [-0.5], [0.124], [2.0 ** 53 + 2]]))
+@example(sample_of([[10.0 ** k, np.nextafter(10.0 ** k, 0), np.nextafter(10.0 ** k, 2e16)]
+                    for k in range(-4, 16)]))
+@example(sample_of([[0.5, 1e-7], [1e16, -0.25], [-0.0, 5e-324]]))  # kernel and template cells
+@example(sample_of([[0.1, -1e300, 2.5], [3.0, 4.0, 0.0], [1e-5, 1e17, 123.456]]))
+def test_kernel_bytes_match_reference(tmp_path, monkeypatch, S):
+    # Every block goes through the kernel, however few its cells.
+    monkeypatch.setattr(jsonio, "_KERNEL_MIN_CELLS", 0)
+    path, reference = tmp_path / "sample.csv", tmp_path / "reference.csv"
+    S.to_csv(path)
+    reference_to_csv(S, reference)
+    assert path.read_bytes() == reference.read_bytes()
+    back = LabeledSample.from_csv(path)
+    assert back.X.tobytes() == S.X.tobytes() and back.y.tobytes() == S.y.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_template_rows_on_write_block_boundaries_match_reference(tmp_path, d):
+    # Three full write blocks of uniform cells, at the real kernel threshold;
+    # the rows on each side of every block boundary, and the first and last
+    # row, hold a cell the kernel leaves to the % template.
+    step = CSV_BLOCK_CHARS // ((core._CSV_CELL_CHARS + 1) * d + 3)
+    assert step * d >= jsonio._KERNEL_MIN_CELLS
+    rng = np.random.default_rng(d)
+    X = rng.uniform(-1, 1, (3 * step, d))
+    for i, row in enumerate([0, step - 1, step, 2 * step - 1, 2 * step, 3 * step - 1]):
+        X[row, i % d] = [1e-7, -1e20, 5e-324, 1.7976931348623157e308, -2e-5, 1e16][i]
+    S = LabeledSample(X, rng.integers(0, 2, 3 * step).astype(np.uint8))
+    path, reference = tmp_path / "sample.csv", tmp_path / "reference.csv"
+    S.to_csv(path)
+    reference_to_csv(S, reference)
+    assert path.read_bytes() == reference.read_bytes()
