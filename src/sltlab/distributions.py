@@ -13,11 +13,13 @@ of that seeding pass, a trial costs one state reset and, on a uniform box,
 one generator call for its instances and noise flips; the box map is applied
 once per block.
 
-Exact risk is implemented where the disagreement region is cheap to measure:
-any finite-support marginal, interval-decomposable hypotheses on a 1-d
-uniform box, and convex (box/halfplane) hypotheses on a 2-d uniform box.
-Everything else must go through the Monte Carlo estimator, which is an
-explicit, distinct code path.
+Exact risk is one rule per hypothesis type, applied to a (type, key) run of
+stacked parameter rows; ``true_risk`` is its one-member case.  It is closed
+form on a finite support, for threshold, interval and union runs on a 1-d
+uniform box and for box and halfplane runs on a 2-d one.  On a finite support
+each row keeps its own probability sum, as numpy sums a subset pairwise in an
+order set by its length.  Everything else goes through the Monte Carlo
+estimator, an explicit, distinct code path.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .core import (
     Rectangle,
     StackedMembers,
     Threshold,
+    _reject_nan,
     check_keys,
     from_tagged,
     hypothesis_from_json,
@@ -277,6 +280,7 @@ class FiniteUniform(Marginal):
         if len({len(p) for p in self.points}) != 1:
             raise ValueError("support points must share one dimension")
         self._check_counts("instance dimension", points=self.dim)
+        _reject_nan(f"{self.type} points", *itertools.chain(*self.points), finite=True)
         if len(set(self.points)) != len(self.points):
             raise ValueError("support points must be distinct")
 
@@ -307,6 +311,7 @@ class PointMasses(Marginal):
             raise ValueError("points and probs must have equal length")
         if not self.points:
             raise ValueError("need at least one support point")
+        _reject_nan(f"{self.type} probs", *self.probs, finite=True)
         if any(p < 0 for p in self.probs):
             raise ValueError("probabilities must be nonnegative")
         if abs(sum(self.probs) - 1.0) > 1e-12:
@@ -314,6 +319,7 @@ class PointMasses(Marginal):
         if len({len(p) for p in self.points}) != 1:
             raise ValueError("support points must share one dimension")
         self._check_counts("instance dimension", points=self.dim)
+        _reject_nan(f"{self.type} points", *itertools.chain(*self.points), finite=True)
         if len(set(self.points)) != len(self.points):
             raise ValueError("support points must be distinct")
 
@@ -351,6 +357,7 @@ class ConditionalTable(JsonFields):
     def __post_init__(self):
         if len(self.points) != len(self.p1):
             raise ValueError("points and p1 must have equal length")
+        _reject_nan("conditional table points", *itertools.chain(*self.points), finite=True)
         if any(not (0.0 <= q <= 1.0) for q in self.p1):
             raise ValueError("conditional probabilities must lie in [0, 1]")
         object.__setattr__(self, "_map", dict(zip(self.points, self.p1)))
@@ -496,54 +503,35 @@ def draw_sample(D: DataDistribution, m: int, seed: SeedSpec) -> LabeledSample:
 
 
 # ---------------------------------------------------------------------------
-# Exact risk: 1-d interval algebra
+# Exact risk: one rule per hypothesis type, on a run of parameter rows
 # ---------------------------------------------------------------------------
 
-
-def _positive_intervals_1d(h: Hypothesis, lo: float, hi: float) -> list[tuple[float, float]]:
-    """The region labeled 1 inside [lo, hi], as sorted disjoint intervals."""
-    if isinstance(h, Threshold):
-        if h.direction == "ge":
-            a, b = max(h.theta, lo), hi
-        else:
-            a, b = lo, min(h.theta, hi)
-        return [(a, b)] if a <= b else []
-    if isinstance(h, Interval):
-        a, b = max(h.lo, lo), min(h.hi, hi)
-        return [(a, b)] if a <= b else []
-    if isinstance(h, IntervalUnion):
-        out = []
-        for ilo, ihi in h.intervals:
-            a, b = max(ilo, lo), min(ihi, hi)
-            if a <= b:
-                out.append((a, b))
-        return out
-    raise AnalyticRiskUnavailable(
-        f"no interval decomposition for hypothesis kind {type(h).__name__}"
-    )
+# The parts each row of a 1-d run labels 1, before they are clipped to the
+# box: (starts, ends), one column per part.
+_INTERVAL_PARTS = {
+    Threshold: lambda key, P: (P, np.inf) if key == "ge" else (-np.inf, P),
+    **dict.fromkeys((Interval, IntervalUnion), lambda key, P: (P[:, 0::2], P[:, 1::2])),
+}
 
 
-def _measure(ivs: list[tuple[float, float]]) -> float:
-    return sum(b - a for a, b in ivs)
+def _clipped_parts(run: tuple, lo: float, hi: float) -> list[np.ndarray]:
+    """[starts, ends]: the parts each row of a 1-d run labels 1 inside
+    [lo, hi], one column per part, empty where start > end."""
+    _, _, (typ, key), P, _ = run
+    if typ not in _INTERVAL_PARTS:
+        raise AnalyticRiskUnavailable(
+            f"no interval decomposition for hypothesis kind {typ.__name__}")
+    starts, ends = _INTERVAL_PARTS[typ](key, P)
+    return np.broadcast_arrays(np.maximum(starts, lo), np.minimum(ends, hi))
 
 
-def _intersect_unions(A: list[tuple[float, float]], B: list[tuple[float, float]]):
-    out = []
-    for a1, b1 in A:
-        for a2, b2 in B:
-            lo, hi = max(a1, a2), min(b1, b2)
-            if lo < hi:
-                out.append((lo, hi))
-    return out
-
-
-def _symdiff_measure_1d(A, B) -> float:
-    return _measure(A) + _measure(B) - 2.0 * _measure(_intersect_unions(A, B))
-
-
-# ---------------------------------------------------------------------------
-# Exact risk: 2-d convex geometry
-# ---------------------------------------------------------------------------
+def _lengths(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Per row, the lengths of the parts [start, end] added left to right, a
+    column at a time; an empty or one-point part adds 0.0."""
+    total = np.zeros(len(starts))
+    for a, b in zip(starts.T, ends.T):
+        total += np.subtract(b, a, out=np.zeros(len(a)), where=a < b)
+    return total
 
 
 def _clip_halfplane(poly: list[tuple[float, float]], w, b) -> list[tuple[float, float]]:
@@ -578,22 +566,6 @@ def _poly_area(poly: list[tuple[float, float]]) -> float:
     return abs(s) / 2.0
 
 
-def _positive_polygon_2d(h: Hypothesis, box: list[tuple[float, float]]):
-    """The region labeled 1 inside the box, as a convex polygon."""
-    if isinstance(h, Rectangle):
-        poly = box
-        for j, (lo, hi) in enumerate(h.bounds):
-            axis = (1.0, 0.0) if j == 0 else (0.0, 1.0)
-            poly = _clip_halfplane(poly, axis, -lo)
-            poly = _clip_halfplane(poly, (-axis[0], -axis[1]), hi)
-        return poly
-    if isinstance(h, Halfspace):
-        return _clip_halfplane(box, h.weights, h.bias)
-    raise AnalyticRiskUnavailable(
-        f"no convex region for hypothesis kind {type(h).__name__} in 2d"
-    )
-
-
 def _convex_intersection_area(P, Q) -> float:
     if not P or not Q:
         return 0.0
@@ -611,59 +583,83 @@ def _convex_intersection_area(P, Q) -> float:
     return _poly_area(poly)
 
 
-# ---------------------------------------------------------------------------
-# Risk operations
-# ---------------------------------------------------------------------------
+def _rectangle_region(row: list[float], box: list[tuple[float, float]]):
+    poly = box
+    for j, axis in enumerate(((1.0, 0.0), (0.0, 1.0))):
+        poly = _clip_halfplane(poly, axis, -row[2 * j])
+        poly = _clip_halfplane(poly, (-axis[0], -axis[1]), row[2 * j + 1])
+    return poly
 
 
-def _noiseless_disagreement(D: DataDistribution, h: Hypothesis) -> float:
-    """Probability mass of {x : h(x) != labeler(x)} with the noise turned off."""
-    if not isinstance(D.labeler, Hypothesis):
-        raise AnalyticRiskUnavailable("disagreement measure needs a hypothesis labeler")
+# The convex polygon a parameter row of a 2-d run labels 1 inside the box.
+_CONVEX_REGIONS = {
+    Rectangle: _rectangle_region,
+    Halfspace: lambda row, box: _clip_halfplane(box, row[:-1], row[-1]),
+}
+
+
+def _convex_region(typ: type):
+    if typ not in _CONVEX_REGIONS:
+        raise AnalyticRiskUnavailable(f"no convex region for hypothesis kind {typ.__name__} in 2d")
+    return _CONVEX_REGIONS[typ]
+
+
+def _run_risks(D: DataDistribution, run: tuple) -> np.ndarray:
+    """The exact risk on D of each member of one (start, stop, (type, key),
+    P, first member) run of a StackedMembers, from its parameter rows P.
+
+    Raises ValueError when the run's dimension is not D's, and
+    AnalyticRiskUnavailable when D has no closed form for the run's type.
+    """
+    _, _, (typ, _), P, h = run
+    if h.dim != D.dim:
+        raise ValueError(f"hypothesis dimension {h.dim} does not match distribution {D.dim}")
     sup = D.marginal.support()
     if sup is not None:
         pts, probs = sup
-        disagree = h.labels(pts) != D.labeler.labels(pts)
-        return float(np.sum(probs[disagree]))
-    if isinstance(D.marginal, UniformBox):
-        if D.marginal.dim == 1:
-            lo, hi = D.marginal.bounds[0]
-            A = _positive_intervals_1d(h, lo, hi)
-            B = _positive_intervals_1d(D.labeler, lo, hi)
-            return _symdiff_measure_1d(A, B) / (hi - lo)
-        if D.marginal.dim == 2:
-            (x0, x1), (y0, y1) = D.marginal.bounds
-            box = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-            P = _positive_polygon_2d(h, box)
-            Q = _positive_polygon_2d(D.labeler, box)
-            total = (x1 - x0) * (y1 - y0)
-            inter = _convex_intersection_area(P, Q)
-            return (_poly_area(P) + _poly_area(Q) - 2.0 * inter) / total
+        labels = np.empty((len(P), len(pts)), dtype=bool)
+        h._label_stack(labels, P, pts)
+        if isinstance(D.labeler, ConditionalTable):
+            q = D.labeler.prob1(pts)
+            q_eff = q * (1.0 - D.noise) + (1.0 - q) * D.noise
+            return np.array([np.dot(probs, row)
+                             for row in np.where(labels, 1.0 - q_eff, q_eff)])
+        rho = np.array([np.sum(probs[row]) for row in labels != D.labeler.labels(pts)])
+    elif not isinstance(D.marginal, UniformBox):
         raise AnalyticRiskUnavailable(
-            f"uniform-box geometry is implemented for 1 and 2 dimensions, not {D.marginal.dim}"
-        )
-    raise AnalyticRiskUnavailable(
-        f"no analytic route for marginal type {type(D.marginal).__name__}"
-    )
+            f"no analytic route for marginal type {type(D.marginal).__name__}")
+    elif D.dim == 1:
+        lo, hi = D.marginal.bounds[0]
+        (a, b), (l_a, l_b) = (_clipped_parts(r, lo, hi)
+                              for r in (run, *StackedMembers([D.labeler])._runs))
+        # the meets of h's parts (outer) with the labeler's (inner)
+        meets = (np.maximum(a[:, :, None], l_a).reshape(len(P), -1),
+                 np.minimum(b[:, :, None], l_b).reshape(len(P), -1))
+        rho = (_lengths(a, b) + _lengths(l_a, l_b) - 2.0 * _lengths(*meets)) / (hi - lo)
+    elif D.dim == 2:
+        (x0, x1), (y0, y1) = D.marginal.bounds
+        box = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+        region = _convex_region(typ)
+        (_, _, (l_typ, _), L, _), = StackedMembers([D.labeler])._runs
+        Q = _convex_region(l_typ)(L[0].tolist(), box)
+        area_q, total = _poly_area(Q), (x1 - x0) * (y1 - y0)
+        rho = np.array([
+            (_poly_area(R) + area_q - 2.0 * _convex_intersection_area(R, Q)) / total
+            for R in (region(row, box) for row in P.tolist())])
+    else:
+        raise AnalyticRiskUnavailable(
+            f"uniform-box geometry is implemented for 1 and 2 dimensions, not {D.marginal.dim}")
+    return D.noise + (1.0 - 2.0 * D.noise) * rho
 
 
 def true_risk(D: DataDistribution, h: Hypothesis) -> float:
-    """Exact probability that h mislabels a fresh draw from D.
+    """Exact probability that h mislabels a fresh draw from D: the one-member
+    case of the per-run rule of ``member_risks``.
 
     Raises AnalyticRiskUnavailable (never a numeric stand-in) when the
     combination has no closed form; callers must then use mc_risk.
     """
-    if h.dim != D.dim:
-        raise ValueError(f"hypothesis dimension {h.dim} does not match distribution {D.dim}")
-    if isinstance(D.labeler, ConditionalTable):
-        pts, probs = D.marginal.support()  # validated finite at construction
-        q = D.labeler.prob1(pts)
-        q_eff = q * (1.0 - D.noise) + (1.0 - q) * D.noise
-        pred = h.labels(pts).astype(float)
-        per_point = np.where(pred == 1.0, 1.0 - q_eff, q_eff)
-        return float(np.dot(probs, per_point))
-    rho = _noiseless_disagreement(D, h)
-    return D.noise + (1.0 - 2.0 * D.noise) * rho
+    return float(_run_risks(D, StackedMembers([h])._runs[0])[0])
 
 
 def hoeffding_band(n: int) -> float:
@@ -694,23 +690,26 @@ def member_risks(
     """(risks, mc) of each member in order: its exact risk when D has a
     closed form for it, else its ``mc_risk`` estimate over mc_n draws from
     seed.derive(stream, indices[j]) for member j (indices default to 0, 1, ...);
-    the boolean mask mc marks the members estimated by Monte Carlo.
+    the boolean mask mc marks the members estimated by Monte Carlo.  Each run
+    of the stacked members is risked exactly by one call of its type's rule,
+    so a member object is built only for a member that needs Monte Carlo.
 
     The Monte Carlo samples are drawn through ``draw_blocks``, at most
     LABEL_BLOCK_CELLS // mc_n seeds (at least one) per block, so the seeds
     of all the Monte Carlo members are derived in one pass.  Without both
     mc_n and seed, a missing closed form raises AnalyticRiskUnavailable.
     """
-    indices = range(len(members)) if indices is None else indices
-    risks = np.empty(len(members))
-    mc = np.zeros(len(members), dtype=bool)
-    for j, h in enumerate(members):
+    stacked = members if isinstance(members, StackedMembers) else StackedMembers(members)
+    indices = range(len(stacked)) if indices is None else indices
+    risks = np.empty(len(stacked))
+    mc = np.zeros(len(stacked), dtype=bool)
+    for run in stacked._runs:
         try:
-            risks[j] = true_risk(D, h)
+            risks[run[0]:run[1]] = _run_risks(D, run)
         except AnalyticRiskUnavailable:
             if mc_n is None or seed is None:
                 raise
-            mc[j] = True
+            mc[run[0]:run[1]] = True
     todo = np.flatnonzero(mc).tolist()
     if not todo:
         return risks, mc

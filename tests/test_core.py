@@ -43,6 +43,7 @@ from sltlab.core import (
     predict,
     trial_error_counts,
 )
+from sltlab.distributions import ConditionalTable, FiniteUniform, PointMasses
 
 
 class TestPredict:
@@ -496,7 +497,8 @@ class TestNanParameters:
     """NaN orders with nothing, so it is refused where an order check would
     pass it.  The infinities stay accepted, save in a factor of a coordinate
     (a sine frequency, a halfspace weight, a halfplane angle), where inf * 0
-    would be NaN."""
+    would be NaN, and in the points of a finite marginal or a conditional
+    table, which are instances."""
 
     @pytest.mark.parametrize("build", [
         lambda v: Threshold(v),
@@ -521,6 +523,11 @@ class TestNanParameters:
         lambda v: HalfspaceClass2D(offset_lo=v),
         lambda v: HalfspaceClass2D(offset_hi=v),
         lambda v: SineClass(alpha_lo=v),
+        lambda v: FiniteUniform(((v,),)),
+        lambda v: FiniteUniform(((0.0, 1.0), (1.0, v))),
+        lambda v: PointMasses(((0.0,), (1.0,)), (v, 1.0)),
+        lambda v: PointMasses(((v,), (1.0,)), (0.5, 0.5)),
+        lambda v: ConditionalTable(((v,),), (0.5,)),
     ])
     def test_nan_is_rejected(self, build):
         with pytest.raises(ValueError, match="must not be NaN"):
@@ -534,6 +541,10 @@ class TestNanParameters:
         (lambda v: SineClass(alpha_hi=v), "sine: alpha_hi"),
         (lambda v: RectangleClass(bounds=((0.0, v),)), "rectangles: bounds"),
         (lambda v: Halfspace((1.0, v), 0.0), "halfspace weights and bias"),
+        (lambda v: FiniteUniform(((0.0,), (v,))), "finite_uniform points"),
+        (lambda v: PointMasses(((0.0,), (1.0,)), (0.0, v)), "point_masses probs"),
+        (lambda v: PointMasses(((0.0, v),), (1.0,)), "point_masses points"),
+        (lambda v: ConditionalTable(((v,), (0.0,)), (0.5, 0.5)), "conditional table points"),
     ])
     def test_nan_error_names_the_field(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)} must not be NaN$"):
@@ -547,10 +558,15 @@ class TestNanParameters:
         (lambda v: SineClass(grid=GridSpec(((1.0, v),))), "sine: grid frequencies"),
         (lambda v: HalfspaceClass2D(grid=GridSpec(((0.0, -v), (0.0,)))),
          "halfspaces2d: grid angles"),
+        (lambda v: FiniteUniform(((v,), (0.0,))), "finite_uniform points"),
+        (lambda v: PointMasses(((-v,), (0.0,)), (0.5, 0.5)), "point_masses points"),
+        (lambda v: ConditionalTable(((0.0, v),), (0.5,)), "conditional table points"),
     ])
     def test_infinite_factor_is_rejected(self, build, message):
         # SineSign(inf) would label x = 0 as 0 (sin(inf * 0) is NaN), where
-        # the tie sin(0) = 0 gives 1; an infinite angle has no cosine.
+        # the tie sin(0) = 0 gives 1; an infinite angle has no cosine.  A
+        # support point at infinity could not be drawn, yet its risk was
+        # summed.
         with pytest.raises(ValueError, match=f"^{re.escape(message)} must be finite$"):
             build(math.inf)
 

@@ -211,7 +211,18 @@ class TestDrawBlock:
             assert np.array_equal(X[t], rX) and np.array_equal(y[t], ry)
 
     def test_non_finite_instances_rejected(self):
-        D = DataDistribution(FiniteUniform(((0.0,), (math.inf,))), Threshold(0.5))
+        # A finite support refuses a point at infinity when it is built, so
+        # the draw's own check is reached through a marginal of another type.
+        with pytest.raises(ValueError, match="finite_uniform points must be finite"):
+            FiniteUniform(((0.0,), (math.inf,)))
+
+        class AtInfinity(distributions.Marginal):
+            dim = 1
+
+            def sample(self, rng, out):
+                out[:] = math.inf
+
+        D = DataDistribution(AtInfinity(), Threshold(0.5))
         with pytest.raises(ValueError, match="finite coordinates"):
             one_block(D, 50, [SeedSpec(0)])
 

@@ -124,34 +124,35 @@ class TestLearnability:
             assert r.estimation == risk - min_risk
             assert r.success == (risk <= min_risk + 0.1)
 
-    def test_one_exact_risk_per_member(self, monkeypatch):
+    @staticmethod
+    def count_rule_calls(monkeypatch):
+        """(type, members) of each run the exact-risk rule is called on."""
         calls = []
-        original = distributions.true_risk
+        original = distributions._run_risks
 
-        def counted(D, h):
-            calls.append(h)
-            return original(D, h)
+        def counted(D, run):
+            a, b, (typ, _), *_ = run
+            calls.append((typ, b - a))
+            return original(D, run)
 
-        monkeypatch.setattr(distributions, "true_risk", counted)
+        monkeypatch.setattr(distributions, "_run_risks", counted)
+        return calls
+
+    def test_one_risk_rule_call_per_run(self, monkeypatch):
+        calls = self.count_rule_calls(monkeypatch)
         verify_learnability(H, D, m=20, eps=0.1, delta=0.1, trials=200, seed=SeedSpec(1))
-        assert len(calls) == len(enumerate_class(H)) == 41
+        assert calls == [(Threshold, len(enumerate_class(H)))] == [(Threshold, 41)]
 
-    def test_one_exact_risk_per_exact_member_of_a_mixed_class(self, monkeypatch):
-        # only the Monte Carlo picks are risked again, on their trial's stream
-        exact, sine = Threshold(0.45), SineSign(-np.pi / 0.55)
-        calls = []
-        original = distributions.true_risk
-
-        def counted(D, h):
-            calls.append(h)
-            return original(D, h)
-
-        monkeypatch.setattr(distributions, "true_risk", counted)
-        s = verify_learnability(FiniteClass((exact, sine)), D, m=10, eps=0.1, delta=0.1,
-                                trials=300, seed=SeedSpec(9), mc_n=300, keep_records=True)
+    def test_one_risk_rule_call_per_run_of_a_mixed_class(self, monkeypatch):
+        # the threshold run is risked once; the sine run once for the class
+        # vector, and its Monte Carlo picks once more, on their trials' stream
+        calls = self.count_rule_calls(monkeypatch)
+        s = verify_learnability(FiniteClass((Threshold(0.45), SineSign(-np.pi / 0.55))), D,
+                                m=10, eps=0.1, delta=0.1, trials=300, seed=SeedSpec(9),
+                                mc_n=300, keep_records=True)
         kinds = [r.hypothesis["kind"] for r in s.records]
-        assert calls.count(exact) == 1 and kinds.count("threshold") > 0
-        assert calls.count(sine) == 1 + kinds.count("sine") > 1
+        assert kinds.count("threshold") > 0 and kinds.count("sine") > 1
+        assert calls == [(Threshold, 1), (SineSign, 1), (SineSign, kinds.count("sine"))]
 
     def test_no_records_built_unless_kept(self, monkeypatch):
         def refuse(*args, **kwargs):
