@@ -35,7 +35,8 @@ from .core import (
     real_number,
     whole_number,
 )
-from .distributions import AnalyticRiskUnavailable, SeedSpec, draw_sample, mc_risk, true_risk
+from .distributions import (AnalyticRiskUnavailable, SeedSpec, draw_sample, hoeffding_band,
+                            member_risks)
 from .experiments import (
     DEFAULT_NFL_LEARNER,
     NFL_LEARNERS,
@@ -368,17 +369,16 @@ def _run_risk(cfg: dict):
     if h.dim != D.dim:
         raise ConfigError(f"config.hypothesis: hypothesis {h.kind} has dimension {h.dim}, but "
                           f"config.dist has dimension {D.dim}")
-    try:
-        value = true_risk(D, h)
+    # Without mc_n, a missing closed form raises and run names config.mc_n.
+    risks, mc = member_risks(D, [h], cfg.get("mc_n"), SeedSpec(cfg["seed"]), "cli-risk")
+    value = float(risks[0])
+    if not mc[0]:
         payload = {"risk": value, "method": "analytic", "hypothesis": h.to_json()}
-        lines = [f"risk = {value:.17g} (analytic)"]
-    except AnalyticRiskUnavailable:
-        if "mc_n" not in cfg:
-            raise  # run names config.mc_n
-        est, band = mc_risk(D, h, cfg["mc_n"], SeedSpec(cfg["seed"], "cli-risk"))
-        payload = {"risk": est, "method": "monte_carlo", "band": band,
-                   "n": cfg["mc_n"], "hypothesis": h.to_json()}
-        lines = [f"risk ~= {est:.17g} +/- {band:.3g} (monte carlo, n={cfg['mc_n']})"]
+        return EXIT_OK, [f"risk = {value:.17g} (analytic)"], {"risk.json": payload}
+    band = hoeffding_band(cfg["mc_n"])
+    payload = {"risk": value, "method": "monte_carlo", "band": band,
+               "n": cfg["mc_n"], "hypothesis": h.to_json()}
+    lines = [f"risk ~= {value:.17g} +/- {band:.3g} (monte carlo, n={cfg['mc_n']})"]
     return EXIT_OK, lines, {"risk.json": payload}
 
 

@@ -6,8 +6,7 @@ family (a point exactly on a threshold, an interval endpoint, a separating
 line, or sin(alpha*x) == 0) maps to label 1; this single convention is
 applied everywhere in the package.
 
-All types are immutable after construction and all operations are pure, so
-values can be shared freely across concurrent workers.
+All types are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -289,6 +288,19 @@ def _reject_nan(what: str, *values: float, finite: bool = False) -> None:
         raise ValueError(f"{what} must be finite")
 
 
+def _check_points(tag: str, points) -> int:
+    """The dimension, 1 if none, of finite points of one dimension, distinct as dict keys."""
+    dim, *other = {len(p) for p in points} or {1}
+    if other:
+        raise ValueError(f"{tag} points must share one dimension, got {sorted({dim, *other})}")
+    if dim < 1:
+        raise ValueError(f"{tag}: points: instance dimension must be at least 1, got {dim}")
+    _reject_nan(f"{tag} points", *itertools.chain(*points), finite=True)
+    if len(set(points)) < len(points):
+        raise ValueError(f"{tag} points must be distinct")
+    return dim
+
+
 def _in_closed(x: np.ndarray, P: np.ndarray, j: int, out: np.ndarray | None = None) -> np.ndarray:
     """(k, n) bool: P[i, j] <= x <= P[i, j + 1] for each row i of P and point x."""
     out = np.greater_equal(x, P[:, j:j + 1], out=out)
@@ -487,12 +499,8 @@ class LookupTable(Hypothesis):
             raise ValueError("points and labels must have equal length")
         if any(lab not in (0, 1) for lab in self.point_labels) or self.default not in (0, 1):
             raise ValueError("labels must be 0 or 1")
-        dims = {len(p) for p in self.points}
-        if len(dims) > 1:
-            raise ValueError("all table points must share one dimension")
+        object.__setattr__(self, "_dim", _check_points(self.kind, self.points))
         object.__setattr__(self, "_table", dict(zip(self.points, self.point_labels)))
-        object.__setattr__(self, "_dim", dims.pop() if dims else 1)
-        self._check_counts("instance dimension", points=self._dim)
 
     @property
     def dim(self) -> int:

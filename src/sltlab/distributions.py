@@ -46,6 +46,7 @@ from .core import (
     Rectangle,
     StackedMembers,
     Threshold,
+    _check_points,
     _reject_nan,
     check_keys,
     from_tagged,
@@ -245,9 +246,14 @@ class UniformBox(Marginal):
                 raise ValueError(f"box side [{lo}, {hi}] must have finite length")
         low = np.array([lo for lo, _ in self.bounds], dtype=float)
         span = np.array([hi for _, hi in self.bounds], dtype=float) - low
+        volume = math.prod(span.tolist())  # the divisor of an exact risk
+        if not 0.0 < volume < math.inf:
+            raise ValueError(f"{self.type}: bounds: volume must be positive and finite, "
+                             f"got {volume}")
         low.flags.writeable = span.flags.writeable = False
         object.__setattr__(self, "_low", low)
         object.__setattr__(self, "_span", span)
+        object.__setattr__(self, "_volume", volume)
 
     @property
     def dim(self) -> int:
@@ -277,12 +283,7 @@ class FiniteUniform(Marginal):
     def __post_init__(self):
         if not self.points:
             raise ValueError("need at least one support point")
-        if len({len(p) for p in self.points}) != 1:
-            raise ValueError("support points must share one dimension")
-        self._check_counts("instance dimension", points=self.dim)
-        _reject_nan(f"{self.type} points", *itertools.chain(*self.points), finite=True)
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("support points must be distinct")
+        _check_points(self.type, self.points)
 
     @property
     def dim(self) -> int:
@@ -316,12 +317,7 @@ class PointMasses(Marginal):
             raise ValueError("probabilities must be nonnegative")
         if abs(sum(self.probs) - 1.0) > 1e-12:
             raise ValueError(f"probabilities must sum to 1, got {sum(self.probs)}")
-        if len({len(p) for p in self.points}) != 1:
-            raise ValueError("support points must share one dimension")
-        self._check_counts("instance dimension", points=self.dim)
-        _reject_nan(f"{self.type} points", *itertools.chain(*self.points), finite=True)
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("support points must be distinct")
+        _check_points(self.type, self.points)
 
     @property
     def dim(self) -> int:
@@ -357,7 +353,7 @@ class ConditionalTable(JsonFields):
     def __post_init__(self):
         if len(self.points) != len(self.p1):
             raise ValueError("points and p1 must have equal length")
-        _reject_nan("conditional table points", *itertools.chain(*self.points), finite=True)
+        _check_points("conditional table", self.points)
         if any(not (0.0 <= q <= 1.0) for q in self.p1):
             raise ValueError("conditional probabilities must lie in [0, 1]")
         object.__setattr__(self, "_map", dict(zip(self.points, self.p1)))
@@ -635,14 +631,15 @@ def _run_risks(D: DataDistribution, run: tuple) -> np.ndarray:
         # the meets of h's parts (outer) with the labeler's (inner)
         meets = (np.maximum(a[:, :, None], l_a).reshape(len(P), -1),
                  np.minimum(b[:, :, None], l_b).reshape(len(P), -1))
-        rho = (_lengths(a, b) + _lengths(l_a, l_b) - 2.0 * _lengths(*meets)) / (hi - lo)
+        rho = (_lengths(a, b) + _lengths(l_a, l_b)
+               - 2.0 * _lengths(*meets)) / D.marginal._volume
     elif D.dim == 2:
         (x0, x1), (y0, y1) = D.marginal.bounds
         box = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
         region = _convex_region(typ)
         (_, _, (l_typ, _), L, _), = StackedMembers([D.labeler])._runs
         Q = _convex_region(l_typ)(L[0].tolist(), box)
-        area_q, total = _poly_area(Q), (x1 - x0) * (y1 - y0)
+        area_q, total = _poly_area(Q), D.marginal._volume
         rho = np.array([
             (_poly_area(R) + area_q - 2.0 * _convex_intersection_area(R, Q)) / total
             for R in (region(row, box) for row in P.tolist())])

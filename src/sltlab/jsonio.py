@@ -57,12 +57,6 @@ _FULL, _LEADING, _UNITS, _TRAILING, _NUL, _MINUS, _POINT, _COMMA, _LABEL = (
 # X >= 4 (4 - j), and the last quad keeps a lone 0.
 _WHOLE_TABLES = np.where(np.arange(-4, 16) >= 4 * np.arange(4, 0, -1)[:, None], _FULL,
                          np.array([_LEADING, _LEADING, _LEADING, _UNITS])[:, None])
-# Fewest cells, and fewest in-range cells, for which a block goes through
-# the kernel.  Its fixed cost, some 90 numpy calls or about 0.15 ms on a
-# 2-core x86 host, is what the template spends on about 300 cells, and a
-# mixed block also pays for the merge.  At 1024, blocks of 55% to 90% cells
-# below 1e-4 wrote as fast as by the template alone.
-_KERNEL_MIN_CELLS = 1024
 _POW10 = 10 ** np.arange(18)
 # 10^P for P = 0..21 as a float and as its Veltkamp split into two halves of
 # at most 26 significant bits, whose products with a half of a are exact.
@@ -142,15 +136,13 @@ def csv_rows(X: np.ndarray, y: np.ndarray) -> str:
     other rows go through the % template in one call, each cell padded with
     spaces to its widest, 24 characters, and are merged back by row index.
     Neither a NUL, the kernel's padding, nor a space is part of a cell, and
-    bytes.translate drops both.  A block with fewer than _KERNEL_MIN_CELLS
-    in-range cells goes through the template whole."""
+    bytes.translate drops both.  A block with no kernel row goes through
+    the template whole."""
     n, d = X.shape
-    if n * d < _KERNEL_MIN_CELLS:
-        return _template_rows(X, y)
     a = np.abs(X)
     fast = ((a >= 1e-4) & (a < 1e16) | (a == 0)).all(axis=1)
     kept = np.count_nonzero(fast)
-    if kept * d < _KERNEL_MIN_CELLS:
+    if not kept:
         return _template_rows(X, y)
     words = np.empty((d * 12 + 1, kept), np.intp)  # one column per row
     _kernel_cells(X[fast].T, np.moveaxis(words[:-1].reshape(d, 12, kept), 1, 0))

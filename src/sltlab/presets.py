@@ -166,40 +166,38 @@ def preset_names() -> list[str]:
     return sorted(RUN_PRESETS)
 
 
+def _resolve(spec: str, opener: str, read, table: dict, unknown: str):
+    """read(json.loads(spec)) if spec is inline JSON opening with opener, else
+    the entry of table named spec."""
+    if spec.lstrip().startswith(opener):
+        return read(json.loads(spec))
+    if spec not in table:
+        raise ValueError(f"{unknown} {spec!r}; choose from {sorted(table)}")
+    return table[spec]
+
+
 def resolve_class(spec: str) -> HypothesisClass:
     """A class preset name or an inline JSON family description."""
-    if spec.lstrip().startswith("{"):
-        return class_from_json(json.loads(spec))
-    if spec not in CLASSES:
-        raise ValueError(f"unknown class preset {spec!r}; choose from {sorted(CLASSES)}")
-    return CLASSES[spec]
+    return _resolve(spec, "{", class_from_json, CLASSES, "unknown class preset")
+
+
+def _pool_rows(data) -> np.ndarray:
+    rows = [r if isinstance(r, list) else [r] for r in data]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"pool: row {i} has {len(row)} coordinates, expected {len(rows[0])}")
+    return np.asarray(rows, dtype=float)
 
 
 def resolve_pool(spec: str) -> np.ndarray:
-    if spec.lstrip().startswith("["):
-        rows = [r if isinstance(r, list) else [r] for r in json.loads(spec)]
-        for i, row in enumerate(rows):
-            if len(row) != len(rows[0]):
-                raise ValueError(f"pool: row {i} has {len(row)} coordinates, expected {len(rows[0])}")
-        return np.asarray(rows, dtype=float)
-    if spec not in POOLS:
-        raise ValueError(f"no point pool named {spec!r}; choose from {sorted(POOLS)}")
-    return POOLS[spec]
+    return _resolve(spec, "[", _pool_rows, POOLS, "no point pool named")
 
 
 def resolve_distribution(spec: str) -> DataDistribution:
-    if spec.lstrip().startswith("{"):
-        return DataDistribution.from_json(json.loads(spec))
-    if spec not in DISTRIBUTIONS:
-        raise ValueError(
-            f"unknown distribution preset {spec!r}; choose from {sorted(DISTRIBUTIONS)}"
-        )
-    return DISTRIBUTIONS[spec]
+    return _resolve(spec, "{", DataDistribution.from_json, DISTRIBUTIONS,
+                    "unknown distribution preset")
 
 
 def resolve_sequence(spec: str) -> WeightedClassSequence:
-    if spec.lstrip().startswith("{"):
-        return WeightedClassSequence.from_json(json.loads(spec))
-    if spec not in SEQUENCES:
-        raise ValueError(f"unknown sequence preset {spec!r}; choose from {sorted(SEQUENCES)}")
-    return SEQUENCES[spec]
+    return _resolve(spec, "{", WeightedClassSequence.from_json, SEQUENCES,
+                    "unknown sequence preset")

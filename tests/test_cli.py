@@ -22,9 +22,10 @@ from sltlab.cli import (
     run,
     validate_config,
 )
-from sltlab.core import LabeledSample, Rectangle
-from sltlab.distributions import DataDistribution, SeedSpec, UniformBox, draw_sample
-from sltlab.presets import RUN_PRESETS, preset_names
+from sltlab.core import LabeledSample, Rectangle, hypothesis_from_json
+from sltlab.distributions import (DataDistribution, SeedSpec, UniformBox, draw_sample, mc_risk,
+                                  true_risk)
+from sltlab.presets import RUN_PRESETS, preset_names, resolve_distribution
 from sltlab.shattering import VcReport, verify_certificate
 
 # sha256 of records.csv for each harness preset at --trials 20 --records,
@@ -441,6 +442,34 @@ class TestExitCodes:
         (["pac", "--preset", "pac-thresholds", "--class",
           '{"family": "intervals", "grid": {"axes": [[0, ' + HUGE_INT + "]]}}"],
          "config.class: intervals: grid: axes: int too large to convert to float"),
+        # A repeated table point, whose last entry would win a dict lookup.
+        (["risk", "--dist", '{"marginal": {"type": "finite_uniform", "points": [[0], [1]]}, '
+          '"labeler": {"table": {"points": [[0], [0], [1]], "p1": [0.1, 0.9, 0.5]}}}',
+          "--hypothesis", '{"kind": "threshold", "theta": 0.5}'],
+         "config.dist: distribution: labeler: table: conditional table points must be "
+         "distinct"),
+        (["risk", "--dist", '{"marginal": {"type": "finite_uniform", "points": [[0], [1]]}, '
+          '"labeler": {"table": {"points": [[0], [-0.0], [1]], "p1": [0.1, 0.9, 0.5]}}}',
+          "--hypothesis", '{"kind": "threshold", "theta": 0.5}'],
+         "config.dist: distribution: labeler: table: conditional table points must be "
+         "distinct"),
+        (["risk", "--dist", "finite4-uniform", "--hypothesis",
+          '{"kind": "lookup", "points": [[0], [0]], "labels": [1, 0]}'],
+         "config.hypothesis: lookup points must be distinct"),
+        # A 2-d box whose area underflows to 0 or overflows: its exact risk
+        # divides by the area.
+        (["risk", "--dist", '{"marginal": {"type": "uniform_box", '
+          '"bounds": [[-1, -0.5], [0, 5e-324]]}, "labeler": {"hypothesis": {"kind": '
+          '"halfspace", "weights": [1, -1], "bias": 0.1}}}',
+          "--hypothesis", '{"kind": "rectangle", "bounds": [[0.2, 0.6], [0.2, 1.0]]}'],
+         "config.dist: distribution: marginal: uniform_box: bounds: volume must be positive "
+         "and finite, got 0.0"),
+        (["risk", "--dist", '{"marginal": {"type": "uniform_box", '
+          '"bounds": [[-1e300, 1e300], [-1e300, 1e300]]}, "labeler": {"hypothesis": {"kind": '
+          '"halfspace", "weights": [1, -1], "bias": 0.1}}}',
+          "--hypothesis", '{"kind": "halfspace", "weights": [1, 1], "bias": 0.1}'],
+         "config.dist: distribution: marginal: uniform_box: bounds: volume must be positive "
+         "and finite, got inf"),
     ])
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG
@@ -615,6 +644,9 @@ class TestRiskCommand:
         data = json.load(open(tmp_path / "risk.json"))
         assert data["method"] == "analytic"
         assert data["risk"] == pytest.approx(0.2, abs=1e-12)
+        preset = RUN_PRESETS["risk-threshold-demo"]
+        h = hypothesis_from_json(json.loads(preset["hypothesis"]))
+        assert data["risk"].hex() == true_risk(resolve_distribution(preset["dist"]), h).hex()
 
     def test_monte_carlo_route_needs_declared_n(self, tmp_path):
         sine = '{"kind": "sine", "alpha": 40.0}'
@@ -628,6 +660,9 @@ class TestRiskCommand:
         assert data["method"] == "monte_carlo"
         assert 0.0 <= data["risk"] <= 1.0
         assert data["band"] == pytest.approx((__import__("math").log(40) / 10000) ** 0.5)
+        D = resolve_distribution("uniform-threshold-clean")
+        h = hypothesis_from_json(json.loads(sine))
+        assert data["risk"].hex() == mc_risk(D, h, 5000, SeedSpec(3, "cli-risk"))[0].hex()
 
 
 class TestIngestCsv:

@@ -497,8 +497,8 @@ class TestNanParameters:
     """NaN orders with nothing, so it is refused where an order check would
     pass it.  The infinities stay accepted, save in a factor of a coordinate
     (a sine frequency, a halfspace weight, a halfplane angle), where inf * 0
-    would be NaN, and in the points of a finite marginal or a conditional
-    table, which are instances."""
+    would be NaN, and in the points of a finite marginal, a conditional table
+    or a lookup table, which are instances."""
 
     @pytest.mark.parametrize("build", [
         lambda v: Threshold(v),
@@ -528,6 +528,7 @@ class TestNanParameters:
         lambda v: PointMasses(((0.0,), (1.0,)), (v, 1.0)),
         lambda v: PointMasses(((v,), (1.0,)), (0.5, 0.5)),
         lambda v: ConditionalTable(((v,),), (0.5,)),
+        lambda v: LookupTable(((v,),), (1,)),
     ])
     def test_nan_is_rejected(self, build):
         with pytest.raises(ValueError, match="must not be NaN"):
@@ -545,6 +546,7 @@ class TestNanParameters:
         (lambda v: PointMasses(((0.0,), (1.0,)), (0.0, v)), "point_masses probs"),
         (lambda v: PointMasses(((0.0, v),), (1.0,)), "point_masses points"),
         (lambda v: ConditionalTable(((v,), (0.0,)), (0.5, 0.5)), "conditional table points"),
+        (lambda v: LookupTable(((0.0,), (v,)), (1, 0)), "lookup points"),
     ])
     def test_nan_error_names_the_field(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)} must not be NaN$"):
@@ -561,6 +563,7 @@ class TestNanParameters:
         (lambda v: FiniteUniform(((v,), (0.0,))), "finite_uniform points"),
         (lambda v: PointMasses(((-v,), (0.0,)), (0.5, 0.5)), "point_masses points"),
         (lambda v: ConditionalTable(((0.0, v),), (0.5,)), "conditional table points"),
+        (lambda v: LookupTable(((v,),), (1,)), "lookup points"),
     ])
     def test_infinite_factor_is_rejected(self, build, message):
         # SineSign(inf) would label x = 0 as 0 (sin(inf * 0) is NaN), where

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sltlab import core, jsonio
+from sltlab import core
 from sltlab.core import CSV_BLOCK_CHARS, LabeledSample
 
 
@@ -311,9 +311,8 @@ def sample_of(rows):
                     for k in range(-4, 16)]))
 @example(sample_of([[0.5, 1e-7], [1e16, -0.25], [-0.0, 5e-324]]))  # kernel and template cells
 @example(sample_of([[0.1, -1e300, 2.5], [3.0, 4.0, 0.0], [1e-5, 1e17, 123.456]]))
-def test_kernel_bytes_match_reference(tmp_path, monkeypatch, S):
-    # Every block goes through the kernel, however few its cells.
-    monkeypatch.setattr(jsonio, "_KERNEL_MIN_CELLS", 0)
+def test_kernel_bytes_match_reference(tmp_path, S):
+    # A block with a kernel row goes through the kernel, however few its cells.
     path, reference = tmp_path / "sample.csv", tmp_path / "reference.csv"
     S.to_csv(path)
     reference_to_csv(S, reference)
@@ -324,11 +323,10 @@ def test_kernel_bytes_match_reference(tmp_path, monkeypatch, S):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_template_rows_on_write_block_boundaries_match_reference(tmp_path, d):
-    # Three full write blocks of uniform cells, at the real kernel threshold;
-    # the rows on each side of every block boundary, and the first and last
-    # row, hold a cell the kernel leaves to the % template.
+    # Three full write blocks of uniform cells; the rows on each side of every
+    # block boundary, and the first and last row, hold a cell the kernel
+    # leaves to the % template.
     step = CSV_BLOCK_CHARS // ((core._CSV_CELL_CHARS + 1) * d + 3)
-    assert step * d >= jsonio._KERNEL_MIN_CELLS
     rng = np.random.default_rng(d)
     X = rng.uniform(-1, 1, (3 * step, d))
     for i, row in enumerate([0, step - 1, step, 2 * step - 1, 2 * step, 3 * step - 1]):

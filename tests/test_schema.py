@@ -280,6 +280,24 @@ def test_explicit_grid_is_the_enumerated_grid():
     # a count is checked even where an explicit grid leaves it unused
     (class_from_json, {"family": "thresholds", "resolution": 0, "grid": {"axes": [[0.5]]}},
      "thresholds: resolution: must be at least 1, got 0"),
+    # every point list holds distinct finite points of one dimension
+    (hypothesis_from_json, {"kind": "lookup", "points": [[0.0], [0.0]], "labels": [1, 0]},
+     "lookup points must be distinct"),
+    (hypothesis_from_json, {"kind": "lookup", "points": [[0.0], [-0.0]], "labels": [0, 1]},
+     "lookup points must be distinct"),
+    (DataDistribution.from_json,
+     {"marginal": {"type": "finite_uniform", "points": [[0.0], [1.0]]},
+      "labeler": {"table": {"points": [[0.0], [0.0], [1.0]], "p1": [0.1, 0.9, 0.5]}}},
+     "distribution: labeler: table: conditional table points must be distinct"),
+    (lambda points: ConditionalTable(points, (0.5, 0.5)), ((0.0,), (1.0, 2.0)),
+     "conditional table points must share one dimension, got [1, 2]"),
+    (lambda points: ConditionalTable(points, (0.5,)), ((),),
+     "conditional table: points: instance dimension must be at least 1, got 0"),
+    # a box's exact risk divides by its volume
+    (marginal_from_json, {"type": "uniform_box", "bounds": [[-1.0, -0.5], [0.0, 5e-324]]},
+     "uniform_box: bounds: volume must be positive and finite, got 0.0"),
+    (lambda bounds: UniformBox(bounds), ((-1e300, 1e300), (-1e300, 1e300)),
+     "uniform_box: bounds: volume must be positive and finite, got inf"),
 ])
 def test_bad_input_names_tag_and_key(reader, data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
