@@ -138,16 +138,6 @@ class RepresentativenessReport:
     n_hypotheses: int
     mc_band: float | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "eps": self.eps,
-            "worst_deviation": self.worst_deviation,
-            "worst_hypothesis": self.worst_hypothesis.to_json(),
-            "n_hypotheses": self.n_hypotheses,
-            "mc_band": self.mc_band,
-        }
-
 
 def is_eps_representative(
     S: LabeledSample,

@@ -2,9 +2,11 @@
 experiment dispatch, and CSV/JSON emission.
 
 Exit codes: 0 for a completed computation or a passing experiment verdict,
-2 for a failing verdict, 3 for an indeterminate verdict, 1 for usage or
-configuration errors.  Every run that writes files also writes a manifest
-with sha256 digests of the emitted outputs.
+2 for a failing verdict, 3 for an indeterminate verdict, 1 for a usage error
+or a config error, whose message names the config key (config.<key>) or file
+at fault.  Any other failure is a program bug and ends in a Python traceback.
+Every run that writes files also writes a manifest with sha256 digests of the
+emitted outputs.
 """
 
 from __future__ import annotations
@@ -104,25 +106,27 @@ def _int_list(value) -> list[int]:
     return values
 
 
-def _at_least_one(value) -> int:
-    n = _whole(value)
-    if n < 1:
-        raise ValueError(f"must be at least 1, got {n}")
-    return n
+def _within(cast, ok, rule: str):
+    """cast, then a range check: a value v that fails ok(v) raises
+    ValueError(f"{rule}, got {v}")."""
+    def check(value):
+        v = cast(value)
+        if not ok(v):
+            raise ValueError(f"{rule}, got {v}")
+        return v
+    return check
 
 
-def _nfl_m(value) -> int:
-    m = _at_least_one(value)
-    if m > NFL_MAX_M:
-        raise ValueError(f"the exact enumeration is capped at m={NFL_MAX_M}, got {m}")
-    return m
-
-
-def _sine_k(value) -> int:
-    k = _at_least_one(value)
-    if k > MAX_SINE_POINTS:
-        raise ValueError(f"the witness is capped at k={MAX_SINE_POINTS}, got {k}")
-    return k
+_at_least_one = _within(_whole, lambda n: n >= 1, "must be at least 1")
+_nonnegative = _within(_whole, lambda n: n >= 0, "must be nonnegative")
+_positive = _within(_real, lambda x: x > 0, "must be positive")
+_open_unit = _within(_real, lambda x: 0 < x < 1, "must lie in (0, 1)")
+_nfl_m = _within(_at_least_one, lambda m: m <= NFL_MAX_M,
+                 f"the exact enumeration is capped at m={NFL_MAX_M}")
+_sine_k = _within(_at_least_one, lambda k: k <= MAX_SINE_POINTS,
+                  f"the witness is capped at k={MAX_SINE_POINTS}")
+_label = _within(_whole, lambda v: v in (0, 1), "must be 0 or 1")
+_seed = _within(_whole, lambda n: 0 <= n < 2 ** 64, "must lie in [0, 2^64)")
 
 
 def _nfl_learner(value) -> str:
@@ -131,25 +135,11 @@ def _nfl_learner(value) -> str:
     return value
 
 
-def _label(value) -> int:
-    label = _whole(value)
-    if label not in (0, 1):
-        raise ValueError(f"must be 0 or 1, got {label}")
-    return label
-
-
 def _sample_sizes(value) -> list[int]:
     """A list of pairwise distinct sample sizes, each at least 1."""
     sizes = [_at_least_one(v) for v in _int_list(value)]
     check_distinct_sizes(sizes)
     return sizes
-
-
-def _seed(value) -> int:
-    n = _whole(value)
-    if not 0 <= n < 2 ** 64:
-        raise ValueError(f"must lie in [0, 2^64), got {n}")
-    return n
 
 
 def _each_seed(value) -> list[int]:
@@ -169,6 +159,8 @@ def _bool(value) -> bool:
 REQUIRED = object()
 _NOT_FLAGS = ("command", "preset_version")
 _BUDGET = (_at_least_one, DEFAULT_ENUMERATION_BUDGET)
+_DELTA = (_open_unit, REQUIRED)
+_C = (_positive, DEFAULT_C)
 
 _COMMON_KEYS = {
     "command": (str, REQUIRED), "preset": (str, None), "preset_version": (_whole, None),
@@ -177,9 +169,9 @@ _COMMON_KEYS = {
 }
 
 _COMMAND_KEYS: dict[str, dict] = {
-    "bounds": {"d": (_whole, REQUIRED), "eps": (_real, REQUIRED),
-               "delta": (_real, REQUIRED), "m": (_at_least_one, None),
-               "C": (_real, DEFAULT_C), "C1": (_real, DEFAULT_C1), "C2": (_real, DEFAULT_C2)},
+    "bounds": {"d": (_nonnegative, REQUIRED), "eps": (_open_unit, REQUIRED), "delta": _DELTA,
+               "m": (_at_least_one, None), "C": _C, "C1": (_positive, DEFAULT_C1),
+               "C2": (_positive, DEFAULT_C2)},
     "vcdim": {"class": (str, REQUIRED), "pool": (str, None),
               "subset_budget": (_at_least_one, DEFAULT_SUBSET_BUDGET),
               "enum_budget": (_at_least_one, DEFAULT_ENUMERATION_BUDGET),
@@ -188,23 +180,23 @@ _COMMAND_KEYS: dict[str, dict] = {
              "mc_n": (_at_least_one, None)},
     "erm": {"class": (str, REQUIRED), "data": (str, None), "dist": (str, None),
             "m": (_at_least_one, None), "budget": _BUDGET},
-    "srm": {"sequence": (str, REQUIRED), "delta": (_real, REQUIRED), "C": (_real, DEFAULT_C),
+    "srm": {"sequence": (str, REQUIRED), "delta": _DELTA, "C": _C,
             "data": (str, None), "dist": (str, None), "m": (_at_least_one, None),
             "budget": _BUDGET},
     "pac": {"class": (str, REQUIRED), "dist": (str, REQUIRED), "m": (_at_least_one, REQUIRED),
-            "eps": (_real, REQUIRED), "delta": (_real, REQUIRED),
+            "eps": (_positive, REQUIRED), "delta": _DELTA,
             "trials": (_at_least_one, REQUIRED), "mc_n": (_at_least_one, None),
             "budget": _BUDGET},
     "uc": {"class": (str, REQUIRED), "dist": (str, REQUIRED),
-           "m_values": (_sample_sizes, REQUIRED), "eps": (_real, REQUIRED),
-           "delta": (_real, REQUIRED), "trials": (_at_least_one, REQUIRED),
+           "m_values": (_sample_sizes, REQUIRED), "eps": (_positive, REQUIRED),
+           "delta": _DELTA, "trials": (_at_least_one, REQUIRED),
            "mc_n": (_at_least_one, None), "budget": _BUDGET},
     "nfl": {"m": (_nfl_m, REQUIRED), "learner": (_nfl_learner, DEFAULT_NFL_LEARNER),
             "default_label": (_label, DEFAULT_LABEL)},
     "tradeoff": {"sequence": (str, REQUIRED), "dist": (str, REQUIRED),
                  "m_values": (_sample_sizes, REQUIRED),
                  "trials": (_at_least_one, REQUIRED),
-                 "delta": (_real, REQUIRED), "C": (_real, DEFAULT_C),
+                 "delta": _DELTA, "C": _C,
                  "seeds": (_each_seed, None), "mc_n": (_at_least_one, None),
                  "budget": _BUDGET},
 }
@@ -252,7 +244,7 @@ def validate_config(raw: dict) -> dict:
             continue
         try:
             out[key] = table[key][0](value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"config.{key}: {exc}") from exc
     missing = []
     for key, (_, default) in table.items():
@@ -313,12 +305,32 @@ def merge_config(command: str, preset: str | None, config_path: str | None,
 # ---------------------------------------------------------------------------
 
 
+def _finite(key: str, what: str, compute) -> float:
+    """compute(), refused as config.<key> when it overflows the floats."""
+    try:
+        value = compute()
+        if math.isfinite(value):
+            return value
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise ConfigError(f"config.{key}: {what} overflows the floats")
+
+
 def _run_bounds(cfg: dict):
     params = BoundParams(eps=cfg["eps"], delta=cfg["delta"], d=cfg["d"], m=cfg.get("m", 1),
                          C=cfg["C"], C1=cfg["C1"], C2=cfg["C2"])
+    # Every value printed and written is a float: before any output, refuse
+    # the first key whose value makes one overflow.
+    _finite("d", "d - ln delta", lambda: params.d - math.log(params.delta))
+    b = _finite("eps", "b = (d - ln delta) / eps^2",
+                lambda: sample_complexity(replace(params, m=1)).b)
     if "m" not in cfg:  # default: the base quantity b, rounded up
-        params = replace(params, m=max(1, math.ceil(sample_complexity(params).b)))
+        params = replace(params, m=max(1, math.ceil(b)))
+    _finite("m", "m", lambda: float(params.m))
     report = sample_complexity(params)
+    _finite("C1", "the bracket's low end C1 b", lambda: report.m_lower)
+    _finite("C2", "the bracket's high end C2 b", lambda: report.m_upper)
+    _finite("C", f"the accuracy at m={params.m}", lambda: report.eps_uc)
     lines = [
         f"b = (d - ln delta) / eps^2 = {report.b:.6g}",
         f"sample-size bracket: [{report.m_lower:.6g}, {report.m_upper:.6g}]",
@@ -408,6 +420,8 @@ def _sample_for(cfg: dict, stream: str, key: str, classes) -> tuple[LabeledSampl
             S = LabeledSample.from_csv(cfg["data"])
         except (ValueError, OSError) as exc:
             raise ConfigError(f"config.data: {exc}") from exc
+        if S.m == 0:
+            raise ConfigError(f"config.data: {cfg['data']} holds no records")
         _check_classes(cfg, key, classes, S.dim, "the sample in config.data")
         return S, False
     if "dist" not in cfg or "m" not in cfg:
@@ -431,12 +445,16 @@ def _run_erm(cfg: dict):
 
 def _sequence(cfg: dict):
     """The config's class sequence.  The CLI passes no dimensions of its own,
-    so every class needs a dimension hint."""
+    so every class needs a dimension hint, and each class's weight * delta
+    must stay in (0, 1)."""
     seq = _resolve(cfg, "sequence", resolve_sequence)
-    for pos, cls in enumerate(seq.classes, start=1):
+    for pos, (cls, w) in enumerate(zip(seq.classes, seq.weights), start=1):
+        what = f"class at position {pos} ({cls.family})"
         if cls.vc_dim_hint is None:
-            raise ConfigError(f"config.sequence: class at position {pos} ({cls.family}) "
-                              "has no dimension hint")
+            raise ConfigError(f"config.sequence: {what} has no dimension hint")
+        if not 0.0 < w * cfg["delta"] < 1.0:
+            raise ConfigError(f"config.sequence: {what} has weight {w}, and weight * delta "
+                              f"must lie in (0, 1), got {w * cfg['delta']}")
     return seq
 
 
@@ -555,7 +573,9 @@ _RUNNERS = {
 
 def run(config: dict) -> int:
     """Validate and dispatch a config; write declared outputs plus a manifest.
-    A run that fails removes the output directories it created."""
+    A runner's budget overrun or missing mc_n becomes a ConfigError naming its
+    key; any other exception propagates.  A run that fails removes the output
+    directories it created."""
     started = time.monotonic()
     cfg = validate_config(config)
     outdir = cfg.get("out")
@@ -580,8 +600,6 @@ def run(config: dict) -> int:
         if (isinstance(exc, AnalyticRiskUnavailable) and "mc_n" not in cfg
                 and "mc_n" in _COMMAND_KEYS[cfg["command"]]):
             raise ConfigError(f"config.mc_n: required, {exc}") from exc
-        if isinstance(exc, (ValueError, AnalyticRiskUnavailable, OSError)):
-            raise ConfigError(str(exc)) from exc
         raise
     for line in lines:
         print(line)

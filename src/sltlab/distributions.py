@@ -621,10 +621,7 @@ def _run_risks(D: DataDistribution, run: tuple) -> np.ndarray:
             return np.array([np.dot(probs, row)
                              for row in np.where(labels, 1.0 - q_eff, q_eff)])
         rho = np.array([np.sum(probs[row]) for row in labels != D.labeler.labels(pts)])
-    elif not isinstance(D.marginal, UniformBox):
-        raise AnalyticRiskUnavailable(
-            f"no analytic route for marginal type {type(D.marginal).__name__}")
-    elif D.dim == 1:
+    elif D.dim == 1:  # a marginal without a support is a UniformBox
         lo, hi = D.marginal.bounds[0]
         (a, b), (l_a, l_b) = (_clipped_parts(r, lo, hi)
                               for r in (run, *StackedMembers([D.labeler])._runs))

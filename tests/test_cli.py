@@ -64,6 +64,10 @@ HUGE_INT = "1" + "0" * 400
 BAD_LABEL_CSV = pathlib.Path(__file__).parent / "data" / "bad_label.csv"
 MISSING_CSV = pathlib.Path(__file__).parent / "data" / "missing.csv"
 OLD_SINE_BUDGET_CONFIG = pathlib.Path(__file__).parent / "data" / "old_sine_budget.json"
+# a config file whose eps is a JSON integer of 401 digits, beyond the float range
+HUGE_EPS_CONFIG = pathlib.Path(__file__).parent / "data" / "huge_eps.json"
+# one thresholds class whose weight times a delta of 1e-100 underflows to 0
+TINY_WEIGHT_SEQUENCE = '{"classes": [{"family": "thresholds"}], "weights": [1e-300]}'
 RECTANGLES_3D = '{"family": "rectangles", "bounds": [[0, 1], [0, 1], [0, 1]], "resolution": 3}'
 BOX_3D = ('{"marginal": {"type": "uniform_box", "bounds": [[0, 1], [0, 1], [0, 1]]}, '
           '"labeler": {"hypothesis": {"kind": "rectangle", '
@@ -112,6 +116,25 @@ class TestConfigValidation:
         monkeypatch.setenv("SLT_LAB_SEED", "-1")
         with pytest.raises(ConfigError, match=r"config\.seed: must lie in \[0, 2\^64\)"):
             merge_config("nfl", None, None, {"m": 2})
+
+    def test_seed_range_is_inclusive(self):
+        cfg = merge_config("tradeoff", "tradeoff-nested-thresholds", None, {"seeds": "3..5"})
+        assert cfg["seeds"] == [3, 4, 5]
+        with pytest.raises(ConfigError, match="config.seeds: must list at least one value"):
+            merge_config("tradeoff", "tradeoff-nested-thresholds", None, {"seeds": "5..3"})
+
+    @pytest.mark.parametrize("text, message", [
+        (None, r"config: cannot read .*cfg\.json: \[Errno 2\]"),
+        ("{", r"config: .*cfg\.json is not valid JSON: "),
+        ("[1, 2]", r"config: .*cfg\.json must hold a JSON object$"),
+        ('{"command": "pac"}', r"config\.command: file says 'pac', flags say 'bounds'$"),
+    ])
+    def test_config_file_errors_named(self, tmp_path, text, message):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            merge_config("bounds", "bounds-reference-point", str(path), {})
 
     def test_every_preset_resolves(self):
         for name in preset_names():
@@ -212,13 +235,19 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             "sltlab: error: config.class: unknown class preset 'nope';")
 
-    def test_key_error_is_a_program_bug_not_a_config_error(self, monkeypatch):
-        def broken(cfg):
-            raise KeyError("m")
+    def test_key_error_is_a_program_bug_not_a_config_error(self, monkeypatch, tmp_path):
+        # Only named errors become config errors: any other exception a
+        # runner raises propagates, and the output directories it created go.
+        for error in (KeyError("m"), ValueError("bug"), OSError("bug")):
+            def broken(cfg, error=error):
+                raise error
 
-        monkeypatch.setitem(cli._RUNNERS, "nfl", broken)
-        with pytest.raises(KeyError):
-            run({"command": "nfl", "m": 2})
+            monkeypatch.setitem(cli._RUNNERS, "nfl", broken)
+            with pytest.raises(type(error)):
+                run({"command": "nfl", "m": 2})
+            with pytest.raises(type(error)):
+                run({"command": "nfl", "m": 2, "out": str(tmp_path / "new" / "out")})
+            assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("argv, key", [
         (["bounds", "--d", "1", "--eps", "0", "--delta", "0.05"], "eps"),
@@ -265,13 +294,13 @@ class TestExitCodes:
         (["vcdim", "--class", "intervals", "--pool", "[[0, 1], 2]"],
          "pool: row 1 has 1 coordinates, expected 2"),
         (["pac", "--preset", "pac-thresholds", "--trials", "3", "--delta", "1.5"],
-         "delta must lie in (0, 1), got 1.5"),
+         "config.delta: must lie in (0, 1), got 1.5"),
         (["uc", "--preset", "uc-thresholds-scaling", "--trials", "3", "--eps", "-1"],
-         "eps must be positive"),
+         "config.eps: must be positive, got -1.0"),
         (["uc", "--preset", "uc-thresholds-scaling", "--trials", "3", "--delta", "1.5"],
-         "delta must lie in (0, 1), got 1.5"),
+         "config.delta: must lie in (0, 1), got 1.5"),
         (["tradeoff", "--preset", "tradeoff-nested-thresholds", "--trials", "2", "--delta", "1.5"],
-         "delta must lie in (0, 1), got 1.5"),
+         "config.delta: must lie in (0, 1), got 1.5"),
         (["bounds", "--d", "1", "--eps", "0.1", "--delta", "0.05", "--C", "inf"],
          "config.C: expected a finite number, got inf"),
         (["bounds", "--d", "1", "--eps", "0.1", "--delta", "0.05", "--C", "nan"],
@@ -470,6 +499,62 @@ class TestExitCodes:
           "--hypothesis", '{"kind": "halfspace", "weights": [1, 1], "bias": 0.1}'],
          "config.dist: distribution: marginal: uniform_box: bounds: volume must be positive "
          "and finite, got inf"),
+        # Each range is declared with its key, not left to the library.
+        (["bounds", "--d", "-1", "--eps", "0.1", "--delta", "0.05"],
+         "sltlab: error: config.d: must be nonnegative, got -1\n"),
+        (["bounds", "--d", "1", "--eps", "1.5", "--delta", "0.05"],
+         "sltlab: error: config.eps: must lie in (0, 1), got 1.5\n"),
+        (["bounds", "--d", "1", "--eps", "0.1", "--delta", "1.5"],
+         "sltlab: error: config.delta: must lie in (0, 1), got 1.5\n"),
+        (["bounds", "--d", "1", "--eps", "0.1", "--delta", "0.05", "--C", "-1"],
+         "sltlab: error: config.C: must be positive, got -1.0\n"),
+        (["bounds", "--d", "1", "--eps", "0.1", "--delta", "0.05", "--C1", "0"],
+         "sltlab: error: config.C1: must be positive, got 0.0\n"),
+        (["bounds", "--d", "1", "--eps", "0.1", "--delta", "0.05", "--C2", "-2"],
+         "sltlab: error: config.C2: must be positive, got -2.0\n"),
+        (["srm", "--preset", "srm-nested-thresholds-demo", "--C", "-1"],
+         "sltlab: error: config.C: must be positive, got -1.0\n"),
+        (["srm", "--preset", "srm-nested-thresholds-demo", "--delta", "0"],
+         "sltlab: error: config.delta: must lie in (0, 1), got 0.0\n"),
+        (["tradeoff", "--preset", "tradeoff-nested-thresholds", "--trials", "2", "--C", "0"],
+         "sltlab: error: config.C: must be positive, got 0.0\n"),
+        (["pac", "--preset", "pac-thresholds", "--eps", "0"],
+         "sltlab: error: config.eps: must be positive, got 0.0\n"),
+        (["uc", "--preset", "uc-thresholds-scaling", "--eps", "0"],
+         "sltlab: error: config.eps: must be positive, got 0.0\n"),
+        # A weight whose product with delta leaves (0, 1).
+        (["srm", "--sequence", TINY_WEIGHT_SEQUENCE, "--dist", "uniform-threshold-noisy",
+          "--m", "10", "--delta", "1e-100"],
+         "sltlab: error: config.sequence: class at position 1 (thresholds) has weight 1e-300, "
+         "and weight * delta must lie in (0, 1), got 0.0\n"),
+        (["tradeoff", "--sequence", TINY_WEIGHT_SEQUENCE, "--dist", "uniform-threshold-noisy",
+          "--m-values", "10", "--trials", "2", "--delta", "1e-100"],
+         "sltlab: error: config.sequence: class at position 1 (thresholds) has weight 1e-300, "
+         "and weight * delta must lie in (0, 1), got 0.0\n"),
+        (["srm", "--sequence", '{"classes": [{"family": "thresholds"}], '
+          '"weights": [1.000000000001]}', "--dist", "uniform-threshold-noisy",
+          "--m", "10", "--delta", "0.9999999999999999"],
+         "sltlab: error: config.sequence: class at position 1 (thresholds) has weight "
+         "1.000000000001, and weight * delta must lie in (0, 1), got 1.0000000000009999\n"),
+        # A bound that would overflow the floats, refused before it is printed.
+        (["bounds", "--d", "1", "--eps", "1e-200", "--delta", "0.05"],
+         "sltlab: error: config.eps: b = (d - ln delta) / eps^2 overflows the floats\n"),
+        (["bounds", "--d", "1", "--eps", "1e-160", "--delta", "0.05"],
+         "sltlab: error: config.eps: b = (d - ln delta) / eps^2 overflows the floats\n"),
+        (["bounds", "--d", HUGE_INT, "--eps", "0.1", "--delta", "0.05"],
+         "sltlab: error: config.d: d - ln delta overflows the floats\n"),
+        (["bounds", "--d", "1", "--eps", "0.1", "--delta", "0.05", "--m", HUGE_INT],
+         "sltlab: error: config.m: m overflows the floats\n"),
+        (["bounds", "--d", "1", "--eps", "0.1", "--delta", "0.05", "--C1", "1e308"],
+         "sltlab: error: config.C1: the bracket's low end C1 b overflows the floats\n"),
+        (["bounds", "--d", "1", "--eps", "0.1", "--delta", "0.05", "--C2", "1e308"],
+         "sltlab: error: config.C2: the bracket's high end C2 b overflows the floats\n"),
+        (["bounds", "--d", "100", "--eps", "0.1", "--delta", "0.05", "--m", "1",
+          "--C", "1e308"],
+         "sltlab: error: config.C: the accuracy at m=1 overflows the floats\n"),
+        # A JSON integer beyond the float range, from a config file.
+        (["bounds", "--d", "1", "--delta", "0.05", "--config", str(HUGE_EPS_CONFIG)],
+         "sltlab: error: config.eps: int too large to convert to float\n"),
     ])
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG
@@ -505,6 +590,41 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"sltlab: error: {key}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["erm", "--class", "thresholds"],
+        ["srm", "--preset", "srm-nested-thresholds-demo"],
+    ])
+    def test_sample_without_records_names_key(self, argv, tmp_path, capsys):
+        path = tmp_path / "header.csv"
+        path.write_text("x1,label\n")
+        assert main(argv + ["--data", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"sltlab: error: config.data: {path} holds no records\n"
+
+    def test_bounds_overflow_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["bounds", "--d", "1", "--eps", "1e-160", "--delta", "0.05", "--m", "10"]
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().out == "" and not out.exists()
+        out.mkdir()
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().out == "" and not any(out.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["erm", "--class", "thresholds"],
+        ["srm", "--preset", "srm-nested-thresholds-demo"],
+    ])
+    def test_learner_reads_data(self, argv, tmp_path, capsys):
+        # A sample read from --data is learned from and not written back.
+        path = tmp_path / "line.csv"
+        path.write_text("x1,label\n0.25,0\n0.75,1\n")
+        out = tmp_path / "out"
+        assert main(argv + ["--data", str(path), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("selected ")
+        assert json.load(open(out / "learner_output.json"))["empirical_error"] == 0
+        assert sorted(p.name for p in out.iterdir()) == ["learner_output.json", "manifest.json"]
 
     def test_unreadable_csv_record_names_key_and_line(self, tmp_path, capsys):
         # one feature cell longer than csv's field limit, on line 2
