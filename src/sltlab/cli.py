@@ -49,7 +49,7 @@ from .experiments import (
     verify_learnability,
     verify_uniform_convergence,
 )
-from .learners import DEFAULT_LABEL, erm, srm
+from .learners import DEFAULT_LABEL, class_dims, erm, srm, srm_penalty
 from .presets import (
     POOLS,
     PRESET_VERSION,
@@ -458,9 +458,18 @@ def _sequence(cfg: dict):
     return seq
 
 
+def _check_penalties(cfg: dict, seq, m_values) -> None:
+    """Refuse, as config.C, a C at which some class's srm penalty overflows."""
+    for m in m_values:
+        for pos, (d, w) in enumerate(zip(class_dims(seq), seq.weights), start=1):
+            _finite("C", f"the srm penalty of class {pos} at m={m}",
+                    lambda: srm_penalty(d, w, cfg["delta"], m, C=cfg["C"]))
+
+
 def _run_srm(cfg: dict):
     seq = _sequence(cfg)
     S, generated = _sample_for(cfg, "cli-srm", "sequence", seq.classes)
+    _check_penalties(cfg, seq, [S.m])
     out = srm(seq, S, cfg["delta"], C=cfg["C"], budget=cfg["budget"])
     lines = [f"selected class {out.class_index} member {out.hypothesis.describe()}; "
              f"objective {out.objective:.6g}"]
@@ -537,6 +546,7 @@ def _run_nfl(cfg: dict):
 def _run_tradeoff(cfg: dict):
     seq, D = _sequence(cfg), _resolve(cfg, "dist", resolve_distribution)
     _check_classes(cfg, "sequence", seq.classes, D.dim)
+    _check_penalties(cfg, seq, cfg["m_values"])
     report = tradeoff_sweep(
         seq, D, m_values=cfg["m_values"], trials=cfg["trials"], delta=cfg["delta"],
         master_seeds=cfg.get("seeds", [cfg["seed"]]), C=cfg["C"],
@@ -551,6 +561,7 @@ def _run_tradeoff(cfg: dict):
                 f"total {row['mean_total_risk']:.4f}"
             )
         else:
+            _finite("C", f"the mean srm objective at m={row['m']}", lambda: row["mean_objective"])
             lines.append(f"m={row['m']} srm: total {row['mean_total_risk']:.4f}")
     files = {"tradeoff.json": report.to_json(), "tradeoff.csv": list(report.rows)}
     if report.records is not None:

@@ -289,16 +289,34 @@ def _reject_nan(what: str, *values: float, finite: bool = False) -> None:
 
 
 def _check_points(tag: str, points) -> int:
-    """The dimension, 1 if none, of finite points of one dimension, distinct as dict keys."""
+    """The dimension, 1 if none, of finite points of one dimension, distinct as
+    floats, as lookups compare them (so 2^53 + 1 repeats 2^53)."""
     dim, *other = {len(p) for p in points} or {1}
     if other:
         raise ValueError(f"{tag} points must share one dimension, got {sorted({dim, *other})}")
     if dim < 1:
         raise ValueError(f"{tag}: points: instance dimension must be at least 1, got {dim}")
     _reject_nan(f"{tag} points", *itertools.chain(*points), finite=True)
-    if len(set(points)) < len(points):
+    if len(set(map(tuple, np.asarray(points, dtype=float).tolist()))) < len(points):
         raise ValueError(f"{tag} points must be distinct")
     return dim
+
+
+def _first_equal(A: np.ndarray) -> np.ndarray:
+    """Per row of the 2-d array A, the index of the first row equal to it as
+    numbers (-0.0 is 0.0): the one rule every row lookup and grouping uses."""
+    _, first, group = np.unique(A, axis=0, return_index=True, return_inverse=True)
+    return first[group.reshape(-1)]
+
+
+def _point_index(points, X: np.ndarray) -> np.ndarray:
+    """Per row of the 2-d array X, the index of the equal one of the distinct
+    points, else len(points); points of another dimension equal no row."""
+    n = len(points)
+    if n and len(points[0]) != X.shape[1]:
+        return np.full(len(X), n)
+    P = np.asarray(points, dtype=float).reshape(n, X.shape[1])
+    return np.minimum(_first_equal(np.concatenate([P, X]))[n:], n)
 
 
 def _in_closed(x: np.ndarray, P: np.ndarray, j: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -500,22 +518,21 @@ class LookupTable(Hypothesis):
         if any(lab not in (0, 1) for lab in self.point_labels) or self.default not in (0, 1):
             raise ValueError("labels must be 0 or 1")
         object.__setattr__(self, "_dim", _check_points(self.kind, self.points))
-        object.__setattr__(self, "_table", dict(zip(self.points, self.point_labels)))
 
     @property
     def dim(self) -> int:
         return self._dim
 
-    def _stack_row(self):
-        return self, ()  # a stack holds equal tables only
+    def _stack_row(self):  # the float bytes of the points tell -0.0 from 0.0
+        return (self.dim, np.asarray(self.points, dtype=float).tobytes(), self.default), \
+            self.point_labels
 
-    _from_row = classmethod(lambda cls, key, row: key)
+    _from_row = classmethod(lambda cls, key, row: cls(tuple(map(tuple, np.frombuffer(
+        key[1]).reshape(-1, key[0]).tolist())), tuple(map(int, row)), key[2]))
 
-    def _label_stack(self, out, P, X):
-        table = self._table
-        out[:] = np.fromiter(
-            (table.get(tuple(row), self.default) for row in X), dtype=np.uint8, count=len(X)
-        )
+    def _label_stack(self, out, P, X):  # one gather; the padded column is the default
+        out[:] = np.pad(P, ((0, 0), (0, 1)), constant_values=self.default)[
+            :, _point_index(self.points, X)]
 
     def describe(self) -> str:
         return f"lookup({len(self.points)} points, default {self.default})"
@@ -910,11 +927,10 @@ class StackedMembers(Sequence):
 
 def _adjacent_runs(items: Iterable[tuple]) -> list[tuple]:
     """(type, key, parts) per maximal run of adjacent (type, (key, part))
-    items; a lookup table is its own key and joins only the same object."""
+    items of one type and equal keys."""
     runs: list[tuple] = []
     for typ, (key, part) in items:
-        if not (runs and runs[-1][0] is typ and (
-                runs[-1][1] is key or typ is not LookupTable and runs[-1][1] == key)):
+        if not (runs and runs[-1][0] is typ and runs[-1][1] == key):
             runs.append((typ, key, []))
         runs[-1][2].append(part)
     return runs
@@ -1297,8 +1313,8 @@ class FiniteClass(HypothesisClass):
     Members are enumerated rebuilt from float rows, like a grid family's:
     each parameter comes back as its nearest float, equal and with the same
     JSON bytes for a float or an int below 2^53 in size (not for a Fraction
-    or a larger int).  If a finite probe domain is declared, members must be
-    pairwise distinct on it (extensional de-duplication diagnostic).
+    or a larger int); lookup tables on one domain stack as label rows.  If a
+    finite probe domain is declared, members must be pairwise distinct on it.
     """
 
     hypotheses: tuple[Hypothesis, ...]
@@ -1365,19 +1381,13 @@ def enumerate_class(
 def find_extensional_duplicates(
     hypotheses: Sequence[Hypothesis], probe: np.ndarray
 ) -> list[tuple[int, int]]:
-    """Index pairs (i, j), i < j, that agree on the whole probe set.
+    """Index pairs (i, j), i < j, that agree on the whole probe set, i the first such.
 
     Diagnostic only; learning operations never rely on it.
     """
-    seen: dict[bytes, int] = {}
-    dupes: list[tuple[int, int]] = []
-    for idx, row in enumerate(label_matrix(hypotheses, probe)):
-        key = row.tobytes()
-        if key in seen:
-            dupes.append((seen[key], idx))
-        else:
-            seen[key] = idx
-    return dupes
+    seen = _first_equal(label_matrix(hypotheses, probe))
+    later = np.flatnonzero(seen < np.arange(len(seen)))
+    return list(zip(seen[later].tolist(), later.tolist()))
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ from .core import (
     StackedMembers,
     Threshold,
     _check_points,
+    _point_index,
     _reject_nan,
     check_keys,
     from_tagged,
@@ -356,22 +357,17 @@ class ConditionalTable(JsonFields):
         _check_points("conditional table", self.points)
         if any(not (0.0 <= q <= 1.0) for q in self.p1):
             raise ValueError("conditional probabilities must lie in [0, 1]")
-        object.__setattr__(self, "_map", dict(zip(self.points, self.p1)))
 
     def prob1(self, X: np.ndarray) -> np.ndarray:
-        """P(label=1 | x) per row of X; each distinct row is looked up once.
-
-        Rows are grouped by their bytes, so -0.0 and 0.0 form two groups that
-        both find the table's entry for 0.0, as a per-row lookup would."""
-        X = np.ascontiguousarray(X)
-        row_bytes = X.view(np.dtype((np.void, X.dtype.itemsize * X.shape[1]))).reshape(-1)
-        _, first, inverse = np.unique(row_bytes, return_index=True, return_inverse=True)
-        q = [self._map.get(tuple(X[i])) for i in first]
-        missing = np.array([v is None for v in q], dtype=bool)[inverse]
+        """P(label=1 | x) per row of the 2-d array X, each row matched to its
+        table point as a number (core._point_index), so -0.0 finds the entry
+        for 0.0; a row with no entry fails, naming the first such row."""
+        at = _point_index(self.points, X)
+        missing = at == len(self.points)
         if missing.any():
             key = tuple(X[np.argmax(missing)])
             raise ValueError(f"conditional table has no entry for instance {key}")
-        return np.array(q, dtype=float)[inverse]
+        return np.asarray(self.p1, dtype=float)[at]
 
 
 @dataclass(frozen=True)
@@ -396,10 +392,10 @@ class DataDistribution:
             if sup is None:
                 raise ValueError("a conditional-table labeler needs a finite marginal")
             pts, _ = sup
-            have = set(self.labeler.points)
-            missing = [tuple(p) for p in pts.tolist() if tuple(p) not in have]
-            if missing:
-                raise ValueError(f"conditional table is missing support points {missing[:3]}")
+            missing = pts[_point_index(self.labeler.points, pts) == len(self.labeler.points)]
+            if len(missing):
+                raise ValueError("conditional table is missing support points "
+                                 f"{list(map(tuple, missing[:3].tolist()))}")
 
     @property
     def dim(self) -> int:

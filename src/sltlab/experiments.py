@@ -551,6 +551,8 @@ def tradeoff_sweep(
                 "trials": len(seeds),
             })
         freqs = {str(c + 1): np.count_nonzero(picks == c) / len(seeds) for c in range(n_classes)}
+        with np.errstate(over="ignore"):  # a sum past the floats is inf, without a warning
+            mean_objective = float(np.mean(objectives))
         rows.append({
             "learner": "srm",
             "class_index": None,
@@ -559,7 +561,7 @@ def tradeoff_sweep(
             "approximation_error": None,
             "mean_estimation_error": None,
             "mean_total_risk": float(np.mean(risks[at, picks])),
-            "mean_objective": float(np.mean(objectives)),
+            "mean_objective": mean_objective,
             "pick_freqs": ";".join(f"{k}:{v:.6f}" for k, v in sorted(freqs.items())),
             "trials": len(seeds),
         })

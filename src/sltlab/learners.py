@@ -8,7 +8,6 @@ output is reproducible bit for bit.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,6 +23,7 @@ from .core import (
     LookupTable,
     StackedMembers,
     WeightedClassSequence,
+    _first_equal,
     error_counts,
 )
 
@@ -149,25 +149,17 @@ def srm(
 def memorizer(S: LabeledSample, default: int = DEFAULT_LABEL) -> LookupTable:
     """Majority label at each sampled instance, the default elsewhere.
 
-    An instance seen equally often with both labels also gets the default.
-    Intended for finite domains where exact instance matches recur.
+    Each instance (equal rows, so -0.0 is 0.0) is listed as first seen, in
+    order of first sight.  An instance seen equally often with both labels
+    also gets the default.  Intended for finite domains where exact instance
+    matches recur.
     """
     if default not in (0, 1):
         raise ValueError("default label must be 0 or 1")
-    counts: dict[tuple, list[int]] = defaultdict(lambda: [0, 0])
-    order: list[tuple] = []
-    for x, y in S.pairs():
-        key = tuple(float(v) for v in x)
-        if key not in counts:
-            order.append(key)
-        counts[key][y] += 1
-    points = []
-    labels = []
-    for key in order:
-        zeros, ones = counts[key]
-        label = default if zeros == ones else int(ones > zeros)
-        points.append(key)
-        labels.append(label)
-    if not points:
+    if S.m == 0:
         raise ValueError("the sample must be nonempty")
-    return LookupTable(tuple(points), tuple(labels), default)
+    seen = _first_equal(S.X)
+    firsts = np.flatnonzero(seen == np.arange(S.m))  # in order of first sight
+    zeros, ones = np.bincount(2 * seen + S.y, minlength=2 * S.m).reshape(-1, 2)[firsts].T
+    labels = np.where(zeros == ones, default, ones > zeros)
+    return LookupTable(tuple(map(tuple, S.X[firsts].tolist())), tuple(labels.tolist()), default)

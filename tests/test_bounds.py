@@ -135,6 +135,16 @@ class TestRepresentativeness:
                                                mc_n=400, seed=SeedSpec(3))
             assert sure_false.verdict is False
 
+    def test_mc_route_false_verdict(self):
+        # labels flipped against the target put empirical errors far from the risks
+        H = FiniteClass((SineSign(2.0), SineSign(7.0)))
+        D = DataDistribution(UNIT, Threshold(0.5), noise=0.0)
+        S = draw_sample(D, 40, SeedSpec(2))
+        rep = is_eps_representative(LabeledSample(S.X, 1 - S.y), H, D, eps=0.5, mc_n=400,
+                                    seed=SeedSpec(3))
+        assert rep.worst_deviation - rep.mc_band > 0.5
+        assert rep.verdict is False
+
     def test_near_optimality_of_erm_on_representative_samples(self):
         # whenever the sample is eps-representative, the empirical minimizer's
         # excess true risk is at most 2 eps

@@ -61,11 +61,20 @@ EMPTY_UNIONS = '{"family": "interval_unions", "k": 3, "resolution": 2}'
 # A JSON integer of 401 digits, beyond the float range.
 HUGE_INT = "1" + "0" * 400
 # a sample CSV whose record on line 7 has the label 2, and a path with no file
-BAD_LABEL_CSV = pathlib.Path(__file__).parent / "data" / "bad_label.csv"
-MISSING_CSV = pathlib.Path(__file__).parent / "data" / "missing.csv"
-OLD_SINE_BUDGET_CONFIG = pathlib.Path(__file__).parent / "data" / "old_sine_budget.json"
+DATA_DIR = pathlib.Path(__file__).parent / "data"
+BAD_LABEL_CSV = DATA_DIR / "bad_label.csv"
+MISSING_CSV = DATA_DIR / "missing.csv"
+OLD_SINE_BUDGET_CONFIG = DATA_DIR / "old_sine_budget.json"
 # a config file whose eps is a JSON integer of 401 digits, beyond the float range
-HUGE_EPS_CONFIG = pathlib.Path(__file__).parent / "data" / "huge_eps.json"
+HUGE_EPS_CONFIG = DATA_DIR / "huge_eps.json"
+
+
+def data_dir_as_data(value):
+    """A test id that writes the data directory as DATA, not as the path of
+    the checkout; None (pytest's own id) for any other value."""
+    if isinstance(value, str) and str(DATA_DIR) in value:
+        return value.replace(str(DATA_DIR), "DATA")
+    return None
 # one thresholds class whose weight times a delta of 1e-100 underflows to 0
 TINY_WEIGHT_SEQUENCE = '{"classes": [{"family": "thresholds"}], "weights": [1e-300]}'
 RECTANGLES_3D = '{"family": "rectangles", "bounds": [[0, 1], [0, 1], [0, 1]], "resolution": 3}'
@@ -218,6 +227,41 @@ class TestExitCodes:
 
     def test_usage_error_is_one(self, capsys):
         assert main(["bounds", "--d", "1", "--eps", "2.0", "--delta", "0.05"]) == EXIT_CONFIG
+
+    def test_unknown_flag_exits_one_with_usage(self, capsys):
+        with pytest.raises(SystemExit) as exits:
+            main(["pac", "--no-such-flag"])
+        assert exits.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("usage: sltlab [-h] [--version] COMMAND ...\n"
+                                "sltlab: error: unrecognized arguments: --no-such-flag\n")
+
+    def test_config_file_value_of_the_wrong_type_names_key(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"records": "yes"}')
+        assert main(["pac", "--preset", "pac-thresholds", "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "sltlab: error: config.records: expected a boolean, got 'yes'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["srm", "--preset", "srm-nested-thresholds-demo", "--C", "1e308", "--m", "2"],
+        ["tradeoff", "--preset", "tradeoff-nested-thresholds", "--C", "1e308", "--trials", "2"],
+    ])
+    def test_overflowing_C_leaves_no_output(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "new" / "out")]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sltlab: error: config.C: ")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["srm", "--preset", "srm-nested-thresholds-demo", "--C", "1e305"],
+        ["tradeoff", "--preset", "tradeoff-nested-thresholds", "--C", "1e305", "--trials", "2"],
+    ])
+    def test_large_C_with_finite_outputs_runs(self, argv, capsys):
+        assert main(argv) == EXIT_OK
 
     def test_failing_verdict_is_two(self, capsys):
         code = main([
@@ -555,7 +599,21 @@ class TestExitCodes:
         # A JSON integer beyond the float range, from a config file.
         (["bounds", "--d", "1", "--delta", "0.05", "--config", str(HUGE_EPS_CONFIG)],
          "sltlab: error: config.eps: int too large to convert to float\n"),
-    ])
+        # An srm penalty past the floats, refused before any work, and a
+        # trade-off mean objective past them, refused before any output.
+        (["srm", "--preset", "srm-nested-thresholds-demo", "--C", "1e308", "--m", "2"],
+         "sltlab: error: config.C: the srm penalty of class 5 at m=2 overflows the floats\n"),
+        (["tradeoff", "--preset", "tradeoff-nested-thresholds", "--C", "1e308", "--trials", "2"],
+         "sltlab: error: config.C: the mean srm objective at m=30 overflows the floats\n"),
+        (["tradeoff", "--preset", "tradeoff-nested-thresholds", "--C", "1e308", "--trials", "2",
+          "--m-values", "2"],
+         "sltlab: error: config.C: the srm penalty of class 5 at m=2 overflows the floats\n"),
+        # Keys that only some classes take, or that some classes need.
+        (["vcdim", "--class", "intervals", "--sine-k", "3"],
+         "sltlab: error: config.sine_k: only meaningful for the sine family\n"),
+        (["vcdim", "--class", '{"family":"intervals"}'],
+         "sltlab: error: config.pool: required when the class is not a pooled preset\n"),
+    ], ids=data_dir_as_data)
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG
         captured = capsys.readouterr()

@@ -797,7 +797,7 @@ class TestGridRows:
         stacked = StackedMembers.of(ThresholdClass(resolution=2), finite)
         assert list(stacked) == [Threshold(0.0), Threshold(1.0), Threshold(1), table]
         assert stacked[2].to_json() == {"kind": "threshold", "theta": 1, "direction": "ge"}
-        assert stacked[3] is table
+        assert stacked[3] == table and stacked[3].to_json() == table.to_json()
 
     def test_members_are_built_on_reading(self):
         H = IntervalClass(resolution=4)
@@ -925,7 +925,8 @@ class TestFiniteRows:
         assert rebuilt == list(H.members()) == enumerate_class(H) == list(H.hypotheses)
         assert jsonio.dumps([h.to_json() for h in rebuilt]) == \
             jsonio.dumps([h.to_json() for h in H.hypotheses])
-        assert all(r is h for r, h in zip(rebuilt, H.hypotheses) if type(h) is LookupTable)
+        assert all(r == h and r.to_json() == h.to_json()
+                   for r, h in zip(rebuilt, H.hypotheses) if type(h) is LookupTable)
 
     def test_union_parts_one_float_apart_are_refused(self):
         # 1/3 and 1/3 + 1e-30 round to one float, where the row's parts touch.
@@ -1071,3 +1072,28 @@ class TestWeightedClassSequence:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
             WeightedClassSequence((ThresholdClass(),), (0.5, 0.5))
+
+
+class TestDescribe:
+    """The one-line text erm and srm print after "selected"."""
+
+    @pytest.mark.parametrize("h, text", [
+        (Threshold(0.5), "1[x >= 0.5]"),
+        (Threshold(-0.25, "le"), "1[x <= -0.25]"),
+        (Interval(0.2, 0.7), "1[0.2 <= x <= 0.7]"),
+        (IntervalUnion(((0.0, 0.25), (0.5, 1.0))), "1[x in [0,0.25] u [0.5,1]]"),
+        (Rectangle(((0.0, 0.5), (1e-5, 1.0))), "1[x in [0,0.5] x [1e-05,1]]"),
+        (Halfspace((1.0, -1.0), 0.1), "1[(1,-1).x + 0.1 >= 0]"),
+        (SineSign(40.0), "1[sin(40 x) >= 0]"),
+        (LookupTable(((0.0,), (1.0,), (2.5,)), (1, 0, 1), default=1),
+         "lookup(3 points, default 1)"),
+    ])
+    def test_text(self, h, text):
+        assert h.describe() == text
+
+    def test_a_rebuilt_table_reads_as_the_table(self):
+        domain = ((0.0, 1.0), (-0.0, 2.0))
+        tables = (LookupTable(domain, (0, 1)), LookupTable(domain, (1, 1)))
+        rebuilt = list(FiniteClass(tables).members())
+        assert rebuilt == list(tables)
+        assert [h.describe() for h in rebuilt] == ["lookup(2 points, default 0)"] * 2

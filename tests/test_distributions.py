@@ -587,12 +587,13 @@ class TestValidation:
 
 def reference_prob1(table, X):
     """The per-row dict lookup that ConditionalTable.prob1 replaces."""
+    entries = dict(zip(table.points, table.p1))
     out = np.empty(len(X), dtype=float)
     for i, row in enumerate(X):
         key = tuple(row)
-        if key not in table._map:
+        if key not in entries:
             raise ValueError(f"conditional table has no entry for instance {key}")
-        out[i] = table._map[key]
+        out[i] = entries[key]
     return out
 
 

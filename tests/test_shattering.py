@@ -144,6 +144,12 @@ class TestVcDimension:
         )
         assert not verify_certificate(corrupted)
 
+    def test_certificate_of_the_wrong_length_fails(self):
+        rep = vc_dimension(CLASSES["intervals"], POOLS["intervals"])
+        short = VcReport(rep.value, rep.exact, rep.witness, rep.certificate[:-1],
+                         rep.pool_size, rep.subsets_tested)
+        assert not verify_certificate(short)
+
     def test_report_json_round_trip_replays(self):
         rep = vc_dimension(CLASSES["thresholds"], POOLS["thresholds"])
         back = VcReport.from_json(json.loads(jsonio.dumps(rep.to_json())))
