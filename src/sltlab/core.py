@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import numbers
@@ -472,7 +473,10 @@ class Halfspace(Hypothesis):
         # X @ w does, so a member's labels do not depend on its stack.  One
         # product of the whole stack (X @ P[:, :-1].T) or an elementwise sum
         # rounds some points on a boundary line to the other side.
-        np.greater_equal(np.matmul(X, P[:, :-1, None])[..., 0] + P[:, -1:], 0.0, out=out)
+        # w . x + b may overflow to inf or be inf - inf = NaN, which compares
+        # false (label 0); numpy would warn of both, Python floats do not.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.greater_equal(np.matmul(X, P[:, :-1, None])[..., 0] + P[:, -1:], 0.0, out=out)
 
     def describe(self) -> str:
         w = ",".join(f"{v:g}" for v in self.weights)
@@ -494,8 +498,10 @@ class SineSign(Hypothesis):
         return None, (self.alpha,)
 
     def _label_stack(self, out, P, X):
-        for row, alpha in zip(out, P[:, 0]):
-            np.greater_equal(np.sin(alpha * X[:, 0]), 0.0, out=row)
+        # alpha * x may overflow to inf, whose sine is NaN (label 0), unwarned
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row, alpha in zip(out, P[:, 0]):
+                np.greater_equal(np.sin(alpha * X[:, 0]), 0.0, out=row)
 
     def describe(self) -> str:
         return f"1[sin({self.alpha:g} x) >= 0]"
@@ -535,7 +541,11 @@ class LookupTable(Hypothesis):
             :, _point_index(self.points, X)]
 
     def describe(self) -> str:
-        return f"lookup({len(self.points)} points, default {self.default})"
+        """The labels in point order, or past 16 points a digest of them."""
+        labels = "".join(str(int(v)) for v in self.point_labels)
+        if len(labels) > 16:
+            labels = "sha256:" + hashlib.sha256(labels.encode("ascii")).hexdigest()[:8]
+        return f"lookup({len(self.points)} points, labels {labels}, default {self.default})"
 
 
 _HYPOTHESIS_KINDS = {h.kind: h for h in (

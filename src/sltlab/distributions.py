@@ -16,10 +16,11 @@ once per block.
 Exact risk is one rule per hypothesis type, applied to a (type, key) run of
 stacked parameter rows; ``true_risk`` is its one-member case.  It is closed
 form on a finite support, for threshold, interval and union runs on a 1-d
-uniform box and for box and halfplane runs on a 2-d one.  On a finite support
-each row keeps its own probability sum, as numpy sums a subset pairwise in an
-order set by its length.  Everything else goes through the Monte Carlo
-estimator, an explicit, distinct code path.
+uniform box and for box and halfplane runs on a 2-d one, whose polygons are
+clipped for the whole run at once, with the bits of one polygon at a time.
+On a finite support each row keeps its own probability sum, as numpy sums a
+subset pairwise in an order set by its length.  Everything else goes through
+the Monte Carlo estimator, an explicit, distinct code path.
 """
 
 from __future__ import annotations
@@ -526,74 +527,60 @@ def _lengths(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return total
 
 
-def _clip_halfplane(poly: list[tuple[float, float]], w, b) -> list[tuple[float, float]]:
-    """Clip a convex polygon to {p : w . p + b >= 0} (Sutherland-Hodgman)."""
-    if not poly:
-        return []
-    out: list[tuple[float, float]] = []
-    n = len(poly)
-    for i in range(n):
-        cur, nxt = poly[i], poly[(i + 1) % n]
-        g_cur = w[0] * cur[0] + w[1] * cur[1] + b
-        g_nxt = w[0] * nxt[0] + w[1] * nxt[1] + b
-        if g_cur >= 0.0:
-            out.append(cur)
-            if g_nxt < 0.0:
-                t = g_cur / (g_cur - g_nxt)
-                out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
-        elif g_nxt >= 0.0:
-            t = g_cur / (g_cur - g_nxt)
-            out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
-    return out
+def _next_slots(V: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index in V of each vertex's successor in its row, wrapping at the
+    row's count n."""
+    slot = np.arange(V.shape[1])
+    return np.arange(len(n))[:, None], np.where(slot + 1 < n[:, None], slot + 1, 0)
 
 
-def _poly_area(poly: list[tuple[float, float]]) -> float:
-    if len(poly) < 3:
-        return 0.0
-    s = 0.0
-    for i in range(len(poly)):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % len(poly)]
-        s += x1 * y2 - x2 * y1
-    return abs(s) / 2.0
+def _clip(V: np.ndarray, n: np.ndarray, w0, w1, b) -> tuple[np.ndarray, np.ndarray]:
+    """Clip each row's convex polygon, the first n vertices of its row of the
+    (rows, cap, 2) array V, to its own halfplane {p : w0 p_x + w1 p_y + b >= 0}
+    (each of w0, w1 and b a scalar or a column) by one Sutherland-Hodgman pass
+    over the vertex slots.  Returns (V, n) of the clipped polygons, each row's
+    vertices in the order emitted and the width trimmed to the longest row."""
+    nxt, valid = _next_slots(V, n), np.arange(V.shape[1]) < n[:, None]
+    g = w0 * V[..., 0] + w1 * V[..., 1] + b
+    g_nxt = g[nxt]
+    t = (g / (g - g_nxt))[..., None]
+    inside = g >= 0.0
+    # a vertex is kept when inside, then the crossing of its edge when the
+    # edge leaves or enters; a NaN is neither inside nor outside
+    cross = inside & (g_nxt < 0.0) | ~inside & (g_nxt >= 0.0)
+    keep = np.stack([inside, cross], axis=2) & valid[..., None]
+    out = np.stack([V, V + t * (V[nxt] - V)], axis=2)
+    keep, out = keep.reshape(len(n), -1), out.reshape(len(n), -1, 2)
+    n = np.count_nonzero(keep, axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :n.max(initial=0)]
+    return out[nxt[0], order], n
 
 
-def _convex_intersection_area(P, Q) -> float:
-    if not P or not Q:
-        return 0.0
-    poly = P
-    n = len(Q)
-    for i in range(n):
-        x1, y1 = Q[i]
-        x2, y2 = Q[(i + 1) % n]
-        # inside of a CCW edge: cross((v2 - v1), (p - v1)) >= 0
-        w = (-(y2 - y1), x2 - x1)
-        b = -(w[0] * x1 + w[1] * y1)
-        poly = _clip_halfplane(poly, w, b)
-        if not poly:
-            return 0.0
-    return _poly_area(poly)
+def _area(V: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Per row, the area of its polygon (as in ``_clip``): the shoelace terms
+    added vertex by vertex, 0.0 below three vertices."""
+    nxt = _next_slots(V, n)
+    x, y = V[..., 0], V[..., 1]
+    terms = x * y[nxt] - x[nxt] * y
+    s = np.zeros(len(n))
+    for i, term in enumerate(terms.T):
+        np.add(s, term, out=s, where=i < n)
+    return np.where(n < 3, 0.0, np.abs(s) / 2.0)
 
 
-def _rectangle_region(row: list[float], box: list[tuple[float, float]]):
-    poly = box
-    for j, axis in enumerate(((1.0, 0.0), (0.0, 1.0))):
-        poly = _clip_halfplane(poly, axis, -row[2 * j])
-        poly = _clip_halfplane(poly, (-axis[0], -axis[1]), row[2 * j + 1])
-    return poly
-
-
-# The convex polygon a parameter row of a 2-d run labels 1 inside the box.
-_CONVEX_REGIONS = {
-    Rectangle: _rectangle_region,
-    Halfspace: lambda row, box: _clip_halfplane(box, row[:-1], row[-1]),
-}
-
-
-def _convex_region(typ: type):
-    if typ not in _CONVEX_REGIONS:
+def _convex_regions(run: tuple, corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V, n) of ``_clip``: the convex polygon each row of a 2-d run labels 1
+    inside the box of the (4, 2) corners, clipped from the box."""
+    _, _, (typ, _), P, _ = run
+    V, n = np.broadcast_to(corners, (len(P), 4, 2)), np.full(len(P), 4)
+    if typ is Halfspace:
+        return _clip(V, n, P[:, 0:1], P[:, 1:2], P[:, 2:3])
+    if typ is not Rectangle:
         raise AnalyticRiskUnavailable(f"no convex region for hypothesis kind {typ.__name__} in 2d")
-    return _CONVEX_REGIONS[typ]
+    for j, (u, v) in enumerate(((1.0, 0.0), (0.0, 1.0))):
+        V, n = _clip(V, n, u, v, -P[:, 2 * j:2 * j + 1])
+        V, n = _clip(V, n, -u, -v, P[:, 2 * j + 1:2 * j + 2])
+    return V, n
 
 
 def _run_risks(D: DataDistribution, run: tuple) -> np.ndarray:
@@ -628,14 +615,18 @@ def _run_risks(D: DataDistribution, run: tuple) -> np.ndarray:
                - 2.0 * _lengths(*meets)) / D.marginal._volume
     elif D.dim == 2:
         (x0, x1), (y0, y1) = D.marginal.bounds
-        box = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-        region = _convex_region(typ)
-        (_, _, (l_typ, _), L, _), = StackedMembers([D.labeler])._runs
-        Q = _convex_region(l_typ)(L[0].tolist(), box)
-        area_q, total = _poly_area(Q), D.marginal._volume
-        rho = np.array([
-            (_poly_area(R) + area_q - 2.0 * _convex_intersection_area(R, Q)) / total
-            for R in (region(row, box) for row in P.tolist())])
+        corners = np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)], dtype=float)
+        with np.errstate(all="ignore"):  # inf - inf and 0 * inf: NaN, unwarned
+            V, n = _convex_regions(run, corners)
+            Q, n_q = _convex_regions(StackedMembers([D.labeler])._runs[0], corners)
+            q = Q[0, :n_q[0]].tolist()
+            # the meets: each row's polygon clipped by each edge of the
+            # labeler's; an empty labeler polygon meets nothing
+            M, k = (V, n) if q else (V, np.zeros_like(n))
+            for (a0, a1), (b0, b1) in zip(q, q[1:] + q[:1]):
+                w0, w1 = -(b1 - a1), b0 - a0  # inside of a CCW edge
+                M, k = _clip(M, k, w0, w1, -(w0 * a0 + w1 * a1))
+            rho = (_area(V, n) + _area(Q, n_q) - 2.0 * _area(M, k)) / D.marginal._volume
     else:
         raise AnalyticRiskUnavailable(
             f"uniform-box geometry is implemented for 1 and 2 dimensions, not {D.marginal.dim}")

@@ -16,11 +16,15 @@ from sltlab.core import (
     FiniteClass,
     GridSpec,
     LabeledSample,
+    Rectangle,
     SineSign,
     Threshold,
     ThresholdClass,
+    WeightedClassSequence,
+    as_instance,
     empirical_error,
     enumerate_class,
+    label_matrix,
 )
 from sltlab.distributions import (
     DataDistribution,
@@ -28,10 +32,19 @@ from sltlab.distributions import (
     SeedSpec,
     UniformBox,
     draw_sample,
+    hoeffding_band,
     min_risk_in_class,
     true_risk,
 )
-from sltlab.learners import erm
+from sltlab.experiments import (
+    binomial_bounds,
+    nfl_exact,
+    tradeoff_sweep,
+    verify_learnability,
+    verify_uniform_convergence,
+)
+from sltlab.learners import erm, memorizer, srm
+from sltlab.shattering import Dichotomy, sine_shatter_witness
 
 UNIT = UniformBox(((0.0, 1.0),))
 
@@ -198,3 +211,70 @@ class TestDecomposition:
             dec = decompose_error(D, H, h)
             assert dec.estimation_error >= -1e-15
             assert 0.0 <= dec.total <= 1.0
+
+
+# One sample, an empty one, a class and its one-class sequence for the
+# refusals below.
+ONE_POINT = LabeledSample([[0.5]], [1])
+NO_POINTS = LabeledSample(np.empty((0, 1)), [])
+THRESHOLDS = ThresholdClass()
+ONE_CLASS = WeightedClassSequence((THRESHOLDS,))
+HALF = DataDistribution(UNIT, Threshold(0.5))
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: BoundParams(eps=0.1, delta=0.1, m=0, d=1), ValueError,
+     "m must be a positive integer, got 0"),
+    (lambda: BoundParams(eps=0.1, delta=0.1, m=10, d=-1), ValueError,
+     "d must be nonnegative, got -1"),
+    (lambda: BoundParams(eps=0.1, delta=0.1, m=10, d=1, C=0.0), ValueError,
+     "constants C, C1, C2 must be positive"),
+    (lambda: accuracy_bound(0.5, 0.1, 1), ValueError, "m must be at least 1, got 0.5"),
+    (lambda: accuracy_bound(10, 1.0, 1), ValueError, "delta must lie in (0, 1), got 1.0"),
+    (lambda: accuracy_bound(10, 0.1, -1), ValueError, "d must be nonnegative, got -1"),
+    (lambda: is_eps_representative(ONE_POINT, THRESHOLDS, HALF, 0.0), ValueError,
+     "eps must be positive, got 0.0"),
+    (lambda: is_eps_representative(NO_POINTS, THRESHOLDS, HALF, 0.1), ValueError,
+     "empirical error is undefined for an empty sample"),
+    (lambda: binomial_bounds(3, 2), ValueError,
+     "need 0 <= successes <= trials with trials >= 1"),
+    (lambda: verify_learnability(THRESHOLDS, HALF, 10, 0.1, 0.1, 0, SeedSpec(1)), ValueError,
+     "trials must be at least 1"),
+    (lambda: verify_learnability(THRESHOLDS, HALF, 10, 0.0, 0.1, 5, SeedSpec(1)), ValueError,
+     "eps must be positive"),
+    (lambda: verify_uniform_convergence(THRESHOLDS, HALF, [10], 0.1, 1.0, 5, SeedSpec(1)),
+     ValueError, "delta must lie in (0, 1), got 1.0"),
+    (lambda: nfl_exact(0), ValueError, "m must be at least 1"),
+    (lambda: tradeoff_sweep(ONE_CLASS, HALF, [10], 0, 0.1, [1]), ValueError,
+     "need at least one trial and one master seed"),
+    (lambda: tradeoff_sweep(ONE_CLASS, HALF, [10], 2, 0.1, []), ValueError,
+     "need at least one trial and one master seed"),
+    (lambda: tradeoff_sweep(ONE_CLASS, HALF, [10], 2, 0.0, [1]), ValueError,
+     "delta must lie in (0, 1), got 0.0"),
+    (lambda: srm(ONE_CLASS, NO_POINTS, 0.1), ValueError, "the sample must be nonempty"),
+    (lambda: memorizer(ONE_POINT, default=2), ValueError, "default label must be 0 or 1"),
+    (lambda: Dichotomy(((0.0,),), (2,)), ValueError, "labeling bits must be 0 or 1"),
+    (lambda: sine_shatter_witness(0), ValueError, "k must be at least 1"),
+    (lambda: as_instance([[0.0, 1.0]]), ValueError,
+     "an instance must be a single point, got shape (1, 2)"),
+    (lambda: LabeledSample([0.5, 1.0], [0, 1]), ValueError,
+     "sample instances must form an (m, d) matrix, got shape (2,)"),
+    (lambda: LabeledSample(np.empty((2, 0)), [0, 1]), ValueError,
+     "instance dimension must be at least 1"),
+    (lambda: LabeledSample([[0.5]], [0, 1]), ValueError,
+     "labels shape (2,) does not match 1 instances"),
+    (lambda: LabeledSample([[0.5]], [2]), ValueError, "labels must be 0 or 1"),
+    (lambda: LabeledSample([[math.inf]], [0]), ValueError,
+     "sample instances must have finite coordinates"),
+    (lambda: label_matrix([Threshold(0.5)], [0.5, 1.0]), ValueError,
+     "label_matrix expects an (n, d) matrix of instances, got shape (2,)"),
+    (lambda: true_risk(HALF, Rectangle(((0.0, 1.0), (0.0, 1.0)))), ValueError,
+     "hypothesis dimension 2 does not match distribution 1"),
+    (lambda: hoeffding_band(0), ValueError, "n must be at least 1"),
+])
+def test_library_refusals_say_what_is_wrong(call, exc, message):
+    # Each argument out of range is refused by the call that takes it, with
+    # its own message, across the library's layers.
+    with pytest.raises(exc) as raised:
+        call()
+    assert str(raised.value) == message

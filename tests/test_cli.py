@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import pathlib
 import re
@@ -26,7 +27,7 @@ from sltlab.core import LabeledSample, Rectangle, hypothesis_from_json
 from sltlab.distributions import (DataDistribution, SeedSpec, UniformBox, draw_sample, mc_risk,
                                   true_risk)
 from sltlab.presets import RUN_PRESETS, preset_names, resolve_distribution
-from sltlab.shattering import VcReport, verify_certificate
+from sltlab.shattering import SineWitnessReport, VcReport, verify_certificate
 
 # sha256 of records.csv for each harness preset at --trials 20 --records,
 # recorded before the reports stopped embedding their records
@@ -60,6 +61,8 @@ UNSORTED_INTERVALS = '{"family": "intervals", "grid": {"axes": [[0.5, 0.2, 0.9]]
 EMPTY_UNIONS = '{"family": "interval_unions", "k": 3, "resolution": 2}'
 # A JSON integer of 401 digits, beyond the float range.
 HUGE_INT = "1" + "0" * 400
+# a threshold hypothesis, for cases that need one but test something else
+THRESHOLD = '{"kind":"threshold","theta":0.5}'
 # a sample CSV whose record on line 7 has the label 2, and a path with no file
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 BAD_LABEL_CSV = DATA_DIR / "bad_label.csv"
@@ -270,6 +273,14 @@ class TestExitCodes:
             "--seed", "1",
         ])
         assert code == EXIT_FAIL
+
+    def test_unrealized_sine_labeling_is_two(self, monkeypatch, tmp_path, capsys):
+        failed = SineWitnessReport(points=(0.1,), entries=(((1,), math.pi),), failed=((0,),))
+        monkeypatch.setattr(cli, "sine_shatter_witness", lambda k: failed)
+        assert main(["vcdim", "--class", "sine", "--sine-k", "1",
+                     "--out", str(tmp_path / "sine")]) == EXIT_FAIL
+        assert capsys.readouterr().out.startswith(
+            "sign-of-sine shattering at k=1: 1 labelings NOT realized\n")
 
     def test_unknown_preset_is_one(self, capsys):
         assert main(["pac", "--preset", "nope"]) == EXIT_CONFIG
@@ -613,6 +624,56 @@ class TestExitCodes:
          "sltlab: error: config.sine_k: only meaningful for the sine family\n"),
         (["vcdim", "--class", '{"family":"intervals"}'],
          "sltlab: error: config.pool: required when the class is not a pooled preset\n"),
+        # Refusals of the distribution, hypothesis, class, sequence and pool
+        # parsers, each named by its config key.
+        (["risk", "--dist", '{"marginal":{"type":"uniform_box","bounds":[[1,0]]},'
+          '"labeler":{"hypothesis":{"kind":"threshold","theta":0.5}}}', "--hypothesis", THRESHOLD],
+         "sltlab: error: config.dist: distribution: marginal: box side [1.0, 0.0] must have "
+         "positive length\n"),
+        (["risk", "--dist", '{"marginal":{"type":"uniform_box","bounds":[[0,1]]},'
+          '"labeler":{"table":{"points":[[0]],"p1":[0.5]}}}', "--hypothesis", THRESHOLD],
+         "sltlab: error: config.dist: a conditional-table labeler needs a finite marginal\n"),
+        (["risk", "--dist", '{"marginal":{"type":"finite_uniform","points":[]},'
+          '"labeler":{"hypothesis":{"kind":"threshold","theta":0.5}}}', "--hypothesis", THRESHOLD],
+         "sltlab: error: config.dist: distribution: marginal: need at least one support point\n"),
+        (["risk", "--dist", '{"marginal":{"type":"point_masses","points":[[0],[1]],'
+          '"probs":[1.5,-0.5]},"labeler":{"hypothesis":{"kind":"threshold","theta":0.5}}}',
+          "--hypothesis", THRESHOLD],
+         "sltlab: error: config.dist: distribution: marginal: probabilities must be "
+         "nonnegative\n"),
+        (["risk", "--dist", '{"marginal":{"type":"finite_uniform","points":[[0]]},'
+          '"labeler":{"table":{"points":[[0]],"p1":[1.5]}}}', "--hypothesis", THRESHOLD],
+         "sltlab: error: config.dist: distribution: labeler: table: conditional probabilities "
+         "must lie in [0, 1]\n"),
+        (["risk", "--dist", '{"marginal":{"type":"uniform_box","bounds":[[0,1]]},"labeler":5}',
+          "--hypothesis", THRESHOLD],
+         "sltlab: error: config.dist: distribution: labeler: expected a JSON object, got 5\n"),
+        (["risk", "--dist", "uniform-threshold-clean", "--hypothesis",
+          '{"kind":"threshold","theta":0.5,"direction":"gt"}'],
+         "sltlab: error: config.hypothesis: direction must be 'ge' or 'le', got 'gt'\n"),
+        (["risk", "--dist", "uniform-threshold-clean", "--hypothesis",
+          '{"kind":"lookup","points":[[0]],"labels":[2]}'],
+         "sltlab: error: config.hypothesis: labels must be 0 or 1\n"),
+        (["pac", "--preset", "pac-thresholds", "--class",
+          '{"family":"thresholds","directions":["gt"]}'],
+         "sltlab: error: config.class: directions must be a nonempty subset of ('ge','le'), "
+         "got ('gt',)\n"),
+        (["pac", "--preset", "pac-thresholds", "--class", '{"family":"thresholds","grid":5}'],
+         "sltlab: error: config.class: thresholds: grid: expected a JSON object, got 5\n"),
+        (["pac", "--preset", "pac-thresholds", "--class",
+          '{"family":"thresholds","grid":{"axes":[[]]}}'],
+         "sltlab: error: config.class: thresholds: grid: grid axes must be nonempty\n"),
+        (["pac", "--preset", "pac-thresholds", "--class", '{"family":"finite","members":[]}'],
+         "sltlab: error: config.class: a finite class needs at least one hypothesis\n"),
+        (["pac", "--preset", "pac-thresholds", "--class", '{"family":"finite","members":['
+          '{"kind":"threshold","theta":0.5},{"kind":"rectangle","bounds":[[0,1],[0,1]]}]}'],
+         "sltlab: error: config.class: members must share one dimension, saw [1, 2]\n"),
+        (["srm", "--preset", "srm-nested-thresholds-demo", "--sequence",
+          '{"classes":[{"family":"thresholds"}],"weights":[0.5,0.5]}'],
+         "sltlab: error: config.sequence: classes and weights must have equal length\n"),
+        (["vcdim", "--class", "intervals", "--pool", "[[[0]],[[1]]]"],
+         "sltlab: error: config.pool: point set must be an (n, d) matrix, got shape "
+         "(2, 1, 1)\n"),
     ], ids=data_dir_as_data)
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG

@@ -1086,7 +1086,13 @@ class TestDescribe:
         (Halfspace((1.0, -1.0), 0.1), "1[(1,-1).x + 0.1 >= 0]"),
         (SineSign(40.0), "1[sin(40 x) >= 0]"),
         (LookupTable(((0.0,), (1.0,), (2.5,)), (1, 0, 1), default=1),
-         "lookup(3 points, default 1)"),
+         "lookup(3 points, labels 101, default 1)"),
+        # 16 points print their labels; past that, the first 8 hex digits of
+        # the sha256 of the label string
+        (LookupTable(tuple((float(i),) for i in range(16)), (0, 1) * 8),
+         "lookup(16 points, labels 0101010101010101, default 0)"),
+        (LookupTable(tuple((float(i),) for i in range(17)), (0, 1) * 8 + (0,)),
+         "lookup(17 points, labels sha256:78d92565, default 0)"),
     ])
     def test_text(self, h, text):
         assert h.describe() == text
@@ -1096,4 +1102,5 @@ class TestDescribe:
         tables = (LookupTable(domain, (0, 1)), LookupTable(domain, (1, 1)))
         rebuilt = list(FiniteClass(tables).members())
         assert rebuilt == list(tables)
-        assert [h.describe() for h in rebuilt] == ["lookup(2 points, default 0)"] * 2
+        assert [h.describe() for h in rebuilt] == ["lookup(2 points, labels 01, default 0)",
+                                                   "lookup(2 points, labels 11, default 0)"]

@@ -350,6 +350,10 @@ def outcome(risk, D, h):
 @example((DataDistribution(UniformBox(((-1.0, -0.5), (-0.0, 1e-323))),
                            Rectangle(((-math.inf, -math.inf), (-math.inf, -math.inf)))),
           [LOOKUPS[2], Rectangle(((0.0, 1.0), (0.0, 1.0))), Halfspace((1.0, 0.0), 0.5)]))
+@example((DataDistribution(UniformBox(((-1e153, 1e153), (-1e153, 1e153))),
+                           Halfspace((1.0, 1.0), 0.0)),
+          [Halfspace((1e308, 1e308), 0.0), Rectangle(((-math.inf, math.inf), (-math.inf, 0.5))),
+           Rectangle(((-math.inf, 0.0), (-0.0, math.inf)))]))
 def test_exact_risks_equal_the_per_member_reference(case):
     D, members = case
     expected = [outcome(reference_true_risk, D, h) for h in members]
@@ -435,3 +439,35 @@ def test_an_exact_class_builds_no_member(D, classes, monkeypatch):
     risks, mc = member_risks(D, stacked)
     assert hexes(risks) == hexes(expected) and not mc.any()
 
+
+def test_long_2d_runs_equal_the_per_member_reference():
+    # One run of 2000 halfplanes and one of 1000 boxes, whose polygons gain,
+    # keep and lose vertices as they are clipped from the box, with the
+    # special values mixed in; on a small box and on one where w . x + b
+    # overflows to inf and NaN, against a labeler that cuts a corner, one
+    # whose sums overflow and one that labels nothing 1.
+    rnd = random.Random(11)
+    special = [-math.inf, math.inf, -0.0, 0.0, 1e308, -1e308, 5e-324, 1.0, -1.0, 2.0]
+
+    def value(finite=False):
+        if rnd.random() < 0.25:
+            return rnd.choice([v for v in special if not finite or math.isfinite(v)])
+        return rnd.choice([rnd.uniform(-2.0, 3.0), round(rnd.uniform(-1.5, 2.5), 1)])
+
+    members = [Halfspace((value(True), value(True)), value()) for _ in range(2000)]
+    members += [Rectangle(tuple(tuple(sorted((value(), value()))) for _ in range(2)))
+                for _ in range(1000)]
+    stacked = StackedMembers(members)
+    assert len(stacked._runs) == 2
+    small = UniformBox(((-1.0, 2.0), (-0.5, 1.0)))
+    for box in (small, UniformBox(((-1e153, 1e153),) * 2)):
+        for labeler in (Halfspace((1.0, -2.0), 1.5), Halfspace((1e308, 1e308), -1e308),
+                        Halfspace((0.0, 0.0), -1.0)):
+            D = DataDistribution(box, labeler, 0.1)
+            risks, mc = member_risks(D, stacked)
+            assert hexes(risks) == [float(reference_true_risk(D, h)).hex() for h in members]
+            assert not mc.any()
+    (x0, x1), (y0, y1) = small.bounds
+    corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    counts = {len(reference_positive_polygon_2d(h, corners)) for h in members}
+    assert min(counts) < 4 and 4 in counts and max(counts) > 4
