@@ -58,7 +58,6 @@ from .bounds import (
     sample_complexity,
 )
 from .shattering import (
-    Dichotomy,
     VcReport,
     restriction,
     shatters,

@@ -35,6 +35,7 @@ from .core import (
     LabeledSample,
     hypothesis_from_json,
     real_number,
+    truth_value,
     whole_number,
 )
 from .distributions import (AnalyticRiskUnavailable, SeedSpec, draw_sample, hoeffding_band,
@@ -43,7 +44,7 @@ from .experiments import (
     DEFAULT_NFL_LEARNER,
     NFL_LEARNERS,
     NFL_MAX_M,
-    check_distinct_sizes,
+    distinct,
     nfl_exact,
     tradeoff_sweep,
     verify_learnability,
@@ -136,20 +137,11 @@ def _nfl_learner(value) -> str:
 
 
 def _sample_sizes(value) -> list[int]:
-    """A list of pairwise distinct sample sizes, each at least 1."""
-    sizes = [_at_least_one(v) for v in _int_list(value)]
-    check_distinct_sizes(sizes)
-    return sizes
+    return distinct([_at_least_one(v) for v in _int_list(value)], "sample size")
 
 
-def _each_seed(value) -> list[int]:
-    return [_seed(v) for v in _int_list(value)]
-
-
-def _bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    raise TypeError(f"expected a boolean, got {value!r}")
+def _master_seeds(value) -> list[int]:
+    return distinct([_seed(v) for v in _int_list(value)], "master seed")
 
 
 # One declaration per config key: key -> (cast, default).  The default is
@@ -165,7 +157,7 @@ _C = (_positive, DEFAULT_C)
 _COMMON_KEYS = {
     "command": (str, REQUIRED), "preset": (str, None), "preset_version": (_whole, None),
     "out": (str, None), "seed": (_seed, None), "workers": (_at_least_one, None),
-    "records": (_bool, False),
+    "records": (truth_value, False),
 }
 
 _COMMAND_KEYS: dict[str, dict] = {
@@ -197,7 +189,7 @@ _COMMAND_KEYS: dict[str, dict] = {
                  "m_values": (_sample_sizes, REQUIRED),
                  "trials": (_at_least_one, REQUIRED),
                  "delta": _DELTA, "C": _C,
-                 "seeds": (_each_seed, None), "mc_n": (_at_least_one, None),
+                 "seeds": (_master_seeds, None), "mc_n": (_at_least_one, None),
                  "budget": _BUDGET},
 }
 
@@ -672,7 +664,8 @@ def _build_parser() -> _Parser:
         for key, (cast, _) in {**_COMMON_KEYS, **keys}.items():
             if key not in _NOT_FLAGS:
                 p.add_argument("--" + key.replace("_", "-"), dest=key, help=_KEY_HELP.get(key),
-                               action=argparse.BooleanOptionalAction if cast is _bool else None)
+                               action=(argparse.BooleanOptionalAction if cast is truth_value
+                                       else None))
     return parser
 
 

@@ -208,6 +208,13 @@ def whole_number(v) -> int:
     return int(v)
 
 
+def truth_value(v) -> bool:
+    """v, which must be a bool: the string "false" raises ValueError."""
+    if not isinstance(v, bool):
+        raise ValueError(f"expected a boolean, got {v!r}")
+    return v
+
+
 def real_number(v) -> float:
     """float(v) of a finite number: a bool, a string, NaN or an infinity
     raises ValueError."""
@@ -500,8 +507,7 @@ class SineSign(Hypothesis):
     def _label_stack(self, out, P, X):
         # alpha * x may overflow to inf, whose sine is NaN (label 0), unwarned
         with np.errstate(over="ignore", invalid="ignore"):
-            for row, alpha in zip(out, P[:, 0]):
-                np.greater_equal(np.sin(alpha * X[:, 0]), 0.0, out=row)
+            np.greater_equal(np.sin(P * X[:, 0]), 0.0, out=out)
 
     def describe(self) -> str:
         return f"1[sin({self.alpha:g} x) >= 0]"

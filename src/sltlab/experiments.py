@@ -182,12 +182,13 @@ def _per_trial(D: DataDistribution, m: int, rows: Sequence[tuple[int, int, int]]
     return [np.concatenate(outputs) for outputs in zip(*parts)]
 
 
-def check_distinct_sizes(m_values: Sequence[int]) -> None:
-    """Reject a sample size listed more than once: its results would be
-    pooled under one m."""
-    for i, m in enumerate(m_values):
-        if m in m_values[:i]:
-            raise ValueError(f"sample size {m} is listed more than once")
+def distinct(values: Sequence[int], what: str) -> Sequence[int]:
+    """values, refusing one listed more than once, whose repeats' results
+    would be pooled under one value; what names a value ("sample size")."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ValueError(f"{what} {v} is listed more than once")
+    return values
 
 
 def _summary(
@@ -320,7 +321,7 @@ def verify_uniform_convergence(
     median deviation is 0).
     """
     _check_harness(eps, delta, trials)
-    check_distinct_sizes(m_values)
+    distinct(m_values, "sample size")
     members = StackedMembers.of(H, budget=budget)
     risks, _ = member_risks(D, members, mc_n, seed, "uc-member-risk")
 
@@ -488,6 +489,17 @@ class TradeoffReport:
         return {"config": self.config, "rows": list(self.rows)}
 
 
+# The trade-off table's columns, in order: an erm row per (class, m) and an
+# srm row per m, each leaving the other learner's cells None.
+_TRADEOFF_COLUMNS = ("learner", "class_index", "vc_dim", "m", "approximation_error",
+                     "mean_estimation_error", "mean_total_risk", "mean_objective", "pick_freqs",
+                     "trials")
+
+
+def _tradeoff_row(**cells) -> dict:
+    return {**dict.fromkeys(_TRADEOFF_COLUMNS), **cells}
+
+
 def tradeoff_sweep(
     seq: WeightedClassSequence,
     D: DataDistribution,
@@ -516,7 +528,8 @@ def tradeoff_sweep(
         raise ValueError("need at least one trial and one master seed")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    check_distinct_sizes(m_values)
+    distinct(m_values, "sample size")
+    distinct(master_seeds, "master seed")
     n_classes = len(seq)
     dims = class_dims(seq, vc_dims)
     stacked, ends = stack_sequence(seq, budget)
@@ -537,34 +550,19 @@ def tradeoff_sweep(
         risks, at = member_risk[fits], np.arange(len(seeds))
         objectives = errors[at, picks] + pens[picks]
         runs.append((risks, picks, objectives))
-        for c in range(n_classes):
-            rows.append({
-                "learner": "erm",
-                "class_index": c + 1,
-                "vc_dim": dims[c],
-                "m": m,
-                "approximation_error": float(approx[c]),
-                "mean_estimation_error": float(np.mean(risks[:, c] - approx[c])),
-                "mean_total_risk": float(np.mean(risks[:, c])),
-                "mean_objective": None,
-                "pick_freqs": None,
-                "trials": len(seeds),
-            })
+        rows += [_tradeoff_row(learner="erm", class_index=c + 1, vc_dim=dims[c], m=m,
+                               approximation_error=float(approx[c]),
+                               mean_estimation_error=float(np.mean(risks[:, c] - approx[c])),
+                               mean_total_risk=float(np.mean(risks[:, c])), trials=len(seeds))
+                 for c in range(n_classes)]
         freqs = {str(c + 1): np.count_nonzero(picks == c) / len(seeds) for c in range(n_classes)}
         with np.errstate(over="ignore"):  # a sum past the floats is inf, without a warning
             mean_objective = float(np.mean(objectives))
-        rows.append({
-            "learner": "srm",
-            "class_index": None,
-            "vc_dim": None,
-            "m": m,
-            "approximation_error": None,
-            "mean_estimation_error": None,
-            "mean_total_risk": float(np.mean(risks[at, picks])),
-            "mean_objective": mean_objective,
-            "pick_freqs": ";".join(f"{k}:{v:.6f}" for k, v in sorted(freqs.items())),
-            "trials": len(seeds),
-        })
+        rows.append(_tradeoff_row(
+            learner="srm", m=m, mean_total_risk=float(np.mean(risks[at, picks])),
+            mean_objective=mean_objective,
+            pick_freqs=";".join(f"{k}:{v:.6f}" for k, v in sorted(freqs.items())),
+            trials=len(seeds)))
 
     records = tuple(
         {

@@ -58,8 +58,14 @@ from .core import (
     HypothesisClass,
     SineSign,
     StackedMembers,
+    _json_list,
+    check_keys,
     hypothesis_from_json,
     label_matrix,
+    read_key,
+    real_number,
+    truth_value,
+    whole_number,
 )
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
@@ -79,36 +85,20 @@ class PointSetError(ValueError):
 
 
 @dataclass(frozen=True)
-class Dichotomy:
-    """A finite ordered point set together with one realized labeling of it."""
-
-    points: tuple[tuple[float, ...], ...]
-    labeling: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.points) != len(self.labeling):
-            raise ValueError("points and labeling must have equal length")
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("dichotomy points must be pairwise distinct")
-        if any(b not in (0, 1) for b in self.labeling):
-            raise ValueError("labeling bits must be 0 or 1")
-
-
-@dataclass(frozen=True)
 class VcReport:
     """Result of a dimension search over a finite pool.
 
     ``value`` is the largest shattered-subset size found; it is exact when
     ``exact`` is true, otherwise only a lower bound (the subset budget ran
     out).  ``witness`` is a shattered set of that size and ``certificate``
-    maps each of its 2^k labelings to a realizing hypothesis; replaying every
-    certificate hypothesis on the witness must reproduce its labeling.
+    pairs each of its 2^k labelings with a realizing hypothesis; replaying
+    every certificate hypothesis on the witness must reproduce its labeling.
     """
 
     value: int
     exact: bool
     witness: tuple[tuple[float, ...], ...]
-    certificate: tuple[tuple[Dichotomy, Hypothesis], ...]
+    certificate: tuple[tuple[tuple[int, ...], Hypothesis], ...]
     pool_size: int
     subsets_tested: int
 
@@ -122,23 +112,39 @@ class VcReport:
             "marker": self.marker(),
             "witness": [list(p) for p in self.witness],
             "certificate": [
-                {"labeling": list(d.labeling), "hypothesis": h.to_json()}
-                for d, h in self.certificate
+                {"labeling": list(labeling), "hypothesis": h.to_json()}
+                for labeling, h in self.certificate
             ],
             "pool_size": self.pool_size,
             "subsets_tested": self.subsets_tested,
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "VcReport":
-        witness = tuple(tuple(float(c) for c in p) for p in data["witness"])
-        cert = tuple(
-            (Dichotomy(witness, tuple(int(b) for b in e["labeling"])),
-             hypothesis_from_json(e["hypothesis"]))
-            for e in data["certificate"]
-        )
-        return cls(int(data["value"]), bool(data["exact"]), witness, cert,
-                   int(data["pool_size"]), int(data["subsets_tested"]))
+    def from_json(cls, data) -> "VcReport":
+        """Invert to_json (the marker follows from value and exact): a bad key
+        or value, or a labeling that is not one 0/1 bit per witness point,
+        raises ValueError naming the key; a repeated witness point, PointSetError."""
+        check_keys(data, ("value", "exact", "marker", "witness", "certificate", "pool_size",
+                          "subsets_tested"))
+        witness = read_key(data, "witness", lambda v: tuple(
+            tuple(map(real_number, _json_list(p))) for p in _json_list(v)))
+        _points_matrix(witness)
+        certificate = read_key(data, "certificate", lambda v: tuple(
+            _certificate_entry(e, len(witness), f"entry {i}: ")
+            for i, e in enumerate(_json_list(v))))
+        return cls(read_key(data, "value", whole_number), read_key(data, "exact", truth_value),
+                   witness, certificate, read_key(data, "pool_size", whole_number),
+                   read_key(data, "subsets_tested", whole_number))
+
+
+def _certificate_entry(data, k: int, where: str) -> tuple[tuple[int, ...], Hypothesis]:
+    """A certificate's (labeling, hypothesis) pair on k witness points."""
+    check_keys(data, ("labeling", "hypothesis"), where)
+    bits = read_key(data, "labeling", lambda v: tuple(map(whole_number, _json_list(v))), where)
+    if len(bits) != k or not set(bits) <= {0, 1}:
+        raise ValueError(f"{where}labeling: expected one 0/1 bit per witness point, {k} in all, "
+                         f"got {list(bits)}")
+    return bits, read_key(data, "hypothesis", hypothesis_from_json, where)
 
 
 def _points_matrix(X) -> np.ndarray:
@@ -331,7 +337,7 @@ def vc_dimension(
 
     witness = tuple(tuple(float(c) for c in pts[i]) for i in best_combo)
     certificate = tuple(
-        (Dichotomy(witness, labeling), members[int(hyp_idx)])
+        (labeling, members[int(hyp_idx)])
         for labeling, hyp_idx in zip(itertools.product((0, 1), repeat=len(best_combo)),
                                      best_first)
     )
@@ -349,16 +355,11 @@ def verify_certificate(report: VcReport) -> bool:
     """Replay every certificate hypothesis on the witness points."""
     if report.value == 0:
         return not report.witness
-    pts = np.asarray(report.witness, dtype=float)
-    if len(report.certificate) != 2 ** report.value:
+    if len(report.witness) != report.value or len(report.certificate) != 2 ** report.value:
         return False
-    seen = set()
-    for dichotomy, h in report.certificate:
-        realized = tuple(int(v) for v in h.labels(pts))
-        if realized != dichotomy.labeling:
-            return False
-        seen.add(realized)
-    return len(seen) == 2 ** report.value
+    pts = np.asarray(report.witness, dtype=float)
+    return len({labeling for labeling, _ in report.certificate}) == 2 ** report.value and all(
+        tuple(h.labels(pts).tolist()) == labeling for labeling, h in report.certificate)
 
 
 # ---------------------------------------------------------------------------

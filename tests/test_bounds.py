@@ -44,7 +44,7 @@ from sltlab.experiments import (
     verify_uniform_convergence,
 )
 from sltlab.learners import erm, memorizer, srm
-from sltlab.shattering import Dichotomy, sine_shatter_witness
+from sltlab.shattering import VcReport, sine_shatter_witness
 
 UNIT = UniformBox(((0.0, 1.0),))
 
@@ -213,13 +213,16 @@ class TestDecomposition:
             assert 0.0 <= dec.total <= 1.0
 
 
-# One sample, an empty one, a class and its one-class sequence for the
-# refusals below.
+# One sample, an empty one, a class, its one-class sequence and a vc report
+# with a labeling bit of 2 for the refusals below.
 ONE_POINT = LabeledSample([[0.5]], [1])
 NO_POINTS = LabeledSample(np.empty((0, 1)), [])
 THRESHOLDS = ThresholdClass()
 ONE_CLASS = WeightedClassSequence((THRESHOLDS,))
 HALF = DataDistribution(UNIT, Threshold(0.5))
+BAD_BIT_REPORT = {"value": 1, "exact": True, "witness": [[0.5]], "certificate": [
+    {"labeling": [2], "hypothesis": {"kind": "threshold", "theta": 0.0}}],
+    "pool_size": 1, "subsets_tested": 1}
 
 
 @pytest.mark.parametrize("call, exc, message", [
@@ -253,7 +256,8 @@ HALF = DataDistribution(UNIT, Threshold(0.5))
      "delta must lie in (0, 1), got 0.0"),
     (lambda: srm(ONE_CLASS, NO_POINTS, 0.1), ValueError, "the sample must be nonempty"),
     (lambda: memorizer(ONE_POINT, default=2), ValueError, "default label must be 0 or 1"),
-    (lambda: Dichotomy(((0.0,),), (2,)), ValueError, "labeling bits must be 0 or 1"),
+    (lambda: VcReport.from_json(BAD_BIT_REPORT), ValueError,
+     "certificate: entry 0: labeling: expected one 0/1 bit per witness point, 1 in all, got [2]"),
     (lambda: sine_shatter_witness(0), ValueError, "k must be at least 1"),
     (lambda: as_instance([[0.0, 1.0]]), ValueError,
      "an instance must be a single point, got shape (1, 2)"),
@@ -271,6 +275,8 @@ HALF = DataDistribution(UNIT, Threshold(0.5))
     (lambda: true_risk(HALF, Rectangle(((0.0, 1.0), (0.0, 1.0)))), ValueError,
      "hypothesis dimension 2 does not match distribution 1"),
     (lambda: hoeffding_band(0), ValueError, "n must be at least 1"),
+    (lambda: tradeoff_sweep(ONE_CLASS, HALF, [10], 2, 0.1, [0, 0]), ValueError,
+     "master seed 0 is listed more than once"),
 ])
 def test_library_refusals_say_what_is_wrong(call, exc, message):
     # Each argument out of range is refused by the call that takes it, with

@@ -674,6 +674,27 @@ class TestExitCodes:
         (["vcdim", "--class", "intervals", "--pool", "[[[0]],[[1]]]"],
          "sltlab: error: config.pool: point set must be an (n, d) matrix, got shape "
          "(2, 1, 1)\n"),
+        (["risk", "--dist", "uniform-threshold-clean", "--hypothesis",
+          '{"kind":"lookup","points":[[0],[1]],"labels":[1]}'],
+         "sltlab: error: config.hypothesis: points and labels must have equal length\n"),
+        (["srm", "--preset", "srm-nested-thresholds-demo", "--sequence", '{"classes":[]}'],
+         "sltlab: error: config.sequence: the sequence must contain at least one class\n"),
+        (["risk", "--dist", '{"marginal":{"type":"point_masses","points":[[0]],'
+          '"probs":[0.5,0.5]},"labeler":{"hypothesis":{"kind":"threshold","theta":0.5}}}',
+          "--hypothesis", THRESHOLD],
+         "sltlab: error: config.dist: distribution: marginal: points and probs must have equal "
+         "length\n"),
+        (["risk", "--dist", '{"marginal":{"type":"point_masses","points":[],"probs":[]},'
+          '"labeler":{"hypothesis":{"kind":"threshold","theta":0.5}}}', "--hypothesis", THRESHOLD],
+         "sltlab: error: config.dist: distribution: marginal: need at least one support point\n"),
+        (["risk", "--dist", '{"marginal":{"type":"finite_uniform","points":[[0]]},'
+          '"labeler":{"table":{"points":[[0]],"p1":[0.5,0.5]}}}', "--hypothesis", THRESHOLD],
+         "sltlab: error: config.dist: distribution: labeler: table: points and p1 must have "
+         "equal length\n"),
+        # A repeated master seed would pool its trials twice under one seed.
+        (["tradeoff", "--preset", "tradeoff-nested-thresholds", "--seeds", "0,0", "--trials", "2",
+          "--records"],
+         "sltlab: error: config.seeds: master seed 0 is listed more than once\n"),
     ], ids=data_dir_as_data)
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG
@@ -789,6 +810,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"config.{key}: expected a finite number" in captured.err
+
+    def test_config_file_null_counts_as_unset(self, tmp_path, capsys):
+        # An unset m is the base quantity b = 399.573, rounded up.
+        path = tmp_path / "cfg.json"
+        path.write_text('{"m": null}')
+        argv = ["bounds", "--d", "1", "--eps", "0.1", "--delta", "0.05"]
+        assert main(argv + ["--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert "accuracy at m=400: " in capsys.readouterr().out
+        assert json.load(open(tmp_path / "out" / "bounds.json"))["inputs"]["m"] == 400
+        assert "m" not in json.load(open(tmp_path / "out" / "manifest.json"))["config"]
 
     def test_config_file_whole_floats_cast_to_int(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -144,7 +144,8 @@ def reference_labels(h, X: np.ndarray) -> np.ndarray:
     if type(h) is Halfspace:
         return (X @ np.asarray(h.weights) + h.bias >= 0.0).astype(np.uint8)
     if type(h) is SineSign:
-        return (np.sin(h.alpha * X[:, 0]) >= 0.0).astype(np.uint8)
+        with np.errstate(over="ignore", invalid="ignore"):  # sin(inf) is NaN, label 0
+            return (np.sin(h.alpha * X[:, 0]) >= 0.0).astype(np.uint8)
     table = dict(zip(h.points, h.point_labels))
     return np.fromiter(
         (table.get(tuple(row), h.default) for row in X), dtype=np.uint8, count=len(X)
@@ -225,6 +226,14 @@ MIXED_KEYS = ([IntervalUnion(((0.0, 0.25),)), IntervalUnion(((0.0, 0.25), (0.5, 
               np.array([[i / 8] for i in range(-1, 10)]))
 
 
+# Sine frequencies whose products with some of the points overflow to inf,
+# stacked with one that does not, on zeros of sin(2x) and past them.
+SINE_OVERFLOW = (StackedMembers([SineSign(1e308), SineSign(-1e308), SineSign(3e307),
+                                 SineSign(2.0), SineSign(-0.0)]),
+                 np.array([[0.0], [-0.0], [0.5], [2.0], [-10.0], [1e-300], [math.pi / 2],
+                           [-math.pi]]))
+
+
 def halfspace_meshgrid(g: int) -> np.ndarray:
     """The g x g lattice on [-2, 2]^2; many of its points lie on the 45-degree
     lines of HalfspaceClass2D through the origin."""
@@ -236,6 +245,7 @@ class TestLabelMatrix:
     @settings(max_examples=300, deadline=None)
     @given(members_and_points())
     @example(MIXED_KEYS)
+    @example(SINE_OVERFLOW)
     def test_rows_equal_member_labels(self, case):
         members, X = case
         L = label_matrix(members, X)
@@ -277,6 +287,17 @@ class TestLabelMatrix:
         expected = (per_member >= 0).astype(np.uint8).tolist()
         assert label_matrix(StackedMembers.of(H), X).tolist() == expected
         assert [h.labels(X).tolist() for h in H.members()] == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=8),
+           st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
+    def test_sine_run_equals_per_member_sines(self, alphas, xs):
+        # SineSign._label_stack labels a whole run by one np.sin, which must
+        # give each member's own bits, also where alpha * x overflows.
+        members = [SineSign(a) for a in alphas]
+        X = np.array(xs)[:, None]
+        assert label_matrix(StackedMembers(members), X).tolist() == \
+            [reference_labels(h, X).tolist() for h in members]
 
     @settings(max_examples=100, deadline=None)
     @given(members_and_points(), st.integers(1, 40), st.data())

@@ -22,7 +22,6 @@ from sltlab.core import (
 from sltlab.presets import CLASSES, POOLS
 from sltlab.shattering import (
     MAX_SINE_POINTS,
-    Dichotomy,
     PointSetError,
     VcReport,
     restriction,
@@ -150,11 +149,19 @@ class TestVcDimension:
                          rep.pool_size, rep.subsets_tested)
         assert not verify_certificate(short)
 
-    def test_report_json_round_trip_replays(self):
-        rep = vc_dimension(CLASSES["thresholds"], POOLS["thresholds"])
+    @pytest.mark.parametrize("name", ["thresholds", "intervals", "rectangles2d", "halfspaces2d"])
+    def test_report_json_round_trip_replays(self, name):
+        rep = vc_dimension(CLASSES[name], POOLS[name])
         back = VcReport.from_json(json.loads(jsonio.dumps(rep.to_json())))
-        assert back.value == rep.value
+        assert back == rep
         assert verify_certificate(back)
+
+    def test_witness_of_another_size_fails(self):
+        # 2^1 labelings of a 2-point witness do not show a shattered point.
+        rep = vc_dimension(CLASSES["intervals"], POOLS["intervals"])
+        one = VcReport(1, rep.exact, rep.witness, rep.certificate[:2], rep.pool_size,
+                       rep.subsets_tested)
+        assert rep.value == 2 and not verify_certificate(one)
 
     def test_both_direction_thresholds_reach_two(self):
         # brute force: adding the mirrored direction raises the dimension to 2
@@ -246,7 +253,7 @@ def assert_search_matches_reference(H, pool, L, subset_budget, per_block):
             rep = vc_dimension(H, pool, subset_budget=subset_budget)
         assert (rep.value, rep.exact, rep.subsets_tested) == (value, exact, tested)
         assert rep.witness == tuple(tuple(float(c) for c in pool[i]) for i in combo)
-        assert [(d.labeling, h) for d, h in rep.certificate] == [
+        assert list(rep.certificate) == [
             (labeling, members[i]) for labeling, i in sorted(first.items())]
         assert verify_certificate(rep)
 
@@ -323,12 +330,44 @@ class TestPackedSearchAgainstReference:
         assert verify_certificate(rep)
 
 
-class TestDichotomy:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="equal length"):
-            Dichotomy(((0.0,),), (0, 1))
-        with pytest.raises(ValueError, match="distinct"):
-            Dichotomy(((0.0,), (0.0,)), (0, 1))
+def interval_report() -> dict:
+    """The JSON report of the intervals preset: value 2, witness of 2 points."""
+    rep = vc_dimension(CLASSES["intervals"], POOLS["intervals"])
+    return json.loads(jsonio.dumps(rep.to_json()))
+
+
+class TestReportReader:
+    """A report read back from JSON comes from outside the program: each
+    malformed part is refused with the key that holds it."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r.pop("witness"), "missing 'witness'"),
+        (lambda r: r.update(exact="false"), "exact: expected a boolean, got 'false'"),
+        (lambda r: r.update(value=4.7), "value: expected a whole number, got 4.7"),
+        (lambda r: r.update(extra=1), "unknown key 'extra'"),
+        (lambda r: r["certificate"][1].update(labeling=[0, 2]),
+         "certificate: entry 1: labeling: expected one 0/1 bit per witness point, 2 in all, "
+         "got [0, 2]"),
+        (lambda r: r["certificate"][3].update(labeling=[1]),
+         "certificate: entry 3: labeling: expected one 0/1 bit per witness point, 2 in all, "
+         "got [1]"),
+        (lambda r: r["certificate"][0].pop("hypothesis"),
+         "certificate: entry 0: missing 'hypothesis'"),
+        (lambda r: r["witness"][0].append("0.5"),
+         "witness: expected a finite number, got '0.5'"),
+    ])
+    def test_malformed_report_names_the_key(self, edit, message):
+        report = interval_report()
+        edit(report)
+        with pytest.raises(ValueError) as raised:
+            VcReport.from_json(report)
+        assert str(raised.value) == message
+
+    def test_repeated_witness_point_is_no_point_set(self):
+        report = interval_report()
+        report["witness"][1] = report["witness"][0]
+        with pytest.raises(PointSetError, match="^point set must have pairwise distinct points$"):
+            VcReport.from_json(report)
 
 
 class TestSineWitness:
