@@ -128,6 +128,7 @@ _sine_k = _within(_at_least_one, lambda k: k <= MAX_SINE_POINTS,
                   f"the witness is capped at k={MAX_SINE_POINTS}")
 _label = _within(_whole, lambda v: v in (0, 1), "must be 0 or 1")
 _seed = _within(_whole, lambda n: 0 <= n < 2 ** 64, "must lie in [0, 2^64)")
+_preset_version = _within(_whole, lambda v: v == PRESET_VERSION, f"must be {PRESET_VERSION}")
 
 
 def _nfl_learner(value) -> str:
@@ -155,7 +156,7 @@ _DELTA = (_open_unit, REQUIRED)
 _C = (_positive, DEFAULT_C)
 
 _COMMON_KEYS = {
-    "command": (str, REQUIRED), "preset": (str, None), "preset_version": (_whole, None),
+    "command": (str, REQUIRED), "preset": (str, None), "preset_version": (_preset_version, None),
     "out": (str, None), "seed": (_seed, None), "workers": (_at_least_one, None),
     "records": (truth_value, False),
 }

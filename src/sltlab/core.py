@@ -56,6 +56,10 @@ class DimensionMismatchError(ValueError):
     """Instance dimension does not match the hypothesis or sample dimension."""
 
 
+class PointSetError(ValueError):
+    """A point list off the rule of _check_points, or one a search cannot use."""
+
+
 class EnumerationBudgetError(RuntimeError):
     """A requested enumeration would exceed the configured budget."""
 
@@ -288,26 +292,29 @@ class Hypothesis(JsonFields):
         return repr(self)
 
 
-def _reject_nan(what: str, *values: float, finite: bool = False) -> None:
+def _reject_nan(what: str, *values: float, finite: bool = False, error=ValueError) -> None:
     """Reject NaN, which orders with nothing, and if finite, infinity: times 0 it is NaN."""
     if any(map(math.isnan, values)):
-        raise ValueError(f"{what} must not be NaN")
+        raise error(f"{what} must not be NaN")
     if finite and any(map(math.isinf, values)):
-        raise ValueError(f"{what} must be finite")
+        raise error(f"{what} must be finite")
 
 
-def _check_points(tag: str, points) -> int:
-    """The dimension, 1 if none, of finite points of one dimension, distinct as
-    floats, as lookups compare them (so 2^53 + 1 repeats 2^53)."""
+def _check_points(tag: str, points) -> np.ndarray:
+    """The (n, d) float matrix of points that share one dimension d >= 1 (1 if
+    none), are finite and are distinct as floats, as lookups compare them (so
+    -0.0 is 0.0 and 2^53 + 1 repeats 2^53): the rule of every point list."""
     dim, *other = {len(p) for p in points} or {1}
     if other:
-        raise ValueError(f"{tag} points must share one dimension, got {sorted({dim, *other})}")
+        raise PointSetError(f"{tag} points must share one dimension, got {sorted({dim, *other})}")
     if dim < 1:
-        raise ValueError(f"{tag}: points: instance dimension must be at least 1, got {dim}")
-    _reject_nan(f"{tag} points", *itertools.chain(*points), finite=True)
-    if len(set(map(tuple, np.asarray(points, dtype=float).tolist()))) < len(points):
-        raise ValueError(f"{tag} points must be distinct")
-    return dim
+        raise PointSetError(f"{tag}: points: instance dimension must be at least 1, got {dim}")
+    P = np.asarray(points, dtype=float).reshape(len(points), dim)
+    rows = P.tolist()
+    _reject_nan(f"{tag} points", *itertools.chain(*rows), finite=True, error=PointSetError)
+    if len(set(map(tuple, rows))) < len(rows):
+        raise PointSetError(f"{tag} points must be distinct")
+    return P
 
 
 def _first_equal(A: np.ndarray) -> np.ndarray:
@@ -529,7 +536,7 @@ class LookupTable(Hypothesis):
             raise ValueError("points and labels must have equal length")
         if any(lab not in (0, 1) for lab in self.point_labels) or self.default not in (0, 1):
             raise ValueError("labels must be 0 or 1")
-        object.__setattr__(self, "_dim", _check_points(self.kind, self.points))
+        object.__setattr__(self, "_dim", _check_points(self.kind, self.points).shape[1])
 
     @property
     def dim(self) -> int:
@@ -639,7 +646,8 @@ class LabeledSample:
     @classmethod
     def from_json(cls, data: dict) -> "LabeledSample":
         check_keys(data, ("m", "dim", "pairs"), "sample: ")
-        pairs = read_key(data, "pairs", lambda v: [(x, y) for x, y in _json_list(v)], "sample: ")
+        pairs = read_key(data, "pairs", _json_cast(tuple[tuple[tuple[float, ...], int], ...]),
+                         "sample: ")
         sample = cls.from_pairs(pairs, dim=read_key(data, "dim", whole_number, "sample: ", None))
         if sample.m != read_key(data, "m", whole_number, "sample: ", sample.m):
             raise ValueError(f"sample: declared m={data['m']} but {sample.m} pairs given")
@@ -1347,7 +1355,10 @@ class FiniteClass(HypothesisClass):
         if len(dims) != 1:
             raise ValueError(f"members must share one dimension, saw {sorted(dims)}")
         if self.domain is not None:
-            probe = np.asarray(self.domain, dtype=float)
+            probe = _check_points(f"{self.family}: domain", self.domain)
+            if not len(probe) or probe.shape[1] != self.dim:
+                raise ValueError(f"{self.family}: domain: expected one or more points of the "
+                                 f"members' dimension {self.dim}, got shape {probe.shape}")
             dupes = find_extensional_duplicates(self.hypotheses, probe)
             if dupes:
                 i, j = dupes[0]

@@ -23,7 +23,10 @@ from .core import (
     Threshold,
     ThresholdClass,
     WeightedClassSequence,
+    _check_points,
+    _json_cast,
     class_from_json,
+    read_key,
 )
 from .distributions import DataDistribution, FiniteUniform, UniformBox
 
@@ -181,16 +184,11 @@ def resolve_class(spec: str) -> HypothesisClass:
     return _resolve(spec, "{", class_from_json, CLASSES, "unknown class preset")
 
 
-def _pool_rows(data) -> np.ndarray:
-    rows = [r if isinstance(r, list) else [r] for r in data]
-    for i, row in enumerate(rows):
-        if len(row) != len(rows[0]):
-            raise ValueError(f"pool: row {i} has {len(row)} coordinates, expected {len(rows[0])}")
-    return np.asarray(rows, dtype=float)
-
-
 def resolve_pool(spec: str) -> np.ndarray:
-    return _resolve(spec, "[", _pool_rows, POOLS, "no point pool named")
+    """A pool preset name, or inline JSON read as every JSON point list is."""
+    return _resolve(spec, "[", lambda data: _check_points("pool", read_key(
+        {"pool": data}, "pool", _json_cast(tuple[tuple[float, ...], ...]))),
+        POOLS, "no point pool named")
 
 
 def resolve_distribution(spec: str) -> DataDistribution:

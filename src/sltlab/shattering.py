@@ -56,14 +56,16 @@ from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     Hypothesis,
     HypothesisClass,
+    PointSetError,
     SineSign,
     StackedMembers,
+    _check_points,
+    _json_cast,
     _json_list,
     check_keys,
     hypothesis_from_json,
     label_matrix,
     read_key,
-    real_number,
     truth_value,
     whole_number,
 )
@@ -77,11 +79,6 @@ CODE_BLOCK_CELLS = 1 << 15
 # Cost of one bitset word against one packed code, in the rule of the module
 # docstring that picks a size's subset test.
 BITSET_WORD_COST = 3
-
-
-class PointSetError(ValueError):
-    """A point set or pool that cannot be searched: not an (n, d) matrix,
-    empty, with a non-finite coordinate or with a repeated point."""
 
 
 @dataclass(frozen=True)
@@ -123,15 +120,13 @@ class VcReport:
     def from_json(cls, data) -> "VcReport":
         """Invert to_json (the marker follows from value and exact): a bad key
         or value, or a labeling that is not one 0/1 bit per witness point,
-        raises ValueError naming the key; a repeated witness point, PointSetError."""
+        raises ValueError naming the key; a witness off the point-list rule, PointSetError."""
         check_keys(data, ("value", "exact", "marker", "witness", "certificate", "pool_size",
                           "subsets_tested"))
-        witness = read_key(data, "witness", lambda v: tuple(
-            tuple(map(real_number, _json_list(p))) for p in _json_list(v)))
-        _points_matrix(witness)
-        certificate = read_key(data, "certificate", lambda v: tuple(
-            _certificate_entry(e, len(witness), f"entry {i}: ")
-            for i, e in enumerate(_json_list(v))))
+        witness = read_key(data, "witness", _json_cast(tuple[tuple[float, ...], ...]))
+        _check_points("witness", witness)
+        certificate = tuple(_certificate_entry(e, len(witness), f"certificate: entry {i}: ")
+                            for i, e in enumerate(read_key(data, "certificate", _json_list)))
         return cls(read_key(data, "value", whole_number), read_key(data, "exact", truth_value),
                    witness, certificate, read_key(data, "pool_size", whole_number),
                    read_key(data, "subsets_tested", whole_number))
@@ -140,25 +135,21 @@ class VcReport:
 def _certificate_entry(data, k: int, where: str) -> tuple[tuple[int, ...], Hypothesis]:
     """A certificate's (labeling, hypothesis) pair on k witness points."""
     check_keys(data, ("labeling", "hypothesis"), where)
-    bits = read_key(data, "labeling", lambda v: tuple(map(whole_number, _json_list(v))), where)
+    bits = read_key(data, "labeling", _json_cast(tuple[int, ...]), where)
     if len(bits) != k or not set(bits) <= {0, 1}:
         raise ValueError(f"{where}labeling: expected one 0/1 bit per witness point, {k} in all, "
                          f"got {list(bits)}")
     return bits, read_key(data, "hypothesis", hypothesis_from_json, where)
 
 
-def _points_matrix(X) -> np.ndarray:
+def _points_matrix(X, tag: str) -> np.ndarray:
+    """X as a nonempty (n, d) matrix (a 1-d array is one column) that keeps _check_points."""
     pts = np.asarray(X, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.ndim != 2:
-        raise PointSetError(f"point set must be an (n, d) matrix, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
-        bad = pts[~np.isfinite(pts)][0]
-        raise PointSetError(f"point set coordinates must be finite, got {bad}")
-    if len(np.unique(pts, axis=0)) != len(pts):
-        raise PointSetError("point set must have pairwise distinct points")
-    return pts
+    if pts.ndim != 2 or len(pts) == 0:
+        raise PointSetError(f"{tag} must be a nonempty (n, d) matrix, got shape {pts.shape}")
+    return _check_points(tag, pts)
 
 
 def restriction(
@@ -170,9 +161,7 @@ def restriction(
 
     Always a set of |X|-bit vectors of size at most 2^|X|.
     """
-    pts = _points_matrix(X)
-    if len(pts) == 0:
-        raise PointSetError("restriction needs a nonempty point set")
+    pts = _points_matrix(X, "X")
     L = label_matrix(StackedMembers.of(H, budget=budget), pts)
     return {tuple(int(v) for v in row) for row in np.unique(L, axis=0)}
 
@@ -185,7 +174,7 @@ def shatters(
     """True iff every labeling of X is realized (trivially true for empty X)."""
     if np.asarray(X, dtype=float).size == 0:
         return True
-    pts = _points_matrix(X)
+    pts = _points_matrix(X, "X")
     members = StackedMembers.of(H, budget=budget)
     # More labelings than members cannot all be realized; below this bound the
     # pattern codes of the whole point set fit in an intp.
@@ -311,9 +300,7 @@ def vc_dimension(
     ``subset_budget`` subsets are tested in all; if it cuts a size
     short, the reported value is a lower bound and ``exact`` is false.
     """
-    pts = _points_matrix(pool)
-    if len(pts) == 0:
-        raise PointSetError("the point pool must be nonempty")
+    pts = _points_matrix(pool, "pool")
     members = StackedMembers.of(H, budget=enum_budget)
     L = label_matrix(members, pts)
 
@@ -352,14 +339,15 @@ def vc_dimension(
 
 
 def verify_certificate(report: VcReport) -> bool:
-    """Replay every certificate hypothesis on the witness points."""
+    """Replay every certificate hypothesis, of the witness's dimension, on the witness."""
     if report.value == 0:
         return not report.witness
     if len(report.witness) != report.value or len(report.certificate) != 2 ** report.value:
         return False
     pts = np.asarray(report.witness, dtype=float)
     return len({labeling for labeling, _ in report.certificate}) == 2 ** report.value and all(
-        tuple(h.labels(pts).tolist()) == labeling for labeling, h in report.certificate)
+        h.dim == pts.shape[1] and tuple(h.labels(pts).tolist()) == labeling
+        for labeling, h in report.certificate)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,9 @@ def data_dir_as_data(value):
     if isinstance(value, str) and str(DATA_DIR) in value:
         return value.replace(str(DATA_DIR), "DATA")
     return None
+# a finite class of two thresholds whose probe domain is filled in with %
+TWO_THRESHOLDS_ON = ('{"family":"finite","members":[{"kind":"threshold","theta":0.5},'
+                     '{"kind":"threshold","theta":0.7}],"domain":%s}')
 # one thresholds class whose weight times a delta of 1e-100 underflows to 0
 TINY_WEIGHT_SEQUENCE = '{"classes": [{"family": "thresholds"}], "weights": [1e-300]}'
 RECTANGLES_3D = '{"family": "rectangles", "bounds": [[0, 1], [0, 1], [0, 1]], "resolution": 3}'
@@ -345,9 +348,9 @@ class TestExitCodes:
           "--class", '{"family": "thresholds", "resolution": 5.7}'],
          "thresholds: resolution: expected a whole number, got 5.7"),
         (["vcdim", "--class", "intervals", "--pool", "[[0, 1], [2]]"],
-         "pool: row 1 has 1 coordinates, expected 2"),
+         "config.pool: pool points must share one dimension, got [1, 2]"),
         (["vcdim", "--class", "intervals", "--pool", "[[0, 1], 2]"],
-         "pool: row 1 has 1 coordinates, expected 2"),
+         "config.pool: pool: expected a list, got 2"),
         (["pac", "--preset", "pac-thresholds", "--trials", "3", "--delta", "1.5"],
          "config.delta: must lie in (0, 1), got 1.5"),
         (["uc", "--preset", "uc-thresholds-scaling", "--trials", "3", "--eps", "-1"],
@@ -402,11 +405,11 @@ class TestExitCodes:
         (["vcdim", "--class", "intervals", "--pool", "[[0.1"],
          "config.pool: Expecting ',' delimiter"),
         (["vcdim", "--class", "intervals", "--pool", '[["a"]]'],
-         "config.pool: could not convert string to float: 'a'"),
+         "config.pool: pool: expected a finite number, got 'a'"),
         (["vcdim", "--class", "intervals", "--pool", "[]"],
-         "config.pool: the point pool must be nonempty"),
+         "config.pool: pool must be a nonempty (n, d) matrix, got shape (0, 1)"),
         (["vcdim", "--class", "intervals", "--pool", "[[0.1],[0.1]]"],
-         "config.pool: point set must have pairwise distinct points"),
+         "config.pool: pool points must be distinct"),
         (["bounds", "--preset", "bounds-reference-point", "--out", str(BAD_LABEL_CSV / "sub")],
          f"config.out: [Errno 20] Not a directory: {str(BAD_LABEL_CSV / 'sub')!r}"),
         (["vcdim", "--preset", "sine-shatter-k6", "--sine-k", "0"],
@@ -451,13 +454,13 @@ class TestExitCodes:
          "config.hypothesis: hypothesis threshold has dimension 1, but config.dist has "
          "dimension 3"),
         (["vcdim", "--class", "intervals", "--pool", "[[NaN],[NaN]]"],
-         "config.pool: point set coordinates must be finite, got nan"),
+         "config.pool: pool: expected a finite number, got nan"),
         (["vcdim", "--class", "intervals", "--pool", "[[NaN],[0.5]]"],
-         "config.pool: point set coordinates must be finite, got nan"),
+         "config.pool: pool: expected a finite number, got nan"),
         (["vcdim", "--class", "thresholds-both", "--pool", "[[Infinity],[0.5]]"],
-         "config.pool: point set coordinates must be finite, got inf"),
+         "config.pool: pool: expected a finite number, got inf"),
         (["vcdim", "--class", "intervals", "--pool", "[[0.5],[-Infinity]]"],
-         "config.pool: point set coordinates must be finite, got -inf"),
+         "config.pool: pool: expected a finite number, got -inf"),
         (["vcdim", "--class", "nosuch"], "config.class: unknown class preset 'nosuch'"),
         (["vcdim", "--class", "{family}"],
          "config.class: Expecting property name enclosed in double quotes"),
@@ -672,8 +675,7 @@ class TestExitCodes:
           '{"classes":[{"family":"thresholds"}],"weights":[0.5,0.5]}'],
          "sltlab: error: config.sequence: classes and weights must have equal length\n"),
         (["vcdim", "--class", "intervals", "--pool", "[[[0]],[[1]]]"],
-         "sltlab: error: config.pool: point set must be an (n, d) matrix, got shape "
-         "(2, 1, 1)\n"),
+         "sltlab: error: config.pool: pool: expected a finite number, got [0]\n"),
         (["risk", "--dist", "uniform-threshold-clean", "--hypothesis",
           '{"kind":"lookup","points":[[0],[1]],"labels":[1]}'],
          "sltlab: error: config.hypothesis: points and labels must have equal length\n"),
@@ -695,6 +697,31 @@ class TestExitCodes:
         (["tradeoff", "--preset", "tradeoff-nested-thresholds", "--seeds", "0,0", "--trials", "2",
           "--records"],
          "sltlab: error: config.seeds: master seed 0 is listed more than once\n"),
+        # Every JSON point list is read by the schema codec, then by the one
+        # point-list rule, whose refusals name the list.
+        (["vcdim", "--class", "intervals", "--pool", f"[[0.1],[{10 ** 400}]]"],
+         "sltlab: error: config.pool: pool: int too large to convert to float\n"),
+        (["vcdim", "--class", "intervals", "--pool", "[[0.5],[true]]"],
+         "sltlab: error: config.pool: pool: expected a finite number, got True\n"),
+        (["vcdim", "--class", "intervals", "--pool", '[[0.5],["0.7"]]'],
+         "sltlab: error: config.pool: pool: expected a finite number, got '0.7'\n"),
+        (["vcdim", "--class", "intervals", "--pool", "[[]]"],
+         "sltlab: error: config.pool: pool: points: instance dimension must be at least 1, "
+         "got 0\n"),
+        (["vcdim", "--class", "intervals", "--pool", "[[0.33],[[0.5]]]"],
+         "sltlab: error: config.pool: pool: expected a finite number, got [0.5]\n"),
+        (["erm", "--class", TWO_THRESHOLDS_ON % "[[0],[0,1]]", "--dist",
+          "uniform-threshold-noisy", "--m", "5"],
+         "sltlab: error: config.class: finite: domain points must share one dimension, "
+         "got [1, 2]\n"),
+        (["erm", "--class", TWO_THRESHOLDS_ON % "[]", "--dist", "uniform-threshold-noisy",
+          "--m", "5"],
+         "sltlab: error: config.class: finite: domain: expected one or more points of the "
+         "members' dimension 1, got shape (0, 1)\n"),
+        (["erm", "--class", TWO_THRESHOLDS_ON % "[[0,1]]", "--dist", "uniform-threshold-noisy",
+          "--m", "5"],
+         "sltlab: error: config.class: finite: domain: expected one or more points of the "
+         "members' dimension 1, got shape (1, 2)\n"),
     ], ids=data_dir_as_data)
     def test_bad_value_fails_before_work_naming_key(self, argv, key, capsys):
         assert main(argv) == EXIT_CONFIG
@@ -797,6 +824,24 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"config.{key}: expected a whole number" in captured.err
+
+    def test_config_file_preset_version_is_the_presets(self, tmp_path, capsys):
+        # --preset sets preset_version: a manifest's own config replays, and
+        # a config file that changes it fails, with or without a preset.
+        argv = ["bounds", "--preset", "bounds-reference-point"]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == EXIT_OK
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps(json.load(open(tmp_path / "run" / "manifest.json"))["config"]))
+        assert main(["bounds", "--config", str(replay)]) == EXIT_OK
+        capsys.readouterr()
+        path = tmp_path / "cfg.json"
+        path.write_text('{"preset_version": 7}')
+        for command in (argv, ["bounds"]):
+            assert main(command + ["--config", str(path), "--out", str(tmp_path / "x")]) == \
+                EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == "" and not (tmp_path / "x").exists()
+            assert captured.err == "sltlab: error: config.preset_version: must be 1, got 7\n"
 
     @pytest.mark.parametrize("argv, data, key", [
         (["bounds", "--d", "1", "--eps", "0.1", "--delta", "0.05"], {"C": True}, "C"),

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from sltlab import bounds, distributions, experiments, jsonio, learners, shattering
+from sltlab import bounds, distributions, experiments, jsonio, learners, presets, shattering
 from sltlab.bounds import ErrorDecomposition
 from sltlab.core import (
     FiniteClass,
@@ -43,6 +43,13 @@ from sltlab.distributions import (
 from sltlab.learners import LearnerOutput
 
 README = pathlib.Path(__file__).parents[1] / "README.md"
+
+
+def rectangles_report() -> dict:
+    """The JSON report of the vc-rectangles2d preset."""
+    return shattering.vc_dimension(presets.CLASSES["rectangles2d"],
+                                   presets.POOLS["rectangles2d"]).to_json()
+
 
 # jsonio.dumps(x.to_json()) of each instance below, recorded before the
 # hand-written to_json methods were replaced by the field-driven codec
@@ -298,6 +305,17 @@ def test_explicit_grid_is_the_enumerated_grid():
      "uniform_box: bounds: volume must be positive and finite, got 0.0"),
     (lambda bounds: UniformBox(bounds), ((-1e300, 1e300), (-1e300, 1e300)),
      "uniform_box: bounds: volume must be positive and finite, got inf"),
+    # a witness keeps the point-list rule; samples are read by the codec
+    (lambda witness: shattering.VcReport.from_json({**rectangles_report(), "witness": witness}),
+     [[0.1], [0.2, 0.3]], "witness points must share one dimension, got [1, 2]"),
+    (LabeledSample.from_json, {"pairs": [[[0.5], 0.7]]},
+     "sample: pairs: expected a whole number, got 0.7"),
+    (LabeledSample.from_json, {"pairs": [[["0.5"], 1]]},
+     "sample: pairs: expected a finite number, got '0.5'"),
+    (LabeledSample.from_json, {"pairs": [[[True], 1]]},
+     "sample: pairs: expected a finite number, got True"),
+    (LabeledSample.from_json, {"pairs": [[[0.5], "1"]]},
+     "sample: pairs: expected a whole number, got '1'"),
 ])
 def test_bad_input_names_tag_and_key(reader, data, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -15,6 +15,7 @@ from sltlab.core import (
     LookupTable,
     RectangleClass,
     SineSign,
+    Threshold,
     ThresholdClass,
     enumerate_class,
     label_matrix,
@@ -72,8 +73,9 @@ class TestRestriction:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("search", [restriction, shatters, vc_dimension])
     def test_non_finite_points_rejected(self, search, bad):
+        rule = f" points must {'not be NaN' if math.isnan(bad) else 'be finite'}$"
         for X in (pts(bad, 0.5), pts(bad, bad), pts(bad)):
-            with pytest.raises(PointSetError, match=f"must be finite, got {bad}"):
+            with pytest.raises(PointSetError, match=rule):
                 search(CLASSES["intervals"], X)
 
 
@@ -142,6 +144,15 @@ class TestVcDimension:
             rep.pool_size, rep.subsets_tested,
         )
         assert not verify_certificate(corrupted)
+
+    def test_hypothesis_of_another_dimension_realizes_nothing(self):
+        # a 1-d threshold cannot label the 2-d witness of rectangles
+        rep = vc_dimension(CLASSES["rectangles2d"], POOLS["rectangles2d"])
+        entries = list(rep.certificate)
+        entries[1] = (entries[1][0], Threshold(0.5))
+        corrupted = VcReport(rep.value, rep.exact, rep.witness, tuple(entries),
+                             rep.pool_size, rep.subsets_tested)
+        assert verify_certificate(rep) and not verify_certificate(corrupted)
 
     def test_certificate_of_the_wrong_length_fails(self):
         rep = vc_dimension(CLASSES["intervals"], POOLS["intervals"])
@@ -366,7 +377,7 @@ class TestReportReader:
     def test_repeated_witness_point_is_no_point_set(self):
         report = interval_report()
         report["witness"][1] = report["witness"][0]
-        with pytest.raises(PointSetError, match="^point set must have pairwise distinct points$"):
+        with pytest.raises(PointSetError, match="^witness points must be distinct$"):
             VcReport.from_json(report)
 
 
